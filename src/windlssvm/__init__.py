@@ -21,9 +21,9 @@ from .pipeline import (
     make_lagged_dataset,
     mi_ranking,
     mutual_information,
-    select_features,
     split,
     take_lags,
+    top_lags,
 )
 from .swarm import (
     OptimizeResult,

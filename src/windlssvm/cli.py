@@ -11,23 +11,30 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from . import lssvm
-from .data_io import DataError, atomic_write_text, load_csv, load_model, save_model, write_series_csv
+from .data_io import (
+    DataError,
+    atomic_write_text,
+    load_csv,
+    load_model,
+    save_model,
+    write_forecast_csv,
+    write_series_csv,
+)
 from .experiment import (
     ExperimentConfig,
     PERSISTENCE,
+    load_series,
     prepare_data,
     run_experiment,
     summary_table,
     write_report,
 )
-from .metrics import metric_report
+from .metrics import metric_report, rmse
 from .pipeline import (
-    LaggedDataset,
     SplitSpec,
     autocorrelation,
     clean,
@@ -35,6 +42,7 @@ from .pipeline import (
     mi_ranking,
     split,
     take_lags,
+    top_lags,
 )
 from .swarm import SwarmConfig
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -51,11 +59,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _dataclass_from_dict(cls, d: dict):
+def _dataclass_from_dict(cls, d: dict, label: str | None = None):
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(d) - known)
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+        raise ValueError(f"unknown {label or cls.__name__} keys: {unknown}")
     return cls(**d)
 
 
@@ -64,10 +72,6 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if not isinstance(d, dict):
         raise ValueError("config root must be a JSON object")
     d = dict(d)
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {unknown}")
     if isinstance(d.get("synthetic"), dict):
         synth = dict(d["synthetic"])
         if isinstance(synth.get("sinusoids"), list):
@@ -82,118 +86,93 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     for key in ("gamma_range", "sigma2_range"):
         if isinstance(d.get(key), list):
             d[key] = tuple(float(v) for v in d[key])
-    return ExperimentConfig(**d)
+    return _dataclass_from_dict(ExperimentConfig, d, "config")
 
 
-def _add_input_args(p):
-    p.add_argument("--in", dest="input", metavar="CSV", help="input series CSV")
-    p.add_argument("--synth-n", type=int, help="synthetic series length (when no --in)")
-    p.add_argument("--synth-seed", type=int, help="synthetic generator seed")
+# Experiment flags: (flag, config path, type, help). A path is the chain of
+# keys into the config JSON that the flag's value is written to; an integer
+# key indexes a (lo, hi) range.
+EXPERIMENT_FLAGS = (
+    ("--trials", ("trials",), int, "number of trials (default 5)"),
+    ("--base-seed", ("base_seed",), int, "seed of trial 0 (default 42)"),
+    ("--outdir", ("outdir",), str, "output directory (default results)"),
+    ("--in", ("input_csv",), str, "input series CSV"),
+    ("--synth-n", ("synthetic", "n"), int, "synthetic series length (when no --in)"),
+    ("--synth-seed", ("synthetic", "seed"), int, "synthetic generator seed"),
+    ("--n-lags", ("n_lags",), int, "lag window length (default 100)"),
+    ("--select-fraction", ("select_fraction",), float, "fraction of lags kept by MI (default 0.1)"),
+    ("--mi-bins", ("mi_bins",), int, "histogram bins for MI (default 16)"),
+    ("--z-threshold", ("z_threshold",), float, "outlier gate width (default 4.0)"),
+    ("--train-frac", ("split", "train_frac"), float, None),
+    ("--val-frac", ("split", "val_frac"), float, None),
+    ("--test-frac", ("split", "test_frac"), float, None),
+    ("--population", ("swarm", "population"), int, "swarm size (default 20)"),
+    ("--iterations", ("swarm", "max_iter"), int, "optimizer iterations (default 50)"),
+    ("--jumping-rate", ("swarm", "jumping_rate"), float, None),
+    ("--n-transposons", ("swarm", "n_transposons"), int, None),
+    ("--lam", ("swarm", "lam"), int, "breeding period (default 3)"),
+    ("--ce-mode", ("swarm", "ce_mode"), str, "scheduled (default) or fixed"),
+    ("--ce-alpha", ("swarm", "ce_alpha"), float, None),
+    ("--gamma-min", ("gamma_range", 0), float, None),
+    ("--gamma-max", ("gamma_range", 1), float, None),
+    ("--sigma2-min", ("sigma2_range", 0), float, None),
+    ("--sigma2-max", ("sigma2_range", 1), float, None),
+)
 
 
-def _add_pipeline_args(p):
-    p.add_argument("--n-lags", type=int, help="lag window length (default 100)")
-    p.add_argument("--select-fraction", type=float, help="fraction of lags kept by MI (default 0.1)")
-    p.add_argument("--mi-bins", type=int, help="histogram bins for MI (default 16)")
-    p.add_argument("--z-threshold", type=float, help="outlier gate width (default 4.0)")
-    p.add_argument("--train-frac", type=float)
-    p.add_argument("--val-frac", type=float)
-    p.add_argument("--test-frac", type=float)
-
-
-def _add_swarm_args(p):
-    p.add_argument("--population", type=int, help="swarm size (default 20)")
-    p.add_argument("--iterations", type=int, help="optimizer iterations (default 50)")
-    p.add_argument("--jumping-rate", type=float)
-    p.add_argument("--jumping-percentage", type=float)
-    p.add_argument("--n-transposons", type=int)
-    p.add_argument("--lam", type=int, help="breeding period (default 3)")
-    p.add_argument("--ce-mode", choices=("scheduled", "fixed"))
-    p.add_argument("--ce-alpha", type=float)
-    p.add_argument("--gamma-min", type=float)
-    p.add_argument("--gamma-max", type=float)
-    p.add_argument("--sigma2-min", type=float)
-    p.add_argument("--sigma2-max", type=float)
+def _dest(flag: str) -> str:
+    return "input" if flag == "--in" else flag[2:].replace("-", "_")
 
 
 def _add_experiment_args(p):
     p.add_argument("--config", metavar="JSON", help="config file; flags take precedence")
-    p.add_argument("--trials", type=int, help="number of trials (default 5)")
-    p.add_argument("--base-seed", type=int, help="seed of trial 0 (default 42)")
-    p.add_argument("--outdir", help="output directory (default results)")
-    _add_input_args(p)
-    _add_pipeline_args(p)
-    _add_swarm_args(p)
+    for flag, _, kind, help_text in EXPERIMENT_FLAGS:
+        p.add_argument(flag, dest=_dest(flag), type=kind, help=help_text)
+
+
+def _read_config(path) -> dict:
+    if not path:
+        return {}
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError("config root must be a JSON object")
+    return raw
+
+
+def _write_flag(raw: dict, path: tuple, value):
+    key, *rest = path
+    if not rest:
+        raw[key] = value
+    elif isinstance(rest[0], int):
+        pair = list(raw.get(key, getattr(ExperimentConfig, key)))
+        pair[rest[0]] = value
+        raw[key] = pair
+    else:
+        raw[key] = {**raw.get(key, {}), rest[0]: value}
 
 
 def _resolve_config(args) -> ExperimentConfig:
+    """Write each given flag into the --config JSON (or an empty one), then
+    build and validate the config from it."""
     try:
-        if getattr(args, "config", None):
-            with open(args.config, "r", encoding="utf-8") as fh:
-                try:
-                    raw = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{args.config}: invalid JSON: {exc}") from None
-            cfg = config_from_dict(raw)
-        else:
-            cfg = ExperimentConfig()
-
-        if getattr(args, "input", None):
-            cfg = dataclasses.replace(cfg, input_csv=args.input, synthetic=None)
-        elif cfg.input_csv is None:
-            synth = cfg.synthetic or SyntheticSpec()
-            over = {}
-            if getattr(args, "synth_n", None) is not None:
-                over["n"] = args.synth_n
-            if getattr(args, "synth_seed", None) is not None:
-                over["seed"] = args.synth_seed
-            cfg = dataclasses.replace(cfg, synthetic=dataclasses.replace(synth, **over))
-
-        for attr in ("n_lags", "select_fraction", "mi_bins", "z_threshold", "trials", "base_seed", "outdir"):
-            v = getattr(args, attr, None)
-            if v is not None:
-                cfg = dataclasses.replace(cfg, **{attr: v})
-
-        fracs = {}
-        for attr in ("train_frac", "val_frac", "test_frac"):
-            v = getattr(args, attr, None)
-            if v is not None:
-                fracs[attr] = v
-        if fracs:
-            cfg = dataclasses.replace(cfg, split=dataclasses.replace(cfg.split, **fracs))
-
-        swarm_over = {}
-        for attr, fld in (
-            ("population", "population"),
-            ("iterations", "max_iter"),
-            ("jumping_rate", "jumping_rate"),
-            ("jumping_percentage", "jumping_percentage"),
-            ("n_transposons", "n_transposons"),
-            ("lam", "lam"),
-            ("ce_mode", "ce_mode"),
-            ("ce_alpha", "ce_alpha"),
-        ):
-            v = getattr(args, attr, None)
-            if v is not None:
-                swarm_over[fld] = v
-        if swarm_over:
-            cfg = dataclasses.replace(cfg, swarm=dataclasses.replace(cfg.swarm, **swarm_over))
-
-        ranges = {}
-        if getattr(args, "gamma_min", None) is not None or getattr(args, "gamma_max", None) is not None:
-            lo = args.gamma_min if args.gamma_min is not None else cfg.gamma_range[0]
-            hi = args.gamma_max if args.gamma_max is not None else cfg.gamma_range[1]
-            ranges["gamma_range"] = (lo, hi)
-        if getattr(args, "sigma2_min", None) is not None or getattr(args, "sigma2_max", None) is not None:
-            lo = args.sigma2_min if args.sigma2_min is not None else cfg.sigma2_range[0]
-            hi = args.sigma2_max if args.sigma2_max is not None else cfg.sigma2_range[1]
-            ranges["sigma2_range"] = (lo, hi)
-        if ranges:
-            cfg = dataclasses.replace(cfg, **ranges)
-
+        raw = _read_config(args.config)
+        # The synthetic series is the source unless a CSV is named; the
+        # --synth-* flags are ignored when one is.
+        if args.input is not None:
+            raw["synthetic"] = None
+        elif raw.get("input_csv") is None:
+            raw["synthetic"] = raw.get("synthetic") or {}
+        for flag, path, _, _ in EXPERIMENT_FLAGS:
+            value = getattr(args, _dest(flag))
+            if value is not None and (path[0] != "synthetic" or raw.get("synthetic") is not None):
+                _write_flag(raw, path, value)
         if getattr(args, "strategy", None):
-            cfg = dataclasses.replace(cfg, strategies=(args.strategy,))
-
+            raw["strategies"] = [args.strategy]
+        cfg = config_from_dict(raw)
         cfg.validate()
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
@@ -228,19 +207,16 @@ def cmd_clean(args):
 
 def cmd_features(args):
     cfg = _resolve_config(args)
-    series = generate_synthetic(cfg.synthetic) if cfg.input_csv is None else load_csv(cfg.input_csv)
-    cleaned, _ = clean(series, cfg.z_threshold)
+    cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
     ds = make_lagged_dataset(cleaned, cfg.n_lags)
-    n_train = int(cfg.split.train_frac * ds.n_rows)
-    train_rows = LaggedDataset(ds.features[:n_train], ds.targets[:n_train], ds.lag_indices)
-    ranked = mi_ranking(train_rows, cfg.mi_bins)
-    keep = math.ceil(cfg.select_fraction * ds.n_features)
+    ranked = mi_ranking(split(ds, cfg.split)[0], cfg.mi_bins)
+    selected = top_lags(ranked, cfg.select_fraction)
 
-    os.makedirs(args.outdir or "features", exist_ok=True)
     outdir = args.outdir or "features"
+    os.makedirs(outdir, exist_ok=True)
     lines = ["rank,lag,mi,selected"]
     for rank, (lag, mi) in enumerate(ranked, start=1):
-        lines.append(f"{rank},{lag},{mi!r},{int(rank <= keep)}")
+        lines.append(f"{rank},{lag},{mi!r},{int(rank <= len(selected))}")
     atomic_write_text(os.path.join(outdir, "mi_ranking.csv"), "\n".join(lines) + "\n")
 
     corr = autocorrelation(cleaned, cfg.n_lags)
@@ -249,18 +225,9 @@ def cmd_features(args):
         lines.append(f"{k},{float(corr[k - 1])!r}")
     atomic_write_text(os.path.join(outdir, "correlation.csv"), "\n".join(lines) + "\n")
 
-    top = ", ".join(str(lag) for lag, _ in ranked[:keep])
-    print(f"selected {keep} of {ds.n_features} lags by MI: {top}")
+    top = ", ".join(str(lag) for lag in selected)
+    print(f"selected {len(selected)} of {ds.n_features} lags by MI: {top}")
     print(f"wrote {outdir}/mi_ranking.csv and {outdir}/correlation.csv")
-    return 0
-
-
-def cmd_tune(args):
-    cfg = _resolve_config(args)
-    report = run_experiment(cfg)
-    write_report(report, cfg.outdir)
-    print(summary_table(report))
-    print(f"report written to {cfg.outdir}/report.csv")
     return 0
 
 
@@ -292,17 +259,16 @@ def cmd_train(args):
     }
     atomic_write_text(args.model_out + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
     val_pred = lssvm.predict(model, data.val.features)
-    from .metrics import rmse as _rmse
-
     print(
         f"trained on {data.train.n_rows} rows (lags {list(data.selected_lags)}); "
-        f"validation rmse {_rmse(data.val.targets, val_pred):.4f}"
+        f"validation rmse {rmse(data.val.targets, val_pred):.4f}"
     )
     print(f"model written to {args.model_out} (+ .meta.json)")
     return 0
 
 
-def _load_model_and_meta(args):
+def _model_and_dataset(args):
+    """The saved model, its metadata, and the input series lagged to its lags."""
     model = load_model(args.model)
     meta_path = args.model + ".meta.json"
     if args.lags:
@@ -317,38 +283,27 @@ def _load_model_and_meta(args):
         raise DataError(
             f"model expects {model.support_inputs.shape[1]} features but metadata lists {len(meta['lags'])} lags"
         )
-    return model, meta
-
-
-def _pipeline_for_model(args, meta):
-    series = load_csv(args.input)
-    cleaned, _ = clean(series, meta.get("z_threshold", 4.0))
+    cleaned, _ = clean(load_csv(args.input), meta.get("z_threshold", 4.0))
     ds = make_lagged_dataset(cleaned, int(meta["n_lags"]))
-    return take_lags(ds, meta["lags"])
+    return model, meta, take_lags(ds, meta["lags"])
 
 
 def cmd_predict(args):
-    model, meta = _load_model_and_meta(args)
-    ds = _pipeline_for_model(args, meta)
-    pred = lssvm.predict(model, ds.features)
-    lines = ["index,actual,forecast,abs_error"]
-    for i in range(ds.n_rows):
-        err = float(abs(ds.targets[i] - pred[i]))
-        lines.append(f"{i},{float(ds.targets[i])!r},{float(pred[i])!r},{err!r}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    model, _, ds = _model_and_dataset(args)
+    write_forecast_csv(args.out, ds.targets, lssvm.predict(model, ds.features))
     print(f"wrote {ds.n_rows} forecasts to {args.out}")
     return 0
 
 
 def cmd_evaluate(args):
-    model, meta = _load_model_and_meta(args)
-    ds = _pipeline_for_model(args, meta)
+    model, meta, ds = _model_and_dataset(args)
     fr = meta.get("split", [0.6, 0.2, 0.2])
     train, val, test = split(ds, SplitSpec(*fr))
     block = {"train": train, "val": val, "test": test, "all": ds}[args.block]
     pred = lssvm.predict(model, block.features)
     m = metric_report(block.targets, pred)
-    print(f"{args.block} block ({block.n_rows} rows): rmse={m.rmse:.4f} mae={m.mae:.4f} mape={m.mape:.2f}%")
+    mape = "n/a" if m.mape is None else f"{m.mape:.2f}%"
+    print(f"{args.block} block ({block.n_rows} rows): rmse={m.rmse:.4f} mae={m.mae:.4f} mape={mape}")
     return 0
 
 
@@ -376,7 +331,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tune", help="tune hyperparameters with one strategy")
     p.add_argument("--strategy", required=True, choices=("pso", "qpso", "ebqpso"))
     _add_experiment_args(p)
-    p.set_defaults(func=cmd_tune)
+    p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("train", help="train a model at fixed hyperparameters")
     p.add_argument("--gamma", type=float, required=True)
@@ -420,16 +375,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
     except lssvm.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

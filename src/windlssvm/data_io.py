@@ -95,6 +95,15 @@ def write_series_csv(series: TimeSeries, path: str, start: datetime = DEFAULT_ST
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 
+def write_forecast_csv(path: str, actual: np.ndarray, forecast: np.ndarray):
+    """Emit ``index,actual,forecast,abs_error`` rows for aligned arrays."""
+    lines = ["index,actual,forecast,abs_error"]
+    for i in range(actual.size):
+        err = float(abs(actual[i] - forecast[i]))
+        lines.append(f"{i},{float(actual[i])!r},{float(forecast[i])!r},{err!r}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def save_model(model: LssvmModel, path: str):
     """Write the versioned binary model file (atomic: temp file then rename)."""
     X = np.ascontiguousarray(model.support_inputs, dtype="<f8")

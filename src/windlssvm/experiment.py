@@ -10,7 +10,6 @@ identical config reproduces every output file byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -18,9 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lssvm
-from .data_io import atomic_write_text, save_model
+from .data_io import atomic_write_text, save_model, write_forecast_csv
 from .metrics import MetricReport, hyperparam_space, metric_report, LssvmFitness
-from .pipeline import LaggedDataset, SplitSpec, TimeSeries, clean, make_lagged_dataset, mi_ranking, split, take_lags
+from .pipeline import (
+    LaggedDataset,
+    SplitSpec,
+    TimeSeries,
+    clean,
+    make_lagged_dataset,
+    mi_ranking,
+    split,
+    take_lags,
+    top_lags,
+)
 from .swarm import SwarmConfig, optimize_ebqpso, optimize_pso, optimize_qpso
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -63,7 +72,6 @@ class ExperimentConfig:
     trials: int = 5
     base_seed: int = 42
     outdir: str = "results"
-    mape_floor: float = 1e-6
 
     def validate(self):
         if (self.input_csv is None) == (self.synthetic is None):
@@ -91,8 +99,6 @@ class ExperimentConfig:
         s_lo, s_hi = self.sigma2_range
         if g_lo <= 0 or g_lo >= g_hi or s_lo <= 0 or s_lo >= s_hi:
             raise ValueError("hyperparameter ranges must be positive and ordered")
-        if self.mape_floor <= 0:
-            raise ValueError("mape_floor must be positive")
 
 
 @dataclass
@@ -125,7 +131,8 @@ class ExperimentReport:
 
 def recompute_aggregates(trials) -> dict[str, dict[str, tuple[float, float]]]:
     """Mean and sample standard deviation per metric per strategy over the
-    successful trials (std is 0 for a single trial)."""
+    successful trials (std is 0 for a single trial). An undefined MAPE is
+    left out; with none defined the pair is (None, None)."""
     out: dict[str, dict[str, tuple[float, float]]] = {}
     strategies = []
     for tr in trials:
@@ -137,13 +144,17 @@ def recompute_aggregates(trials) -> dict[str, dict[str, tuple[float, float]]]:
             continue
         out[strat] = {}
         for name in ("rmse", "mae", "mape"):
-            vals = np.array([getattr(tr.metrics, name) for tr in rows])
+            vals = np.array([v for v in (getattr(tr.metrics, name) for tr in rows) if v is not None])
+            if vals.size == 0:
+                out[strat][name] = (None, None)
+                continue
             std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
             out[strat][name] = (float(vals.mean()), std)
     return out
 
 
-def _load_series(config: ExperimentConfig) -> TimeSeries:
+def load_series(config: ExperimentConfig) -> TimeSeries:
+    """The configured input CSV, or else the synthetic series."""
     if config.input_csv is not None:
         from .data_io import load_csv
 
@@ -165,19 +176,15 @@ class PreparedData:
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
     """clean -> lag -> MI selection fitted on the train block -> split."""
-    series = _load_series(config)
+    series = load_series(config)
     cleaned, n_replaced = clean(series, config.z_threshold)
     ds = make_lagged_dataset(cleaned, config.n_lags)
 
-    n_train = int(config.split.train_frac * ds.n_rows)
-    train_rows = LaggedDataset(ds.features[:n_train], ds.targets[:n_train], ds.lag_indices)
-    ranked = mi_ranking(train_rows, config.mi_bins)
-    keep = math.ceil(config.select_fraction * ds.n_features)
-    selected = tuple(lag for lag, _ in ranked[:keep])
+    train_full, _, test_full = split(ds, config.split)
+    selected = top_lags(mi_ranking(train_full, config.mi_bins), config.select_fraction)
 
     train, val, test = split(take_lags(ds, selected), config.split)
     # Naive one-step persistence on the test block: the lag-1 value.
-    _, _, test_full = split(ds, config.split)
     persistence_pred = test_full.features[:, ds.lag_indices.index(1)].copy()
     return PreparedData(train, val, test, selected, n_replaced, persistence_pred)
 
@@ -198,7 +205,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
     fitness = LssvmFitness(data.train, data.val)
     space = hyperparam_space(config.gamma_range, config.sigma2_range)
     sq_test = lssvm.pairwise_sq_dists(data.test.features, data.train.features)
-    persistence_metrics = metric_report(data.test.targets, data.persistence_pred, config.mape_floor)
+    persistence_metrics = metric_report(data.test.targets, data.persistence_pred)
 
     trials: list[TrialResult] = []
     for trial in range(config.trials):
@@ -207,7 +214,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
             result = TrialResult(strategy=strat, trial=trial, seed=seed)
             t0 = time.perf_counter()
             try:
-                swarm_cfg = dataclasses.replace(config.swarm, seed=seed, dimension=2)
+                swarm_cfg = dataclasses.replace(config.swarm, seed=seed)
                 opt = OPTIMIZERS[strat](fitness, space, swarm_cfg)
                 hp = fitness.decode(opt.best_position)
                 model = lssvm.train(
@@ -216,7 +223,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
                 pred = lssvm.predict(model, data.test.features, sq_dists=sq_test)
                 result.gamma = hp.gamma
                 result.sigma2 = hp.sigma2
-                result.metrics = metric_report(data.test.targets, pred, config.mape_floor)
+                result.metrics = metric_report(data.test.targets, pred)
                 result.evaluations = opt.evaluations
                 result.predictions = pred
                 result.model = model
@@ -227,7 +234,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
             if result.ok:
                 log(
                     f"trial {trial} {strat}: rmse={result.metrics.rmse:.4f} "
-                    f"mae={result.metrics.mae:.4f} mape={result.metrics.mape:.2f}% "
+                    f"mae={result.metrics.mae:.4f} mape={_percent(result.metrics.mape)} "
                     f"gamma={result.gamma:.4g} sigma2={result.sigma2:.4g} "
                     f"evals={result.evaluations} ({result.wall_time:.1f}s)"
                 )
@@ -252,6 +259,10 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
         n_replaced=data.n_replaced,
         test_targets=data.test.targets.copy(),
     )
+
+
+def _percent(v) -> str:
+    return "n/a" if v is None else f"{v:.2f}%"
 
 
 def _fmt(v) -> str:
@@ -309,17 +320,13 @@ def write_report(report: ExperimentReport, outdir: str):
             )
     atomic_write_text(os.path.join(outdir, "report.csv"), "\n".join(rows) + "\n")
 
-    actual = report.test_targets
     for tr in report.trials:
         if not tr.ok or tr.predictions is None or tr.strategy == PERSISTENCE:
             continue
-        lines = ["index,actual,forecast,abs_error"]
-        for i in range(actual.size):
-            err = float(abs(actual[i] - tr.predictions[i]))
-            lines.append(f"{i},{float(actual[i])!r},{float(tr.predictions[i])!r},{err!r}")
-        atomic_write_text(
+        write_forecast_csv(
             os.path.join(outdir, f"predictions_{tr.strategy}_{tr.trial}.csv"),
-            "\n".join(lines) + "\n",
+            report.test_targets,
+            tr.predictions,
         )
         if tr.model is not None:
             save_model(tr.model, os.path.join(outdir, f"model_{tr.strategy}_{tr.trial}"))
@@ -330,7 +337,8 @@ def summary_table(report: ExperimentReport) -> str:
     lines = [f"{'strategy':<12} {'RMSE':>20} {'MAE':>20} {'MAPE (%)':>20}"]
     for strat, agg in report.aggregates.items():
         cells = [
-            f"{agg[name][0]:.4f} +/- {agg[name][1]:.4f}" for name in ("rmse", "mae", "mape")
+            "n/a" if agg[name][0] is None else f"{agg[name][0]:.4f} +/- {agg[name][1]:.4f}"
+            for name in ("rmse", "mae", "mape")
         ]
         lines.append(f"{strat:<12} {cells[0]:>20} {cells[1]:>20} {cells[2]:>20}")
     return "\n".join(lines)

@@ -18,7 +18,7 @@ MAPE_EPSILON_FLOOR = 1e-6
 class MetricReport:
     mae: float
     rmse: float
-    mape: float
+    mape: float | None  # None where MAPE is undefined (some |y_i| at or below the floor)
 
 
 def _check_pair(y, yhat):
@@ -59,8 +59,14 @@ def mape(y, yhat, epsilon_floor: float = MAPE_EPSILON_FLOOR) -> float:
     return float((np.abs(y - yhat) / np.abs(y)).mean() * 100.0)
 
 
-def metric_report(y, yhat, epsilon_floor: float = MAPE_EPSILON_FLOOR) -> MetricReport:
-    return MetricReport(mae=mae(y, yhat), rmse=rmse(y, yhat), mape=mape(y, yhat, epsilon_floor))
+def metric_report(y, yhat) -> MetricReport:
+    """MAE, RMSE and MAPE; a calm spell (some |y_i| at or below the MAPE
+    floor) leaves MAPE undefined rather than failing the report."""
+    try:
+        pct = mape(y, yhat)
+    except ValueError:
+        pct = None  # a calm spell; empty or mismatched input still raises in mae
+    return MetricReport(mae=mae(y, yhat), rmse=rmse(y, yhat), mape=pct)
 
 
 class LssvmFitness:
@@ -69,8 +75,8 @@ class LssvmFitness:
     A position (p0, p1) decodes to gamma = 10**p0, sigma2 = 10**p1. The
     training-set and validation-to-training squared distances are
     precomputed once (they do not depend on sigma2) and reused by every
-    call. Solver failures yield +inf and bump ``numeric_failures``. Calls
-    are pure and safe to issue concurrently.
+    call. Solver failures yield +inf. Calls are pure and safe to issue
+    concurrently.
     """
 
     def __init__(self, train: LaggedDataset, val: LaggedDataset):
@@ -80,7 +86,6 @@ class LssvmFitness:
         self.val = val
         self.sq_train = lssvm.pairwise_sq_dists(train.features)
         self.sq_val = lssvm.pairwise_sq_dists(val.features, train.features)
-        self.numeric_failures = 0
 
     def decode(self, position) -> lssvm.Hyperparams:
         position = np.asarray(position, dtype=float).ravel()
@@ -93,7 +98,6 @@ class LssvmFitness:
         try:
             model = lssvm.train(self.train.features, self.train.targets, hp, sq_dists=self.sq_train)
         except lssvm.NumericError:
-            self.numeric_failures += 1
             return np.inf
         pred = lssvm.predict(model, self.val.features, sq_dists=self.sq_val)
         return rmse(self.val.targets, pred)

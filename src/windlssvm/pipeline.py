@@ -223,19 +223,11 @@ def take_lags(ds: LaggedDataset, lags) -> LaggedDataset:
     return LaggedDataset(ds.features[:, cols].copy(), ds.targets.copy(), tuple(int(k) for k in lags))
 
 
-def select_features(ds: LaggedDataset, fraction: float, bins: int = 16) -> LaggedDataset:
-    """Keep the ceil(fraction * n) lags with the highest MI against the targets.
-
-    Surviving columns are ordered by descending MI, ties broken by the
-    smaller lag. Cell values are never altered.
-    """
+def top_lags(ranked: list[tuple[int, float]], fraction: float) -> tuple[int, ...]:
+    """The ceil(fraction * n) best lags of an ``mi_ranking``, best first."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    if ds.n_rows == 0 or ds.n_features == 0:
-        raise ValueError("dataset is empty")
-    keep = math.ceil(fraction * ds.n_features)
-    ranked = mi_ranking(ds, bins)
-    return take_lags(ds, [lag for lag, _ in ranked[:keep]])
+    return tuple(lag for lag, _ in ranked[: math.ceil(fraction * len(ranked))])
 
 
 def split(ds: LaggedDataset, spec: SplitSpec) -> tuple[LaggedDataset, LaggedDataset, LaggedDataset]:

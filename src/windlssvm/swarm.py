@@ -74,22 +74,18 @@ class SearchSpace:
 @dataclass(frozen=True)
 class SwarmConfig:
     """Optimizer settings; the defaults are the reference configuration
-    (20 particles, 2 dimensions, 50 iterations, jumping rate 0.2,
-    jumping percentage 1, one single-gene transposon, breeding every 3
-    iterations).
+    (20 particles, 50 iterations, jumping rate 0.2, one single-gene
+    transposon, breeding every 3 iterations). The problem dimension is the
+    search space's.
 
-    ``jumping_percentage`` sizes transposons for long chromosomes; with
-    two-gene chromosomes the transposon is pinned to a single gene, so the
-    field is validated but has no further effect. ``ce_mode`` selects the
-    contraction-expansion coefficient rule: "scheduled" decays linearly from
-    1.0 to 0.5 over the run, "fixed" uses ``ce_alpha`` throughout.
+    ``ce_mode`` selects the contraction-expansion coefficient rule:
+    "scheduled" decays linearly from 1.0 to 0.5 over the run, "fixed" uses
+    ``ce_alpha`` throughout.
     """
 
     population: int = 20
-    dimension: int = 2
     max_iter: int = 50
     jumping_rate: float = 0.2
-    jumping_percentage: float = 1.0
     n_transposons: int = 1
     lam: int = 3
     seed: int = 0
@@ -97,12 +93,10 @@ class SwarmConfig:
     ce_alpha: float = 0.5
 
     def __post_init__(self):
-        if self.population < 1 or self.dimension < 1 or self.max_iter < 1:
-            raise ValueError("population, dimension and max_iter must be positive")
+        if self.population < 1 or self.max_iter < 1:
+            raise ValueError("population and max_iter must be positive")
         if not 0.0 <= self.jumping_rate <= 1.0:
             raise ValueError(f"jumping_rate must lie in [0, 1], got {self.jumping_rate}")
-        if not 0.0 < self.jumping_percentage <= 1.0:
-            raise ValueError(f"jumping_percentage must lie in (0, 1], got {self.jumping_percentage}")
         if self.n_transposons < 1 or self.lam < 1:
             raise ValueError("n_transposons and lam must be positive")
         if self.seed < 0:
@@ -352,8 +346,6 @@ def optimize_pso(
     callback: Callback | None = None,
 ) -> OptimizeResult:
     """Global-best PSO with constriction constants and clamped velocities."""
-    if config.dimension != space.dimension:
-        raise ValueError("config dimension != search space dimension")
     rng = np.random.default_rng(config.seed)
     fit = _CountingFitness(fitness)
     m, d = config.population, space.dimension
@@ -409,8 +401,6 @@ def optimize_ebqpso(
 
 
 def _run_qpso(fitness, space, config, breed, callback):
-    if config.dimension != space.dimension:
-        raise ValueError("config dimension != search space dimension")
     rng = np.random.default_rng(config.seed)
     fit = _CountingFitness(fitness)
     m = config.population

@@ -1,9 +1,10 @@
+import csv
 import json
 import os
 
 import pytest
 
-from windlssvm.cli import main
+from windlssvm.cli import EXPERIMENT_FLAGS, _resolve_config, build_parser, main
 from windlssvm.data_io import load_csv
 
 
@@ -122,6 +123,124 @@ class TestTuneAndBenchmark:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["benchmark", "--config", str(cfg_path)]) == 1
+
+    def test_tune_exits_3_when_every_trial_fails(self, tmp_path):
+        # a box deep in singular territory: every KKT solve fails
+        flags = _tiny_flags(str(tmp_path / "run")) + [
+            "--gamma-min", "1e11", "--gamma-max", "1e12",
+            "--sigma2-min", "1e29", "--sigma2-max", "1e30",
+        ]
+        assert main(["tune", "--strategy", "qpso"] + flags) == 3
+        report = open(tmp_path / "run" / "report.csv").read()
+        assert "trial,qpso,0,10,,,,,,,NumericError" in report
+
+    def test_calm_spell_leaves_mape_undefined(self, tmp_path, series_csv):
+        # three 0 m/s samples in the test block survive a wide outlier gate
+        lines = open(series_csv).read().splitlines()
+        for i in (561, 562, 563):  # line 0 is the header
+            lines[i] = lines[i].split(",")[0] + ",0.0"
+        calm = tmp_path / "calm.csv"
+        calm.write_text("\n".join(lines) + "\n")
+        outdir = tmp_path / "run"
+        flags = _tiny_flags(str(outdir)) + ["--in", str(calm), "--z-threshold", "10"]
+        assert main(["benchmark"] + flags) == 0
+        with open(outdir / "report.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3 * 1 + 1 + 2 * 4  # trials + persistence, mean/std per strategy
+        for row in rows:
+            assert row["mape"] == ""
+            assert float(row["rmse"]) >= 0.0 and float(row["mae"]) >= 0.0
+
+
+# Per experiment flag: the value passed on the command line, and a different
+# value for the same field in a --config file, which the flag must override.
+FLAG_VALUES = {
+    "--trials": ("3", 4),
+    "--base-seed": ("7", 8),
+    "--outdir": ("elsewhere", "configured"),
+    "--in": ("series.csv", "other.csv"),
+    "--synth-n": ("700", 800),
+    "--synth-seed": ("9", 10),
+    "--n-lags": ("12", 13),
+    "--select-fraction": ("0.3", 0.4),
+    "--mi-bins": ("8", 9),
+    "--z-threshold": ("5.5", 6.5),
+    "--train-frac": ("0.5", 0.4),
+    "--val-frac": ("0.3", 0.4),
+    "--test-frac": ("0.3", 0.4),
+    "--population": ("7", 8),
+    "--iterations": ("9", 10),
+    "--jumping-rate": ("0.4", 0.5),
+    "--n-transposons": ("2", 3),
+    "--lam": ("4", 5),
+    "--ce-mode": ("fixed", "scheduled"),
+    "--ce-alpha": ("0.7", 0.8),
+    "--gamma-min": ("0.01", 0.02),
+    "--gamma-max": ("1000.0", 2000.0),
+    "--sigma2-min": ("2.0", 3.0),
+    "--sigma2-max": ("500.0", 600.0),
+}
+# Split fractions must sum to 1, so each flag comes with the other two
+# fractions set in the config file to match its value.
+SPLIT_PARTNERS = {
+    "train_frac": {"val_frac": 0.3, "test_frac": 0.2},
+    "val_frac": {"train_frac": 0.5, "test_frac": 0.2},
+    "test_frac": {"train_frac": 0.5, "val_frac": 0.2},
+}
+
+
+def _resolve(argv, config=None, tmp_path=None):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    return _resolve_config(build_parser().parse_args(["benchmark"] + argv))
+
+
+def _field(cfg, path):
+    for key in path:
+        cfg = cfg[key] if isinstance(key, int) else getattr(cfg, key)
+    return cfg
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("flag,path,kind", [row[:3] for row in EXPERIMENT_FLAGS])
+    def test_flag_sets_field(self, tmp_path, flag, path, kind):
+        value, _ = FLAG_VALUES[flag]
+        config = {"split": SPLIT_PARTNERS[path[1]]} if path[0] == "split" else None
+        cfg = _resolve([flag, value], config, tmp_path)
+        assert _field(cfg, path) == kind(value)
+
+    @pytest.mark.parametrize("flag,path,kind", [row[:3] for row in EXPERIMENT_FLAGS])
+    def test_flag_overrides_config(self, tmp_path, flag, path, kind):
+        value, configured = FLAG_VALUES[flag]
+        key, *rest = path
+        if not rest:
+            config = {key: configured}
+        elif isinstance(rest[0], int):
+            pair = [1e-3, 1e4]
+            pair[rest[0]] = configured
+            config = {key: pair}
+        else:
+            config = {key: {rest[0]: configured, **SPLIT_PARTNERS.get(rest[0], {})}}
+        cfg = _resolve([flag, value], config, tmp_path)
+        assert _field(cfg, path) == kind(value)
+        if rest and isinstance(rest[0], int):  # the other end of the range is kept
+            assert _field(cfg, (key, 1 - rest[0])) == config[key][1 - rest[0]]
+
+    def test_three_split_fractions_together(self):
+        cfg = _resolve(["--train-frac", "0.5", "--val-frac", "0.25", "--test-frac", "0.25"])
+        assert (cfg.split.train_frac, cfg.split.val_frac, cfg.split.test_frac) == (0.5, 0.25, 0.25)
+
+    def test_synth_flags_ignored_under_input(self, tmp_path):
+        cfg = _resolve(["--in", "series.csv", "--synth-n", "5000", "--synth-seed", "1"])
+        assert cfg.input_csv == "series.csv" and cfg.synthetic is None
+        cfg = _resolve(["--synth-n", "5000"], {"input_csv": "series.csv"}, tmp_path)
+        assert cfg.input_csv == "series.csv" and cfg.synthetic is None
+
+    def test_input_flag_replaces_configured_synthetic(self, tmp_path):
+        cfg = _resolve(["--in", "series.csv"], {"synthetic": {"n": 700}}, tmp_path)
+        assert cfg.input_csv == "series.csv" and cfg.synthetic is None
 
 
 class TestTrainPredictEvaluate:

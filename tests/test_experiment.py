@@ -8,12 +8,14 @@ from windlssvm.cli import config_from_dict
 from windlssvm.experiment import (
     ExperimentConfig,
     PERSISTENCE,
+    TrialResult,
     prepare_data,
     recompute_aggregates,
     run_experiment,
     summary_table,
     write_report,
 )
+from windlssvm.metrics import MetricReport
 from windlssvm.swarm import SwarmConfig
 from windlssvm.synthetic import SyntheticSpec
 
@@ -218,3 +220,12 @@ class TestAggregates:
     def test_recompute_matches(self):
         rep = run_experiment(tiny_config(), log=silent)
         assert recompute_aggregates(rep.trials) == rep.aggregates
+
+    def test_undefined_mape_left_out(self):
+        def trial(mape):
+            return TrialResult("qpso", 0, 0, metrics=MetricReport(mae=1.0, rmse=2.0, mape=mape))
+
+        agg = recompute_aggregates([trial(None), trial(4.0), trial(6.0)])["qpso"]
+        assert agg["mape"] == (5.0, pytest.approx(np.sqrt(2.0)))
+        assert agg["rmse"] == (2.0, 0.0)
+        assert recompute_aggregates([trial(None)])["qpso"]["mape"] == (None, None)

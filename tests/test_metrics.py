@@ -98,6 +98,13 @@ class TestProperties:
         assert rep.rmse >= rep.mae >= 0.0
         assert rep.mape >= 0.0
 
+    def test_report_leaves_mape_undefined_on_calm_spell(self):
+        y, yhat = [4.0, 0.0, 2.0], [3.5, 0.5, 2.0]
+        rep = metric_report(y, yhat)
+        assert rep.mape is None
+        assert rep.mae == mae(y, yhat)
+        assert rep.rmse == rmse(y, yhat)
+
 
 def _dataset(X, y, lags=(1,)):
     return LaggedDataset(np.asarray(X, dtype=float), np.asarray(y, dtype=float), lags)
@@ -135,7 +142,6 @@ class TestLssvmFitness:
         tr = _dataset([[1.0], [1.0]], [0.0, 1.0])
         fit = LssvmFitness(tr, tr)
         assert fit(np.array([16.0, 0.0])) == np.inf
-        assert fit.numeric_failures == 1
 
     def test_position_validation(self):
         ds = _dataset([[0.0], [1.0]], [0.0, 1.0])

@@ -11,9 +11,9 @@ from windlssvm.pipeline import (
     make_lagged_dataset,
     mi_ranking,
     mutual_information,
-    select_features,
     split,
     take_lags,
+    top_lags,
 )
 
 
@@ -200,6 +200,11 @@ class TestMutualInformation:
         assert mutual_information(f, -t, 16) == pytest.approx(base, abs=1e-12)
 
 
+def select(ds, fraction, bins=16):
+    """MI lag selection as the experiment does it: rank, keep, restrict."""
+    return take_lags(ds, top_lags(mi_ranking(ds, bins), fraction))
+
+
 class TestSelectFeatures:
     def _dataset(self, n_rows=300, n_cols=6, seed=0):
         rng = np.random.default_rng(seed)
@@ -209,26 +214,26 @@ class TestSelectFeatures:
 
     def test_full_fraction_keeps_all_reordered(self):
         ds, _ = self._dataset()
-        out = select_features(ds, 1.0, bins=8)
+        out = select(ds, 1.0, bins=8)
         assert sorted(out.lag_indices) == list(ds.lag_indices)
         assert out.n_features == ds.n_features
 
     def test_ten_of_hundred(self):
         rng = np.random.default_rng(4)
         ds = LaggedDataset(rng.normal(size=(250, 100)), rng.normal(size=250), tuple(range(1, 101)))
-        assert select_features(ds, 0.1, bins=8).n_features == 10
+        assert select(ds, 0.1, bins=8).n_features == 10
 
     def test_target_copy_ranks_first(self):
         ds, rng = self._dataset(seed=5)
         X = ds.features.copy()
         X[:, 2] = ds.targets  # lag 3 IS the target
         ds = LaggedDataset(X, ds.targets, ds.lag_indices)
-        out = select_features(ds, 0.5, bins=8)
+        out = select(ds, 0.5, bins=8)
         assert out.lag_indices[0] == 3
 
     def test_cell_values_preserved(self):
         ds, _ = self._dataset(seed=6)
-        out = select_features(ds, 0.5, bins=8)
+        out = select(ds, 0.5, bins=8)
         for j, lag in enumerate(out.lag_indices):
             orig_col = ds.lag_indices.index(lag)
             np.testing.assert_array_equal(out.features[:, j], ds.features[:, orig_col])
@@ -245,10 +250,11 @@ class TestSelectFeatures:
 
     def test_invalid_fraction(self):
         ds, _ = self._dataset()
+        ranked = mi_ranking(ds)
         with pytest.raises(ValueError):
-            select_features(ds, 0.0)
+            top_lags(ranked, 0.0)
         with pytest.raises(ValueError):
-            select_features(ds, 1.5)
+            top_lags(ranked, 1.5)
 
     def test_take_lags_unknown_lag(self):
         ds, _ = self._dataset()

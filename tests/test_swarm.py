@@ -445,10 +445,8 @@ class TestSwarmConfig:
     def test_reference_defaults(self):
         cfg = SwarmConfig()
         assert cfg.population == 20
-        assert cfg.dimension == 2
         assert cfg.max_iter == 50
         assert cfg.jumping_rate == 0.2
-        assert cfg.jumping_percentage == 1.0
         assert cfg.n_transposons == 1
         assert cfg.lam == 3
 
@@ -457,7 +455,6 @@ class TestSwarmConfig:
         [
             dict(population=0),
             dict(jumping_rate=1.5),
-            dict(jumping_percentage=0.0),
             dict(lam=0),
             dict(ce_mode="bogus"),
             dict(ce_alpha=-1.0),
@@ -467,8 +464,3 @@ class TestSwarmConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SwarmConfig(**kwargs)
-
-    def test_dimension_mismatch_rejected(self):
-        cfg = SwarmConfig(dimension=3)
-        with pytest.raises(ValueError):
-            optimize_qpso(sphere, SPHERE_SPACE, cfg)
