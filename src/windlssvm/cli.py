@@ -155,11 +155,12 @@ def _write_flag(raw: dict, path: tuple, value):
         raw[key] = {**raw.get(key, {}), rest[0]: value}
 
 
-def _resolve_config(args) -> ExperimentConfig:
+def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
     """Write each given flag into the --config JSON (or an empty one), then
-    build and validate the config from it."""
+    build and validate the config from it. ``defaults`` holds a command's
+    own top-level defaults, which the config file and the flags override."""
     try:
-        raw = _read_config(args.config)
+        raw = {**(defaults or {}), **_read_config(args.config)}
         # The synthetic series is the source unless a CSV is named; the
         # --synth-* flags are ignored when one is.
         if args.input is not None:
@@ -206,13 +207,13 @@ def cmd_clean(args):
 
 
 def cmd_features(args):
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, {"outdir": "features"})
     cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
     ds = make_lagged_dataset(cleaned, cfg.n_lags)
     ranked = mi_ranking(split(ds, cfg.split)[0], cfg.mi_bins)
     selected = top_lags(ranked, cfg.select_fraction)
 
-    outdir = args.outdir or "features"
+    outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     lines = ["rank,lag,mi,selected"]
     for rank, (lag, mi) in enumerate(ranked, start=1):
@@ -324,7 +325,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_clean)
 
-    p = sub.add_parser("features", help="emit MI ranking and lag-correlation CSVs")
+    p = sub.add_parser(
+        "features", help="emit MI ranking and lag-correlation CSVs (default outdir features)"
+    )
     _add_experiment_args(p)
     p.set_defaults(func=cmd_features)
 

@@ -5,21 +5,32 @@ Training reduces to one dense linear system
     [[0,   1^T        ],   [[b],     [[0],
      [1,   K + I/gamma]] .  [a]]  =   [y]]
 
-where K is the RBF kernel matrix of the training inputs. The solver uses an
-LU factorization with partial pivoting and refuses to return solutions from
-systems that are numerically singular.
+where K is the RBF kernel matrix of the training inputs. H = K + I/gamma is
+symmetric positive definite, so the solver never forms the bordered matrix:
+one Cholesky factorization of H solves H eta = 1 and H nu = y together, and
+then b = 1^T nu / 1^T eta and a = nu - b eta (Suykens et al., Least Squares
+Support Vector Machines, 2002, ch. 3).
+
+The solver refuses to return solutions from systems that are numerically
+singular. Its gates:
+
+- pivot: the factorization must succeed, and every squared Cholesky pivot
+  must be at least PIVOT_RTOL * max|H|, where max|H| = 1 + 1/gamma because
+  K <= 1 with a unit diagonal;
+- residual: the residual of the bordered system, computed from K, a and b,
+  must be at most RESIDUAL_RTOL relative to ||y||;
+- finiteness: training data, model entries and the residual must be finite.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-# Pivots smaller than this fraction of the largest matrix entry are treated
-# as a singular factorization.
+# Squared Cholesky pivots smaller than this fraction of the largest matrix
+# entry are treated as a singular factorization.
 PIVOT_RTOL = 1e-12
 # Largest acceptable relative residual of the KKT solve.
 RESIDUAL_RTOL = 1e-8
@@ -127,6 +138,69 @@ def build_kernel_matrix(X, sigma2: float) -> np.ndarray:
     return kernel_from_sq_dists(pairwise_sq_dists(X), sigma2)
 
 
+def solve_dual(
+    sq_dists: np.ndarray,
+    y: np.ndarray,
+    hp: Hyperparams,
+    K: np.ndarray | None = None,
+    H: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
+    """Dual coefficients and bias of the LSSVM on training set ``sq_dists``, ``y``.
+
+    ``K`` (C-ordered) and ``H`` (Fortran-ordered) are optional (n, n)
+    scratch buffers; both are overwritten. Callers that solve many
+    hyperparameter settings on one training set pass the same buffers each
+    time, so a call allocates no n x n array.
+
+    Raises
+    ------
+    NumericError
+        If H is not numerically positive definite (the pivot gate) or the
+        KKT residual exceeds ``RESIDUAL_RTOL``.
+    """
+    n = y.shape[0]
+    if n == 1:
+        # 1^T a = 0 forces a = 0, and then b = y_0.
+        return np.zeros(1), float(y[0])
+    K = kernel_from_sq_dists(sq_dists, hp.sigma2, out=K)
+    if H is None:
+        H = np.empty((n, n), order="F")
+    # K is exactly symmetric, so filling H^T is the same copy, and contiguous.
+    np.copyto(H.T, K)
+    H[np.diag_indices(n)] += 1.0 / hp.gamma
+
+    # K <= 1 with a unit diagonal, so max|H| = 1 + 1/gamma.
+    scale = 1.0 + 1.0 / hp.gamma
+    try:
+        L, lower = cho_factor(H, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        min_pivot = 0.0
+    else:
+        min_pivot = float(np.diag(L).min()) ** 2
+    if not min_pivot >= PIVOT_RTOL * scale:
+        raise NumericError(
+            f"near-singular KKT system: min pivot {min_pivot:.3e} "
+            f"< {PIVOT_RTOL:.0e} * max|H| ({scale:.3e}); "
+            f"gamma={hp.gamma:.6g} sigma2={hp.sigma2:.6g} n={n}"
+        )
+    sol = cho_solve((L, lower), np.column_stack((np.ones(n), y)), check_finite=False)
+    eta, nu = sol[:, 0], sol[:, 1]
+    b = nu.sum() / eta.sum()  # 1^T eta > 0 because H is positive definite
+    alpha = nu - b * eta
+
+    # Residual of the bordered system [1^T a ; K a + a/gamma + b - y].
+    r = K @ alpha + alpha / hp.gamma + b - y
+    residual = np.hypot(alpha.sum(), np.linalg.norm(r))
+    y_norm = np.linalg.norm(y)
+    rel_residual = residual / y_norm if y_norm > 0 else residual
+    if not np.isfinite(rel_residual) or rel_residual > RESIDUAL_RTOL:
+        raise NumericError(
+            f"KKT solve residual {rel_residual:.3e} exceeds {RESIDUAL_RTOL:.0e} "
+            f"(min pivot {min_pivot:.3e}, gamma={hp.gamma:.6g}, sigma2={hp.sigma2:.6g}, n={n})"
+        )
+    return alpha, float(b)
+
+
 def train(X, y, hp: Hyperparams, sq_dists: np.ndarray | None = None) -> LssvmModel:
     """Solve the dual KKT system for (a, b) and return the trained model.
 
@@ -142,8 +216,7 @@ def train(X, y, hp: Hyperparams, sq_dists: np.ndarray | None = None) -> LssvmMod
     Raises
     ------
     NumericError
-        If the factorization produces a near-zero pivot or the solution's
-        relative residual exceeds ``RESIDUAL_RTOL``.
+        As ``solve_dual``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -154,44 +227,10 @@ def train(X, y, hp: Hyperparams, sq_dists: np.ndarray | None = None) -> LssvmMod
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("training data must be finite")
 
-    n = X.shape[0]
     if sq_dists is None:
         sq_dists = pairwise_sq_dists(X)
-    K = kernel_from_sq_dists(sq_dists, hp.sigma2)
-
-    A = np.empty((n + 1, n + 1))
-    A[0, 0] = 0.0
-    A[0, 1:] = 1.0
-    A[1:, 0] = 1.0
-    A[1:, 1:] = K
-    idx = np.arange(1, n + 1)
-    A[idx, idx] += 1.0 / hp.gamma
-    rhs = np.concatenate(([0.0], y))
-
-    with warnings.catch_warnings():
-        # The pivot check below turns singularity into NumericError.
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(A, check_finite=False)
-    min_pivot = np.abs(np.diag(lu)).min()
-    scale = np.abs(A).max()
-    if min_pivot < PIVOT_RTOL * scale:
-        raise NumericError(
-            f"near-singular KKT system: min pivot {min_pivot:.3e} "
-            f"< {PIVOT_RTOL:.0e} * max|A| ({scale:.3e}); "
-            f"gamma={hp.gamma:.6g} sigma2={hp.sigma2:.6g} n={n}"
-        )
-    sol = lu_solve((lu, piv), rhs, check_finite=False)
-
-    rhs_norm = np.linalg.norm(rhs)
-    residual = np.linalg.norm(A @ sol - rhs)
-    rel_residual = residual / rhs_norm if rhs_norm > 0 else residual
-    if not np.isfinite(rel_residual) or rel_residual > RESIDUAL_RTOL:
-        raise NumericError(
-            f"KKT solve residual {rel_residual:.3e} exceeds {RESIDUAL_RTOL:.0e} "
-            f"(min pivot {min_pivot:.3e}, gamma={hp.gamma:.6g}, sigma2={hp.sigma2:.6g}, n={n})"
-        )
-
-    return LssvmModel(support_inputs=X, dual_coeffs=sol[1:], bias=float(sol[0]), hyperparams=hp)
+    alpha, b = solve_dual(sq_dists, y, hp)
+    return LssvmModel(support_inputs=X, dual_coeffs=alpha, bias=b, hyperparams=hp)
 
 
 def predict(model: LssvmModel, Xq, sq_dists: np.ndarray | None = None) -> np.ndarray:

@@ -75,17 +75,26 @@ class LssvmFitness:
     A position (p0, p1) decodes to gamma = 10**p0, sigma2 = 10**p1. The
     training-set and validation-to-training squared distances are
     precomputed once (they do not depend on sigma2) and reused by every
-    call. Solver failures yield +inf. Calls are pure and safe to issue
-    concurrently.
+    call, and so are the two n x n scratch buffers of the dual solve.
+    Solver failures yield +inf. A call's value depends only on its
+    position, but the buffers make calls on one instance unsafe to issue
+    concurrently: use one instance per thread or process.
     """
 
     def __init__(self, train: LaggedDataset, val: LaggedDataset):
         if train.lag_indices != val.lag_indices:
             raise ValueError("train and validation datasets use different lags")
+        if train.n_rows < 1:
+            raise ValueError("need at least one training sample")
+        if not (np.isfinite(train.features).all() and np.isfinite(train.targets).all()):
+            raise ValueError("training data must be finite")
         self.train = train
         self.val = val
         self.sq_train = lssvm.pairwise_sq_dists(train.features)
         self.sq_val = lssvm.pairwise_sq_dists(val.features, train.features)
+        n = train.n_rows
+        self._K = np.empty((n, n))
+        self._H = np.empty((n, n), order="F")
 
     def decode(self, position) -> lssvm.Hyperparams:
         position = np.asarray(position, dtype=float).ravel()
@@ -96,10 +105,10 @@ class LssvmFitness:
     def __call__(self, position) -> float:
         hp = self.decode(position)
         try:
-            model = lssvm.train(self.train.features, self.train.targets, hp, sq_dists=self.sq_train)
+            alpha, b = lssvm.solve_dual(self.sq_train, self.train.targets, hp, K=self._K, H=self._H)
         except lssvm.NumericError:
             return np.inf
-        pred = lssvm.predict(model, self.val.features, sq_dists=self.sq_val)
+        pred = lssvm.kernel_from_sq_dists(self.sq_val, hp.sigma2) @ alpha + b
         return rmse(self.val.targets, pred)
 
 

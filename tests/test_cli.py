@@ -75,6 +75,25 @@ class TestFeatures:
         assert len(corr) == 9 and corr[0] == "lag,correlation"
         assert sum(int(r.split(",")[3]) for r in ranking[1:]) == 1  # ceil(0.1*8)
 
+    @pytest.mark.parametrize("config_outdir,flag_outdir,expected", [
+        (None, None, "features"),
+        ("cfgdir", None, "cfgdir"),
+        ("cfgdir", "flagdir", "flagdir"),
+    ])
+    def test_outdir_precedence(self, tmp_path, monkeypatch, config_outdir, flag_outdir, expected):
+        monkeypatch.chdir(tmp_path)
+        cfg = {"synthetic": {"n": 600, "seed": 3}, "n_lags": 8}
+        if config_outdir is not None:
+            cfg["outdir"] = config_outdir
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        argv = ["features", "--config", "cfg.json"]
+        if flag_outdir is not None:
+            argv += ["--outdir", flag_outdir]
+        assert main(argv) == 0
+        written = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
+        assert written == [expected]
+        assert sorted(os.listdir(expected)) == ["correlation.csv", "mi_ranking.csv"]
+
 
 class TestTuneAndBenchmark:
     def test_tune_writes_artifacts(self, tmp_path):

@@ -188,6 +188,32 @@ class TestTrain:
         np.testing.assert_array_equal(m1.dual_coeffs, m2.dual_coeffs)
         assert m1.bias == m2.bias
 
+    def test_search_box_solved_or_refused(self):
+        # Draws over the default hyperparam_space box at wind-like sizes: each
+        # solve either meets the bordered system to 1e-8 or raises.
+        rng = np.random.default_rng(2024)
+        solved = 0
+        for _ in range(16):
+            n = int(rng.integers(40, 301))
+            d = int(rng.integers(1, 11))
+            X = rng.uniform(0.0, 25.0, (n, d))
+            y = rng.uniform(0.0, 20.0, n)
+            hp = Hyperparams(10.0 ** rng.uniform(-4, 6), 10.0 ** rng.uniform(np.log10(8), np.log10(4e4)))
+            try:
+                model = train(X, y, hp)
+            except NumericError:
+                continue
+            solved += 1
+            A = np.zeros((n + 1, n + 1))
+            A[0, 1:] = 1.0
+            A[1:, 0] = 1.0
+            A[1:, 1:] = build_kernel_matrix(X, hp.sigma2) + np.eye(n) / hp.gamma
+            rhs = np.concatenate(([0.0], y))
+            sol = np.concatenate(([model.bias], model.dual_coeffs))
+            assert np.linalg.norm(A @ sol - rhs) / np.linalg.norm(rhs) <= 1e-8
+            assert abs(model.dual_coeffs.sum()) <= 1e-8 * np.linalg.norm(y)
+        assert solved >= 8
+
     def test_singular_system_raises(self):
         with pytest.raises(NumericError, match="pivot"):
             train([[0.0], [0.0]], [1.0, 2.0], Hyperparams(1e16, 1.0))

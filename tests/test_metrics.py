@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,39 @@ class TestLssvmFitness:
         fit = LssvmFitness(tr, tr)
         assert fit(np.array([16.0, 0.0])) == np.inf
 
+    def test_scratch_buffers_carry_no_state(self):
+        # rows 0 and 1 coincide, so gamma=1e16 makes the KKT system singular
+        rng = np.random.default_rng(6)
+        X = rng.uniform(0, 5, (30, 2))
+        X[1] = X[0]
+        tr = _dataset(X, rng.uniform(0, 5, 30), (1, 2))
+        va = _dataset(rng.uniform(0, 5, (9, 2)), rng.uniform(0, 5, 9), (1, 2))
+        p1, p2 = np.array([1.0, 0.5]), np.array([3.0, 1.2])
+        fails = [np.array([16.0, 0.0]), np.array([11.5, 29.5])]
+        fit = LssvmFitness(tr, va)
+        got = [fit(p1)] + [fit(p) for p in fails] + [fit(p2), fit(p1)]
+        assert got[1:3] == [np.inf, np.inf]
+        expected = [LssvmFitness(tr, va)(p) for p in (p1, p2, p1)]
+        assert [got[0], got[3], got[4]] == expected
+        assert all(np.isfinite(expected))
+
+    def test_warm_call_allocates_no_square_matrix(self):
+        rng = np.random.default_rng(8)
+        n = 400
+        tr = _dataset(rng.uniform(0, 20, (n, 3)), rng.uniform(0, 20, n), (1, 2, 3))
+        va = _dataset(rng.uniform(0, 20, (100, 3)), rng.uniform(0, 20, 100), (1, 2, 3))
+        fit = LssvmFitness(tr, va)
+        pos = np.array([2.0, 1.5])
+        first = fit(pos)
+        tracemalloc.start()
+        try:
+            again = fit(pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first and np.isfinite(first)
+        assert peak < 0.5 * n * n * 8
+
     def test_position_validation(self):
         ds = _dataset([[0.0], [1.0]], [0.0, 1.0])
         fit = LssvmFitness(ds, ds)
@@ -150,6 +184,15 @@ class TestLssvmFitness:
             fit(np.array([1.0]))
         with pytest.raises(ValueError):
             fit(np.array([np.nan, 1.0]))
+
+    def test_bad_training_set_rejected(self):
+        va = _dataset([[0.0], [1.0]], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            LssvmFitness(_dataset([[0.0], [np.nan]], [0.0, 1.0]), va)
+        with pytest.raises(ValueError, match="finite"):
+            LssvmFitness(_dataset([[0.0], [1.0]], [0.0, np.inf]), va)
+        with pytest.raises(ValueError, match="at least one"):
+            LssvmFitness(_dataset(np.empty((0, 1)), [], (1,)), _dataset(np.empty((0, 1)), [], (1,)))
 
     def test_lag_mismatch_rejected(self):
         a = _dataset([[0.0], [1.0]], [0.0, 1.0], (1,))
