@@ -2,6 +2,9 @@
 
 Series CSV format: one ``timestamp,value`` pair per line, UTF-8, optional
 ``timestamp,value`` header. An empty value field marks a missing sample.
+Timestamps are ISO 8601 (``2015-04-01T00:20``) and strictly increasing in
+whole multiples of the cadence; a step of k cadences marks the k - 1 samples
+in between as missing.
 
 Model files are little-endian binary: magic ``LSVM``, format version (u32),
 support row/column counts (u64 each), gamma and sigma2 (f64), the support
@@ -42,11 +45,15 @@ def atomic_write_text(path: str, text: str):
 
 
 def load_csv(path: str, cadence_minutes: int = 20) -> TimeSeries:
-    """Parse a series CSV; blank value fields become missing samples.
+    """Parse a series CSV; blank value fields and timestamp gaps become
+    missing samples.
 
     Raises DataError naming the offending 1-based line for malformed rows,
-    and for empty files.
+    unparseable, duplicate, out-of-order or off-cadence timestamps, and for
+    empty files.
     """
+    stamps = []
+    linenos = []
     values = []
     mask = []
     first_content = True
@@ -65,6 +72,8 @@ def load_csv(path: str, cadence_minutes: int = 20) -> TimeSeries:
                 continue  # header row
         if stamp == "":
             raise DataError(f"{path}: line {lineno}: empty timestamp field")
+        stamps.append(stamp)
+        linenos.append(lineno)
         if value == "":
             values.append(np.nan)
             mask.append(True)
@@ -79,7 +88,46 @@ def load_csv(path: str, cadence_minutes: int = 20) -> TimeSeries:
         mask.append(False)
     if not values:
         raise DataError(f"{path}: no samples")
-    return TimeSeries(np.array(values), cadence_minutes, np.array(mask, dtype=bool))
+
+    t = _stamp_seconds(path, stamps, linenos)
+    cadence = 60 * cadence_minutes
+    step = np.diff(t)
+    bad = (step <= 0) | (step % cadence != 0)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        what = (
+            "duplicate" if step[i] == 0
+            else "out-of-order" if step[i] < 0
+            else f"off-cadence ({step[i] / 60:g} min after the previous, cadence {cadence_minutes} min)"
+        )
+        raise DataError(f"{path}: line {linenos[i + 1]}: {what} timestamp {stamps[i + 1]!r}")
+    # Place each row on its cadence slot; slots no row fills are missing.
+    slot = (t - t[0]) // cadence
+    filled = np.full(slot[-1] + 1, np.nan)
+    filled[slot] = values
+    missing = np.ones(slot[-1] + 1, dtype=bool)
+    missing[slot] = mask
+    return TimeSeries(filled, cadence_minutes, missing)
+
+
+def _stamp_seconds(path: str, stamps: list[str], linenos: list[int]) -> np.ndarray:
+    """Timestamps as int64 seconds, parsed in one vectorized call; only a
+    failed parse goes stamp by stamp to name the first bad line."""
+    try:
+        t = np.array(stamps, dtype="datetime64[s]")
+    except ValueError:
+        t = None
+    if t is None or np.isnat(t).any():
+        i = next(i for i, stamp in enumerate(stamps) if not _is_timestamp(stamp))
+        raise DataError(f"{path}: line {linenos[i]}: unparseable timestamp {stamps[i]!r}")
+    return t.astype(np.int64)
+
+
+def _is_timestamp(stamp: str) -> bool:
+    try:
+        return not np.isnat(np.datetime64(stamp, "s"))
+    except ValueError:
+        return False
 
 
 def write_series_csv(series: TimeSeries, path: str, start: datetime = DEFAULT_START):

@@ -11,13 +11,25 @@ one Cholesky factorization of H solves H eta = 1 and H nu = y together, and
 then b = 1^T nu / 1^T eta and a = nu - b eta (Suykens et al., Least Squares
 Support Vector Machines, 2002, ch. 3).
 
+The solve works in one Fortran-ordered n x n buffer. The kernel is written
+into it, 1/gamma is added to the diagonal, and the Cholesky factor L
+overwrites the lower triangle only. The strict upper triangle still holds K,
+so once the saved diagonal is written back the buffer's upper triangle is H
+again and the residual is taken from it with a symmetric matrix-vector
+product.
+
+Every dense product of a solve goes through ``scipy.linalg.blas``, the
+OpenBLAS that ``cho_factor`` uses. numpy loads its own OpenBLAS, and a numpy
+matrix product leaves that library's worker threads spinning into the next
+factorization, so the two thread pools then compete for the same cores.
+
 The solver refuses to return solutions from systems that are numerically
 singular. Its gates:
 
 - pivot: the factorization must succeed, and every squared Cholesky pivot
   must be at least PIVOT_RTOL * max|H|, where max|H| = 1 + 1/gamma because
   K <= 1 with a unit diagonal;
-- residual: the residual of the bordered system, computed from K, a and b,
+- residual: the residual of the bordered system, computed from H, a and b,
   must be at most RESIDUAL_RTOL relative to ||y||;
 - finiteness: training data, model entries and the residual must be finite.
 """
@@ -27,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
 
 # Squared Cholesky pivots smaller than this fraction of the largest matrix
 # entry are treated as a singular factorization.
@@ -142,15 +154,14 @@ def solve_dual(
     sq_dists: np.ndarray,
     y: np.ndarray,
     hp: Hyperparams,
-    K: np.ndarray | None = None,
     H: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Dual coefficients and bias of the LSSVM on training set ``sq_dists``, ``y``.
 
-    ``K`` (C-ordered) and ``H`` (Fortran-ordered) are optional (n, n)
-    scratch buffers; both are overwritten. Callers that solve many
-    hyperparameter settings on one training set pass the same buffers each
-    time, so a call allocates no n x n array.
+    ``H`` is an optional Fortran-ordered (n, n) scratch buffer, overwritten
+    by the call. Callers that solve many hyperparameter settings on one
+    training set pass the same buffer each time, so a call allocates no
+    n x n array.
 
     Raises
     ------
@@ -162,16 +173,18 @@ def solve_dual(
     if n == 1:
         # 1^T a = 0 forces a = 0, and then b = y_0.
         return np.zeros(1), float(y[0])
-    K = kernel_from_sq_dists(sq_dists, hp.sigma2, out=K)
     if H is None:
         H = np.empty((n, n), order="F")
-    # K is exactly symmetric, so filling H^T is the same copy, and contiguous.
-    np.copyto(H.T, K)
+    # sq_dists is exactly symmetric, so writing K into H^T (the contiguous
+    # view of H) writes K into H.
+    kernel_from_sq_dists(sq_dists, hp.sigma2, out=H.T)
     H[np.diag_indices(n)] += 1.0 / hp.gamma
+    diag = H.diagonal().copy()
 
     # K <= 1 with a unit diagonal, so max|H| = 1 + 1/gamma.
     scale = 1.0 + 1.0 / hp.gamma
     try:
+        # L overwrites the lower triangle; the strict upper triangle keeps K.
         L, lower = cho_factor(H, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         min_pivot = 0.0
@@ -188,8 +201,10 @@ def solve_dual(
     b = nu.sum() / eta.sum()  # 1^T eta > 0 because H is positive definite
     alpha = nu - b * eta
 
-    # Residual of the bordered system [1^T a ; K a + a/gamma + b - y].
-    r = K @ alpha + alpha / hp.gamma + b - y
+    # Residual of the bordered system [1^T a ; H a + b - y], with H read
+    # from the upper triangle once its diagonal is restored.
+    H[np.diag_indices(n)] = diag
+    r = blas.dsymv(1.0, H, alpha, lower=0) + b - y
     residual = np.hypot(alpha.sum(), np.linalg.norm(r))
     y_norm = np.linalg.norm(y)
     rel_residual = residual / y_norm if y_norm > 0 else residual

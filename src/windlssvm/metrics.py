@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import lssvm
 from .pipeline import LaggedDataset
@@ -75,10 +76,12 @@ class LssvmFitness:
     A position (p0, p1) decodes to gamma = 10**p0, sigma2 = 10**p1. The
     training-set and validation-to-training squared distances are
     precomputed once (they do not depend on sigma2) and reused by every
-    call, and so are the two n x n scratch buffers of the dual solve.
-    Solver failures yield +inf. A call's value depends only on its
-    position, but the buffers make calls on one instance unsafe to issue
-    concurrently: use one instance per thread or process.
+    call, and so are two scratch buffers: the one n x n buffer of the dual
+    solve and the (n_val, n) validation kernel. The validation prediction
+    goes through ``scipy.linalg.blas``, like the solve, so a call uses one
+    BLAS library. Solver failures yield +inf. A call's value depends only
+    on its position, but the buffers make calls on one instance unsafe to
+    issue concurrently: use one instance per thread or process.
     """
 
     def __init__(self, train: LaggedDataset, val: LaggedDataset):
@@ -93,8 +96,8 @@ class LssvmFitness:
         self.sq_train = lssvm.pairwise_sq_dists(train.features)
         self.sq_val = lssvm.pairwise_sq_dists(val.features, train.features)
         n = train.n_rows
-        self._K = np.empty((n, n))
         self._H = np.empty((n, n), order="F")
+        self._Kv = np.empty((val.n_rows, n))
 
     def decode(self, position) -> lssvm.Hyperparams:
         position = np.asarray(position, dtype=float).ravel()
@@ -105,10 +108,12 @@ class LssvmFitness:
     def __call__(self, position) -> float:
         hp = self.decode(position)
         try:
-            alpha, b = lssvm.solve_dual(self.sq_train, self.train.targets, hp, K=self._K, H=self._H)
+            alpha, b = lssvm.solve_dual(self.sq_train, self.train.targets, hp, H=self._H)
         except lssvm.NumericError:
             return np.inf
-        pred = lssvm.kernel_from_sq_dists(self.sq_val, hp.sigma2) @ alpha + b
+        Kv = lssvm.kernel_from_sq_dists(self.sq_val, hp.sigma2, out=self._Kv)
+        # Kv.T is Fortran-ordered, so f2py passes it without a copy.
+        pred = blas.dgemv(1.0, Kv.T, alpha, trans=1) + b
         return rmse(self.val.targets, pred)
 
 

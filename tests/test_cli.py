@@ -59,6 +59,12 @@ class TestClean:
         src.write_text("abc,xyz\n")
         assert main(["clean", "--in", str(src), "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_junk_stamps_exit_2(self, tmp_path, series_csv):
+        lines = open(series_csv).read().splitlines()
+        junk = tmp_path / "junk.csv"
+        junk.write_text("\n".join(["not-a-time," + ln.split(",")[1] for ln in lines[1:]]) + "\n")
+        assert main(["clean", "--in", str(junk), "--out", str(tmp_path / "o.csv")]) == 2
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["clean", "--in", str(tmp_path / "nope.csv"), "--out", "o.csv"]) == 2
 

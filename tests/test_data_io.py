@@ -77,6 +77,80 @@ class TestLoadCsv:
             load_csv("/nonexistent/file.csv")
 
 
+def _stamped(n, start=0):
+    """Header plus n 20-minute-cadence rows, value i on row i."""
+    base = np.datetime64("2015-04-01T00:00")
+    rows = [f"{base + np.timedelta64(20 * i, 'm')},{float(i)!r}" for i in range(start, start + n)]
+    return ["timestamp,value"] + rows
+
+
+class TestTimestamps:
+    def test_junk_stamp_names_line(self, tmp_path):
+        lines = _stamped(10)
+        lines[6] = "not-a-time,3.0"
+        p = tmp_path / "junk.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 7: unparseable timestamp 'not-a-time'"):
+            load_csv(str(p))
+
+    def test_nat_stamp_rejected(self, tmp_path):
+        p = tmp_path / "nat.csv"
+        p.write_text("2015-04-01T00:00,1.0\nNaT,2.0\n")
+        with pytest.raises(DataError, match="line 2: unparseable timestamp"):
+            load_csv(str(p))
+
+    def test_duplicate_stamp_names_line(self, tmp_path):
+        lines = _stamped(10)
+        lines[5] = lines[4].split(",")[0] + ",9.0"
+        p = tmp_path / "dup.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 6: duplicate timestamp"):
+            load_csv(str(p))
+
+    def test_out_of_order_stamp_names_line(self, tmp_path):
+        lines = _stamped(10)
+        lines[8], lines[9] = lines[9], lines[8]
+        p = tmp_path / "order.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="line 10: out-of-order timestamp"):
+            load_csv(str(p))
+
+    def test_off_cadence_step_names_line(self, tmp_path):
+        p = tmp_path / "off.csv"
+        p.write_text("2015-04-01T00:00,1.0\n2015-04-01T00:20,2.0\n2015-04-01T00:50,3.0\n")
+        with pytest.raises(DataError, match="line 3: off-cadence"):
+            load_csv(str(p))
+
+    def test_gap_becomes_masked_samples(self, tmp_path):
+        lines = _stamped(100)
+        del lines[41:71]  # rows for samples 40..69
+        p = tmp_path / "gap.csv"
+        p.write_text("\n".join(lines) + "\n")
+        s = load_csv(str(p))
+        assert len(s) == 100
+        assert np.flatnonzero(s.missing_mask).tolist() == list(range(40, 70))
+        kept = ~s.missing_mask
+        np.testing.assert_array_equal(s.values[kept], np.flatnonzero(kept).astype(float))
+
+    def test_gap_and_blank_both_masked(self, tmp_path):
+        p = tmp_path / "both.csv"
+        p.write_text("2015-04-01T00:00,1.0\n2015-04-01T00:20,\n2015-04-01T01:20,4.0\n")
+        s = load_csv(str(p))
+        assert s.missing_mask.tolist() == [False, True, True, True, False]
+        assert s.values[-1] == 4.0
+
+    def test_space_separated_and_seconds_accepted(self, tmp_path):
+        p = tmp_path / "iso.csv"
+        p.write_text("2015-04-01 00:00:00,1.0\n2015-04-01 00:20:00,2.0\n")
+        np.testing.assert_array_equal(load_csv(str(p)).values, [1.0, 2.0])
+
+    def test_cadence_argument(self, tmp_path):
+        p = tmp_path / "ten.csv"
+        p.write_text("2015-04-01T00:00,1.0\n2015-04-01T00:10,2.0\n2015-04-01T00:30,3.0\n")
+        assert load_csv(str(p), cadence_minutes=10).missing_mask.tolist() == [False, False, True, False]
+        with pytest.raises(DataError, match="off-cadence"):
+            load_csv(str(p))
+
 class TestSeriesRoundTrip:
     def test_write_then_load_exact(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from windlssvm import lssvm
 from windlssvm.lssvm import (
     Hyperparams,
     LssvmModel,
@@ -213,6 +214,36 @@ class TestTrain:
             assert np.linalg.norm(A @ sol - rhs) / np.linalg.norm(rhs) <= 1e-8
             assert abs(model.dual_coeffs.sum()) <= 1e-8 * np.linalg.norm(y)
         assert solved >= 8
+
+    @pytest.mark.parametrize("eps, fails", [(1e-7, True), (1e-11, False)])
+    def test_residual_gate_catches_wrong_solve(self, monkeypatch, eps, fails):
+        # Shifting nu by delta leaves 1^T a = 0 and makes the bordered
+        # residual H delta, so its size relative to ||y|| is eps.
+        rng = np.random.default_rng(31)
+        n = 60
+        X = rng.uniform(0.0, 5.0, (n, 3))
+        y = rng.uniform(0.0, 10.0, n)
+        hp = Hyperparams(10.0, 5.0)
+        H = build_kernel_matrix(X, hp.sigma2) + np.eye(n) / hp.gamma
+        u = rng.standard_normal(n)
+        delta = eps * np.linalg.norm(y) * u / np.linalg.norm(H @ u)
+        real_cho_solve = lssvm.cho_solve
+        calls = []
+
+        def perturbed(*args, **kwargs):
+            sol = real_cho_solve(*args, **kwargs)
+            sol[:, 1] += delta
+            calls.append(1)
+            return sol
+
+        monkeypatch.setattr(lssvm, "cho_solve", perturbed)
+        sq = pairwise_sq_dists(X)
+        if fails:
+            with pytest.raises(NumericError, match="residual"):
+                lssvm.solve_dual(sq, y, hp)
+        else:
+            lssvm.solve_dual(sq, y, hp)
+        assert calls == [1]
 
     def test_singular_system_raises(self):
         with pytest.raises(NumericError, match="pivot"):

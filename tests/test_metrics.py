@@ -1,10 +1,14 @@
+import ast
+import inspect
 import math
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from windlssvm import lssvm
 from windlssvm.metrics import (
     LssvmFitness,
     MetricReport,
@@ -176,6 +180,45 @@ class TestLssvmFitness:
             tracemalloc.stop()
         assert again == first and np.isfinite(first)
         assert peak < 0.5 * n * n * 8
+
+    def test_warm_call_allocates_no_validation_kernel(self):
+        # The validation kernel lives in a buffer, and dgemv gets its
+        # Fortran-ordered transpose, so f2py makes no copy of it either.
+        rng = np.random.default_rng(8)
+        n, n_val = 400, 100
+        tr = _dataset(rng.uniform(0, 20, (n, 3)), rng.uniform(0, 20, n), (1, 2, 3))
+        va = _dataset(rng.uniform(0, 20, (n_val, 3)), rng.uniform(0, 20, n_val), (1, 2, 3))
+        fit = LssvmFitness(tr, va)
+        pos = np.array([2.0, 1.5])
+        first = fit(pos)
+        tracemalloc.start()
+        try:
+            again = fit(pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == first and np.isfinite(first)
+        assert peak < 0.5 * n_val * n * 8
+
+    @pytest.mark.parametrize("func", [lssvm.solve_dual, LssvmFitness.__call__])
+    def test_no_numpy_matrix_product_in_hot_path(self, func):
+        banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                found.append(f"'@' on line {node.lineno}")
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in banned:
+                    found.append(f"{name}() on line {node.lineno}")
+        assert not found, (
+            f"{func.__qualname__} uses a numpy matrix product ({', '.join(found)}). "
+            "numpy and scipy each load their own OpenBLAS with its own thread pool; "
+            "a numpy product leaves its threads spinning into the next scipy "
+            "factorization, so two pools compete for the same cores. "
+            "Use scipy.linalg.blas instead."
+        )
 
     def test_position_validation(self):
         ds = _dataset([[0.0], [1.0]], [0.0, 1.0])
