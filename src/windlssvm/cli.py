@@ -200,7 +200,8 @@ def cmd_clean(args):
     if args.z_threshold is not None and args.z_threshold <= 0:
         raise UsageError("--z-threshold must be positive")
     series = load_csv(args.input)
-    cleaned, replaced = clean(series, args.z_threshold if args.z_threshold is not None else 4.0)
+    z = args.z_threshold if args.z_threshold is not None else ExperimentConfig.z_threshold
+    cleaned, replaced = clean(series, z)
     write_series_csv(cleaned, args.out)
     print(f"replaced {replaced} of {len(series)} samples; wrote {args.out}")
     return 0
@@ -274,7 +275,7 @@ def _model_and_dataset(args):
     meta_path = args.model + ".meta.json"
     if args.lags:
         lags = [int(tok) for tok in args.lags.split(",") if tok.strip()]
-        meta = {"lags": lags, "n_lags": max(lags), "z_threshold": 4.0, "split": [0.6, 0.2, 0.2]}
+        meta = {"lags": lags, "n_lags": max(lags)}
     elif os.path.exists(meta_path):
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -284,7 +285,7 @@ def _model_and_dataset(args):
         raise DataError(
             f"model expects {model.support_inputs.shape[1]} features but metadata lists {len(meta['lags'])} lags"
         )
-    cleaned, _ = clean(load_csv(args.input), meta.get("z_threshold", 4.0))
+    cleaned, _ = clean(load_csv(args.input), meta.get("z_threshold", ExperimentConfig.z_threshold))
     ds = make_lagged_dataset(cleaned, int(meta["n_lags"]))
     return model, meta, take_lags(ds, meta["lags"])
 
@@ -298,8 +299,8 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     model, meta, ds = _model_and_dataset(args)
-    fr = meta.get("split", [0.6, 0.2, 0.2])
-    train, val, test = split(ds, SplitSpec(*fr))
+    spec = SplitSpec(*meta["split"]) if "split" in meta else SplitSpec()
+    train, val, test = split(ds, spec)
     block = {"train": train, "val": val, "test": test, "all": ds}[args.block]
     pred = lssvm.predict(model, block.features)
     m = metric_report(block.targets, pred)

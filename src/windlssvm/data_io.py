@@ -107,7 +107,8 @@ def load_csv(path: str, cadence_minutes: int = 20) -> TimeSeries:
     filled[slot] = values
     missing = np.ones(slot[-1] + 1, dtype=bool)
     missing[slot] = mask
-    return TimeSeries(filled, cadence_minutes, missing)
+    start = np.datetime64(int(t[0]), "s").astype(datetime)
+    return TimeSeries(filled, cadence_minutes, missing, start)
 
 
 def _stamp_seconds(path: str, stamps: list[str], linenos: list[int]) -> np.ndarray:
@@ -130,12 +131,18 @@ def _is_timestamp(stamp: str) -> bool:
         return False
 
 
-def write_series_csv(series: TimeSeries, path: str, start: datetime = DEFAULT_START):
-    """Emit a series CSV with a header; missing samples get empty value fields."""
+def write_series_csv(series: TimeSeries, path: str, start: datetime | None = None):
+    """Emit a series CSV with a header; missing samples get empty value fields.
+
+    Stamps run from ``start``, else from ``series.start``, else from
+    ``DEFAULT_START``; seconds are written only when the start has any.
+    """
+    start = start or series.start or DEFAULT_START
+    fmt = _TIMESTAMP_FMT + (":%S" if start.second else "")
     step = timedelta(minutes=series.cadence_minutes)
     rows = ["timestamp,value"]
     for i in range(len(series)):
-        stamp = (start + i * step).strftime(_TIMESTAMP_FMT)
+        stamp = (start + i * step).strftime(fmt)
         if series.missing_mask[i]:
             rows.append(f"{stamp},")
         else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from datetime import datetime
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,11 +16,14 @@ _MAX_CLEAN_PASSES = 100
 
 @dataclass
 class TimeSeries:
-    """Ordered scalar samples on a fixed cadence; missing entries are masked."""
+    """Ordered scalar samples on a fixed cadence; missing entries are masked.
+    ``start`` is the first sample's time stamp when the series was read from
+    a file, ``None`` for generated series."""
 
     values: np.ndarray
     cadence_minutes: int = 20
     missing_mask: np.ndarray | None = None
+    start: datetime | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float).ravel()
@@ -117,7 +121,7 @@ def clean(series: TimeSeries, z_threshold: float = 4.0) -> tuple[TimeSeries, int
         replaced |= invalid
         invalid = _flag_invalid(values, z_threshold)
 
-    cleaned = TimeSeries(values, series.cadence_minutes)
+    cleaned = TimeSeries(values, series.cadence_minutes, start=series.start)
     return cleaned, int(replaced.sum())
 
 

@@ -11,13 +11,21 @@ bests plus the global best, normalizes the pool to the unit box, relocates
 single genes within or between chromosomes (cut-and-paste or copy-and-paste),
 denormalizes, and keeps any bred row that improves its particle's best.
 
+All three optimizers run one loop: each iteration moves the whole (m, d)
+swarm, scores the batch, and keeps each row that beats its particle's best.
+
 Reproducibility contract: every optimizer draws from one ``numpy`` Generator
-seeded from its config, in a fixed order -- initialization row by row, then
-per iteration / per particle / per coordinate (for QPSO: the phi vector, the
-u vector, the sign vector; for PSO: the cognitive then social vectors). The
-breeding pass draws, per pool row: the activation uniform, then if activated
-the partner-row uniform, the operator-choice uniform, and the two gene loci.
-Identical (config, fitness) therefore yield bit-identical results.
+seeded from its config, in a fixed order -- the (m, d) initial positions
+row-major, then one draw block per iteration, row-major: per particle, for
+QPSO the phi vector, the u vector and the sign vector, for PSO the cognitive
+then the social vector. On breeding iterations the breeding pass draws first,
+per pool row: the activation uniform, then if activated the partner-row
+uniform, the operator-choice uniform, and the two gene loci per transposon.
+The fitness is called once per particle in index order (bred rows first,
+only those the operator changed). mbest is taken from the iteration-start
+personal bests, before breeding; gbest and the personal bests that the move
+reads are taken after it. Identical (config, fitness) therefore yield
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -165,20 +173,24 @@ def qpso_update_position(
     space: SearchSpace,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One quantum-behaved position update, clamped to the search box.
+    """Quantum-behaved update of one position (d,) or a swarm (m, d), clamped
+    to the search box; ``pbest`` has the shape of ``position``.
 
-    Draws, in order, the phi vector, the u vector and the sign vector, each
-    of length d. u is taken as 1 - U[0, 1) so that ln(1/u) stays finite.
+    Draws one block of 3 * position.size uniforms: per row, the phi vector,
+    the u vector and the sign vector, each of length d, so a swarm draws
+    exactly what m row-by-row calls would. u is taken as 1 - U[0, 1) so that
+    ln(1/u) stays finite.
     """
     position = np.asarray(position, dtype=float)
-    d = position.size
-    if not (pbest.size == gbest.size == mbest.size == d):
+    d = position.shape[-1]
+    if np.shape(pbest) != position.shape or not (np.size(gbest) == np.size(mbest) == d):
         raise ValueError("position, pbest, gbest and mbest must share one dimension")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    phi = rng.random(d)
-    u = 1.0 - rng.random(d)
-    s = rng.random(d)
+    r = rng.random(3 * position.size).reshape(position.shape[:-1] + (3, d))
+    phi = r[..., 0, :]
+    u = 1.0 - r[..., 1, :]
+    s = r[..., 2, :]
     # p_c = phi*pbest + (1-phi)*gbest, arranged so pbest == gbest is an
     # exact fixed point.
     p_c = gbest + phi * (pbest - gbest)
@@ -290,15 +302,13 @@ def transposon_operator(
             continue
         c2 = int(np.ceil(rng.random() * n_rows))
         c2 = min(max(c2, 1), n_rows) - 1
-        use_cut = rng.random() > 0.5
+        op = cut_and_paste if rng.random() > 0.5 else copy_and_paste
         for _ in range(config.n_transposons):
             src = int(rng.integers(d))
             dst = int(rng.integers(d))
             if c2 == i:
-                op = cut_and_paste if use_cut else copy_and_paste
                 norm[i] = op(norm[i], None, src, dst)
             else:
-                op = cut_and_paste if use_cut else copy_and_paste
                 norm[i], norm[c2] = op(norm[i], norm[c2], src, dst)
         touched[i] = True
         touched[c2] = True
@@ -309,34 +319,66 @@ def transposon_operator(
     return out
 
 
-class _CountingFitness:
-    """Wraps the objective: counts calls, maps non-finite values to +inf."""
+class _Evaluator:
+    """Scores a batch: calls the per-point objective once per row, in row
+    order, maps non-finite values to +inf and counts calls and non-finite
+    values."""
 
     def __init__(self, fn):
         self.fn = fn
         self.count = 0
         self.nonfinite = 0
 
-    def __call__(self, x: np.ndarray) -> float:
-        self.count += 1
-        v = float(self.fn(x))
-        if not np.isfinite(v):
-            self.nonfinite += 1
-            return np.inf
-        return v
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        f = np.array([float(self.fn(x)) for x in X])
+        bad = ~np.isfinite(f)
+        f[bad] = np.inf
+        self.count += f.size
+        self.nonfinite += int(bad.sum())
+        return f
 
 
-def _init_swarm(fitness, space, config, rng):
-    m, d = config.population, space.dimension
-    positions = space.lower + rng.random((m, d)) * space.span
-    pbest = positions.copy()
-    pbest_f = np.array([fitness(positions[i]) for i in range(m)])
-    return positions, pbest, pbest_f
+def _optimize(fitness, space, config, callback, move, breed=False) -> OptimizeResult:
+    """The swarm loop shared by the three optimizers.
 
+    ``move`` takes the arguments of :func:`qpso_update_position` and returns
+    the swarm's new (m, d) positions. With ``breed``, every ``config.lam``-th
+    iteration first breeds the elitist pool and offers the changed rows to
+    their particles' bests.
+    """
+    rng = np.random.default_rng(config.seed)
+    evaluate = _Evaluator(fitness)
+    m = config.population
+    x = space.lower + rng.random((m, space.dimension)) * space.span
+    pbest, pbest_f = x.copy(), evaluate(x)
 
-def _gbest(pbest, pbest_f):
-    i = int(np.argmin(pbest_f))
-    return pbest[i].copy(), float(pbest_f[i])
+    def keep_better(rows, candidates):
+        f = evaluate(candidates)
+        better = f < pbest_f[rows]
+        pbest[rows[better]] = candidates[better]
+        pbest_f[rows[better]] = f[better]
+        return int(np.argmin(pbest_f))
+
+    g = int(np.argmin(pbest_f))
+    history = []
+    for t in range(1, config.max_iter + 1):
+        alpha = ce_coefficient(t, config.max_iter, config.ce_mode, config.ce_alpha)
+        mbest = compute_mbest(pbest)
+        if breed and t % config.lam == 0:
+            bred = transposon_operator(np.vstack([pbest, pbest[g]]), config, space, rng)[:m]
+            # Rows the operator left bit-identical keep their cached fitness;
+            # re-evaluating them cannot change the outcome.
+            rows = np.flatnonzero(np.any(bred != pbest, axis=1))
+            g = keep_better(rows, bred[rows])
+        x = move(x, pbest, pbest[g], mbest, alpha, space, rng)
+        g = keep_better(np.arange(m), x)
+        history.append(float(pbest_f[g]))
+        if callback is not None:
+            callback(SwarmSnapshot(t, x.copy(), pbest.copy(), pbest_f.copy(),
+                                   pbest[g].copy(), float(pbest_f[g])))
+
+    return OptimizeResult(pbest[g].copy(), float(pbest_f[g]), np.array(history),
+                          evaluate.count, evaluate.nonfinite)
 
 
 def optimize_pso(
@@ -346,37 +388,20 @@ def optimize_pso(
     callback: Callback | None = None,
 ) -> OptimizeResult:
     """Global-best PSO with constriction constants and clamped velocities."""
-    rng = np.random.default_rng(config.seed)
-    fit = _CountingFitness(fitness)
-    m, d = config.population, space.dimension
     vmax = 0.5 * space.span
+    v = np.zeros((config.population, space.dimension))
 
-    positions, pbest, pbest_f = _init_swarm(fit, space, config, rng)
-    velocities = np.zeros((m, d))
-    gbest, gbest_f = _gbest(pbest, pbest_f)
+    def move(x, pbest, gbest, mbest, alpha, space, rng):
+        r = rng.random(2 * x.size).reshape(x.shape[0], 2, -1)
+        v[:] = (
+            PSO_INERTIA * v
+            + PSO_COGNITIVE * r[:, 0] * (pbest - x)
+            + PSO_SOCIAL * r[:, 1] * (gbest - x)
+        )
+        np.clip(v, -vmax, vmax, out=v)
+        return space.clip(x + v)
 
-    history = []
-    for t in range(1, config.max_iter + 1):
-        for i in range(m):
-            r1 = rng.random(d)
-            r2 = rng.random(d)
-            velocities[i] = (
-                PSO_INERTIA * velocities[i]
-                + PSO_COGNITIVE * r1 * (pbest[i] - positions[i])
-                + PSO_SOCIAL * r2 * (gbest - positions[i])
-            )
-            np.clip(velocities[i], -vmax, vmax, out=velocities[i])
-            positions[i] = space.clip(positions[i] + velocities[i])
-            fx = fit(positions[i])
-            if fx < pbest_f[i]:
-                pbest[i] = positions[i]
-                pbest_f[i] = fx
-        gbest, gbest_f = _gbest(pbest, pbest_f)
-        history.append(gbest_f)
-        if callback is not None:
-            callback(_snapshot(t, positions, pbest, pbest_f, gbest, gbest_f))
-
-    return OptimizeResult(gbest, gbest_f, np.array(history), fit.count, fit.nonfinite)
+    return _optimize(fitness, space, config, callback, move)
 
 
 def optimize_qpso(
@@ -386,7 +411,7 @@ def optimize_qpso(
     callback: Callback | None = None,
 ) -> OptimizeResult:
     """Quantum-behaved PSO without elitist breeding."""
-    return _run_qpso(fitness, space, config, breed=False, callback=callback)
+    return _optimize(fitness, space, config, callback, qpso_update_position)
 
 
 def optimize_ebqpso(
@@ -397,58 +422,4 @@ def optimize_ebqpso(
 ) -> OptimizeResult:
     """Quantum-behaved PSO with transposon breeding of the elitist pool
     every ``config.lam`` iterations."""
-    return _run_qpso(fitness, space, config, breed=True, callback=callback)
-
-
-def _run_qpso(fitness, space, config, breed, callback):
-    rng = np.random.default_rng(config.seed)
-    fit = _CountingFitness(fitness)
-    m = config.population
-
-    positions, pbest, pbest_f = _init_swarm(fit, space, config, rng)
-    gbest, gbest_f = _gbest(pbest, pbest_f)
-
-    history = []
-    for t in range(1, config.max_iter + 1):
-        alpha = ce_coefficient(t, config.max_iter, config.ce_mode, config.ce_alpha)
-        mbest = compute_mbest(pbest)
-
-        if breed and t % config.lam == 0:
-            epool = np.vstack([pbest, gbest[None, :]])
-            bred = transposon_operator(epool, config, space, rng)
-            for i in range(m):
-                # Rows the operator left bit-identical keep their cached
-                # fitness; re-evaluating them cannot change the outcome.
-                if np.array_equal(bred[i], pbest[i]):
-                    continue
-                fx = fit(bred[i])
-                if fx < pbest_f[i]:
-                    pbest[i] = bred[i]
-                    pbest_f[i] = fx
-            gbest, gbest_f = _gbest(pbest, pbest_f)
-
-        for i in range(m):
-            positions[i] = qpso_update_position(
-                positions[i], pbest[i], gbest, mbest, alpha, space, rng
-            )
-            fx = fit(positions[i])
-            if fx < pbest_f[i]:
-                pbest[i] = positions[i]
-                pbest_f[i] = fx
-        gbest, gbest_f = _gbest(pbest, pbest_f)
-        history.append(gbest_f)
-        if callback is not None:
-            callback(_snapshot(t, positions, pbest, pbest_f, gbest, gbest_f))
-
-    return OptimizeResult(gbest, gbest_f, np.array(history), fit.count, fit.nonfinite)
-
-
-def _snapshot(t, positions, pbest, pbest_f, gbest, gbest_f):
-    return SwarmSnapshot(
-        iteration=t,
-        positions=positions.copy(),
-        pbest_positions=pbest.copy(),
-        pbest_fitness=pbest_f.copy(),
-        gbest_position=gbest.copy(),
-        gbest_fitness=gbest_f,
-    )
+    return _optimize(fitness, space, config, callback, qpso_update_position, breed=True)

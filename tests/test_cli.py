@@ -54,6 +54,19 @@ class TestClean:
         assert main(["clean", "--in", str(src), "--out", out]) == 0
         assert not load_csv(out).missing_mask.any()
 
+    def test_keeps_input_stamps(self, tmp_path):
+        # 00:40 is absent: clean fills that slot and stamps it on the input's grid
+        src = tmp_path / "2020.csv"
+        src.write_text("2020-01-01T00:00,5.0\n2020-01-01T00:20,6.0\n2020-01-01T01:00,7.0\n")
+        out = tmp_path / "fixed.csv"
+        assert main(["clean", "--in", str(src), "--out", str(out)]) == 0
+        stamps = [ln.split(",")[0] for ln in out.read_text().splitlines()[1:]]
+        assert stamps == ["2020-01-01T00:00", "2020-01-01T00:20",
+                          "2020-01-01T00:40", "2020-01-01T01:00"]
+        back = load_csv(str(out))
+        assert back.values.tolist() == [5.0, 6.0, 6.0, 7.0]
+        assert not back.missing_mask.any()
+
     def test_malformed_input_exit_2(self, tmp_path):
         src = tmp_path / "bad.csv"
         src.write_text("abc,xyz\n")

@@ -1,4 +1,5 @@
 import struct
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -159,6 +160,34 @@ class TestSeriesRoundTrip:
         write_series_csv(s, str(p))
         back = load_csv(str(p))
         assert np.array_equal(back.values, s.values)
+
+    def test_start_carried_from_file(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_text("2020-01-01T00:00,1.0\n2020-01-01T00:40,3.0\n")
+        s = load_csv(str(p))
+        assert s.start == datetime(2020, 1, 1)
+        out = tmp_path / "out.csv"
+        write_series_csv(s, str(out))
+        assert out.read_text() == (
+            "timestamp,value\n2020-01-01T00:00,1.0\n2020-01-01T00:20,\n2020-01-01T00:40,3.0\n"
+        )
+
+    def test_start_with_seconds_round_trips(self, tmp_path):
+        p = tmp_path / "in.csv"
+        p.write_text("2020-01-01 00:00:30,1.0\n2020-01-01 00:20:30,2.0\n")
+        out = tmp_path / "out.csv"
+        write_series_csv(load_csv(str(p)), str(out))
+        assert out.read_text().splitlines()[1:] == ["2020-01-01T00:00:30,1.0",
+                                                    "2020-01-01T00:20:30,2.0"]
+        assert load_csv(str(out)).start == datetime(2020, 1, 1, 0, 0, 30)
+
+    def test_start_argument_wins_then_default(self, tmp_path):
+        s = TimeSeries([1.0], start=datetime(2020, 1, 1))
+        out = tmp_path / "out.csv"
+        write_series_csv(s, str(out), datetime(2021, 6, 1, 12, 20))
+        assert out.read_text().splitlines()[1] == "2021-06-01T12:20,1.0"
+        write_series_csv(TimeSeries([1.0]), str(out))
+        assert out.read_text().splitlines()[1] == "2015-04-01T00:00,1.0"
 
     def test_missing_round_trip(self, tmp_path):
         s = TimeSeries([1.0, np.nan, 3.0], missing_mask=[False, True, False])

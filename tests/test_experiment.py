@@ -6,6 +6,7 @@ import pytest
 
 from windlssvm.cli import config_from_dict
 from windlssvm.experiment import (
+    OPTIMIZERS,
     ExperimentConfig,
     PERSISTENCE,
     TrialResult,
@@ -16,7 +17,7 @@ from windlssvm.experiment import (
     write_report,
 )
 from windlssvm.metrics import MetricReport
-from windlssvm.swarm import SwarmConfig
+from windlssvm.swarm import SearchSpace, SwarmConfig
 from windlssvm.synthetic import SyntheticSpec
 
 
@@ -229,3 +230,23 @@ class TestAggregates:
         assert agg["mape"] == (5.0, pytest.approx(np.sqrt(2.0)))
         assert agg["rmse"] == (2.0, 0.0)
         assert recompute_aggregates([trial(None)])["qpso"]["mape"] == (None, None)
+
+
+@pytest.mark.parametrize("strategy", sorted(OPTIMIZERS))
+def test_optimizer_call_contract(strategy):
+    # Benchmark harnesses wrap each OPTIMIZERS entry, call it positionally,
+    # count the per-point fitness calls and read pbest_fitness per iteration.
+    calls = []
+
+    def fitness(x):
+        calls.append(x.copy())
+        return np.nan if x[0] > 0.8 else float(np.sum((x - 0.3) ** 2))
+
+    space = SearchSpace(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    config = SwarmConfig(population=5, max_iter=6, jumping_rate=1.0, lam=2, seed=4)
+    snaps = []
+    result = OPTIMIZERS[strategy](fitness, space, config, snaps.append)
+    assert len(calls) == result.evaluations >= config.population * (config.max_iter + 1)
+    assert len(snaps) == config.max_iter
+    assert [s.iteration for s in snaps] == list(range(1, config.max_iter + 1))
+    assert all(s.pbest_fitness.shape == (config.population,) for s in snaps)

@@ -1,3 +1,5 @@
+from datetime import datetime
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +58,12 @@ class TestClean:
     def test_all_missing_rejected(self):
         with pytest.raises(ValueError):
             clean(TimeSeries([np.nan, np.nan], missing_mask=[True, True]))
+
+    def test_start_kept(self):
+        start = datetime(2020, 1, 1, 6, 40)
+        out, _ = clean(TimeSeries([1.0, np.nan, 3.0], start=start))
+        assert out.start == start
+        assert clean(TimeSeries([1.0, 2.0, 3.0]))[0].start is None
 
     def test_idempotent_on_examples(self):
         for vals, mask in [

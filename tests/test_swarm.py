@@ -6,7 +6,12 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from windlssvm.swarm import (
+    PSO_COGNITIVE,
+    PSO_INERTIA,
+    PSO_SOCIAL,
+    OptimizeResult,
     SearchSpace,
+    SwarmSnapshot,
     SwarmConfig,
     ce_coefficient,
     compute_mbest,
@@ -150,6 +155,30 @@ class TestQpsoUpdate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             qpso_update_position(np.zeros(2), np.zeros(3), np.zeros(2), np.zeros(2),
+                                 1.0, SPHERE_SPACE, np.random.default_rng(0))
+
+    def test_swarm_matches_row_by_row(self):
+        rng = np.random.default_rng(3)
+        x = SPHERE_SPACE.lower + rng.random((6, 2)) * SPHERE_SPACE.span
+        pbest = SPHERE_SPACE.lower + rng.random((6, 2)) * SPHERE_SPACE.span
+        gbest, mbest = pbest[2], compute_mbest(pbest)
+        for seed in range(5):
+            got = qpso_update_position(x, pbest, gbest, mbest, 0.9, SPHERE_SPACE,
+                                       np.random.default_rng(seed))
+            row_rng = np.random.default_rng(seed)
+            expected = np.array([
+                qpso_update_position(x[i], pbest[i], gbest, mbest, 0.9, SPHERE_SPACE, row_rng)
+                for i in range(6)
+            ])
+            assert got.shape == (6, 2)
+            assert np.array_equal(got, expected)
+
+    def test_swarm_pbest_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            qpso_update_position(np.zeros((3, 2)), np.zeros(2), np.zeros(2), np.zeros(2),
+                                 1.0, SPHERE_SPACE, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            qpso_update_position(np.zeros((3, 2)), np.zeros((2, 2)), np.zeros(2), np.zeros(2),
                                  1.0, SPHERE_SPACE, np.random.default_rng(0))
 
 
@@ -464,3 +493,144 @@ class TestSwarmConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SwarmConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Per-particle reference loops: the optimizers as they were written before
+# the swarm was moved and scored as one batch per iteration, built from the
+# public helpers. The batched optimizers must reproduce them bit for bit.
+
+
+def _ref_counting(fn):
+    state = {"count": 0, "nonfinite": 0}
+
+    def fit(x):
+        state["count"] += 1
+        v = float(fn(x))
+        if not np.isfinite(v):
+            state["nonfinite"] += 1
+            return np.inf
+        return v
+
+    return fit, state
+
+
+def _ref_run(fitness, space, config, callback, breed, pso):
+    rng = np.random.default_rng(config.seed)
+    fit, state = _ref_counting(fitness)
+    m, d = config.population, space.dimension
+    positions = space.lower + rng.random((m, d)) * space.span
+    pbest = positions.copy()
+    pbest_f = np.array([fit(positions[i]) for i in range(m)])
+    velocities = np.zeros((m, d))
+    vmax = 0.5 * space.span
+    g = int(np.argmin(pbest_f))
+    history = []
+    for t in range(1, config.max_iter + 1):
+        alpha = ce_coefficient(t, config.max_iter, config.ce_mode, config.ce_alpha)
+        mbest = compute_mbest(pbest)
+        if breed and t % config.lam == 0:
+            bred = transposon_operator(np.vstack([pbest, pbest[g][None, :]]), config, space, rng)
+            for i in range(m):
+                if np.array_equal(bred[i], pbest[i]):
+                    continue
+                fx = fit(bred[i])
+                if fx < pbest_f[i]:
+                    pbest[i] = bred[i]
+                    pbest_f[i] = fx
+            g = int(np.argmin(pbest_f))
+        gbest = pbest[g].copy()
+        for i in range(m):
+            if pso:
+                r1 = rng.random(d)
+                r2 = rng.random(d)
+                velocities[i] = (
+                    PSO_INERTIA * velocities[i]
+                    + PSO_COGNITIVE * r1 * (pbest[i] - positions[i])
+                    + PSO_SOCIAL * r2 * (gbest - positions[i])
+                )
+                np.clip(velocities[i], -vmax, vmax, out=velocities[i])
+                positions[i] = space.clip(positions[i] + velocities[i])
+            else:
+                positions[i] = qpso_update_position(
+                    positions[i], pbest[i], gbest, mbest, alpha, space, rng
+                )
+            fx = fit(positions[i])
+            if fx < pbest_f[i]:
+                pbest[i] = positions[i]
+                pbest_f[i] = fx
+        g = int(np.argmin(pbest_f))
+        history.append(float(pbest_f[g]))
+        if callback is not None:
+            callback(SwarmSnapshot(t, positions.copy(), pbest.copy(), pbest_f.copy(),
+                                   pbest[g].copy(), float(pbest_f[g])))
+    return OptimizeResult(pbest[g].copy(), float(pbest_f[g]), np.array(history),
+                          state["count"], state["nonfinite"])
+
+
+REFERENCES = {
+    optimize_pso: dict(breed=False, pso=True),
+    optimize_qpso: dict(breed=False, pso=False),
+    optimize_ebqpso: dict(breed=True, pso=False),
+}
+
+
+def _rastrigin(x):
+    return float(10 * x.size + np.sum(x * x - 10 * np.cos(2 * np.pi * x)))
+
+
+def _nan_right_half(x):
+    return np.nan if x[0] > 1.0 else _rastrigin(x)
+
+
+def _recorded(optimize, fitness, space, config, **ref):
+    points, snaps = [], []
+
+    def probe(x):
+        points.append(np.array(x, dtype=float))
+        return fitness(x)
+
+    if ref:
+        res = _ref_run(probe, space, config, snaps.append, **ref)
+    else:
+        res = optimize(probe, space, config, snaps.append)
+    return res, points, snaps
+
+
+@pytest.mark.parametrize("optimize", list(REFERENCES), ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "fitness, kwargs",
+    [
+        (sphere, dict(population=7, max_iter=12)),
+        (_rastrigin, dict(population=5, max_iter=9, jumping_rate=1.0, lam=1)),
+        (_rastrigin, dict(population=1, max_iter=8, jumping_rate=1.0, lam=2)),
+        (_rastrigin, dict(population=6, max_iter=10, ce_mode="fixed", ce_alpha=0.7,
+                          n_transposons=3, jumping_rate=0.6, lam=2)),
+        (_nan_right_half, dict(population=8, max_iter=10, jumping_rate=0.5, lam=3)),
+    ],
+    ids=["sphere", "breed-every-iteration", "one-particle", "fixed-ce-3-transposons", "nan"],
+)
+@pytest.mark.parametrize("seed", [0, 17, 123])
+def test_batched_loop_matches_per_particle_reference(optimize, fitness, kwargs, seed):
+    space = SearchSpace(np.array([-5.12, -5.12, -2.0]), np.array([5.12, 5.12, 3.0]))
+    config = SwarmConfig(seed=seed, **kwargs)
+    got, got_points, got_snaps = _recorded(optimize, fitness, space, config)
+    ref, ref_points, ref_snaps = _recorded(optimize, fitness, space, config,
+                                           **REFERENCES[optimize])
+
+    assert np.array_equal(got.best_position, ref.best_position)
+    assert got.best_fitness == ref.best_fitness
+    assert np.array_equal(got.history, ref.history)
+    assert (got.evaluations, got.nonfinite_evals) == (ref.evaluations, ref.nonfinite_evals)
+    assert got.evaluations == len(got_points)
+    assert len(got_points) == len(ref_points)
+    for a, b in zip(got_points, ref_points):
+        assert np.array_equal(a, b)
+    assert len(got_snaps) == len(ref_snaps) == config.max_iter
+    for a, b in zip(got_snaps, ref_snaps):
+        assert a.iteration == b.iteration
+        for name in ("positions", "pbest_positions", "pbest_fitness", "gbest_position"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert a.gbest_fitness == b.gbest_fitness
+    if fitness is _nan_right_half:
+        assert ref.nonfinite_evals > 0
