@@ -25,6 +25,7 @@ from .data_io import (
     write_series_csv,
 )
 from .experiment import (
+    OPTIMIZERS,
     ExperimentConfig,
     PERSISTENCE,
     load_series,
@@ -33,7 +34,7 @@ from .experiment import (
     summary_table,
     write_report,
 )
-from .metrics import metric_report, rmse
+from .metrics import format_mape, metric_report, rmse
 from .pipeline import (
     SplitSpec,
     autocorrelation,
@@ -157,8 +158,8 @@ def _write_flag(raw: dict, path: tuple, value):
 
 def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
     """Write each given flag into the --config JSON (or an empty one), then
-    build and validate the config from it. ``defaults`` holds a command's
-    own top-level defaults, which the config file and the flags override."""
+    build the config from it. ``defaults`` holds a command's own top-level
+    defaults, which the config file and the flags override."""
     try:
         raw = {**(defaults or {}), **_read_config(args.config)}
         # The synthetic series is the source unless a CSV is named; the
@@ -173,13 +174,11 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
                 _write_flag(raw, path, value)
         if getattr(args, "strategy", None):
             raw["strategies"] = [args.strategy]
-        cfg = config_from_dict(raw)
-        cfg.validate()
+        return config_from_dict(raw)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
     except FileNotFoundError as exc:
         raise UsageError(f"config file not found: {exc.filename}") from None
-    return cfg
 
 
 # ---------------------------------------------------------------- commands
@@ -239,8 +238,7 @@ def cmd_benchmark(args):
     write_report(report, cfg.outdir)
     print(summary_table(report))
     print(f"report written to {cfg.outdir}/report.csv")
-    failed = [t for t in report.trials if not t.ok]
-    return 3 if len(failed) == len([t for t in report.trials if t.strategy != PERSISTENCE]) else 0
+    return 0 if any(t.ok for t in report.trials if t.strategy != PERSISTENCE) else 3
 
 
 def cmd_train(args):
@@ -251,15 +249,7 @@ def cmd_train(args):
         raise UsageError(str(exc)) from None
     data = prepare_data(cfg)
     model = lssvm.train(data.train.features, data.train.targets, hp)
-    save_model(model, args.model_out)
-    meta = {
-        "format": 1,
-        "lags": list(data.selected_lags),
-        "n_lags": cfg.n_lags,
-        "z_threshold": cfg.z_threshold,
-        "split": [cfg.split.train_frac, cfg.split.val_frac, cfg.split.test_frac],
-    }
-    atomic_write_text(args.model_out + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
+    save_model(model, args.model_out, data.model_meta)
     val_pred = lssvm.predict(model, data.val.features)
     print(
         f"trained on {data.train.n_rows} rows (lags {list(data.selected_lags)}); "
@@ -304,7 +294,7 @@ def cmd_evaluate(args):
     block = {"train": train, "val": val, "test": test, "all": ds}[args.block]
     pred = lssvm.predict(model, block.features)
     m = metric_report(block.targets, pred)
-    mape = "n/a" if m.mape is None else f"{m.mape:.2f}%"
+    mape = format_mape(m.mape)
     print(f"{args.block} block ({block.n_rows} rows): rmse={m.rmse:.4f} mae={m.mae:.4f} mape={mape}")
     return 0
 
@@ -333,7 +323,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("tune", help="tune hyperparameters with one strategy")
-    p.add_argument("--strategy", required=True, choices=("pso", "qpso", "ebqpso"))
+    p.add_argument("--strategy", required=True, choices=tuple(OPTIMIZERS))
     _add_experiment_args(p)
     p.set_defaults(func=cmd_benchmark)
 

@@ -9,10 +9,17 @@ in between as missing.
 Model files are little-endian binary: magic ``LSVM``, format version (u32),
 support row/column counts (u64 each), gamma and sigma2 (f64), the support
 matrix row-major (f64), the dual coefficients (f64) and the bias (f64).
+
+A model file's sidecar, ``<model>.meta.json``, tells ``predict`` and
+``evaluate`` how to rebuild the model's input rows from a series. Its keys:
+``format`` (1), ``lags`` (the selected lags, in feature order), ``n_lags``
+(the lag window length), ``z_threshold`` (the outlier gate of ``clean``) and
+``split`` (the train, validation and test fractions).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 from datetime import datetime, timedelta
@@ -159,8 +166,9 @@ def write_forecast_csv(path: str, actual: np.ndarray, forecast: np.ndarray):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def save_model(model: LssvmModel, path: str):
-    """Write the versioned binary model file (atomic: temp file then rename)."""
+def save_model(model: LssvmModel, path: str, meta: dict | None = None):
+    """Write the versioned binary model file (atomic: temp file then rename),
+    and ``meta`` as its ``.meta.json`` sidecar when given."""
     X = np.ascontiguousarray(model.support_inputs, dtype="<f8")
     a = np.ascontiguousarray(model.dual_coeffs, dtype="<f8")
     n, m = X.shape
@@ -169,6 +177,8 @@ def save_model(model: LssvmModel, path: str):
     )
     payload = head + X.tobytes() + a.tobytes() + struct.pack("<d", model.bias)
     _atomic_write_bytes(path, payload)
+    if meta is not None:
+        atomic_write_text(path + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
 
 
 def load_model(path: str) -> LssvmModel:

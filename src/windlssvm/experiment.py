@@ -18,7 +18,15 @@ import numpy as np
 
 from . import lssvm
 from .data_io import atomic_write_text, save_model, write_forecast_csv
-from .metrics import MetricReport, hyperparam_space, metric_report, LssvmFitness
+from .metrics import (
+    GAMMA_RANGE,
+    SIGMA2_RANGE,
+    LssvmFitness,
+    MetricReport,
+    format_mape,
+    hyperparam_space,
+    metric_report,
+)
 from .pipeline import (
     LaggedDataset,
     SplitSpec,
@@ -67,13 +75,13 @@ class ExperimentConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     strategies: tuple[str, ...] = ("pso", "qpso", "ebqpso")
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
-    gamma_range: tuple[float, float] = (1e-4, 1e6)
-    sigma2_range: tuple[float, float] = (8.0, 4e4)
+    gamma_range: tuple[float, float] = GAMMA_RANGE
+    sigma2_range: tuple[float, float] = SIGMA2_RANGE
     trials: int = 5
     base_seed: int = 42
     outdir: str = "results"
 
-    def validate(self):
+    def __post_init__(self):
         if (self.input_csv is None) == (self.synthetic is None):
             raise ValueError("exactly one of input_csv or synthetic must be set")
         if self.n_lags < 1:
@@ -95,10 +103,7 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
-        g_lo, g_hi = self.gamma_range
-        s_lo, s_hi = self.sigma2_range
-        if g_lo <= 0 or g_lo >= g_hi or s_lo <= 0 or s_lo >= s_hi:
-            raise ValueError("hyperparameter ranges must be positive and ordered")
+        hyperparam_space(self.gamma_range, self.sigma2_range)
 
 
 @dataclass
@@ -127,6 +132,7 @@ class ExperimentReport:
     selected_lags: tuple[int, ...]
     n_replaced: int
     test_targets: np.ndarray
+    model_meta: dict
 
 
 def recompute_aggregates(trials) -> dict[str, dict[str, tuple[float, float]]]:
@@ -134,11 +140,7 @@ def recompute_aggregates(trials) -> dict[str, dict[str, tuple[float, float]]]:
     successful trials (std is 0 for a single trial). An undefined MAPE is
     left out; with none defined the pair is (None, None)."""
     out: dict[str, dict[str, tuple[float, float]]] = {}
-    strategies = []
-    for tr in trials:
-        if tr.strategy not in strategies:
-            strategies.append(tr.strategy)
-    for strat in strategies:
+    for strat in dict.fromkeys(tr.strategy for tr in trials):
         rows = [tr for tr in trials if tr.strategy == strat and tr.ok]
         if not rows:
             continue
@@ -164,7 +166,8 @@ def load_series(config: ExperimentConfig) -> TimeSeries:
 
 @dataclass
 class PreparedData:
-    """Pipeline output shared by every trial and strategy."""
+    """Pipeline output shared by every trial and strategy, and the sidecar
+    (``.meta.json``) of every model trained on it."""
 
     train: LaggedDataset
     val: LaggedDataset
@@ -172,6 +175,7 @@ class PreparedData:
     selected_lags: tuple[int, ...]
     n_replaced: int
     persistence_pred: np.ndarray
+    model_meta: dict
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
@@ -186,7 +190,14 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     train, val, test = split(take_lags(ds, selected), config.split)
     # Naive one-step persistence on the test block: the lag-1 value.
     persistence_pred = test_full.features[:, ds.lag_indices.index(1)].copy()
-    return PreparedData(train, val, test, selected, n_replaced, persistence_pred)
+    meta = {
+        "format": 1,
+        "lags": list(selected),
+        "n_lags": config.n_lags,
+        "z_threshold": config.z_threshold,
+        "split": dataclasses.astuple(config.split),
+    }
+    return PreparedData(train, val, test, selected, n_replaced, persistence_pred, meta)
 
 
 def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
@@ -195,7 +206,6 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
     A failing trial/strategy combination is recorded with its error and the
     remaining combinations still run.
     """
-    config.validate()
     data = prepare_data(config)
     log(
         f"data ready: {data.train.n_rows}/{data.val.n_rows}/{data.test.n_rows} rows, "
@@ -234,7 +244,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
             if result.ok:
                 log(
                     f"trial {trial} {strat}: rmse={result.metrics.rmse:.4f} "
-                    f"mae={result.metrics.mae:.4f} mape={_percent(result.metrics.mape)} "
+                    f"mae={result.metrics.mae:.4f} mape={format_mape(result.metrics.mape)} "
                     f"gamma={result.gamma:.4g} sigma2={result.sigma2:.4g} "
                     f"evals={result.evaluations} ({result.wall_time:.1f}s)"
                 )
@@ -258,11 +268,8 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
         selected_lags=data.selected_lags,
         n_replaced=data.n_replaced,
         test_targets=data.test.targets.copy(),
+        model_meta=data.model_meta,
     )
-
-
-def _percent(v) -> str:
-    return "n/a" if v is None else f"{v:.2f}%"
 
 
 def _fmt(v) -> str:
@@ -274,51 +281,22 @@ def _fmt(v) -> str:
 
 
 def write_report(report: ExperimentReport, outdir: str):
-    """Emit report.csv, per-trial prediction CSVs and model binaries."""
+    """Emit report.csv, per-trial prediction CSVs and model files with their
+    sidecars."""
     os.makedirs(outdir, exist_ok=True)
-    rows = [",".join(REPORT_COLUMNS)]
-    for tr in report.trials:
-        m = tr.metrics
-        rows.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    "trial",
-                    tr.strategy,
-                    tr.trial,
-                    tr.seed,
-                    tr.gamma,
-                    tr.sigma2,
-                    m.rmse if m else None,
-                    m.mae if m else None,
-                    m.mape if m else None,
-                    tr.evaluations,
-                    tr.error or "",
-                )
-            )
-        )
-    for strat, agg in report.aggregates.items():
-        for kind in ("mean", "std"):
-            idx = 0 if kind == "mean" else 1
-            rows.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        kind,
-                        strat,
-                        None,
-                        None,
-                        None,
-                        None,
-                        agg["rmse"][idx],
-                        agg["mae"][idx],
-                        agg["mape"][idx],
-                        None,
-                        "",
-                    )
-                )
-            )
-    atomic_write_text(os.path.join(outdir, "report.csv"), "\n".join(rows) + "\n")
+    # TrialResult and MetricReport fields are named after their columns.
+    rows = [
+        {"kind": "trial", **vars(tr), **(vars(tr.metrics) if tr.metrics else {})}
+        for tr in report.trials
+    ]
+    rows += [
+        {"kind": kind, "strategy": strat, **{name: pair[i] for name, pair in agg.items()}}
+        for strat, agg in report.aggregates.items()
+        for i, kind in enumerate(("mean", "std"))
+    ]
+    lines = [",".join(REPORT_COLUMNS)]
+    lines += [",".join(_fmt(row.get(col)) for col in REPORT_COLUMNS) for row in rows]
+    atomic_write_text(os.path.join(outdir, "report.csv"), "\n".join(lines) + "\n")
 
     for tr in report.trials:
         if not tr.ok or tr.predictions is None or tr.strategy == PERSISTENCE:
@@ -329,7 +307,8 @@ def write_report(report: ExperimentReport, outdir: str):
             tr.predictions,
         )
         if tr.model is not None:
-            save_model(tr.model, os.path.join(outdir, f"model_{tr.strategy}_{tr.trial}"))
+            path = os.path.join(outdir, f"model_{tr.strategy}_{tr.trial}")
+            save_model(tr.model, path, report.model_meta)
 
 
 def summary_table(report: ExperimentReport) -> str:

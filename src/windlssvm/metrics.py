@@ -14,6 +14,10 @@ from .swarm import SearchSpace
 # Targets with magnitude at or below this floor make MAPE meaningless.
 MAPE_EPSILON_FLOOR = 1e-6
 
+# The default hyperparameter search box.
+GAMMA_RANGE = (1e-4, 1e6)
+SIGMA2_RANGE = (8.0, 4e4)
+
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -70,6 +74,11 @@ def metric_report(y, yhat) -> MetricReport:
     return MetricReport(mae=mae(y, yhat), rmse=rmse(y, yhat), mape=pct)
 
 
+def format_mape(v) -> str:
+    """A MAPE as printed: two decimals and a percent sign, or ``n/a``."""
+    return "n/a" if v is None else f"{v:.2f}%"
+
+
 class LssvmFitness:
     """Validation RMSE of an LSSVM trained at a log10-encoded hyperparameter point.
 
@@ -117,7 +126,7 @@ class LssvmFitness:
         return rmse(self.val.targets, pred)
 
 
-def hyperparam_space(gamma_range=(1e-4, 1e6), sigma2_range=(8.0, 4e4)) -> SearchSpace:
+def hyperparam_space(gamma_range=GAMMA_RANGE, sigma2_range=SIGMA2_RANGE) -> SearchSpace:
     """Log10-scale search box over (gamma, sigma2)."""
     g_lo, g_hi = gamma_range
     s_lo, s_hi = sigma2_range

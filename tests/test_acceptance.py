@@ -8,6 +8,7 @@ The full-scale benchmark profile is included under the `slow` marker
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,7 +369,7 @@ def test_end_to_end_determinism(reduced_benchmark, tmp_path):
     names1 = sorted(os.listdir(outdir1))
     names2 = sorted(os.listdir(outdir2))
     identical = names1 == names2 and all(
-        open(os.path.join(outdir1, n), "rb").read() == open(os.path.join(outdir2, n), "rb").read()
+        Path(os.path.join(outdir1, n)).read_bytes() == Path(os.path.join(outdir2, n)).read_bytes()
         for n in names1
     )
     _report(

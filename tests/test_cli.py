@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from windlssvm.cli import EXPERIMENT_FLAGS, _resolve_config, build_parser, main
 from windlssvm.data_io import load_csv
+from windlssvm.experiment import OPTIMIZERS
 
 
 @pytest.fixture()
@@ -35,7 +37,7 @@ class TestSynth:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["synth", "--n", "600", "--seed", "9", "--out", a])
         main(["synth", "--n", "600", "--seed", "9", "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_too_short_is_usage_error(self, tmp_path):
         assert main(["synth", "--n", "10", "--out", str(tmp_path / "x.csv")]) == 1
@@ -73,7 +75,7 @@ class TestClean:
         assert main(["clean", "--in", str(src), "--out", str(tmp_path / "o.csv")]) == 2
 
     def test_junk_stamps_exit_2(self, tmp_path, series_csv):
-        lines = open(series_csv).read().splitlines()
+        lines = Path(series_csv).read_text().splitlines()
         junk = tmp_path / "junk.csv"
         junk.write_text("\n".join(["not-a-time," + ln.split(",")[1] for ln in lines[1:]]) + "\n")
         assert main(["clean", "--in", str(junk), "--out", str(tmp_path / "o.csv")]) == 2
@@ -88,8 +90,8 @@ class TestFeatures:
         code = main(["features", "--synth-n", "600", "--synth-seed", "3",
                      "--n-lags", "8", "--outdir", outdir])
         assert code == 0
-        ranking = open(os.path.join(outdir, "mi_ranking.csv")).read().splitlines()
-        corr = open(os.path.join(outdir, "correlation.csv")).read().splitlines()
+        ranking = Path(os.path.join(outdir, "mi_ranking.csv")).read_text().splitlines()
+        corr = Path(os.path.join(outdir, "correlation.csv")).read_text().splitlines()
         assert len(ranking) == 9 and ranking[0] == "rank,lag,mi,selected"
         assert len(corr) == 9 and corr[0] == "lag,correlation"
         assert sum(int(r.split(",")[3]) for r in ranking[1:]) == 1  # ceil(0.1*8)
@@ -125,10 +127,14 @@ class TestTuneAndBenchmark:
     def test_unknown_strategy_usage_error(self, tmp_path):
         assert main(["tune", "--strategy", "sa"] + _tiny_flags(str(tmp_path))) == 1
 
+    def test_strategy_choices_follow_optimizers(self, capsys):
+        assert main(["tune", "--help"]) == 0
+        assert "--strategy {" + ",".join(OPTIMIZERS) + "}" in capsys.readouterr().out
+
     def test_benchmark_all_strategies(self, tmp_path):
         outdir = str(tmp_path / "bench")
         assert main(["benchmark"] + _tiny_flags(outdir)) == 0
-        report = open(os.path.join(outdir, "report.csv")).read()
+        report = Path(os.path.join(outdir, "report.csv")).read_text()
         for strat in ("pso", "qpso", "ebqpso", "persistence"):
             assert strat in report
 
@@ -148,7 +154,7 @@ class TestTuneAndBenchmark:
         # --trials 1 must override the config file's 2
         assert main(["benchmark", "--config", str(cfg_path), "--trials", "1",
                      "--outdir", outdir]) == 0
-        report = open(os.path.join(outdir, "report.csv")).read().splitlines()
+        report = Path(os.path.join(outdir, "report.csv")).read_text().splitlines()
         trial_rows = [r for r in report if r.startswith("trial,qpso")]
         assert len(trial_rows) == 1
 
@@ -169,12 +175,12 @@ class TestTuneAndBenchmark:
             "--sigma2-min", "1e29", "--sigma2-max", "1e30",
         ]
         assert main(["tune", "--strategy", "qpso"] + flags) == 3
-        report = open(tmp_path / "run" / "report.csv").read()
+        report = (tmp_path / "run" / "report.csv").read_text()
         assert "trial,qpso,0,10,,,,,,,NumericError" in report
 
     def test_calm_spell_leaves_mape_undefined(self, tmp_path, series_csv):
         # three 0 m/s samples in the test block survive a wide outlier gate
-        lines = open(series_csv).read().splitlines()
+        lines = Path(series_csv).read_text().splitlines()
         for i in (561, 562, 563):  # line 0 is the header
             lines[i] = lines[i].split(",")[0] + ",0.0"
         calm = tmp_path / "calm.csv"
@@ -282,6 +288,20 @@ class TestFlagTable:
 
 
 class TestTrainPredictEvaluate:
+    def test_evaluate_benchmark_model_matches_report(self, tmp_path, series_csv, capsys):
+        outdir = tmp_path / "bench"
+        flags = _tiny_flags(str(outdir)) + ["--in", series_csv]
+        assert main(["benchmark"] + flags) == 0
+        with open(outdir / "report.csv") as fh:
+            (row,) = [r for r in csv.DictReader(fh) if r["kind"] == "trial" and r["strategy"] == "qpso"]
+        with open(outdir / "predictions_qpso_0.csv") as fh:
+            n_rows = sum(1 for _ in fh) - 1
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(outdir / "model_qpso_0"), "--in", series_csv,
+                     "--block", "test"]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"test block ({n_rows} rows): rmse={float(row['rmse']):.4f} ")
+
     def test_full_chain(self, tmp_path, series_csv):
         model_path = str(tmp_path / "model.lssvm")
         code = main([
@@ -296,7 +316,7 @@ class TestTrainPredictEvaluate:
         pred_path = str(tmp_path / "pred.csv")
         assert main(["predict", "--model", model_path, "--in", series_csv,
                      "--out", pred_path]) == 0
-        rows = open(pred_path).read().splitlines()
+        rows = Path(pred_path).read_text().splitlines()
         assert rows[0] == "index,actual,forecast,abs_error"
         assert len(rows) - 1 == 600 - 8
 

@@ -1,5 +1,6 @@
 import struct
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,12 +218,19 @@ class TestModelPersistence:
         assert loaded.bias == model.bias
         assert loaded.hyperparams == model.hyperparams
 
+    def test_meta_sidecar(self, tmp_path):
+        path = str(tmp_path / "model.bin")
+        save_model(self._model(), path, {"n_lags": 8, "lags": [2, 1]})
+        assert Path(path + ".meta.json").read_text() == '{"lags": [2, 1], "n_lags": 8}\n'
+        save_model(self._model(), str(tmp_path / "bare.bin"))
+        assert not (tmp_path / "bare.bin.meta.json").exists()
+
     def test_truncated_file(self, tmp_path):
         model = self._model()
         path = str(tmp_path / "model.bin")
         save_model(model, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-9])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:-9])
         with pytest.raises(DataError, match="corrupt|truncated"):
             load_model(path)
 
@@ -239,15 +247,15 @@ class TestModelPersistence:
         model = self._model()
         path = str(tmp_path / "model.bin")
         save_model(model, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[4:8] = struct.pack("<I", 99)
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(DataError, match="version 99"):
             load_model(path)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "model.bin")
-        open(path, "wb").write(b"NOPE" + b"\0" * 60)
+        Path(path).write_bytes(b"NOPE" + b"\0" * 60)
         with pytest.raises(DataError, match="magic"):
             load_model(path)
 

@@ -8,6 +8,7 @@ from windlssvm.cli import config_from_dict
 from windlssvm.experiment import (
     OPTIMIZERS,
     ExperimentConfig,
+    ExperimentReport,
     PERSISTENCE,
     TrialResult,
     prepare_data,
@@ -43,25 +44,29 @@ def silent(*args, **kwargs):
 class TestConfigValidation:
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
-            ExperimentConfig().validate()
+            ExperimentConfig()
         with pytest.raises(ValueError):
-            ExperimentConfig(input_csv="x.csv", synthetic=SyntheticSpec()).validate()
+            ExperimentConfig(input_csv="x.csv", synthetic=SyntheticSpec())
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
-            tiny_config(strategies=("qpso", "annealing")).validate()
+            tiny_config(strategies=("qpso", "annealing"))
 
     def test_duplicate_strategies(self):
         with pytest.raises(ValueError):
-            tiny_config(strategies=("qpso", "qpso")).validate()
+            tiny_config(strategies=("qpso", "qpso"))
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
-            tiny_config(select_fraction=0.0).validate()
+            tiny_config(select_fraction=0.0)
 
     def test_bad_ranges(self):
         with pytest.raises(ValueError):
-            tiny_config(gamma_range=(1.0, 0.5)).validate()
+            tiny_config(gamma_range=(1.0, 0.5))
+
+    def test_infinite_range_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_config(sigma2_range=(8.0, float("inf")))
 
 
 class TestConfigFromDict:
@@ -209,6 +214,47 @@ class TestRunExperiment:
         table = summary_table(rep)
         for name in ("pso", "qpso", PERSISTENCE, "RMSE", "MAE", "MAPE"):
             assert name in table
+
+
+class TestReportRows:
+    """report.csv rows that a real run rarely writes, pinned line by line."""
+
+    def _write(self, tmp_path, trials):
+        rep = ExperimentReport(
+            trials=trials,
+            aggregates=recompute_aggregates(trials),
+            selected_lags=(1, 2),
+            n_replaced=0,
+            test_targets=np.array([1.0, 2.0]),
+            model_meta={},
+        )
+        write_report(rep, str(tmp_path))
+        return (tmp_path / "report.csv").read_text().splitlines()
+
+    def test_failed_trial_and_persistence_rows(self, tmp_path):
+        failed = TrialResult("qpso", 0, 10, error="NumericError: pivot 0.0 at row 3")
+        pers = TrialResult(
+            PERSISTENCE, 0, 10, metrics=MetricReport(mae=0.5, rmse=0.75, mape=6.25), evaluations=0
+        )
+        assert self._write(tmp_path, [failed, pers]) == [
+            "kind,strategy,trial,seed,gamma,sigma2,rmse,mae,mape,evaluations,error",
+            "trial,qpso,0,10,,,,,,,NumericError: pivot 0.0 at row 3",
+            "trial,persistence,0,10,,,0.75,0.5,6.25,0,",
+            "mean,persistence,,,,,0.75,0.5,6.25,,",
+            "std,persistence,,,,,0.0,0.0,0.0,,",
+        ]
+        assert sorted(os.listdir(tmp_path)) == ["report.csv"]
+
+    def test_tuned_trial_row_with_undefined_mape(self, tmp_path):
+        tuned = TrialResult(
+            "pso", 1, 11, gamma=100.0, sigma2=2.5,
+            metrics=MetricReport(mae=0.25, rmse=0.5, mape=None), evaluations=36,
+        )
+        assert self._write(tmp_path, [tuned])[1:] == [
+            "trial,pso,1,11,100.0,2.5,0.5,0.25,,36,",
+            "mean,pso,,,,,0.5,0.25,,,",
+            "std,pso,,,,,0.0,0.0,,,",
+        ]
 
 
 class TestAggregates:
