@@ -263,12 +263,17 @@ def _model_and_dataset(args):
     """The saved model, its metadata, and the input series lagged to its lags."""
     model = load_model(args.model)
     meta_path = args.model + ".meta.json"
-    if args.lags:
-        lags = [int(tok) for tok in args.lags.split(",") if tok.strip()]
-        meta = {"lags": lags, "n_lags": max(lags)}
-    elif os.path.exists(meta_path):
+    if os.path.exists(meta_path):
+        if args.lags:
+            raise UsageError(
+                f"--lags is only for models without a sidecar, and {meta_path} exists; "
+                "drop --lags to use the sidecar's lags, outlier gate and split"
+            )
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
+    elif args.lags:
+        lags = [int(tok) for tok in args.lags.split(",") if tok.strip()]
+        meta = {"lags": lags, "n_lags": max(lags)}
     else:
         raise DataError(f"{meta_path} not found; pass --lags to describe the model's features")
     if len(meta["lags"]) != model.support_inputs.shape[1]:

@@ -9,7 +9,9 @@ identical config reproduces every output file byte for byte.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import os
 import time
 from dataclasses import dataclass, field
@@ -214,7 +216,6 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
 
     fitness = LssvmFitness(data.train, data.val)
     space = hyperparam_space(config.gamma_range, config.sigma2_range)
-    sq_test = lssvm.pairwise_sq_dists(data.test.features, data.train.features)
     persistence_metrics = metric_report(data.test.targets, data.persistence_pred)
 
     trials: list[TrialResult] = []
@@ -230,7 +231,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
                 model = lssvm.train(
                     data.train.features, data.train.targets, hp, sq_dists=fitness.sq_train
                 )
-                pred = lssvm.predict(model, data.test.features, sq_dists=sq_test)
+                pred = lssvm.predict(model, data.test.features)
                 result.gamma = hp.gamma
                 result.sigma2 = hp.sigma2
                 result.metrics = metric_report(data.test.targets, pred)
@@ -294,9 +295,13 @@ def write_report(report: ExperimentReport, outdir: str):
         for strat, agg in report.aggregates.items()
         for i, kind in enumerate(("mean", "std"))
     ]
-    lines = [",".join(REPORT_COLUMNS)]
-    lines += [",".join(_fmt(row.get(col)) for col in REPORT_COLUMNS) for row in rows]
-    atomic_write_text(os.path.join(outdir, "report.csv"), "\n".join(lines) + "\n")
+    # Minimal quoting: only cells holding a comma, a quote or a newline,
+    # such as a failed trial's error text, are quoted.
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows([_fmt(row.get(col)) for col in REPORT_COLUMNS] for row in rows)
+    atomic_write_text(os.path.join(outdir, "report.csv"), text.getvalue())
 
     for tr in report.trials:
         if not tr.ok or tr.predictions is None or tr.strategy == PERSISTENCE:

@@ -175,8 +175,13 @@ class TestTuneAndBenchmark:
             "--sigma2-min", "1e29", "--sigma2-max", "1e30",
         ]
         assert main(["tune", "--strategy", "qpso"] + flags) == 3
-        report = (tmp_path / "run" / "report.csv").read_text()
-        assert "trial,qpso,0,10,,,,,,,NumericError" in report
+        with open(tmp_path / "run" / "report.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert (row["kind"], row["strategy"], row["rmse"]) == ("trial", "qpso", "")
+        # the solver's message has commas, and the quoted cell keeps all of it
+        assert row["error"].startswith("NumericError: ")
+        assert "gamma=" in row["error"] and "sigma2=" in row["error"]
+        assert None not in row  # no spill-over fields beyond the header
 
     def test_calm_spell_leaves_mape_undefined(self, tmp_path, series_csv):
         # three 0 m/s samples in the test block survive a wide outlier gate
@@ -336,6 +341,16 @@ class TestTrainPredictEvaluate:
         code = main(["predict", "--model", model_path, "--in", series_csv,
                      "--lags", "1,2", "--out", out])
         assert code == 0
+
+    def test_lags_refused_when_sidecar_exists(self, tmp_path, series_csv, capsys):
+        model_path = str(tmp_path / "m.lssvm")
+        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
+              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
+        for cmd in (["predict", "--out", str(tmp_path / "p.csv")], ["evaluate"]):
+            assert main(cmd + ["--model", model_path, "--in", series_csv,
+                               "--lags", "1,2"]) == 1
+            assert model_path + ".meta.json" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "p.csv")
 
     def test_train_bad_gamma_usage_error(self, tmp_path, series_csv):
         assert main(["train", "--in", series_csv, "--gamma", "-1", "--sigma2", "50",

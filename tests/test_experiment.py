@@ -173,6 +173,19 @@ class TestRunExperiment:
             n_rows = sum(1 for _ in fh) - 1
         assert n_rows == rep.test_targets.size
 
+    def test_predictions_file_is_predict_of_saved_model(self, tmp_path):
+        from windlssvm import lssvm
+        from windlssvm.data_io import load_model, write_forecast_csv
+
+        cfg = tiny_config(trials=1)
+        write_report(run_experiment(cfg, log=silent), str(tmp_path / "run"))
+        model = load_model(str(tmp_path / "run" / "model_qpso_0"))
+        test = prepare_data(cfg).test
+        direct = tmp_path / "direct.csv"
+        write_forecast_csv(str(direct), test.targets, lssvm.predict(model, test.features))
+        written = (tmp_path / "run" / "predictions_qpso_0.csv").read_bytes()
+        assert written == direct.read_bytes()
+
     def test_model_files_written(self, tmp_path):
         from windlssvm.data_io import load_model
 

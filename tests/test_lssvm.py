@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,43 @@ class TestPredict:
         model = train(rng.normal(size=(6, 2)), rng.normal(size=6), Hyperparams(3.0, 1.0))
         out = predict(model, rng.normal(size=(40, 2)) * 10)
         assert np.isfinite(out).all()
+
+    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize(
+        "nq",
+        [1, lssvm.PREDICT_BLOCK_ROWS - 1, lssvm.PREDICT_BLOCK_ROWS,
+         lssvm.PREDICT_BLOCK_ROWS + 1, 2 * lssvm.PREDICT_BLOCK_ROWS + 3],
+    )
+    def test_matches_per_row_rbf_sum(self, nq, n):
+        rng = np.random.default_rng(nq * 1000 + n)
+        hp = Hyperparams(10.0, 4.0)
+        model = LssvmModel(rng.uniform(0, 20, (n, 3)), rng.normal(size=n), 0.7, hp)
+        Xq = rng.uniform(0, 20, (nq, 3))
+        terms = np.array([
+            [a * rbf_kernel(x, s, hp.sigma2)
+             for a, s in zip(model.dual_coeffs, model.support_inputs)] + [model.bias]
+            for x in Xq
+        ])
+        # relative to the summed term magnitudes, since terms of both signs cancel
+        scale = np.abs(terms).sum(axis=1)
+        err = np.abs(predict(model, Xq) - terms.sum(axis=1))
+        assert np.all(err <= 1e-12 * scale)
+
+    def test_warm_call_allocates_no_query_kernel(self):
+        rng = np.random.default_rng(5)
+        nq, n = 2000, 1500
+        model = LssvmModel(rng.uniform(0, 20, (n, 4)), rng.normal(size=n), 0.5,
+                           Hyperparams(100.0, 50.0))
+        Xq = rng.uniform(0, 20, (nq, 4))
+        first = predict(model, Xq)
+        tracemalloc.start()
+        try:
+            again = predict(model, Xq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(again, first)
+        assert peak < 0.5 * nq * n * 8
 
 
 class TestModelValidation:

@@ -200,7 +200,7 @@ class TestLssvmFitness:
         assert again == first and np.isfinite(first)
         assert peak < 0.5 * n_val * n * 8
 
-    @pytest.mark.parametrize("func", [lssvm.solve_dual, LssvmFitness.__call__])
+    @pytest.mark.parametrize("func", [lssvm.solve_dual, lssvm.predict, LssvmFitness.__call__])
     def test_no_numpy_matrix_product_in_hot_path(self, func):
         banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
