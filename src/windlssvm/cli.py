@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -181,6 +182,14 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
         raise UsageError(f"config file not found: {exc.filename}") from None
 
 
+def _lag_list(text: str) -> list[int]:
+    """``--lags``: distinct positive integers separated by commas."""
+    lags = [int(tok) if tok.strip().isdecimal() else 0 for tok in text.split(",")]
+    if min(lags) < 1 or len(set(lags)) != len(lags):
+        raise argparse.ArgumentTypeError(f"expected distinct positive integers, got {text!r}")
+    return lags
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -196,8 +205,8 @@ def cmd_synth(args):
 
 
 def cmd_clean(args):
-    if args.z_threshold is not None and args.z_threshold <= 0:
-        raise UsageError("--z-threshold must be positive")
+    if args.z_threshold is not None and not 0 < args.z_threshold < math.inf:
+        raise UsageError(f"--z-threshold must be a finite positive real, got {args.z_threshold!r}")
     series = load_csv(args.input)
     z = args.z_threshold if args.z_threshold is not None else ExperimentConfig.z_threshold
     cleaned, replaced = clean(series, z)
@@ -272,8 +281,7 @@ def _model_and_dataset(args):
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     elif args.lags:
-        lags = [int(tok) for tok in args.lags.split(",") if tok.strip()]
-        meta = {"lags": lags, "n_lags": max(lags)}
+        meta = {"lags": args.lags, "n_lags": max(args.lags)}
     else:
         raise DataError(f"{meta_path} not found; pass --lags to describe the model's features")
     if len(meta["lags"]) != model.support_inputs.shape[1]:
@@ -342,14 +350,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict", help="apply a saved model to a series CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--lags", help="comma-separated lag list when no .meta.json is present")
+    lags_help = "distinct positive lags, comma-separated, when no .meta.json is present"
+    p.add_argument("--lags", type=_lag_list, help=lags_help)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on a split block")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--lags")
+    p.add_argument("--lags", type=_lag_list, help=lags_help)
     p.add_argument("--block", choices=("train", "val", "test", "all"), default="test")
     p.set_defaults(func=cmd_evaluate)
 

@@ -1,7 +1,8 @@
 """CSV ingestion/emission and versioned binary model persistence.
 
-Series CSV format: one ``timestamp,value`` pair per line, UTF-8, optional
-``timestamp,value`` header. An empty value field marks a missing sample.
+Series CSV format: one ``timestamp,value`` pair per line, UTF-8 with or
+without a leading byte-order mark, optional ``timestamp,value`` header. An
+empty value field marks a missing sample.
 Timestamps are ISO 8601 (``2015-04-01T00:20``) and strictly increasing in
 whole multiples of the cadence; a step of k cadences marks the k - 1 samples
 in between as missing.
@@ -64,7 +65,7 @@ def load_csv(path: str, cadence_minutes: int = 20) -> TimeSeries:
     values = []
     mask = []
     first_content = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().split("\n")
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":

@@ -92,8 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"select_fraction must lie in (0, 1], got {self.select_fraction}")
         if self.mi_bins < 1:
             raise ValueError("mi_bins must be positive")
-        if self.z_threshold <= 0:
-            raise ValueError("z_threshold must be positive")
+        if not 0 < self.z_threshold < np.inf:
+            raise ValueError(f"z_threshold must be a finite positive real, got {self.z_threshold!r}")
         if not self.strategies:
             raise ValueError("at least one strategy required")
         for s in self.strategies:
@@ -227,13 +227,10 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
             try:
                 swarm_cfg = dataclasses.replace(config.swarm, seed=seed)
                 opt = OPTIMIZERS[strat](fitness, space, swarm_cfg)
-                hp = fitness.decode(opt.best_position)
-                model = lssvm.train(
-                    data.train.features, data.train.targets, hp, sq_dists=fitness.sq_train
-                )
+                model = fitness.model(opt.best_position)
                 pred = lssvm.predict(model, data.test.features)
-                result.gamma = hp.gamma
-                result.sigma2 = hp.sigma2
+                result.gamma = model.hyperparams.gamma
+                result.sigma2 = model.hyperparams.sigma2
                 result.metrics = metric_report(data.test.targets, pred)
                 result.evaluations = opt.evaluations
                 result.predictions = pred

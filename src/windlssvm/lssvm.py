@@ -11,8 +11,9 @@ one Cholesky factorization of H solves H eta = 1 and H nu = y together, and
 then b = 1^T nu / 1^T eta and a = nu - b eta (Suykens et al., Least Squares
 Support Vector Machines, 2002, ch. 3).
 
-The solve works in one Fortran-ordered n x n buffer. The kernel is written
-into it, 1/gamma is added to the diagonal, and the Cholesky factor L
+``TrainingSet`` owns a training set's squared distances and the one
+Fortran-ordered n x n buffer that all of its solves share. The kernel is
+written into it, 1/gamma is added to the diagonal, and the Cholesky factor L
 overwrites the lower triangle only. The strict upper triangle still holds K,
 so once the saved diagonal is written back the buffer's upper triangle is H
 again and the residual is taken from it with a symmetric matrix-vector
@@ -164,102 +165,93 @@ def build_kernel_matrix(X, sigma2: float) -> np.ndarray:
     return kernel_from_sq_dists(pairwise_sq_dists(X), sigma2)
 
 
-def solve_dual(
-    sq_dists: np.ndarray,
-    y: np.ndarray,
-    hp: Hyperparams,
-    H: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Dual coefficients and bias of the LSSVM on training set ``sq_dists``, ``y``.
-
-    ``H`` is an optional Fortran-ordered (n, n) scratch buffer, overwritten
-    by the call. Callers that solve many hyperparameter settings on one
-    training set pass the same buffer each time, so a call allocates no
-    n x n array.
-
-    Raises
-    ------
-    NumericError
-        If H is not numerically positive definite (the pivot gate) or the
-        KKT residual exceeds ``RESIDUAL_RTOL``.
+class TrainingSet:
+    """Checked training inputs, their squared distances and the one n x n
+    buffer that every ``solve`` overwrites, so a solve allocates no n x n
+    array. Solves on one instance must not run concurrently.
     """
-    n = y.shape[0]
-    if n == 1:
-        # 1^T a = 0 forces a = 0, and then b = y_0.
-        return np.zeros(1), float(y[0])
-    if H is None:
-        H = np.empty((n, n), order="F")
-    # sq_dists is exactly symmetric, so writing K into H^T (the contiguous
-    # view of H) writes K into H.
-    kernel_from_sq_dists(sq_dists, hp.sigma2, out=H.T)
-    H[np.diag_indices(n)] += 1.0 / hp.gamma
-    diag = H.diagonal().copy()
 
-    # K <= 1 with a unit diagonal, so max|H| = 1 + 1/gamma.
-    scale = 1.0 + 1.0 / hp.gamma
-    try:
-        # L overwrites the lower triangle; the strict upper triangle keeps K.
-        L, lower = cho_factor(H, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError:
-        min_pivot = 0.0
-    else:
-        min_pivot = float(np.diag(L).min()) ** 2
-    if not min_pivot >= PIVOT_RTOL * scale:
-        raise NumericError(
-            f"near-singular KKT system: min pivot {min_pivot:.3e} "
-            f"< {PIVOT_RTOL:.0e} * max|H| ({scale:.3e}); "
-            f"gamma={hp.gamma:.6g} sigma2={hp.sigma2:.6g} n={n}"
-        )
-    sol = cho_solve((L, lower), np.column_stack((np.ones(n), y)), check_finite=False)
-    eta, nu = sol[:, 0], sol[:, 1]
-    b = nu.sum() / eta.sum()  # 1^T eta > 0 because H is positive definite
-    alpha = nu - b * eta
+    def __init__(self, X, y):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
+        if X.shape[0] != y.shape[0]:
+            raise ValueError(f"row count {X.shape[0]} != target count {y.shape[0]}")
+        if X.shape[0] < 1:
+            raise ValueError("need at least one training sample")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("training data must be finite")
+        self.X = X
+        self.y = y
+        self.sq_dists = pairwise_sq_dists(X)
+        self._H = np.empty((len(y), len(y)), order="F")
 
-    # Residual of the bordered system [1^T a ; H a + b - y], with H read
-    # from the upper triangle once its diagonal is restored.
-    H[np.diag_indices(n)] = diag
-    r = blas.dsymv(1.0, H, alpha, lower=0) + b - y
-    residual = np.hypot(alpha.sum(), np.linalg.norm(r))
-    y_norm = np.linalg.norm(y)
-    rel_residual = residual / y_norm if y_norm > 0 else residual
-    if not np.isfinite(rel_residual) or rel_residual > RESIDUAL_RTOL:
-        raise NumericError(
-            f"KKT solve residual {rel_residual:.3e} exceeds {RESIDUAL_RTOL:.0e} "
-            f"(min pivot {min_pivot:.3e}, gamma={hp.gamma:.6g}, sigma2={hp.sigma2:.6g}, n={n})"
-        )
-    return alpha, float(b)
+    def solve(self, hp: Hyperparams) -> tuple[np.ndarray, float]:
+        """Dual coefficients and bias of the LSSVM at ``hp``.
+
+        Raises
+        ------
+        NumericError
+            If H is not numerically positive definite (the pivot gate) or the
+            KKT residual exceeds ``RESIDUAL_RTOL``.
+        """
+        y, H = self.y, self._H
+        n = y.shape[0]
+        if n == 1:
+            # 1^T a = 0 forces a = 0, and then b = y_0.
+            return np.zeros(1), float(y[0])
+        # sq_dists is exactly symmetric, so writing K into H^T (the contiguous
+        # view of H) writes K into H.
+        kernel_from_sq_dists(self.sq_dists, hp.sigma2, out=H.T)
+        H[np.diag_indices(n)] += 1.0 / hp.gamma
+        diag = H.diagonal().copy()
+
+        # K <= 1 with a unit diagonal, so max|H| = 1 + 1/gamma.
+        scale = 1.0 + 1.0 / hp.gamma
+        try:
+            # L overwrites the lower triangle; the strict upper triangle keeps K.
+            L, lower = cho_factor(H, lower=True, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            min_pivot = 0.0
+        else:
+            min_pivot = float(np.diag(L).min()) ** 2
+        if not min_pivot >= PIVOT_RTOL * scale:
+            raise NumericError(
+                f"near-singular KKT system: min pivot {min_pivot:.3e} "
+                f"< {PIVOT_RTOL:.0e} * max|H| ({scale:.3e}); "
+                f"gamma={hp.gamma:.6g} sigma2={hp.sigma2:.6g} n={n}"
+            )
+        sol = cho_solve((L, lower), np.column_stack((np.ones(n), y)), check_finite=False)
+        eta, nu = sol[:, 0], sol[:, 1]
+        b = nu.sum() / eta.sum()  # 1^T eta > 0 because H is positive definite
+        alpha = nu - b * eta
+
+        # Residual of the bordered system [1^T a ; H a + b - y], with H read
+        # from the upper triangle once its diagonal is restored.
+        H[np.diag_indices(n)] = diag
+        r = blas.dsymv(1.0, H, alpha, lower=0) + b - y
+        residual = np.hypot(alpha.sum(), np.linalg.norm(r))
+        y_norm = np.linalg.norm(y)
+        rel_residual = residual / y_norm if y_norm > 0 else residual
+        if not np.isfinite(rel_residual) or rel_residual > RESIDUAL_RTOL:
+            raise NumericError(
+                f"KKT solve residual {rel_residual:.3e} exceeds {RESIDUAL_RTOL:.0e} "
+                f"(min pivot {min_pivot:.3e}, gamma={hp.gamma:.6g}, sigma2={hp.sigma2:.6g}, n={n})"
+            )
+        return alpha, float(b)
+
+    def model(self, hp: Hyperparams) -> LssvmModel:
+        """The trained model at ``hp``; raises ``NumericError`` as ``solve``."""
+        alpha, b = self.solve(hp)
+        return LssvmModel(support_inputs=self.X, dual_coeffs=alpha, bias=b, hyperparams=hp)
 
 
-def train(X, y, hp: Hyperparams, sq_dists: np.ndarray | None = None) -> LssvmModel:
-    """Solve the dual KKT system for (a, b) and return the trained model.
+def train(X, y, hp: Hyperparams) -> LssvmModel:
+    """The model trained on inputs X (N, m) and targets y (N,) at ``hp``.
 
-    Parameters
-    ----------
-    X : (N, m) training inputs.
-    y : (N,) training targets.
-    hp : hyperparameters (gamma, sigma2).
-    sq_dists : optional precomputed ``pairwise_sq_dists(X)``. The squared
-        distances do not depend on sigma2, so callers evaluating many
-        hyperparameter settings on one training set should precompute them.
-
-    Raises
-    ------
-    NumericError
-        As ``solve_dual``.
+    Raises ValueError on bad training data and NumericError as
+    ``TrainingSet.solve``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"row count {X.shape[0]} != target count {y.shape[0]}")
-    if X.shape[0] < 1:
-        raise ValueError("need at least one training sample")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("training data must be finite")
-
-    if sq_dists is None:
-        sq_dists = pairwise_sq_dists(X)
-    alpha, b = solve_dual(sq_dists, y, hp)
-    return LssvmModel(support_inputs=X, dual_coeffs=alpha, bias=b, hyperparams=hp)
+    return TrainingSet(X, y).model(hp)
 
 
 def predict(model: LssvmModel, Xq) -> np.ndarray:

@@ -83,30 +83,25 @@ class LssvmFitness:
     """Validation RMSE of an LSSVM trained at a log10-encoded hyperparameter point.
 
     A position (p0, p1) decodes to gamma = 10**p0, sigma2 = 10**p1. The
-    training-set and validation-to-training squared distances are
-    precomputed once (they do not depend on sigma2) and reused by every
-    call, and so are two scratch buffers: the one n x n buffer of the dual
-    solve and the (n_val, n) validation kernel. The validation prediction
-    goes through ``scipy.linalg.blas``, like the solve, so a call uses one
-    BLAS library. Solver failures yield +inf. A call's value depends only
-    on its position, but the buffers make calls on one instance unsafe to
-    issue concurrently: use one instance per thread or process.
+    fitness holds an ``lssvm.TrainingSet`` of the training block, which owns
+    the squared distances and the n x n buffer of the dual solve, and makes
+    the validation-to-training distances and the (n_val, n) validation
+    kernel buffer once. The validation prediction goes through
+    ``scipy.linalg.blas``, like the solve, so a call uses one BLAS library.
+    Solver failures yield +inf. ``model(position)`` retrains at a position
+    in the same buffer. A call's value depends only on its position, but
+    the buffers make calls on one instance unsafe to issue concurrently:
+    use one instance per thread or process.
     """
 
     def __init__(self, train: LaggedDataset, val: LaggedDataset):
         if train.lag_indices != val.lag_indices:
             raise ValueError("train and validation datasets use different lags")
-        if train.n_rows < 1:
-            raise ValueError("need at least one training sample")
-        if not (np.isfinite(train.features).all() and np.isfinite(train.targets).all()):
-            raise ValueError("training data must be finite")
         self.train = train
         self.val = val
-        self.sq_train = lssvm.pairwise_sq_dists(train.features)
+        self.training_set = lssvm.TrainingSet(train.features, train.targets)
         self.sq_val = lssvm.pairwise_sq_dists(val.features, train.features)
-        n = train.n_rows
-        self._H = np.empty((n, n), order="F")
-        self._Kv = np.empty((val.n_rows, n))
+        self._Kv = np.empty((val.n_rows, train.n_rows))
 
     def decode(self, position) -> lssvm.Hyperparams:
         position = np.asarray(position, dtype=float).ravel()
@@ -117,13 +112,17 @@ class LssvmFitness:
     def __call__(self, position) -> float:
         hp = self.decode(position)
         try:
-            alpha, b = lssvm.solve_dual(self.sq_train, self.train.targets, hp, H=self._H)
+            alpha, b = self.training_set.solve(hp)
         except lssvm.NumericError:
             return np.inf
         Kv = lssvm.kernel_from_sq_dists(self.sq_val, hp.sigma2, out=self._Kv)
         # Kv.T is Fortran-ordered, so f2py passes it without a copy.
         pred = blas.dgemv(1.0, Kv.T, alpha, trans=1) + b
         return rmse(self.val.targets, pred)
+
+    def model(self, position) -> lssvm.LssvmModel:
+        """The training block's model at ``position``; raises ``lssvm.NumericError``."""
+        return self.training_set.model(self.decode(position))
 
 
 def hyperparam_space(gamma_range=GAMMA_RANGE, sigma2_range=SIGMA2_RANGE) -> SearchSpace:

@@ -80,9 +80,10 @@ class SplitSpec:
 
     def __post_init__(self):
         fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f <= 0 for f in fracs):
+        # Written so that NaN fails both checks.
+        if not all(f > 0 for f in fracs):
             raise ValueError(f"all split fractions must be positive, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
+        if not abs(sum(fracs) - 1.0) <= 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)!r}")
 
 
@@ -96,8 +97,8 @@ def clean(series: TimeSeries, z_threshold: float = 4.0) -> tuple[TimeSeries, int
     Replacement repeats until no sample is flagged, which makes the operation
     idempotent. Returns the cleaned series and the number of replaced samples.
     """
-    if z_threshold <= 0:
-        raise ValueError("z_threshold must be positive")
+    if not 0 < z_threshold < math.inf:
+        raise ValueError(f"z_threshold must be a finite positive real, got {z_threshold!r}")
     values = series.values.astype(float).copy()
     missing = series.missing_mask | ~np.isfinite(values)
     if missing.all():

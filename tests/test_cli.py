@@ -83,6 +83,13 @@ class TestClean:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["clean", "--in", str(tmp_path / "nope.csv"), "--out", "o.csv"]) == 2
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "0", "-1"])
+    def test_bad_z_threshold_usage_error(self, tmp_path, series_csv, capsys, z):
+        out = tmp_path / "o.csv"
+        assert main(["clean", "--in", series_csv, "--z-threshold", z, "--out", str(out)]) == 1
+        assert "--z-threshold" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFeatures:
     def test_emits_ranking_and_correlation(self, tmp_path):
@@ -114,6 +121,13 @@ class TestFeatures:
         written = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
         assert written == [expected]
         assert sorted(os.listdir(expected)) == ["correlation.csv", "mi_ranking.csv"]
+
+    @pytest.mark.parametrize("flag", ["--z-threshold", "--train-frac"])
+    def test_nan_setting_usage_error(self, tmp_path, flag):
+        outdir = tmp_path / "feat"
+        assert main(["features", "--synth-n", "600", "--n-lags", "8", flag, "nan",
+                     "--outdir", str(outdir)]) == 1
+        assert not outdir.exists()
 
 
 class TestTuneAndBenchmark:
@@ -341,6 +355,21 @@ class TestTrainPredictEvaluate:
         code = main(["predict", "--model", model_path, "--in", series_csv,
                      "--lags", "1,2", "--out", out])
         assert code == 0
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("lags", ["1,x", ",,", "-2", "0,1", "1,1"])
+    def test_malformed_lags_usage_error(self, tmp_path, series_csv, capsys, command, lags):
+        model_path = str(tmp_path / "m.lssvm")
+        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
+              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
+        os.remove(model_path + ".meta.json")
+        argv = [command, "--model", model_path, "--in", series_csv, "--lags", lags]
+        if command == "predict":
+            argv += ["--out", str(tmp_path / "p.csv")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "argument --lags" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "p.csv")
 
     def test_lags_refused_when_sidecar_exists(self, tmp_path, series_csv, capsys):
         model_path = str(tmp_path / "m.lssvm")

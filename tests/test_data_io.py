@@ -31,6 +31,17 @@ class TestLoadCsv:
         s = load_csv(str(p))
         assert len(s) == 1
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        text = "timestamp,value\n2015-04-01T00:00,7.3\n2015-04-01T00:20,\n2015-04-01T00:40,6.0\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        a, b = load_csv(str(plain)), load_csv(str(bom))
+        np.testing.assert_array_equal(b.values, a.values)
+        np.testing.assert_array_equal(b.missing_mask, a.missing_mask)
+        assert (b.start, b.cadence_minutes) == (a.start, a.cadence_minutes)
+
     def test_empty_value_is_missing(self, tmp_path):
         p = tmp_path / "wind.csv"
         p.write_text("2015-04-01T00:00,7.3\n2015-04-01T00:20,\n2015-04-01T00:40,6.0\n")

@@ -64,6 +64,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(gamma_range=(1.0, 0.5))
 
+    @pytest.mark.parametrize("z", [float("nan"), float("inf"), 0.0])
+    def test_bad_z_threshold(self, z):
+        with pytest.raises(ValueError, match="z_threshold"):
+            tiny_config(z_threshold=z)
+
     def test_infinite_range_rejected_at_construction(self):
         with pytest.raises(ValueError, match="finite"):
             tiny_config(sigma2_range=(8.0, float("inf")))

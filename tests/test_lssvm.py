@@ -180,16 +180,6 @@ class TestTrain:
         Xq = rng.uniform(-2, 2, (5, 3))
         np.testing.assert_allclose(predict(model_p, Xq), predict(model, Xq), atol=1e-10)
 
-    def test_precomputed_sq_dists_identical(self):
-        rng = np.random.default_rng(11)
-        X = rng.uniform(0, 3, (10, 2))
-        y = rng.uniform(-1, 1, 10)
-        hp = Hyperparams(2.0, 3.0)
-        m1 = train(X, y, hp)
-        m2 = train(X, y, hp, sq_dists=pairwise_sq_dists(X))
-        np.testing.assert_array_equal(m1.dual_coeffs, m2.dual_coeffs)
-        assert m1.bias == m2.bias
-
     def test_search_box_solved_or_refused(self):
         # Draws over the default hyperparam_space box at wind-like sizes: each
         # solve either meets the bordered system to 1e-8 or raises.
@@ -238,12 +228,11 @@ class TestTrain:
             return sol
 
         monkeypatch.setattr(lssvm, "cho_solve", perturbed)
-        sq = pairwise_sq_dists(X)
         if fails:
             with pytest.raises(NumericError, match="residual"):
-                lssvm.solve_dual(sq, y, hp)
+                lssvm.TrainingSet(X, y).solve(hp)
         else:
-            lssvm.solve_dual(sq, y, hp)
+            lssvm.TrainingSet(X, y).solve(hp)
         assert calls == [1]
 
     def test_singular_system_raises(self):

@@ -200,7 +200,46 @@ class TestLssvmFitness:
         assert again == first and np.isfinite(first)
         assert peak < 0.5 * n_val * n * 8
 
-    @pytest.mark.parametrize("func", [lssvm.solve_dual, lssvm.predict, LssvmFitness.__call__])
+    def test_model_matches_fresh_train(self):
+        # Same rows as test_scratch_buffers_carry_no_state: the failing
+        # positions leave the shared buffer in a factorized state.
+        rng = np.random.default_rng(6)
+        X = rng.uniform(0, 5, (30, 2))
+        X[1] = X[0]
+        tr = _dataset(X, rng.uniform(0, 5, 30), (1, 2))
+        va = _dataset(rng.uniform(0, 5, (9, 2)), rng.uniform(0, 5, 9), (1, 2))
+        fit = LssvmFitness(tr, va)
+        fails = [np.array([16.0, 0.0]), np.array([11.5, 29.5])]
+        for p in (np.array([1.0, 0.5]), np.array([3.0, 1.2]), np.array([-2.0, 2.0])):
+            fit(p)
+            assert all(fit(f) == np.inf for f in fails)
+            got = fit.model(p)
+            want = lssvm.train(tr.features, tr.targets, fit.decode(p))
+            np.testing.assert_array_equal(got.dual_coeffs, want.dual_coeffs)
+            np.testing.assert_array_equal(got.support_inputs, want.support_inputs)
+            assert got.bias == want.bias
+            assert got.hyperparams == want.hyperparams
+        with pytest.raises(lssvm.NumericError):
+            fit.model(fails[0])
+
+    def test_warm_model_allocates_no_square_matrix(self):
+        rng = np.random.default_rng(8)
+        n = 400
+        tr = _dataset(rng.uniform(0, 20, (n, 3)), rng.uniform(0, 20, n), (1, 2, 3))
+        va = _dataset(rng.uniform(0, 20, (100, 3)), rng.uniform(0, 20, 100), (1, 2, 3))
+        fit = LssvmFitness(tr, va)
+        pos = np.array([2.0, 1.5])
+        first = fit.model(pos)
+        tracemalloc.start()
+        try:
+            again = fit.model(pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(again.dual_coeffs, first.dual_coeffs)
+        assert peak < 0.5 * n * n * 8
+
+    @pytest.mark.parametrize("func", [lssvm.TrainingSet.solve, lssvm.predict, LssvmFitness.__call__])
     def test_no_numpy_matrix_product_in_hot_path(self, func):
         banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))

@@ -98,6 +98,11 @@ class TestClean:
         with pytest.raises(ValueError):
             clean(TimeSeries([1.0, 2.0]), z_threshold=0.0)
 
+    @pytest.mark.parametrize("z", [np.nan, np.inf])
+    def test_non_finite_threshold(self, z):
+        with pytest.raises(ValueError, match="z_threshold"):
+            clean(TimeSeries([1.0, 2.0]), z_threshold=z)
+
 
 class TestLaggedDataset:
     def test_hand_construction(self):
@@ -297,6 +302,10 @@ class TestSplit:
             SplitSpec(0.5, 0.2, 0.2)
         with pytest.raises(ValueError):
             SplitSpec(0.0, 0.5, 0.5)
+
+    def test_nan_fraction(self):
+        with pytest.raises(ValueError):
+            SplitSpec(np.nan, 0.2, 0.2)
 
     def test_defaults(self):
         spec = SplitSpec()
