@@ -75,10 +75,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ValueError("config root must be a JSON object")
     d = dict(d)
     if isinstance(d.get("synthetic"), dict):
-        synth = dict(d["synthetic"])
-        if isinstance(synth.get("sinusoids"), list):
-            synth["sinusoids"] = tuple((float(a), float(p)) for a, p in synth["sinusoids"])
-        d["synthetic"] = _dataclass_from_dict(SyntheticSpec, synth)
+        d["synthetic"] = _dataclass_from_dict(SyntheticSpec, d["synthetic"])
     if isinstance(d.get("split"), dict):
         d["split"] = _dataclass_from_dict(SplitSpec, d["split"])
     if isinstance(d.get("swarm"), dict):
@@ -93,27 +90,27 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 # Experiment flags: (flag, config path, type, help). A path is the chain of
 # keys into the config JSON that the flag's value is written to; an integer
-# key indexes a (lo, hi) range.
+# key indexes a (lo, hi) range. Help texts gain the resolved default.
 EXPERIMENT_FLAGS = (
-    ("--trials", ("trials",), int, "number of trials (default 5)"),
-    ("--base-seed", ("base_seed",), int, "seed of trial 0 (default 42)"),
-    ("--outdir", ("outdir",), str, "output directory (default results)"),
+    ("--trials", ("trials",), int, "number of trials"),
+    ("--base-seed", ("base_seed",), int, "seed of trial 0"),
+    ("--outdir", ("outdir",), str, "output directory"),
     ("--in", ("input_csv",), str, "input series CSV"),
     ("--synth-n", ("synthetic", "n"), int, "synthetic series length (when no --in)"),
     ("--synth-seed", ("synthetic", "seed"), int, "synthetic generator seed"),
-    ("--n-lags", ("n_lags",), int, "lag window length (default 100)"),
-    ("--select-fraction", ("select_fraction",), float, "fraction of lags kept by MI (default 0.1)"),
-    ("--mi-bins", ("mi_bins",), int, "histogram bins for MI (default 16)"),
-    ("--z-threshold", ("z_threshold",), float, "outlier gate width (default 4.0)"),
+    ("--n-lags", ("n_lags",), int, "lag window length"),
+    ("--select-fraction", ("select_fraction",), float, "fraction of lags kept by MI"),
+    ("--mi-bins", ("mi_bins",), int, "histogram bins for MI"),
+    ("--z-threshold", ("z_threshold",), float, "outlier gate width"),
     ("--train-frac", ("split", "train_frac"), float, None),
     ("--val-frac", ("split", "val_frac"), float, None),
     ("--test-frac", ("split", "test_frac"), float, None),
-    ("--population", ("swarm", "population"), int, "swarm size (default 20)"),
-    ("--iterations", ("swarm", "max_iter"), int, "optimizer iterations (default 50)"),
+    ("--population", ("swarm", "population"), int, "swarm size"),
+    ("--iterations", ("swarm", "max_iter"), int, "optimizer iterations"),
     ("--jumping-rate", ("swarm", "jumping_rate"), float, None),
     ("--n-transposons", ("swarm", "n_transposons"), int, None),
-    ("--lam", ("swarm", "lam"), int, "breeding period (default 3)"),
-    ("--ce-mode", ("swarm", "ce_mode"), str, "scheduled (default) or fixed"),
+    ("--lam", ("swarm", "lam"), int, "breeding period"),
+    ("--ce-mode", ("swarm", "ce_mode"), str, "scheduled or fixed"),
     ("--ce-alpha", ("swarm", "ce_alpha"), float, None),
     ("--gamma-min", ("gamma_range", 0), float, None),
     ("--gamma-max", ("gamma_range", 1), float, None),
@@ -126,9 +123,15 @@ def _dest(flag: str) -> str:
     return "input" if flag == "--in" else flag[2:].replace("-", "_")
 
 
-def _add_experiment_args(p):
+def _add_experiment_args(p, defaults: dict | None = None):
     p.add_argument("--config", metavar="JSON", help="config file; flags take precedence")
-    for flag, _, kind, help_text in EXPERIMENT_FLAGS:
+    resolved = config_from_dict({**(defaults or {}), "synthetic": {}})
+    for flag, path, kind, help_text in EXPERIMENT_FLAGS:
+        default = resolved
+        for key in path:
+            default = default[key] if isinstance(key, int) else getattr(default, key)
+        if default is not None:
+            help_text = f"{help_text or ''} (default {default})".lstrip()
         p.add_argument(flag, dest=_dest(flag), type=kind, help=help_text)
 
 
@@ -192,6 +195,8 @@ def _lag_list(text: str) -> list[int]:
 
 # ---------------------------------------------------------------- commands
 
+FEATURES_DEFAULTS = {"outdir": "features"}
+
 
 def cmd_synth(args):
     try:
@@ -216,7 +221,7 @@ def cmd_clean(args):
 
 
 def cmd_features(args):
-    cfg = _resolve_config(args, {"outdir": "features"})
+    cfg = _resolve_config(args, FEATURES_DEFAULTS)
     cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
     ds = make_lagged_dataset(cleaned, cfg.n_lags)
     ranked = mi_ranking(split(ds, cfg.split)[0], cfg.mi_bins)
@@ -288,7 +293,12 @@ def _model_and_dataset(args):
         raise DataError(
             f"model expects {model.support_inputs.shape[1]} features but metadata lists {len(meta['lags'])} lags"
         )
-    cleaned, _ = clean(load_csv(args.input), meta.get("z_threshold", ExperimentConfig.z_threshold))
+    series = load_csv(args.input)
+    trained = meta.get("cadence_minutes", series.cadence_minutes)
+    if series.cadence_minutes != trained:
+        raise DataError(f"{args.input}: {series.cadence_minutes}-minute cadence, "
+                        f"but the model was trained on a {trained}-minute series")
+    cleaned, _ = clean(series, meta.get("z_threshold", ExperimentConfig.z_threshold))
     ds = make_lagged_dataset(cleaned, int(meta["n_lags"]))
     return model, meta, take_lags(ds, meta["lags"])
 
@@ -332,7 +342,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "features", help="emit MI ranking and lag-correlation CSVs (default outdir features)"
     )
-    _add_experiment_args(p)
+    _add_experiment_args(p, FEATURES_DEFAULTS)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("tune", help="tune hyperparameters with one strategy")

@@ -4,8 +4,9 @@ Series CSV format: one ``timestamp,value`` pair per line, UTF-8 with or
 without a leading byte-order mark, optional ``timestamp,value`` header. An
 empty value field marks a missing sample.
 Timestamps are ISO 8601 (``2015-04-01T00:20``) and strictly increasing in
-whole multiples of the cadence; a step of k cadences marks the k - 1 samples
-in between as missing.
+whole multiples of the cadence: the most common step between stamps (the
+smaller on a tie), in whole minutes. A step of k cadences marks the k - 1
+samples in between as missing.
 
 Model files are little-endian binary: magic ``LSVM``, format version (u32),
 support row/column counts (u64 each), gamma and sigma2 (f64), the support
@@ -13,9 +14,10 @@ matrix row-major (f64), the dual coefficients (f64) and the bias (f64).
 
 A model file's sidecar, ``<model>.meta.json``, tells ``predict`` and
 ``evaluate`` how to rebuild the model's input rows from a series. Its keys:
-``format`` (1), ``lags`` (the selected lags, in feature order), ``n_lags``
-(the lag window length), ``z_threshold`` (the outlier gate of ``clean``) and
-``split`` (the train, validation and test fractions).
+``format`` (1), ``cadence_minutes`` (the series cadence), ``lags`` (the
+selected lags, in feature order), ``n_lags`` (the lag window length),
+``z_threshold`` (the outlier gate of ``clean``) and ``split`` (the train,
+validation and test fractions).
 """
 
 from __future__ import annotations
@@ -52,13 +54,13 @@ def atomic_write_text(path: str, text: str):
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def load_csv(path: str, cadence_minutes: int = 20) -> TimeSeries:
-    """Parse a series CSV; blank value fields and timestamp gaps become
-    missing samples.
+def load_csv(path: str) -> TimeSeries:
+    """Parse a series CSV at the cadence of its stamps; blank value fields
+    and timestamp gaps become missing samples.
 
     Raises DataError naming the offending 1-based line for malformed rows,
     unparseable, duplicate, out-of-order or off-cadence timestamps, and for
-    empty files.
+    empty files or a cadence that is not a whole number of minutes.
     """
     stamps = []
     linenos = []
@@ -98,15 +100,19 @@ def load_csv(path: str, cadence_minutes: int = 20) -> TimeSeries:
         raise DataError(f"{path}: no samples")
 
     t = _stamp_seconds(path, stamps, linenos)
-    cadence = 60 * cadence_minutes
     step = np.diff(t)
+    # The mode, not the smallest step: a stray stamp must not halve the cadence.
+    steps, counts = np.unique(step[step > 0], return_counts=True)
+    cadence = int(steps[np.argmax(counts)]) if steps.size else 60 * TimeSeries.cadence_minutes
+    if cadence % 60:
+        raise DataError(f"{path}: cadence of {cadence} s is not a whole number of minutes")
     bad = (step <= 0) | (step % cadence != 0)
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         what = (
             "duplicate" if step[i] == 0
             else "out-of-order" if step[i] < 0
-            else f"off-cadence ({step[i] / 60:g} min after the previous, cadence {cadence_minutes} min)"
+            else f"off-cadence ({step[i] / 60:g} min after the previous, cadence {cadence // 60} min)"
         )
         raise DataError(f"{path}: line {linenos[i + 1]}: {what} timestamp {stamps[i + 1]!r}")
     # Place each row on its cadence slot; slots no row fills are missing.
@@ -116,7 +122,7 @@ def load_csv(path: str, cadence_minutes: int = 20) -> TimeSeries:
     missing = np.ones(slot[-1] + 1, dtype=bool)
     missing[slot] = mask
     start = np.datetime64(int(t[0]), "s").astype(datetime)
-    return TimeSeries(filled, cadence_minutes, missing, start)
+    return TimeSeries(filled, cadence // 60, missing, start)
 
 
 def _stamp_seconds(path: str, stamps: list[str], linenos: list[int]) -> np.ndarray:
@@ -160,11 +166,9 @@ def write_series_csv(series: TimeSeries, path: str, start: datetime | None = Non
 
 def write_forecast_csv(path: str, actual: np.ndarray, forecast: np.ndarray):
     """Emit ``index,actual,forecast,abs_error`` rows for aligned arrays."""
-    lines = ["index,actual,forecast,abs_error"]
-    for i in range(actual.size):
-        err = float(abs(actual[i] - forecast[i]))
-        lines.append(f"{i},{float(actual[i])!r},{float(forecast[i])!r},{err!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = zip(actual.tolist(), forecast.tolist(), np.abs(actual - forecast).tolist())
+    rows = [f"{i},{a!r},{f!r},{e!r}" for i, (a, f, e) in enumerate(columns)]
+    atomic_write_text(path, "\n".join(["index,actual,forecast,abs_error", *rows]) + "\n")
 
 
 def save_model(model: LssvmModel, path: str, meta: dict | None = None):

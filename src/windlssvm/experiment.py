@@ -194,6 +194,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     persistence_pred = test_full.features[:, ds.lag_indices.index(1)].copy()
     meta = {
         "format": 1,
+        "cadence_minutes": cleaned.cadence_minutes,
         "lags": list(selected),
         "n_lags": config.n_lags,
         "z_threshold": config.z_threshold,

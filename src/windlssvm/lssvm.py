@@ -113,10 +113,6 @@ class LssvmModel:
         object.__setattr__(self, "dual_coeffs", a)
         object.__setattr__(self, "bias", float(self.bias))
 
-    @property
-    def n_support(self) -> int:
-        return self.support_inputs.shape[0]
-
 
 def rbf_kernel(x, x2, sigma2: float) -> float:
     """Gaussian kernel exp(-||x - x2||^2 / (2 sigma2)) of two feature vectors."""

@@ -49,17 +49,17 @@ def rmse(y, yhat) -> float:
     return float(np.sqrt((d * d).mean()))
 
 
-def mape(y, yhat, epsilon_floor: float = MAPE_EPSILON_FLOOR) -> float:
+def mape(y, yhat) -> float:
     """Mean absolute percentage error, in percent.
 
-    Raises if any |y_i| <= epsilon_floor, naming the first offending index.
+    Raises if any |y_i| <= MAPE_EPSILON_FLOOR, naming the first offending index.
     """
     y, yhat = _check_pair(y, yhat)
-    tiny = np.abs(y) <= epsilon_floor
+    tiny = np.abs(y) <= MAPE_EPSILON_FLOOR
     if tiny.any():
         i = int(np.flatnonzero(tiny)[0])
         raise ValueError(
-            f"|y[{i}]| = {abs(y[i]):.3e} <= {epsilon_floor:.0e}; MAPE undefined"
+            f"|y[{i}]| = {abs(y[i]):.3e} <= {MAPE_EPSILON_FLOOR:.0e}; MAPE undefined"
         )
     return float((np.abs(y - yhat) / np.abs(y)).mean() * 100.0)
 
@@ -97,7 +97,6 @@ class LssvmFitness:
     def __init__(self, train: LaggedDataset, val: LaggedDataset):
         if train.lag_indices != val.lag_indices:
             raise ValueError("train and validation datasets use different lags")
-        self.train = train
         self.val = val
         self.training_set = lssvm.TrainingSet(train.features, train.targets)
         self.sq_val = lssvm.pairwise_sq_dists(val.features, train.features)

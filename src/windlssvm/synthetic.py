@@ -1,4 +1,5 @@
-"""Seeded synthetic wind-speed-like series: sinusoids + AR(1) + white noise."""
+"""Seeded synthetic wind-speed-like series of a fixed shape: sinusoids +
+AR(1) + white noise, shifted upward if needed to a minimum of ``FLOOR``."""
 
 from __future__ import annotations
 
@@ -8,61 +9,47 @@ import numpy as np
 
 from .pipeline import TimeSeries
 
+SINUSOIDS = ((2.0, 72.0), (0.8, 36.0))  # (amplitude, period in samples): a day and half a day at 20 min
+AR_COEFF = 0.9
+AR_STD = 0.4
+NOISE_STD = 0.5
+FLOOR = 0.5
+CADENCE_MINUTES = 20
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Generator settings.
-
-    ``sinusoids`` is a tuple of (amplitude, period-in-samples) pairs; the
-    defaults put a diurnal cycle (72 samples at 20-minute cadence) and a
-    half-day harmonic on top of an AR(1) term and white noise. The series is
-    shifted upward if needed so its minimum is at least ``floor``.
-    """
+    """The settings of the fixed-shape series: length, seed and mean level."""
 
     n: int = 4393
     seed: int = 7
     mean: float = 8.0
-    sinusoids: tuple[tuple[float, float], ...] = ((2.0, 72.0), (0.8, 36.0))
-    ar_coeff: float = 0.9
-    ar_std: float = 0.4
-    noise_std: float = 0.5
-    floor: float = 0.5
-    cadence_minutes: int = 20
 
     def __post_init__(self):
         if self.n < 500:
             raise ValueError(f"n must be at least 500, got {self.n}")
-        if not 0.0 <= self.ar_coeff < 1.0:
-            raise ValueError(f"ar_coeff must lie in [0, 1), got {self.ar_coeff}")
-        if self.ar_std < 0 or self.noise_std < 0:
-            raise ValueError("noise amplitudes must be non-negative")
-        for amp, period in self.sinusoids:
-            if period <= 0:
-                raise ValueError(f"sinusoid period must be positive, got {period}")
-        if self.cadence_minutes <= 0:
-            raise ValueError("cadence_minutes must be positive")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TimeSeries:
-    """Deterministic per seed; draw order is the AR innovation vector, then
-    the white-noise vector."""
+    """The fixed-shape series for ``spec``, deterministic per seed; draw order
+    is the AR innovation vector, then the white-noise vector."""
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.n, dtype=float)
     x = np.full(spec.n, spec.mean)
-    for amp, period in spec.sinusoids:
+    for amp, period in SINUSOIDS:
         x += amp * np.sin(2.0 * np.pi * t / period)
 
-    innovations = rng.normal(0.0, spec.ar_std, spec.n)
+    innovations = rng.normal(0.0, AR_STD, spec.n)
     ar = np.empty(spec.n)
     prev = 0.0
     for i in range(spec.n):
-        prev = spec.ar_coeff * prev + innovations[i]
+        prev = AR_COEFF * prev + innovations[i]
         ar[i] = prev
     x += ar
 
-    x += rng.normal(0.0, spec.noise_std, spec.n)
+    x += rng.normal(0.0, NOISE_STD, spec.n)
 
-    shift = spec.floor - x.min()
+    shift = FLOOR - x.min()
     if shift > 0:
         x += shift
-    return TimeSeries(x, cadence_minutes=spec.cadence_minutes)
+    return TimeSeries(x, cadence_minutes=CADENCE_MINUTES)

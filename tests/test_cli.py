@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -5,15 +6,26 @@ from pathlib import Path
 
 import pytest
 
+from windlssvm import cli
 from windlssvm.cli import EXPERIMENT_FLAGS, _resolve_config, build_parser, main
-from windlssvm.data_io import load_csv
+from windlssvm.data_io import load_csv, write_series_csv
 from windlssvm.experiment import OPTIMIZERS
+from windlssvm.pipeline import TimeSeries
 
 
 @pytest.fixture()
 def series_csv(tmp_path):
     path = str(tmp_path / "series.csv")
     assert main(["synth", "--n", "600", "--seed", "3", "--out", path]) == 0
+    return path
+
+
+@pytest.fixture()
+def hourly_csv(tmp_path):
+    """720 synthetic samples stamped an hour apart."""
+    path = str(tmp_path / "hourly.csv")
+    assert main(["synth", "--n", "720", "--seed", "3", "--out", path]) == 0
+    write_series_csv(TimeSeries(load_csv(path).values, cadence_minutes=60), path)
     return path
 
 
@@ -82,6 +94,14 @@ class TestClean:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["clean", "--in", str(tmp_path / "nope.csv"), "--out", "o.csv"]) == 2
+
+    def test_hourly_file_keeps_its_cadence(self, tmp_path, hourly_csv, capsys):
+        out = tmp_path / "clean.csv"
+        assert main(["clean", "--in", hourly_csv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("replaced 0 of 720 samples")
+        assert out.read_text() == Path(hourly_csv).read_text()
+        stamps = [ln.split(",")[0] for ln in out.read_text().splitlines()[1:4]]
+        assert stamps == ["2015-04-01T00:00", "2015-04-01T01:00", "2015-04-01T02:00"]
 
     @pytest.mark.parametrize("z", ["nan", "inf", "0", "-1"])
     def test_bad_z_threshold_usage_error(self, tmp_path, series_csv, capsys, z):
@@ -176,6 +196,15 @@ class TestTuneAndBenchmark:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus_key": 1}))
         assert main(["benchmark", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("key", ["sinusoids", "ar_coeff", "ar_std", "noise_std", "floor",
+                                     "cadence_minutes"])
+    def test_fixed_synthetic_shape_key_usage_error(self, tmp_path, capsys, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"n": 600, key: 1}}))
+        assert main(["benchmark", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
+        assert f"unknown SyntheticSpec keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -381,6 +410,27 @@ class TestTrainPredictEvaluate:
             assert model_path + ".meta.json" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "p.csv")
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_cadence_mismatch_refused(self, tmp_path, series_csv, hourly_csv, capsys, command):
+        model_path = str(tmp_path / "m.lssvm")
+        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
+              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
+        meta_path = Path(model_path + ".meta.json")
+        meta = json.loads(meta_path.read_text())
+        assert meta["cadence_minutes"] == 20
+        out = tmp_path / "p.csv"
+        argv = [command, "--model", model_path, "--in", hourly_csv]
+        argv += ["--out", str(out)] if command == "predict" else []
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "60-minute cadence, but the model was trained on a 20-minute series" in err
+        assert not out.exists()
+        # a sidecar written before the cadence was recorded is not checked
+        del meta["cadence_minutes"]
+        meta_path.write_text(json.dumps(meta))
+        assert main(argv) == 0
+
     def test_train_bad_gamma_usage_error(self, tmp_path, series_csv):
         assert main(["train", "--in", series_csv, "--gamma", "-1", "--sigma2", "50",
                      "--model-out", str(tmp_path / "m")]) == 1
@@ -390,6 +440,37 @@ class TestTrainPredictEvaluate:
         assert main(["train", "--in", series_csv, "--gamma", "1e12",
                      "--sigma2", "1e30", "--n-lags", "8",
                      "--model-out", str(tmp_path / "m")]) == 3
+
+
+class _Resolved(Exception):
+    pass
+
+
+class TestHelpDefaults:
+    @pytest.mark.parametrize("command,required", [
+        ("features", []),
+        ("tune", ["--strategy", "pso"]),
+        ("train", ["--gamma", "1", "--sigma2", "1", "--model-out", "m"]),
+        ("benchmark", []),
+    ])
+    def test_help_shows_resolved_default(self, monkeypatch, command, required):
+        resolved = []
+        real = cli._resolve_config
+
+        def capture(*args):
+            resolved.append(real(*args))
+            raise _Resolved
+
+        monkeypatch.setattr(cli, "_resolve_config", capture)
+        with pytest.raises(_Resolved):
+            main([command, *required])
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        helps = {a.dest: a.help for a in subparsers.choices[command]._actions}
+        for flag, path, _, _ in EXPERIMENT_FLAGS:
+            default = _field(resolved[0], path)
+            if default is not None:
+                assert helps[cli._dest(flag)].endswith(f"(default {default})"), flag
 
 
 class TestUsage:

@@ -90,10 +90,10 @@ class TestLoadCsv:
             load_csv("/nonexistent/file.csv")
 
 
-def _stamped(n, start=0):
-    """Header plus n 20-minute-cadence rows, value i on row i."""
+def _stamped(n, start=0, minutes=20):
+    """Header plus n rows at a cadence of ``minutes``, value i on row i."""
     base = np.datetime64("2015-04-01T00:00")
-    rows = [f"{base + np.timedelta64(20 * i, 'm')},{float(i)!r}" for i in range(start, start + n)]
+    rows = [f"{base + np.timedelta64(minutes * i, 'm')},{float(i)!r}" for i in range(start, start + n)]
     return ["timestamp,value"] + rows
 
 
@@ -160,9 +160,43 @@ class TestTimestamps:
     def test_cadence_argument(self, tmp_path):
         p = tmp_path / "ten.csv"
         p.write_text("2015-04-01T00:00,1.0\n2015-04-01T00:10,2.0\n2015-04-01T00:30,3.0\n")
-        assert load_csv(str(p), cadence_minutes=10).missing_mask.tolist() == [False, False, True, False]
-        with pytest.raises(DataError, match="off-cadence"):
+        s = load_csv(str(p))
+        assert s.cadence_minutes == 10
+        assert s.missing_mask.tolist() == [False, False, True, False]
+
+    @pytest.mark.parametrize("minutes", [10, 30, 60])
+    def test_cadence_inferred_from_stamps(self, tmp_path, minutes):
+        p = tmp_path / f"every{minutes}.csv"
+        p.write_text("\n".join(_stamped(720, minutes=minutes)) + "\n")
+        s = load_csv(str(p))
+        assert (len(s), int(s.missing_mask.sum()), s.cadence_minutes) == (720, 0, minutes)
+
+    def test_stray_stamp_is_off_cadence_not_a_finer_cadence(self, tmp_path):
+        lines = _stamped(10)
+        lines.insert(6, "2015-04-01T01:30,9.0")  # 10 min after sample 4's stamp
+        p = tmp_path / "stray.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"line 7: off-cadence \(10 min after the previous, "
+                                            r"cadence 20 min\)"):
             load_csv(str(p))
+
+    def test_tied_steps_take_the_smaller(self, tmp_path):
+        p = tmp_path / "tie.csv"
+        p.write_text("2015-04-01T00:00,1.0\n2015-04-01T00:10,2.0\n2015-04-01T00:30,3.0\n"
+                     "2015-04-01T00:40,4.0\n2015-04-01T01:00,5.0\n")
+        assert load_csv(str(p)).cadence_minutes == 10
+
+    def test_single_row_gets_default_cadence(self, tmp_path):
+        p = tmp_path / "one.csv"
+        p.write_text("2015-04-01T00:00,1.0\n")
+        assert load_csv(str(p)).cadence_minutes == TimeSeries.cadence_minutes == 20
+
+    def test_sub_minute_cadence_refused(self, tmp_path):
+        p = tmp_path / "seconds.csv"
+        p.write_text("2015-04-01T00:00:00,1.0\n2015-04-01T00:00:30,2.0\n2015-04-01T00:01:00,3.0\n")
+        with pytest.raises(DataError, match=r"seconds\.csv: cadence of 30 s is not a whole number of minutes"):
+            load_csv(str(p))
+
 
 class TestSeriesRoundTrip:
     def test_write_then_load_exact(self, tmp_path):
@@ -175,13 +209,14 @@ class TestSeriesRoundTrip:
 
     def test_start_carried_from_file(self, tmp_path):
         p = tmp_path / "in.csv"
-        p.write_text("2020-01-01T00:00,1.0\n2020-01-01T00:40,3.0\n")
+        p.write_text("2020-01-01T00:00,1.0\n2020-01-01T00:20,2.0\n2020-01-01T01:00,3.0\n")
         s = load_csv(str(p))
         assert s.start == datetime(2020, 1, 1)
         out = tmp_path / "out.csv"
         write_series_csv(s, str(out))
         assert out.read_text() == (
-            "timestamp,value\n2020-01-01T00:00,1.0\n2020-01-01T00:20,\n2020-01-01T00:40,3.0\n"
+            "timestamp,value\n2020-01-01T00:00,1.0\n2020-01-01T00:20,2.0\n"
+            "2020-01-01T00:40,\n2020-01-01T01:00,3.0\n"
         )
 
     def test_start_with_seconds_round_trips(self, tmp_path):

@@ -67,9 +67,7 @@ class TestMape:
             mape([1.0, 2.0, 0.0], [1.0, 2.0, 3.0])
 
     def test_floor_configurable(self):
-        assert mape([1e-3], [2e-3], epsilon_floor=1e-6) == pytest.approx(100.0)
-        with pytest.raises(ValueError):
-            mape([1e-3], [2e-3], epsilon_floor=1e-2)
+        assert mape([1e-3], [2e-3]) == pytest.approx(100.0)
 
 
 class TestProperties:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from windlssvm import synthetic
 from windlssvm.pipeline import autocorrelation
 from windlssvm.synthetic import SyntheticSpec, generate_synthetic
 
@@ -18,20 +19,10 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.values, b.values)
 
 
-def test_zero_noise_single_sinusoid_exact():
-    spec = SyntheticSpec(
-        n=500, seed=0, mean=8.0, sinusoids=((2.0, 72.0),), ar_std=0.0, noise_std=0.0
-    )
-    out = generate_synthetic(spec)
-    t = np.arange(500, dtype=float)
-    expected = 8.0 + 2.0 * np.sin(2.0 * np.pi * t / 72.0)
-    np.testing.assert_array_equal(out.values, expected)  # min 6 > floor: no shift
-
-
 def test_non_negative_with_floor():
     spec = SyntheticSpec(n=500, seed=5, mean=0.0)  # forces the shift
     out = generate_synthetic(spec)
-    assert out.values.min() >= spec.floor - 1e-12
+    assert out.values.min() >= synthetic.FLOOR - 1e-12
 
 
 def test_default_spec_high_short_lag_correlation():
