@@ -5,10 +5,8 @@ from .lssvm import (
     Hyperparams,
     LssvmModel,
     NumericError,
-    build_kernel_matrix,
     pairwise_sq_dists,
     predict,
-    rbf_kernel,
     train,
 )
 from .metrics import LssvmFitness, MetricReport, hyperparam_space, mae, mape, metric_report, rmse

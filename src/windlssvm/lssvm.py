@@ -19,12 +19,16 @@ so once the saved diagonal is written back the buffer's upper triangle is H
 again and the residual is taken from it with a symmetric matrix-vector
 product.
 
-``predict`` walks the query rows in blocks of ``PREDICT_BLOCK_ROWS``
-through one Fortran-ordered (n_support, PREDICT_BLOCK_ROWS) buffer. Per
-block, the buffer is filled with ||s||^2 + ||q||^2, one ``dgemm`` subtracts
-twice the Gram product of support and query rows, the distances are clamped
-at 0 and turned into kernel values in place, and one ``dgemv`` writes that
-block's slice of the output. A call thus holds one cache-sized block, not an
+``KernelProduct`` owns every RBF kernel-vector product K(Q, S) c, for
+``predict`` and for the validation prediction of
+``metrics.LssvmFitness``. It augments the support rows to [s; ||s||^2; 1]
+and the query rows to [-2q; 1; ||q||^2], so the dot product of a support
+column and a query column is ||s - q||^2. It walks the query rows in blocks
+of ``PREDICT_BLOCK_ROWS`` through one Fortran-ordered
+(n_support, PREDICT_BLOCK_ROWS) buffer. Per block, one ``dgemm`` writes the
+distances already scaled by -1/(2 sigma2), they are clamped at 0 and turned
+into kernel values in place, and one ``dgemv`` writes that block's slice of
+the output. A product thus holds one cache-sized block, not an
 n_query x n_support kernel.
 
 Every dense product of a solve or a prediction goes through
@@ -32,7 +36,9 @@ Every dense product of a solve or a prediction goes through
 own OpenBLAS, and a numpy matrix product leaves that library's worker
 threads spinning into the next factorization, so the two thread pools then
 compete for the same cores. ``predict`` runs between the swarms of an
-experiment, just before the next strategy's first factorization.
+experiment, just before the next strategy's first factorization. The one
+numpy product left, the Gram matrix in ``pairwise_sq_dists``, runs once per
+training set.
 
 The solver refuses to return solutions from systems that are numerically
 singular. Its gates:
@@ -57,9 +63,10 @@ from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
 PIVOT_RTOL = 1e-12
 # Largest acceptable relative residual of the KKT solve.
 RESIDUAL_RTOL = 1e-8
-# Query rows per block in predict. A block of kernel values is
-# PREDICT_BLOCK_ROWS x n_support doubles: about 1.3 MB at the full
-# profile's 2575 support rows, so it stays in a core's L2 cache.
+# Query rows per block of a KernelProduct, and rows per panel in
+# pairwise_sq_dists. A block of kernel values is PREDICT_BLOCK_ROWS x
+# n_support doubles: about 1.3 MB at the full profile's 2575 support rows,
+# so it stays in a core's L2 cache.
 PREDICT_BLOCK_ROWS = 64
 
 
@@ -114,37 +121,25 @@ class LssvmModel:
         object.__setattr__(self, "bias", float(self.bias))
 
 
-def rbf_kernel(x, x2, sigma2: float) -> float:
-    """Gaussian kernel exp(-||x - x2||^2 / (2 sigma2)) of two feature vectors."""
-    x = np.asarray(x, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x.shape != x2.shape or x.ndim != 1:
-        raise ValueError(f"vectors must be 1-D with equal length, got {x.shape} and {x2.shape}")
-    if not np.isfinite(sigma2) or sigma2 <= 0:
-        raise ValueError(f"sigma2 must be a finite positive real, got {sigma2!r}")
-    d = x - x2
-    return float(np.exp(-np.dot(d, d) / (2.0 * sigma2)))
+def pairwise_sq_dists(X) -> np.ndarray:
+    """Squared Euclidean distances between the rows of X.
 
-
-def pairwise_sq_dists(X, X2=None) -> np.ndarray:
-    """Squared Euclidean distances between rows of X and rows of X2 (or X).
-
-    Computed via the Gram-matrix expansion so it stays O(n^2 d) in time and
-    O(n^2) in memory. For X2 is None the result has an exactly zero diagonal
-    and is exactly symmetric.
+    Computed via the Gram-matrix expansion ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j,
+    with the norm sums added onto the Gram product in row panels, so the
+    call allocates one n x n array. The result is exactly symmetric, with an
+    exactly zero diagonal.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    symmetric = X2 is None
-    X2 = X if symmetric else np.atleast_2d(np.asarray(X2, dtype=float))
-    if X.shape[1] != X2.shape[1]:
-        raise ValueError(f"column counts differ: {X.shape[1]} vs {X2.shape[1]}")
-    sq1 = np.einsum("ij,ij->i", X, X)
-    sq2 = sq1 if symmetric else np.einsum("ij,ij->i", X2, X2)
-    d2 = sq1[:, None] + sq2[None, :] - 2.0 * (X @ X2.T)
+    # X @ X.T of a C-contiguous X takes numpy's symmetric-product path,
+    # which makes the Gram matrix exactly symmetric.
+    X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
+    sq = np.einsum("ij,ij->i", X, X)
+    d2 = X @ X.T
+    d2 *= -2.0
+    for start in range(0, len(sq), PREDICT_BLOCK_ROWS):
+        rows = slice(start, start + PREDICT_BLOCK_ROWS)
+        d2[rows] += sq[rows, None] + sq
     np.maximum(d2, 0.0, out=d2)
-    if symmetric:
-        d2 = 0.5 * (d2 + d2.T)
-        np.fill_diagonal(d2, 0.0)
+    np.fill_diagonal(d2, 0.0)
     return d2
 
 
@@ -154,11 +149,6 @@ def kernel_from_sq_dists(sq_dists: np.ndarray, sigma2: float, out=None) -> np.nd
         raise ValueError(f"sigma2 must be a finite positive real, got {sigma2!r}")
     out = np.multiply(sq_dists, -0.5 / sigma2, out=out)
     return np.exp(out, out=out)
-
-
-def build_kernel_matrix(X, sigma2: float) -> np.ndarray:
-    """N x N RBF kernel matrix of the rows of X; symmetric with unit diagonal."""
-    return kernel_from_sq_dists(pairwise_sq_dists(X), sigma2)
 
 
 class TrainingSet:
@@ -250,33 +240,57 @@ def train(X, y, hp: Hyperparams) -> LssvmModel:
     return TrainingSet(X, y).model(hp)
 
 
+class KernelProduct:
+    """Products K(Q, S) c of the RBF kernel between query rows Q and support
+    rows S with a vector c of length n_support, at any sigma2.
+
+    Holds both row sets in augmented form and the one (n_support, block)
+    buffer that every ``matvec`` overwrites, so a product allocates only its
+    output. Products on one instance must not run concurrently.
+    """
+
+    def __init__(self, support: np.ndarray, query):
+        Q = np.atleast_2d(np.asarray(query, dtype=float))
+        (n, d), nq = support.shape, Q.shape[0]
+        if Q.shape[1] != d:
+            raise ValueError(f"query dimension {Q.shape[1]} != model dimension {d}")
+        # Fortran-ordered, so each row's augmented column and every block of
+        # query columns is contiguous and the BLAS calls take it without a
+        # copy. The norms are summed from these copies, so they do not depend
+        # on the callers' memory layouts.
+        self._Sa = np.empty((d + 2, n), order="F")
+        self._Sa[:d] = support.T
+        self._Sa[d] = np.square(self._Sa[:d]).sum(axis=0)
+        self._Sa[d + 1] = 1.0
+        self._Qa = np.empty((d + 2, nq), order="F")
+        self._Qa[:d] = Q.T
+        self._Qa[d] = 1.0
+        self._Qa[d + 1] = np.square(self._Qa[:d]).sum(axis=0)
+        self._Qa[:d] *= -2.0
+        self._buf = np.empty((n, min(PREDICT_BLOCK_ROWS, nq)), order="F")
+
+    def matvec(self, sigma2: float, coeffs) -> np.ndarray:
+        """sum_i coeffs_i exp(-||q - s_i||^2 / (2 sigma2)) at each query row q."""
+        nq = self._Qa.shape[1]
+        out = np.empty(nq)
+        for start in range(0, nq, PREDICT_BLOCK_ROWS):
+            stop = min(start + PREDICT_BLOCK_ROWS, nq)
+            # -||s - q||^2 / (2 sigma2), clamped at 0 against rounding.
+            block = blas.dgemm(-0.5 / sigma2, self._Sa, self._Qa[:, start:stop],
+                               c=self._buf[:, : stop - start], trans_a=1, overwrite_c=1)
+            np.minimum(block, 0.0, out=block)
+            np.exp(block, out=block)
+            out[start:stop] = blas.dgemv(1.0, block, coeffs, trans=1)
+        return out
+
+
 def predict(model: LssvmModel, Xq) -> np.ndarray:
     """Evaluate f(x) = sum_i a_i k(x, x_i) + b at each query row of Xq.
 
-    The query rows are taken ``PREDICT_BLOCK_ROWS`` at a time through one
-    (n_support, PREDICT_BLOCK_ROWS) buffer, so a call holds no
-    n_query x n_support array.
+    The kernel is taken ``PREDICT_BLOCK_ROWS`` query rows at a time (see
+    ``KernelProduct``), so a call holds no n_query x n_support array.
     """
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    S = model.support_inputs
-    if Xq.shape[1] != S.shape[1]:
-        raise ValueError(f"query dimension {Xq.shape[1]} != model dimension {S.shape[1]}")
-    nq = Xq.shape[0]
-    sq_s = np.square(S).sum(axis=1)
-    sq_q = np.square(Xq).sum(axis=1)
-    out = np.empty(nq)
-    # Fortran-ordered, so every block buf[:, :m] is contiguous and the BLAS
-    # calls take it without a copy.
-    buf = np.empty((S.shape[0], min(PREDICT_BLOCK_ROWS, nq)), order="F")
-    for start in range(0, nq, PREDICT_BLOCK_ROWS):
-        rows = slice(start, min(start + PREDICT_BLOCK_ROWS, nq))
-        q = Xq[rows]
-        # (||s||^2 + ||q||^2) - 2 S q^T, clamped at 0 against rounding.
-        block = buf[:, : q.shape[0]]
-        np.add(sq_s[:, None], sq_q[rows], out=block)
-        block = blas.dgemm(-2.0, S.T, q.T, beta=1.0, c=block, trans_a=1, overwrite_c=1)
-        np.maximum(block, 0.0, out=block)
-        kernel_from_sq_dists(block, model.hyperparams.sigma2, out=block)
-        out[rows] = blas.dgemv(1.0, block, model.dual_coeffs, trans=1)
+    product = KernelProduct(model.support_inputs, Xq)
+    out = product.matvec(model.hyperparams.sigma2, model.dual_coeffs)
     out += model.bias
     return out

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import lssvm
 from .pipeline import LaggedDataset
@@ -84,14 +83,16 @@ class LssvmFitness:
 
     A position (p0, p1) decodes to gamma = 10**p0, sigma2 = 10**p1. The
     fitness holds an ``lssvm.TrainingSet`` of the training block, which owns
-    the squared distances and the n x n buffer of the dual solve, and makes
-    the validation-to-training distances and the (n_val, n) validation
-    kernel buffer once. The validation prediction goes through
-    ``scipy.linalg.blas``, like the solve, so a call uses one BLAS library.
-    Solver failures yield +inf. ``model(position)`` retrains at a position
-    in the same buffer. A call's value depends only on its position, but
-    the buffers make calls on one instance unsafe to issue concurrently:
-    use one instance per thread or process.
+    the squared distances and the n x n buffer of the dual solve, and an
+    ``lssvm.KernelProduct`` of the validation rows against the training
+    rows, the path ``lssvm.predict`` takes. It holds no (n_val, n)
+    distances or kernel: the product walks the validation rows in
+    cache-sized blocks, so a call's value equals the RMSE of ``predict`` on
+    ``model(position)`` bit for bit. Solver failures yield +inf.
+    ``model(position)`` retrains at a position in the same buffer. A call's
+    value depends only on its position, but the buffers make calls on one
+    instance unsafe to issue concurrently: use one instance per thread or
+    process.
     """
 
     def __init__(self, train: LaggedDataset, val: LaggedDataset):
@@ -99,8 +100,7 @@ class LssvmFitness:
             raise ValueError("train and validation datasets use different lags")
         self.val = val
         self.training_set = lssvm.TrainingSet(train.features, train.targets)
-        self.sq_val = lssvm.pairwise_sq_dists(val.features, train.features)
-        self._Kv = np.empty((val.n_rows, train.n_rows))
+        self._val_kernel = lssvm.KernelProduct(self.training_set.X, val.features)
 
     def decode(self, position) -> lssvm.Hyperparams:
         position = np.asarray(position, dtype=float).ravel()
@@ -114,10 +114,7 @@ class LssvmFitness:
             alpha, b = self.training_set.solve(hp)
         except lssvm.NumericError:
             return np.inf
-        Kv = lssvm.kernel_from_sq_dists(self.sq_val, hp.sigma2, out=self._Kv)
-        # Kv.T is Fortran-ordered, so f2py passes it without a copy.
-        pred = blas.dgemv(1.0, Kv.T, alpha, trans=1) + b
-        return rmse(self.val.targets, pred)
+        return rmse(self.val.targets, self._val_kernel.matvec(hp.sigma2, alpha) + b)
 
     def model(self, position) -> lssvm.LssvmModel:
         """The training block's model at ``position``; raises ``lssvm.NumericError``."""

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from windlssvm.experiment import ExperimentConfig, PERSISTENCE, run_experiment, write_report
-from windlssvm.lssvm import Hyperparams, NumericError, build_kernel_matrix, predict, train
+from windlssvm.lssvm import Hyperparams, NumericError, predict, train
 from windlssvm.metrics import mae, mape, rmse
 from windlssvm.pipeline import mutual_information
 from windlssvm.swarm import (
@@ -30,7 +30,7 @@ from windlssvm.swarm import (
 )
 from windlssvm.synthetic import SyntheticSpec
 
-from test_lssvm import kkt_oracle
+from test_lssvm import build_kernel_matrix, kkt_oracle
 from test_pipeline import entropy_oracle
 
 

@@ -11,12 +11,28 @@ from windlssvm.lssvm import (
     Hyperparams,
     LssvmModel,
     NumericError,
-    build_kernel_matrix,
+    kernel_from_sq_dists,
     pairwise_sq_dists,
     predict,
-    rbf_kernel,
     train,
 )
+
+
+def rbf_kernel(x, x2, sigma2: float) -> float:
+    """Gaussian kernel exp(-||x - x2||^2 / (2 sigma2)) of two feature vectors."""
+    x = np.asarray(x, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x.shape != x2.shape or x.ndim != 1:
+        raise ValueError(f"vectors must be 1-D with equal length, got {x.shape} and {x2.shape}")
+    if not np.isfinite(sigma2) or sigma2 <= 0:
+        raise ValueError(f"sigma2 must be a finite positive real, got {sigma2!r}")
+    d = x - x2
+    return float(np.exp(-np.dot(d, d) / (2.0 * sigma2)))
+
+
+def build_kernel_matrix(X, sigma2: float) -> np.ndarray:
+    """N x N RBF kernel matrix of the rows of X; symmetric with unit diagonal."""
+    return kernel_from_sq_dists(pairwise_sq_dists(X), sigma2)
 
 
 def kkt_oracle(X, y, gamma, sigma2):
@@ -273,7 +289,7 @@ class TestPredict:
     @pytest.mark.parametrize("n", [1, 300])
     @pytest.mark.parametrize(
         "nq",
-        [1, lssvm.PREDICT_BLOCK_ROWS - 1, lssvm.PREDICT_BLOCK_ROWS,
+        [0, 1, lssvm.PREDICT_BLOCK_ROWS - 1, lssvm.PREDICT_BLOCK_ROWS,
          lssvm.PREDICT_BLOCK_ROWS + 1, 2 * lssvm.PREDICT_BLOCK_ROWS + 3],
     )
     def test_matches_per_row_rbf_sum(self, nq, n):
@@ -285,7 +301,7 @@ class TestPredict:
             [a * rbf_kernel(x, s, hp.sigma2)
              for a, s in zip(model.dual_coeffs, model.support_inputs)] + [model.bias]
             for x in Xq
-        ])
+        ]).reshape(nq, n + 1)
         # relative to the summed term magnitudes, since terms of both signs cancel
         scale = np.abs(terms).sum(axis=1)
         err = np.abs(predict(model, Xq) - terms.sum(axis=1))
@@ -325,6 +341,18 @@ class TestModelValidation:
             model.dual_coeffs[0] = 99.0
 
 
+def reference_sq_dists(X):
+    """The plain Gram expansion with whole n x n temporaries, symmetrised at
+    the end: pairwise_sq_dists must reproduce it bit for bit."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    sq = np.einsum("ij,ij->i", X, X)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    d2 = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
 class TestPairwiseSqDists:
     def test_zero_diagonal_symmetric(self):
         rng = np.random.default_rng(4)
@@ -337,13 +365,35 @@ class TestPairwiseSqDists:
     def test_matches_direct_computation(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(7, 2))
-        X2 = rng.normal(size=(5, 2))
-        D = pairwise_sq_dists(X, X2)
+        D = pairwise_sq_dists(X)
         for i in range(7):
-            for j in range(5):
-                ref = float(np.sum((X[i] - X2[j]) ** 2))
+            for j in range(7):
+                ref = float(np.sum((X[i] - X[j]) ** 2))
                 assert D[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            pairwise_sq_dists(np.ones((2, 2)), np.ones((2, 3)))
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 2), (63, 5), (64, 10), (65, 10),
+                                       (300, 3), (858, 10)])
+    def test_bit_identical_to_reference_formula(self, shape):
+        X = np.random.default_rng(shape[0]).uniform(0, 25, shape)
+        assert np.array_equal(pairwise_sq_dists(X), reference_sq_dists(X))
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_exactly_symmetric_on_non_contiguous_input(self, layout):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 25, (150, 12))
+        X = np.asfortranarray(X) if layout == "fortran" else X[:, ::2]
+        D = pairwise_sq_dists(X)
+        assert np.array_equal(D, D.T)
+        np.testing.assert_array_equal(np.diag(D), 0.0)
+        assert np.all(D >= 0)
+
+    def test_peak_memory_is_one_square_array(self):
+        n = 1000
+        X = np.random.default_rng(3).uniform(0, 25, (n, 10))
+        tracemalloc.start()
+        try:
+            pairwise_sq_dists(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8

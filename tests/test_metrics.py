@@ -198,6 +198,32 @@ class TestLssvmFitness:
         assert again == first and np.isfinite(first)
         assert peak < 0.5 * n_val * n * 8
 
+    def test_equals_rmse_of_predict_on_model(self):
+        # Validation and predict share one kernel-vector product.
+        rng = np.random.default_rng(14)
+        tr = _dataset(rng.uniform(0, 20, (150, 4)), rng.uniform(0, 20, 150), (1, 2, 3, 4))
+        va = _dataset(rng.uniform(0, 20, (140, 4)), rng.uniform(0, 20, 140), (1, 2, 3, 4))
+        fit = LssvmFitness(tr, va)
+        for p in ([2.0, 1.5], [-1.0, 3.0], [4.5, 2.2], [0.3, 4.6]):
+            p = np.array(p)
+            got = fit(p)
+            assert np.isfinite(got)
+            assert got == rmse(va.targets, lssvm.predict(fit.model(p), va.features))
+
+    def test_holds_no_validation_kernel(self):
+        rng = np.random.default_rng(9)
+        n, n_val = 300, 1200
+        tr = _dataset(rng.uniform(0, 20, (n, 3)), rng.uniform(0, 20, n), (1, 2, 3))
+        va = _dataset(rng.uniform(0, 20, (n_val, 3)), rng.uniform(0, 20, n_val), (1, 2, 3))
+        tracemalloc.start()
+        try:
+            fit = LssvmFitness(tr, va)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(fit(np.array([2.0, 1.5])))
+        assert retained < 2 * n * n * 8 + 0.5 * n_val * n * 8
+
     def test_model_matches_fresh_train(self):
         # Same rows as test_scratch_buffers_carry_no_state: the failing
         # positions leave the shared buffer in a factorized state.
@@ -237,7 +263,8 @@ class TestLssvmFitness:
         np.testing.assert_array_equal(again.dual_coeffs, first.dual_coeffs)
         assert peak < 0.5 * n * n * 8
 
-    @pytest.mark.parametrize("func", [lssvm.TrainingSet.solve, lssvm.predict, LssvmFitness.__call__])
+    @pytest.mark.parametrize("func", [lssvm.TrainingSet.solve, lssvm.predict, LssvmFitness.__call__,
+                                      lssvm.KernelProduct.__init__, lssvm.KernelProduct.matvec])
     def test_no_numpy_matrix_product_in_hot_path(self, func):
         banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
