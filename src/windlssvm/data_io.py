@@ -6,7 +6,9 @@ empty value field marks a missing sample.
 Timestamps are ISO 8601 (``2015-04-01T00:20``) and strictly increasing in
 whole multiples of the cadence: the most common step between stamps (the
 smaller on a tie), in whole minutes. A step of k cadences marks the k - 1
-samples in between as missing.
+samples in between as missing. An outage is one long step, but
+``CADENCE_CHANGE_STEPS`` (3) or more equal long steps in a row mean that
+the logger changed its cadence part way, and the file is refused.
 
 Model files are little-endian binary: magic ``LSVM``, format version (u32),
 support row/column counts (u64 each), gamma and sigma2 (f64), the support
@@ -36,6 +38,8 @@ MODEL_MAGIC = b"LSVM"
 MODEL_VERSION = 1
 
 DEFAULT_START = datetime(2015, 4, 1, 0, 0)
+# Consecutive equal steps longer than the cadence that mark a cadence change.
+CADENCE_CHANGE_STEPS = 3
 _TIMESTAMP_FMT = "%Y-%m-%dT%H:%M"
 
 
@@ -59,8 +63,9 @@ def load_csv(path: str) -> TimeSeries:
     and timestamp gaps become missing samples.
 
     Raises DataError naming the offending 1-based line for malformed rows,
-    unparseable, duplicate, out-of-order or off-cadence timestamps, and for
-    empty files or a cadence that is not a whole number of minutes.
+    unparseable, duplicate, out-of-order or off-cadence timestamps and the
+    first stamp after a change of cadence, and for empty files or a cadence
+    that is not a whole number of minutes.
     """
     stamps = []
     linenos = []
@@ -115,6 +120,16 @@ def load_csv(path: str) -> TimeSeries:
             else f"off-cadence ({step[i] / 60:g} min after the previous, cadence {cadence // 60} min)"
         )
         raise DataError(f"{path}: line {linenos[i + 1]}: {what} timestamp {stamps[i + 1]!r}")
+    if step.size >= CADENCE_CHANGE_STEPS:
+        runs = np.lib.stride_tricks.sliding_window_view(step, CADENCE_CHANGE_STEPS)
+        changed = (runs[:, 0] > cadence) & (runs == runs[:, :1]).all(axis=1)
+        if changed.any():
+            i = int(np.flatnonzero(changed)[0])
+            raise DataError(
+                f"{path}: line {linenos[i + 1]}: cadence changes at timestamp {stamps[i + 1]!r}: "
+                f"{CADENCE_CHANGE_STEPS} or more steps of {step[i] / 60:g} min in a row, "
+                f"cadence {cadence // 60} min"
+            )
     # Place each row on its cadence slot; slots no row fills are missing.
     slot = (t - t[0]) // cadence
     filled = np.full(slot[-1] + 1, np.nan)

@@ -11,34 +11,38 @@ one Cholesky factorization of H solves H eta = 1 and H nu = y together, and
 then b = 1^T nu / 1^T eta and a = nu - b eta (Suykens et al., Least Squares
 Support Vector Machines, 2002, ch. 3).
 
-``TrainingSet`` owns a training set's squared distances and the one
-Fortran-ordered n x n buffer that all of its solves share. The kernel is
-written into it, 1/gamma is added to the diagonal, and the Cholesky factor L
-overwrites the lower triangle only. The strict upper triangle still holds K,
-so once the saved diagonal is written back the buffer's upper triangle is H
-again and the residual is taken from it with a symmetric matrix-vector
-product.
+``KernelProduct`` owns every RBF kernel evaluation: the training kernel of
+a solve, and the kernel-vector products K(Q, S) c of ``predict`` and of the
+validation prediction of ``metrics.LssvmFitness``. It augments the support
+rows to [s; ||s||^2; 1] and the query rows to [-2q; 1; ||q||^2], so the dot
+product of a support column and a query column is ||s - q||^2. It walks the
+query rows in blocks of ``PREDICT_BLOCK_ROWS`` through one scratch array of
+at most n_support x PREDICT_BLOCK_ROWS doubles. Per block, one ``dgemm``
+writes the distances already scaled by -1/(2 sigma2), and they are clamped
+at 0 and turned into kernel values. ``matvec`` then takes one ``dgemv`` per block, so
+a product holds one cache-sized block, not an n_query x n_support kernel.
+``fill_kernel`` writes K(S, S) into a caller's n x n array: per column panel
+it computes each pair on or below the diagonal once, and mirrors it above
+the diagonal, so the kernel is exactly symmetric with a unit diagonal.
 
-``KernelProduct`` owns every RBF kernel-vector product K(Q, S) c, for
-``predict`` and for the validation prediction of
-``metrics.LssvmFitness``. It augments the support rows to [s; ||s||^2; 1]
-and the query rows to [-2q; 1; ||q||^2], so the dot product of a support
-column and a query column is ||s - q||^2. It walks the query rows in blocks
-of ``PREDICT_BLOCK_ROWS`` through one Fortran-ordered
-(n_support, PREDICT_BLOCK_ROWS) buffer. Per block, one ``dgemm`` writes the
-distances already scaled by -1/(2 sigma2), they are clamped at 0 and turned
-into kernel values in place, and one ``dgemv`` writes that block's slice of
-the output. A product thus holds one cache-sized block, not an
-n_query x n_support kernel.
+``TrainingSet`` owns a training set's ``KernelProduct`` with itself, and the
+one Fortran-ordered n x n buffer that all of its solves share; it keeps no
+distances. The kernel is filled into the buffer, 1/gamma is added to the
+diagonal, and the Cholesky factor L overwrites the lower triangle only. The
+strict upper triangle still holds the mirrored K, so once the saved diagonal
+is written back the buffer's upper triangle is H again, the same numbers the
+factorization read, and the residual is taken from it with a symmetric
+matrix-vector product.
 
 Every dense product of a solve or a prediction goes through
 ``scipy.linalg.blas``, the OpenBLAS that ``cho_factor`` uses. numpy loads its
 own OpenBLAS, and a numpy matrix product leaves that library's worker
 threads spinning into the next factorization, so the two thread pools then
 compete for the same cores. ``predict`` runs between the swarms of an
-experiment, just before the next strategy's first factorization. The one
-numpy product left, the Gram matrix in ``pairwise_sq_dists``, runs once per
-training set.
+experiment, just before the next strategy's first factorization. No numpy
+product is left on the solve or prediction path. ``pairwise_sq_dists`` and
+``kernel_from_sq_dists``, which build a whole distance or kernel matrix,
+are not on it.
 
 The solver refuses to return solutions from systems that are numerically
 singular. Its gates:
@@ -63,10 +67,10 @@ from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
 PIVOT_RTOL = 1e-12
 # Largest acceptable relative residual of the KKT solve.
 RESIDUAL_RTOL = 1e-8
-# Query rows per block of a KernelProduct, and rows per panel in
-# pairwise_sq_dists. A block of kernel values is PREDICT_BLOCK_ROWS x
-# n_support doubles: about 1.3 MB at the full profile's 2575 support rows,
-# so it stays in a core's L2 cache.
+# Query rows per block of a KernelProduct (columns per panel of its
+# fill_kernel), and rows per panel in pairwise_sq_dists. A block of kernel
+# values is PREDICT_BLOCK_ROWS x n_support doubles: about 1.3 MB at the full
+# profile's 2575 support rows, so it stays in a core's L2 cache.
 PREDICT_BLOCK_ROWS = 64
 
 
@@ -152,9 +156,10 @@ def kernel_from_sq_dists(sq_dists: np.ndarray, sigma2: float, out=None) -> np.nd
 
 
 class TrainingSet:
-    """Checked training inputs, their squared distances and the one n x n
-    buffer that every ``solve`` overwrites, so a solve allocates no n x n
-    array. Solves on one instance must not run concurrently.
+    """Checked training inputs, their ``KernelProduct`` with themselves and
+    the one Fortran-ordered n x n buffer that every ``solve`` overwrites, so
+    a solve allocates no n x n array. Solves on one instance must not run
+    concurrently.
     """
 
     def __init__(self, X, y):
@@ -168,7 +173,7 @@ class TrainingSet:
             raise ValueError("training data must be finite")
         self.X = X
         self.y = y
-        self.sq_dists = pairwise_sq_dists(X)
+        self._kernel = KernelProduct(X, X)
         self._H = np.empty((len(y), len(y)), order="F")
 
     def solve(self, hp: Hyperparams) -> tuple[np.ndarray, float]:
@@ -185,9 +190,7 @@ class TrainingSet:
         if n == 1:
             # 1^T a = 0 forces a = 0, and then b = y_0.
             return np.zeros(1), float(y[0])
-        # sq_dists is exactly symmetric, so writing K into H^T (the contiguous
-        # view of H) writes K into H.
-        kernel_from_sq_dists(self.sq_dists, hp.sigma2, out=H.T)
+        self._kernel.fill_kernel(hp.sigma2, H)
         H[np.diag_indices(n)] += 1.0 / hp.gamma
         diag = H.diagonal().copy()
 
@@ -242,11 +245,13 @@ def train(X, y, hp: Hyperparams) -> LssvmModel:
 
 class KernelProduct:
     """Products K(Q, S) c of the RBF kernel between query rows Q and support
-    rows S with a vector c of length n_support, at any sigma2.
+    rows S with a vector c of length n_support, at any sigma2, and, when Q
+    is S, the whole n x n kernel K(S, S).
 
-    Holds both row sets in augmented form and the one (n_support, block)
-    buffer that every ``matvec`` overwrites, so a product allocates only its
-    output. Products on one instance must not run concurrently.
+    Holds both row sets in augmented form and one flat scratch array of
+    n_support * min(PREDICT_BLOCK_ROWS, n_query) doubles that every call
+    overwrites: a product allocates only its output, and a fill nothing.
+    Calls on one instance must not run concurrently.
     """
 
     def __init__(self, support: np.ndarray, query):
@@ -267,7 +272,19 @@ class KernelProduct:
         self._Qa[d] = 1.0
         self._Qa[d + 1] = np.square(self._Qa[:d]).sum(axis=0)
         self._Qa[:d] *= -2.0
-        self._buf = np.empty((n, min(PREDICT_BLOCK_ROWS, nq)), order="F")
+        # Flat, so that every (m, w) block viewed from its head is contiguous:
+        # f2py writes in place only into contiguous arrays.
+        self._scratch = np.empty(n * min(PREDICT_BLOCK_ROWS, nq))
+
+    def _scaled_sq_dists(self, sigma2: float, first: int, start: int, stop: int):
+        """-||s - q||^2 / (2 sigma2) for the support rows from ``first`` on
+        and the query rows start:stop, clamped at 0 against rounding, as a
+        Fortran-ordered view of the scratch array."""
+        m, w = self._Sa.shape[1] - first, stop - start
+        block = self._scratch[: m * w].reshape(m, w, order="F")
+        block = blas.dgemm(-0.5 / sigma2, self._Sa[:, first:], self._Qa[:, start:stop],
+                           c=block, trans_a=1, overwrite_c=1)
+        return np.minimum(block, 0.0, out=block)
 
     def matvec(self, sigma2: float, coeffs) -> np.ndarray:
         """sum_i coeffs_i exp(-||q - s_i||^2 / (2 sigma2)) at each query row q."""
@@ -275,13 +292,29 @@ class KernelProduct:
         out = np.empty(nq)
         for start in range(0, nq, PREDICT_BLOCK_ROWS):
             stop = min(start + PREDICT_BLOCK_ROWS, nq)
-            # -||s - q||^2 / (2 sigma2), clamped at 0 against rounding.
-            block = blas.dgemm(-0.5 / sigma2, self._Sa, self._Qa[:, start:stop],
-                               c=self._buf[:, : stop - start], trans_a=1, overwrite_c=1)
-            np.minimum(block, 0.0, out=block)
+            block = self._scaled_sq_dists(sigma2, 0, start, stop)
             np.exp(block, out=block)
             out[start:stop] = blas.dgemv(1.0, block, coeffs, trans=1)
         return out
+
+    def fill_kernel(self, sigma2: float, out: np.ndarray):
+        """Write K(S, S) into the n x n array ``out``; the query rows must be
+        the support rows.
+
+        Column panel by column panel, each pair is computed once, on or below
+        the diagonal, and mirrored above it, so ``out`` is exactly symmetric,
+        with a unit diagonal.
+        """
+        n = self._Sa.shape[1]
+        for start in range(0, n, PREDICT_BLOCK_ROWS):
+            stop = min(start + PREDICT_BLOCK_ROWS, n)
+            w = stop - start
+            panel = np.exp(self._scaled_sq_dists(sigma2, start, start, stop),
+                           out=out[start:, start:stop])
+            top = panel[:w]
+            np.copyto(top, top.T, where=np.tri(w, k=-1, dtype=bool).T)
+            np.fill_diagonal(top, 1.0)
+            out[start:stop, stop:] = panel[w:].T
 
 
 def predict(model: LssvmModel, Xq) -> np.ndarray:

@@ -83,10 +83,10 @@ class LssvmFitness:
 
     A position (p0, p1) decodes to gamma = 10**p0, sigma2 = 10**p1. The
     fitness holds an ``lssvm.TrainingSet`` of the training block, which owns
-    the squared distances and the n x n buffer of the dual solve, and an
-    ``lssvm.KernelProduct`` of the validation rows against the training
-    rows, the path ``lssvm.predict`` takes. It holds no (n_val, n)
-    distances or kernel: the product walks the validation rows in
+    the augmented training rows and the n x n buffer of the dual solve, and
+    an ``lssvm.KernelProduct`` of the validation rows against the training
+    rows, the path ``lssvm.predict`` takes. It holds no distances, and no
+    (n_val, n) kernel: the product walks the validation rows in
     cache-sized blocks, so a call's value equals the RMSE of ``predict`` on
     ``model(position)`` bit for bit. Solver failures yield +inf.
     ``model(position)`` retrains at a position in the same buffer. A call's

@@ -186,6 +186,35 @@ class TestTimestamps:
                      "2015-04-01T00:40,4.0\n2015-04-01T01:00,5.0\n")
         assert load_csv(str(p)).cadence_minutes == 10
 
+    def test_cadence_change_refused(self, tmp_path):
+        # 20-minute stamps to 10:00, then 10-minute means: the 10-minute mode
+        # would leave every other slot of the first part masked.
+        lines = _stamped(31) + _stamped(60, start=61, minutes=10)[1:]
+        p = tmp_path / "change.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"change\.csv: line 3: cadence changes at timestamp "
+                                            r"'2015-04-01T00:20': 3 or more steps of 20 min in a "
+                                            r"row, cadence 10 min"):
+            load_csv(str(p))
+
+    def test_cadence_change_later_in_file_refused(self, tmp_path):
+        lines = _stamped(40, minutes=10) + _stamped(20, start=20)[1:]
+        p = tmp_path / "later.csv"
+        p.write_text("\n".join(lines) + "\n")
+        # 06:30 to 06:40 is still 10 minutes; 07:00 is the first stamp 20 after.
+        with pytest.raises(DataError, match=r"line 43: cadence changes at timestamp "
+                                            r"'2015-04-01T07:00'"):
+            load_csv(str(p))
+
+    def test_short_runs_of_long_steps_still_load(self, tmp_path):
+        # Two equal long steps in a row, then one longer: outages, not a change.
+        minutes = [0, 10, 20, 40, 60, 70, 80, 110, 120]
+        base = np.datetime64("2015-04-01T00:00")
+        p = tmp_path / "outages.csv"
+        p.write_text("".join(f"{base + np.timedelta64(m, 'm')},1.0\n" for m in minutes))
+        s = load_csv(str(p))
+        assert (s.cadence_minutes, len(s), int(s.missing_mask.sum())) == (10, 13, 4)
+
     def test_single_row_gets_default_cadence(self, tmp_path):
         p = tmp_path / "one.csv"
         p.write_text("2015-04-01T00:00,1.0\n")

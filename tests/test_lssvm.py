@@ -397,3 +397,42 @@ class TestPairwiseSqDists:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
+
+
+class TestTrainingKernel:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_fill_is_exactly_symmetric_with_unit_diagonal(self, n):
+        X = np.random.default_rng(n).uniform(0, 25, (n, 10))
+        product = lssvm.KernelProduct(X, X)
+        for sigma2 in (8.0, 75.0, 900.0, 4e4):
+            H = np.full((n, n), np.nan, order="F")
+            product.fill_kernel(sigma2, H)
+            assert np.array_equal(H, H.T)
+            np.testing.assert_array_equal(np.diag(H), 1.0)
+            assert np.abs(H - build_kernel_matrix(X, sigma2)).max() <= 1e-13
+
+    def test_training_set_retains_one_square_array(self):
+        n = 1000
+        X = np.random.default_rng(21).uniform(0, 25, (n, 10))
+        y = np.random.default_rng(22).uniform(0, 20, n)
+        tracemalloc.start()
+        try:
+            training_set = lssvm.TrainingSet(X, y)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 1.25 * n * n * 8
+
+    def test_solves_repeat_bit_identically(self):
+        rng = np.random.default_rng(23)
+        X = rng.uniform(0, 25, (300, 6))
+        y = rng.uniform(0, 20, 300)
+        first, second = lssvm.TrainingSet(X, y), lssvm.TrainingSet(X.copy(), y.copy())
+        points = [Hyperparams(1e-3, 10.0), Hyperparams(10.0, 200.0),
+                  Hyperparams(1e3, 3e3), Hyperparams(1e5, 4e4)]
+        want = [first.solve(hp) for hp in points]
+        for hp, (alpha, b) in zip(points * 2, want * 2):
+            for training_set in (first, second):
+                got_alpha, got_b = training_set.solve(hp)
+                np.testing.assert_array_equal(got_alpha, alpha)
+                assert got_b == b

@@ -264,7 +264,9 @@ class TestLssvmFitness:
         assert peak < 0.5 * n * n * 8
 
     @pytest.mark.parametrize("func", [lssvm.TrainingSet.solve, lssvm.predict, LssvmFitness.__call__,
-                                      lssvm.KernelProduct.__init__, lssvm.KernelProduct.matvec])
+                                      lssvm.KernelProduct.__init__, lssvm.KernelProduct.matvec,
+                                      lssvm.KernelProduct.fill_kernel,
+                                      lssvm.KernelProduct._scaled_sq_dists])
     def test_no_numpy_matrix_product_in_hot_path(self, func):
         banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
