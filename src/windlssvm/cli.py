@@ -61,11 +61,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _dataclass_from_dict(cls, d: dict, label: str | None = None):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(d) - known)
+    label = label or cls.__name__
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = sorted(set(d) - set(types))
     if unknown:
-        raise ValueError(f"unknown {label or cls.__name__} keys: {unknown}")
+        raise ValueError(f"unknown {label} keys: {unknown}")
+    for name, value in d.items():
+        # The config modules postpone annotations, so a type is its source text.
+        if types[name] == "int" and not _is_int(value):
+            raise ValueError(f"{label} key {name!r} must be an integer, got {value!r}")
     return cls(**d)
 
 
@@ -185,12 +194,45 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
         raise UsageError(f"config file not found: {exc.filename}") from None
 
 
+def _distinct_positive_ints(lags) -> bool:
+    return (isinstance(lags, list) and bool(lags) and len(set(lags)) == len(lags)
+            and all(_is_int(v) and v >= 1 for v in lags))
+
+
 def _lag_list(text: str) -> list[int]:
     """``--lags``: distinct positive integers separated by commas."""
     lags = [int(tok) if tok.strip().isdecimal() else 0 for tok in text.split(",")]
-    if min(lags) < 1 or len(set(lags)) != len(lags):
+    if not _distinct_positive_ints(lags):
         raise argparse.ArgumentTypeError(f"expected distinct positive integers, got {text!r}")
     return lags
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# Model sidecar keys: (key, required, check, what the check wants). The
+# optional keys were added after the first sidecars were written.
+SIDECAR_KEYS = (
+    ("format", True, lambda v: v == 1 and _is_int(v), "1"),
+    ("lags", True, _distinct_positive_ints, "distinct positive integers"),
+    ("n_lags", True, _is_int, "an integer"),
+    ("z_threshold", False, lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive real"),
+    ("split", False, lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_real, v)),
+     "three fractions"),
+)
+
+
+def _check_sidecar(meta, path: str):
+    """Raise DataError, naming ``path``, unless ``meta`` has the shape that
+    ``prepare_data`` gives a sidecar."""
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: sidecar root must be a JSON object")
+    for key, required, check, wanted in SIDECAR_KEYS:
+        if key not in meta and required:
+            raise DataError(f"{path}: sidecar has no {key!r}")
+        if key in meta and not check(meta[key]):
+            raise DataError(f"{path}: sidecar {key!r} must be {wanted}, got {meta[key]!r}")
 
 
 # ---------------------------------------------------------------- commands
@@ -285,6 +327,7 @@ def _model_and_dataset(args):
             )
         with open(meta_path, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
+        _check_sidecar(meta, meta_path)
     elif args.lags:
         meta = {"lags": args.lags, "n_lags": max(args.lags)}
     else:
@@ -299,7 +342,7 @@ def _model_and_dataset(args):
         raise DataError(f"{args.input}: {series.cadence_minutes}-minute cadence, "
                         f"but the model was trained on a {trained}-minute series")
     cleaned, _ = clean(series, meta.get("z_threshold", ExperimentConfig.z_threshold))
-    ds = make_lagged_dataset(cleaned, int(meta["n_lags"]))
+    ds = make_lagged_dataset(cleaned, meta["n_lags"])
     return model, meta, take_lags(ds, meta["lags"])
 
 

@@ -203,12 +203,31 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     return PreparedData(train, val, test, selected, n_replaced, persistence_pred, meta)
 
 
-def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
-    """Execute the full protocol and return per-trial plus aggregate results.
+def run_job(data, fitness, space, swarm_cfg, strategy, trial) -> TrialResult:
+    """One (trial, strategy) job: tune with ``OPTIMIZERS[strategy]``, retrain
+    the winner on the train block and score it on the test block. A
+    ``NumericError`` or ``ValueError`` becomes the result's error. Every
+    field but ``wall_time`` depends only on the arguments."""
+    t0 = time.perf_counter()
+    try:
+        # Looked up on each call: benchmark harnesses wrap the dict entries.
+        opt = OPTIMIZERS[strategy](fitness, space, swarm_cfg)
+        model = fitness.model(opt.best_position)
+        pred = lssvm.predict(model, data.test.features)
+        hp = model.hyperparams
+        result = TrialResult(strategy, trial, swarm_cfg.seed, hp.gamma, hp.sigma2,
+                             metrics=metric_report(data.test.targets, pred),
+                             evaluations=opt.evaluations, predictions=pred, model=model)
+    except (lssvm.NumericError, ValueError) as exc:
+        result = TrialResult(strategy, trial, swarm_cfg.seed, error=f"{type(exc).__name__}: {exc}")
+    result.wall_time = time.perf_counter() - t0
+    return result
 
-    A failing trial/strategy combination is recorded with its error and the
-    remaining combinations still run.
-    """
+
+def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
+    """Prepare the data, run the (trial, strategy) jobs in that fixed order,
+    seeding trial t with base_seed + t, and merge the results. A failed job
+    is recorded with its error; the other jobs still run."""
     data = prepare_data(config)
     log(
         f"data ready: {data.train.n_rows}/{data.val.n_rows}/{data.test.n_rows} rows, "
@@ -217,28 +236,15 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
 
     fitness = LssvmFitness(data.train, data.val)
     space = hyperparam_space(config.gamma_range, config.sigma2_range)
-    persistence_metrics = metric_report(data.test.targets, data.persistence_pred)
+    persistence = TrialResult(PERSISTENCE, 0, config.base_seed, evaluations=0, wall_time=0.0,
+                              metrics=metric_report(data.test.targets, data.persistence_pred),
+                              predictions=data.persistence_pred)
 
     trials: list[TrialResult] = []
     for trial in range(config.trials):
-        seed = config.base_seed + trial
+        swarm_cfg = dataclasses.replace(config.swarm, seed=config.base_seed + trial)
         for strat in config.strategies:
-            result = TrialResult(strategy=strat, trial=trial, seed=seed)
-            t0 = time.perf_counter()
-            try:
-                swarm_cfg = dataclasses.replace(config.swarm, seed=seed)
-                opt = OPTIMIZERS[strat](fitness, space, swarm_cfg)
-                model = fitness.model(opt.best_position)
-                pred = lssvm.predict(model, data.test.features)
-                result.gamma = model.hyperparams.gamma
-                result.sigma2 = model.hyperparams.sigma2
-                result.metrics = metric_report(data.test.targets, pred)
-                result.evaluations = opt.evaluations
-                result.predictions = pred
-                result.model = model
-            except (lssvm.NumericError, ValueError) as exc:
-                result.error = f"{type(exc).__name__}: {exc}"
-            result.wall_time = time.perf_counter() - t0
+            result = run_job(data, fitness, space, swarm_cfg, strat, trial)
             trials.append(result)
             if result.ok:
                 log(
@@ -249,17 +255,7 @@ def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
                 )
             else:
                 log(f"trial {trial} {strat}: FAILED: {result.error}")
-        trials.append(
-            TrialResult(
-                strategy=PERSISTENCE,
-                trial=trial,
-                seed=seed,
-                metrics=persistence_metrics,
-                evaluations=0,
-                wall_time=0.0,
-                predictions=data.persistence_pred,
-            )
-        )
+        trials.append(dataclasses.replace(persistence, trial=trial, seed=swarm_cfg.seed))
 
     return ExperimentReport(
         trials=trials,

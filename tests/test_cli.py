@@ -29,6 +29,10 @@ def hourly_csv(tmp_path):
     return path
 
 
+# Marks a sidecar key that a test removes.
+_DROP = object()
+
+
 def _tiny_flags(outdir):
     return [
         "--synth-n", "600", "--synth-seed", "3",
@@ -210,6 +214,20 @@ class TestTuneAndBenchmark:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["benchmark", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("override,key", [
+        ({"trials": 1.5}, "config key 'trials'"),
+        ({"swarm": {"population": 2.5, "max_iter": 4}}, "SwarmConfig key 'population'"),
+        ({"synthetic": {"n": 600.0, "seed": 3}}, "SyntheticSpec key 'n'"),
+    ])
+    def test_non_integer_config_value_usage_error(self, tmp_path, capsys, override, key):
+        cfg = {"synthetic": {"n": 600, "seed": 3}, "n_lags": 8, "select_fraction": 0.25,
+               "swarm": {"population": 6, "max_iter": 4}, "strategies": ["qpso"], "trials": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, **override}))
+        assert main(["benchmark", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_tune_exits_3_when_every_trial_fails(self, tmp_path):
         # a box deep in singular territory: every KKT solve fails
@@ -430,6 +448,48 @@ class TestTrainPredictEvaluate:
         del meta["cadence_minutes"]
         meta_path.write_text(json.dumps(meta))
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("key,value,complaint", [
+        ("lags", _DROP, "sidecar has no 'lags'"),
+        (None, "list root", "sidecar root must be a JSON object"),
+        ("format", 7, "sidecar 'format' must be 1"),
+        ("lags", 2, "sidecar 'lags' must be distinct positive integers"),
+        ("lags", [1, 1], "sidecar 'lags' must be distinct positive integers"),
+        ("n_lags", "8", "sidecar 'n_lags' must be an integer"),
+        ("z_threshold", None, "sidecar 'z_threshold' must be a finite positive real"),
+        ("split", 7, "sidecar 'split' must be three fractions"),
+        ("split", [0.6, 0.2], "sidecar 'split' must be three fractions"),
+    ])
+    def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
+                                          complaint):
+        model_path = str(tmp_path / "m.lssvm")
+        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
+              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
+        meta_path = Path(model_path + ".meta.json")
+        meta = json.loads(meta_path.read_text())
+        if key is None:
+            meta = [meta]
+        elif value is _DROP:
+            del meta[key]
+        else:
+            meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        for argv in (["predict", "--out", str(out)], ["evaluate"]):
+            assert main(argv + ["--model", model_path, "--in", series_csv]) == 2
+            err = capsys.readouterr().err
+            assert f"{meta_path}: {complaint}" in err
+        assert not out.exists()
+
+    def test_sidecar_without_optional_keys_loads(self, tmp_path, series_csv):
+        model_path = str(tmp_path / "m.lssvm")
+        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
+              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
+        meta_path = Path(model_path + ".meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({k: meta[k] for k in ("format", "lags", "n_lags")}))
+        assert main(["evaluate", "--model", model_path, "--in", series_csv]) == 0
 
     def test_train_bad_gamma_usage_error(self, tmp_path, series_csv):
         assert main(["train", "--in", series_csv, "--gamma", "-1", "--sigma2", "50",

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 
 import numpy as np
@@ -14,10 +15,11 @@ from windlssvm.experiment import (
     prepare_data,
     recompute_aggregates,
     run_experiment,
+    run_job,
     summary_table,
     write_report,
 )
-from windlssvm.metrics import MetricReport
+from windlssvm.metrics import LssvmFitness, MetricReport, hyperparam_space
 from windlssvm.swarm import SearchSpace, SwarmConfig
 from windlssvm.synthetic import SyntheticSpec
 
@@ -232,6 +234,47 @@ class TestRunExperiment:
         table = summary_table(rep)
         for name in ("pso", "qpso", PERSISTENCE, "RMSE", "MAE", "MAPE"):
             assert name in table
+
+
+def _job(cfg, strategy, trial):
+    """``run_job`` alone on freshly prepared data and a fresh fitness."""
+    data = prepare_data(cfg)
+    swarm_cfg = dataclasses.replace(cfg.swarm, seed=cfg.base_seed + trial)
+    space = hyperparam_space(cfg.gamma_range, cfg.sigma2_range)
+    return run_job(data, LssvmFitness(data.train, data.val), space, swarm_cfg, strategy, trial)
+
+
+class TestRunJob:
+    def test_job_alone_matches_run_experiment(self):
+        cfg = tiny_config(strategies=("pso", "ebqpso"), trials=2)
+        (recorded,) = [
+            t for t in run_experiment(cfg, log=silent).trials
+            if t.strategy == "ebqpso" and t.trial == 1
+        ]
+        alone = _job(cfg, "ebqpso", 1)
+        assert alone.ok and recorded.ok
+        for name in ("strategy", "trial", "seed", "gamma", "sigma2", "metrics", "evaluations",
+                     "error"):
+            assert getattr(alone, name) == getattr(recorded, name), name
+        assert alone.predictions.tobytes() == recorded.predictions.tobytes()
+        assert alone.model.dual_coeffs.tobytes() == recorded.model.dual_coeffs.tobytes()
+        assert alone.model.bias == recorded.model.bias
+        assert alone.model.hyperparams == recorded.model.hyperparams
+        assert alone.model.support_inputs.tobytes() == recorded.model.support_inputs.tobytes()
+
+    def test_singular_box_gives_error_result(self):
+        cfg = tiny_config(
+            trials=1,
+            gamma_range=(1e15, 1e16),
+            sigma2_range=(1e14, 1e15),
+            swarm=SwarmConfig(population=4, max_iter=2),
+        )
+        result = _job(cfg, "qpso", 0)
+        assert not result.ok
+        assert result.error.startswith("NumericError: ")
+        assert (result.seed, result.trial, result.strategy) == (cfg.base_seed, 0, "qpso")
+        assert result.metrics is result.model is result.predictions is None
+        assert result.wall_time is not None
 
 
 class TestReportRows:

@@ -39,3 +39,27 @@ def test_patch_table_installs_and_restores(perfbench):
     with tracer.Tracer().installed(patches):
         assert all(_current(owner, key) is not orig for owner, key, orig in originals)
     assert all(_current(owner, key) is orig for owner, key, orig in originals)
+
+
+def test_timed_fitness_calls_match_evaluations(perfbench):
+    # perfbench refuses a run whose timed fitness calls differ from the
+    # evaluations the tuned trials report; every call must pass the patch.
+    from windlssvm.experiment import PERSISTENCE, ExperimentConfig, run_experiment
+    from windlssvm.swarm import SwarmConfig
+    from windlssvm.synthetic import SyntheticSpec
+
+    run, tracer = perfbench
+    tune = run.Tune("tune_large", 0)
+    config = ExperimentConfig(
+        synthetic=SyntheticSpec(n=600, seed=3),
+        n_lags=8,
+        select_fraction=0.25,
+        swarm=SwarmConfig(population=6, max_iter=4),
+        trials=1,
+        base_seed=10,
+    )
+    with tracer.Tracer().installed(tune.timing_patches()):
+        report = run_experiment(config, log=lambda *_: None)
+    tuned = [tr for tr in report.trials if tr.strategy != PERSISTENCE]
+    assert len(tuned) == 3 and all(tr.ok for tr in tuned)
+    assert len(tune.op_ms) == sum(tr.evaluations for tr in tuned)
