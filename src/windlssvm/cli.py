@@ -233,6 +233,9 @@ def _check_sidecar(meta, path: str):
             raise DataError(f"{path}: sidecar has no {key!r}")
         if key in meta and not check(meta[key]):
             raise DataError(f"{path}: sidecar {key!r} must be {wanted}, got {meta[key]!r}")
+    if max(meta["lags"]) > meta["n_lags"]:
+        raise DataError(f"{path}: sidecar 'lags' reach lag {max(meta['lags'])}, "
+                        f"past its 'n_lags' of {meta['n_lags']}")
 
 
 # ---------------------------------------------------------------- commands
@@ -326,7 +329,10 @@ def _model_and_dataset(args):
                 "drop --lags to use the sidecar's lags, outlier gate and split"
             )
         with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{meta_path}: invalid JSON: {exc}") from None
         _check_sidecar(meta, meta_path)
     elif args.lags:
         meta = {"lags": args.lags, "n_lags": max(args.lags)}

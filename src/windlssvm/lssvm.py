@@ -34,11 +34,22 @@ is written back the buffer's upper triangle is H again, the same numbers the
 factorization read, and the residual is taken from it with a symmetric
 matrix-vector product.
 
-Every dense product of a solve or a prediction goes through
-``scipy.linalg.blas``, the OpenBLAS that ``cho_factor`` uses. numpy loads its
-own OpenBLAS, and a numpy matrix product leaves that library's worker
-threads spinning into the next factorization, so the two thread pools then
-compete for the same cores. ``predict`` runs between the swarms of an
+The factorization is a right-looking blocked Cholesky (LAPACK Users' Guide,
+section 3.4) in steps of ``CHOLESKY_BLOCK`` columns: ``dpotrf`` factors the
+diagonal block, ``dtrsm`` solves the panel below it, and one ``dsyrk``
+updates the trailing lower triangle, which holds almost all of the flops.
+Each call addresses a block of the buffer through its leading dimension.
+The f2py wrappers of ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` take
+no leading dimension and copy any non-contiguous view, so the three routines
+are taken instead, once at import, from the C function pointers that scipy
+exports for Cython (``scipy.linalg.cython_lapack`` and ``cython_blas``).
+Import fails if their signatures are not the expected 32-bit-integer ones.
+
+Every dense product of a solve or a prediction goes through the OpenBLAS
+behind ``scipy.linalg.blas``, which also serves scipy's Cython routines.
+numpy loads its own OpenBLAS, and a numpy matrix product leaves that
+library's worker threads spinning into the next factorization, so the two
+thread pools then compete for the same cores. ``predict`` runs between the swarms of an
 experiment, just before the next strategy's first factorization. No numpy
 product is left on the solve or prediction path. ``pairwise_sq_dists`` and
 ``kernel_from_sq_dists``, which build a whole distance or kernel matrix,
@@ -57,10 +68,12 @@ singular. Its gates:
 
 from __future__ import annotations
 
+from ctypes import (CFUNCTYPE, POINTER, PYFUNCTYPE, byref, c_char_p, c_double, c_int,
+                    c_void_p, py_object, pythonapi)
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, blas, cho_factor, cho_solve
+from scipy.linalg import blas, cho_solve, cython_blas, cython_lapack
 
 # Squared Cholesky pivots smaller than this fraction of the largest matrix
 # entry are treated as a singular factorization.
@@ -72,10 +85,69 @@ RESIDUAL_RTOL = 1e-8
 # values is PREDICT_BLOCK_ROWS x n_support doubles: about 1.3 MB at the full
 # profile's 2575 support rows, so it stays in a core's L2 cache.
 PREDICT_BLOCK_ROWS = 64
+# Columns per step of the blocked Cholesky factorization of H.
+CHOLESKY_BLOCK = 128
 
 
 class NumericError(RuntimeError):
     """Raised when the KKT system is too ill-conditioned to solve reliably."""
+
+
+_CAPSULE_NAME = PYFUNCTYPE(c_char_p, py_object)(("PyCapsule_GetName", pythonapi))
+_CAPSULE_POINTER = PYFUNCTYPE(c_void_p, py_object, c_char_p)(("PyCapsule_GetPointer", pythonapi))
+_ARG_KINDS = {"char *": "c", "int *": "i"}
+_ARG_TYPES = {"c": c_char_p, "i": POINTER(c_int), "d": c_void_p}
+
+
+def _scipy_routine(module, name: str, kinds: str):
+    """The C routine ``name`` of scipy's Cython LAPACK or BLAS ``module``.
+
+    ``kinds`` spells the arguments it must take: c for ``char *``, i for
+    ``int *`` and d for ``double *``. Raises ImportError, naming the routine,
+    if the exported signature differs, e.g. has 64-bit integers.
+    """
+    capsule = module.__pyx_capi__[name]
+    signature = _CAPSULE_NAME(capsule)
+    ret, _, args = signature.decode().partition(" (")
+    got = "".join(_ARG_KINDS.get(a, "d" if a.endswith("_d *") else "?")
+                  for a in args.rstrip(")").split(", "))
+    if ret != "void" or got != kinds:
+        raise ImportError(f"scipy's {name} is {signature.decode()!r}, not a void routine "
+                          f"of {len(kinds)} arguments with 32-bit int * dimensions")
+    pointer = _CAPSULE_POINTER(capsule, signature)
+    return CFUNCTYPE(None, *(_ARG_TYPES[k] for k in kinds))(pointer)
+
+
+_DPOTRF = _scipy_routine(cython_lapack, "dpotrf", "cidii")
+_DTRSM = _scipy_routine(cython_blas, "dtrsm", "cccciiddidi")
+_DSYRK = _scipy_routine(cython_blas, "dsyrk", "cciiddiddi")
+
+
+def _cholesky_lower(A: np.ndarray) -> bool:
+    """Overwrite the lower triangle of the Fortran-ordered n x n array ``A``
+    with its Cholesky factor, ``CHOLESKY_BLOCK`` columns per step, leaving
+    the strict upper triangle as it is. False if a pivot is not positive.
+    """
+    if A.dtype != np.float64 or not A.flags.f_contiguous or A.shape[0] != A.shape[1]:
+        raise ValueError("need a square, Fortran-ordered float64 array")
+    n, base = A.shape[0], A.ctypes.data
+    lda, info, one, minus_one = c_int(n), c_int(0), c_double(1.0), c_double(-1.0)
+
+    def at(i, j):
+        return base + A.itemsize * (i + j * n)
+
+    for j in range(0, n, CHOLESKY_BLOCK):
+        w = min(CHOLESKY_BLOCK, n - j)
+        m, k = c_int(n - j - w), c_int(w)
+        _DPOTRF(b"L", k, at(j, j), lda, info)
+        if info.value:
+            return False
+        if m.value:
+            # Panel below the block: P <- P L^-T; trailing lower triangle: T <- T - P P^T.
+            _DTRSM(b"R", b"L", b"T", b"N", m, k, byref(one), at(j, j), lda, at(j + w, j), lda)
+            _DSYRK(b"L", b"N", m, k, byref(minus_one), at(j + w, j), lda,
+                   byref(one), at(j + w, j + w), lda)
+    return True
 
 
 @dataclass(frozen=True)
@@ -196,20 +268,15 @@ class TrainingSet:
 
         # K <= 1 with a unit diagonal, so max|H| = 1 + 1/gamma.
         scale = 1.0 + 1.0 / hp.gamma
-        try:
-            # L overwrites the lower triangle; the strict upper triangle keeps K.
-            L, lower = cho_factor(H, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            min_pivot = 0.0
-        else:
-            min_pivot = float(np.diag(L).min()) ** 2
+        # L overwrites the lower triangle; the strict upper triangle keeps K.
+        min_pivot = float(H.diagonal().min()) ** 2 if _cholesky_lower(H) else 0.0
         if not min_pivot >= PIVOT_RTOL * scale:
             raise NumericError(
                 f"near-singular KKT system: min pivot {min_pivot:.3e} "
                 f"< {PIVOT_RTOL:.0e} * max|H| ({scale:.3e}); "
                 f"gamma={hp.gamma:.6g} sigma2={hp.sigma2:.6g} n={n}"
             )
-        sol = cho_solve((L, lower), np.column_stack((np.ones(n), y)), check_finite=False)
+        sol = cho_solve((H, True), np.column_stack((np.ones(n), y)), check_finite=False)
         eta, nu = sol[:, 0], sol[:, 1]
         b = nu.sum() / eta.sum()  # 1^T eta > 0 because H is positive definite
         alpha = nu - b * eta

@@ -31,6 +31,8 @@ def hourly_csv(tmp_path):
 
 # Marks a sidecar key that a test removes.
 _DROP = object()
+# Marks sidecar text that a test writes as it is, in place of JSON.
+_TEXT = object()
 
 
 def _tiny_flags(outdir):
@@ -459,6 +461,8 @@ class TestTrainPredictEvaluate:
         ("z_threshold", None, "sidecar 'z_threshold' must be a finite positive real"),
         ("split", 7, "sidecar 'split' must be three fractions"),
         ("split", [0.6, 0.2], "sidecar 'split' must be three fractions"),
+        ("lags", [1, 9], "sidecar 'lags' reach lag 9, past its 'n_lags' of 8"),
+        (_TEXT, "{not json", "invalid JSON: Expecting property name"),
     ])
     def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
                                           complaint):
@@ -471,9 +475,9 @@ class TestTrainPredictEvaluate:
             meta = [meta]
         elif value is _DROP:
             del meta[key]
-        else:
+        elif key is not _TEXT:
             meta[key] = value
-        meta_path.write_text(json.dumps(meta))
+        meta_path.write_text(value if key is _TEXT else json.dumps(meta))
         out = tmp_path / "p.csv"
         capsys.readouterr()
         for argv in (["predict", "--out", str(out)], ["evaluate"]):

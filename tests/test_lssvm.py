@@ -1,3 +1,4 @@
+import ctypes
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cython_blas, cython_lapack
 
 from windlssvm import lssvm
 from windlssvm.lssvm import (
@@ -436,3 +438,46 @@ class TestTrainingKernel:
                 got_alpha, got_b = training_set.solve(hp)
                 np.testing.assert_array_equal(got_alpha, alpha)
                 assert got_b == b
+
+
+class TestBlockedCholesky:
+    def test_scipy_routines_resolve(self):
+        for routine in (lssvm._DPOTRF, lssvm._DTRSM, lssvm._DSYRK):
+            assert ctypes.cast(routine, ctypes.c_void_p).value
+
+    @pytest.mark.parametrize("module, name, kinds", [(cython_blas, "dsyrk", "cciiddidd"),
+                                                     (cython_lapack, "dpotrf", "cidil")])
+    def test_unexpected_signature_refused(self, module, name, kinds):
+        with pytest.raises(ImportError, match=name):
+            lssvm._scipy_routine(module, name, kinds)
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 257, 300])
+    def test_solve_matches_oracle_across_block_edges(self, n):
+        assert lssvm.CHOLESKY_BLOCK == 128
+        rng = np.random.default_rng(n)
+        X = rng.uniform(0, 5, (n, 3))
+        y = rng.uniform(-5, 5, n)
+        alpha, b = lssvm.TrainingSet(X, y).solve(Hyperparams(10.0, 2.0))
+        a_ref, b_ref, _ = kkt_oracle(X, y, 10.0, 2.0)
+        scale = max(1.0, np.abs(a_ref).max(), abs(b_ref))
+        np.testing.assert_allclose(alpha, a_ref, atol=1e-9 * scale)
+        assert abs(b - b_ref) <= 1e-9 * scale
+
+    def test_upper_triangle_is_the_filled_kernel(self):
+        rng = np.random.default_rng(300)
+        X = rng.uniform(0, 25, (300, 6))
+        training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, 300))
+        training_set.solve(Hyperparams(100.0, 200.0))
+        K = np.empty((300, 300), order="F")
+        lssvm.KernelProduct(X, X).fill_kernel(200.0, K)
+        upper = np.triu_indices(300, k=1)
+        assert np.array_equal(training_set._H[upper], K[upper])
+
+    def test_singular_later_block_raises(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0, 25, (300, 10))
+        X[280] = X[270]
+        y = rng.uniform(0, 20, 300)
+        lssvm.TrainingSet(X[:280], y[:280]).solve(Hyperparams(1e16, 10.0))
+        with pytest.raises(NumericError, match="pivot"):
+            lssvm.TrainingSet(X, y).solve(Hyperparams(1e16, 10.0))
