@@ -5,7 +5,6 @@ from .lssvm import (
     Hyperparams,
     LssvmModel,
     NumericError,
-    pairwise_sq_dists,
     predict,
     train,
 )

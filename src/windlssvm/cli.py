@@ -2,8 +2,12 @@
 
 Subcommands: synth, clean, features, tune, train, predict, evaluate,
 benchmark. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure. A JSON config file (--config) may supply any experiment field;
-explicit flags take precedence over it.
+failure. Each command takes only the experiment flags it reads: train the
+data flags (input, lag window, MI selection, outlier gate, split), features
+those and --outdir, tune and benchmark those and the tuning flags (trials,
+seed, swarm, search box). A JSON config file (--config) may supply any
+experiment field, so one file serves every command; explicit flags take
+precedence over it.
 """
 
 from __future__ import annotations
@@ -100,10 +104,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 # Experiment flags: (flag, config path, type, help). A path is the chain of
 # keys into the config JSON that the flag's value is written to; an integer
 # key indexes a (lo, hi) range. Help texts gain the resolved default.
-EXPERIMENT_FLAGS = (
-    ("--trials", ("trials",), int, "number of trials"),
-    ("--base-seed", ("base_seed",), int, "seed of trial 0"),
-    ("--outdir", ("outdir",), str, "output directory"),
+
+# The data flags: what ``prepare_data`` reads.
+DATA_FLAGS = (
     ("--in", ("input_csv",), str, "input series CSV"),
     ("--synth-n", ("synthetic", "n"), int, "synthetic series length (when no --in)"),
     ("--synth-seed", ("synthetic", "seed"), int, "synthetic generator seed"),
@@ -114,28 +117,36 @@ EXPERIMENT_FLAGS = (
     ("--train-frac", ("split", "train_frac"), float, None),
     ("--val-frac", ("split", "val_frac"), float, None),
     ("--test-frac", ("split", "test_frac"), float, None),
+)
+OUTDIR_FLAG = ("--outdir", ("outdir",), str, "output directory")
+# The tuning flags: trials, output, swarm settings and search box.
+TUNING_FLAGS = (
+    ("--trials", ("trials",), int, "number of trials"),
+    ("--base-seed", ("base_seed",), int, "seed of trial 0"),
+    OUTDIR_FLAG,
     ("--population", ("swarm", "population"), int, "swarm size"),
     ("--iterations", ("swarm", "max_iter"), int, "optimizer iterations"),
     ("--jumping-rate", ("swarm", "jumping_rate"), float, None),
     ("--n-transposons", ("swarm", "n_transposons"), int, None),
     ("--lam", ("swarm", "lam"), int, "breeding period"),
-    ("--ce-mode", ("swarm", "ce_mode"), str, "scheduled or fixed"),
-    ("--ce-alpha", ("swarm", "ce_alpha"), float, None),
+    ("--ce-alpha", ("swarm", "ce_alpha"), float,
+     "fixed contraction-expansion coefficient; unset, it decays from 1.0 to 0.5"),
     ("--gamma-min", ("gamma_range", 0), float, None),
     ("--gamma-max", ("gamma_range", 1), float, None),
     ("--sigma2-min", ("sigma2_range", 0), float, None),
     ("--sigma2-max", ("sigma2_range", 1), float, None),
 )
+EXPERIMENT_FLAGS = DATA_FLAGS + TUNING_FLAGS
 
 
 def _dest(flag: str) -> str:
     return "input" if flag == "--in" else flag[2:].replace("-", "_")
 
 
-def _add_experiment_args(p, defaults: dict | None = None):
+def _add_experiment_args(p, flags, defaults: dict | None = None):
     p.add_argument("--config", metavar="JSON", help="config file; flags take precedence")
     resolved = config_from_dict({**(defaults or {}), "synthetic": {}})
-    for flag, path, kind, help_text in EXPERIMENT_FLAGS:
+    for flag, path, kind, help_text in flags:
         default = resolved
         for key in path:
             default = default[key] if isinstance(key, int) else getattr(default, key)
@@ -181,8 +192,9 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
             raw["synthetic"] = None
         elif raw.get("input_csv") is None:
             raw["synthetic"] = raw.get("synthetic") or {}
+        # A command's parser holds only the flags it reads.
         for flag, path, _, _ in EXPERIMENT_FLAGS:
-            value = getattr(args, _dest(flag))
+            value = getattr(args, _dest(flag), None)
             if value is not None and (path[0] != "synthetic" or raw.get("synthetic") is not None):
                 _write_flag(raw, path, value)
         if getattr(args, "strategy", None):
@@ -217,6 +229,7 @@ SIDECAR_KEYS = (
     ("format", True, lambda v: v == 1 and _is_int(v), "1"),
     ("lags", True, _distinct_positive_ints, "distinct positive integers"),
     ("n_lags", True, _is_int, "an integer"),
+    ("cadence_minutes", False, lambda v: _is_int(v) and v > 0, "a positive integer"),
     ("z_threshold", False, lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive real"),
     ("split", False, lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_real, v)),
      "three fractions"),
@@ -236,6 +249,11 @@ def _check_sidecar(meta, path: str):
     if max(meta["lags"]) > meta["n_lags"]:
         raise DataError(f"{path}: sidecar 'lags' reach lag {max(meta['lags'])}, "
                         f"past its 'n_lags' of {meta['n_lags']}")
+    if "split" in meta:
+        try:
+            SplitSpec(*meta["split"])
+        except ValueError as exc:
+            raise DataError(f"{path}: sidecar 'split': {exc}") from None
 
 
 # ---------------------------------------------------------------- commands
@@ -391,19 +409,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "features", help="emit MI ranking and lag-correlation CSVs (default outdir features)"
     )
-    _add_experiment_args(p, FEATURES_DEFAULTS)
+    _add_experiment_args(p, DATA_FLAGS + (OUTDIR_FLAG,), FEATURES_DEFAULTS)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("tune", help="tune hyperparameters with one strategy")
     p.add_argument("--strategy", required=True, choices=tuple(OPTIMIZERS))
-    _add_experiment_args(p)
+    _add_experiment_args(p, EXPERIMENT_FLAGS)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("train", help="train a model at fixed hyperparameters")
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--sigma2", type=float, required=True)
     p.add_argument("--model-out", required=True)
-    _add_experiment_args(p)
+    _add_experiment_args(p, DATA_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a saved model to a series CSV")
@@ -422,7 +440,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("benchmark", help="run the full multi-strategy comparison")
-    _add_experiment_args(p)
+    _add_experiment_args(p, EXPERIMENT_FLAGS)
     p.set_defaults(func=cmd_benchmark)
 
     return parser

@@ -105,6 +105,9 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
+        if self.swarm.seed != 0:
+            raise ValueError(f"swarm seed {self.swarm.seed} would be ignored: trial t seeds "
+                             "its swarm with base_seed + t, so set base_seed instead")
         hyperparam_space(self.gamma_range, self.sigma2_range)
 
 

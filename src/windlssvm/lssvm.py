@@ -27,10 +27,10 @@ the diagonal, so the kernel is exactly symmetric with a unit diagonal.
 
 ``TrainingSet`` owns a training set's ``KernelProduct`` with itself, and the
 one Fortran-ordered n x n buffer that all of its solves share; it keeps no
-distances. The kernel is filled into the buffer, 1/gamma is added to the
-diagonal, and the Cholesky factor L overwrites the lower triangle only. The
-strict upper triangle still holds the mirrored K, so once the saved diagonal
-is written back the buffer's upper triangle is H again, the same numbers the
+distances. The kernel is filled into the buffer, its unit diagonal is set
+to 1 + 1/gamma, and the Cholesky factor L overwrites the lower triangle only.
+The strict upper triangle still holds the mirrored K, so once that diagonal
+is written again the buffer's upper triangle is H again, the same numbers the
 factorization read, and the residual is taken from it with a symmetric
 matrix-vector product.
 
@@ -262,12 +262,10 @@ class TrainingSet:
         if n == 1:
             # 1^T a = 0 forces a = 0, and then b = y_0.
             return np.zeros(1), float(y[0])
-        self._kernel.fill_kernel(hp.sigma2, H)
-        H[np.diag_indices(n)] += 1.0 / hp.gamma
-        diag = H.diagonal().copy()
-
-        # K <= 1 with a unit diagonal, so max|H| = 1 + 1/gamma.
+        # K <= 1 with a unit diagonal, so H's diagonal, and max|H|, is 1 + 1/gamma.
         scale = 1.0 + 1.0 / hp.gamma
+        self._kernel.fill_kernel(hp.sigma2, H)
+        H[np.diag_indices(n)] = scale
         # L overwrites the lower triangle; the strict upper triangle keeps K.
         min_pivot = float(H.diagonal().min()) ** 2 if _cholesky_lower(H) else 0.0
         if not min_pivot >= PIVOT_RTOL * scale:
@@ -283,7 +281,7 @@ class TrainingSet:
 
         # Residual of the bordered system [1^T a ; H a + b - y], with H read
         # from the upper triangle once its diagonal is restored.
-        H[np.diag_indices(n)] = diag
+        H[np.diag_indices(n)] = scale
         r = blas.dsymv(1.0, H, alpha, lower=0) + b - y
         residual = np.hypot(alpha.sum(), np.linalg.norm(r))
         y_norm = np.linalg.norm(y)

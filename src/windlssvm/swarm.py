@@ -86,9 +86,8 @@ class SwarmConfig:
     transposon, breeding every 3 iterations). The problem dimension is the
     search space's.
 
-    ``ce_mode`` selects the contraction-expansion coefficient rule:
-    "scheduled" decays linearly from 1.0 to 0.5 over the run, "fixed" uses
-    ``ce_alpha`` throughout.
+    ``ce_alpha`` is the contraction-expansion coefficient: ``None`` decays
+    it linearly from 1.0 to 0.5 over the run, a number holds it fixed.
     """
 
     population: int = 20
@@ -97,8 +96,7 @@ class SwarmConfig:
     n_transposons: int = 1
     lam: int = 3
     seed: int = 0
-    ce_mode: str = "scheduled"
-    ce_alpha: float = 0.5
+    ce_alpha: float | None = None
 
     def __post_init__(self):
         if self.population < 1 or self.max_iter < 1:
@@ -109,9 +107,7 @@ class SwarmConfig:
             raise ValueError("n_transposons and lam must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.ce_mode not in ("scheduled", "fixed"):
-            raise ValueError(f"ce_mode must be 'scheduled' or 'fixed', got {self.ce_mode!r}")
-        if not np.isfinite(self.ce_alpha) or self.ce_alpha <= 0:
+        if self.ce_alpha is not None and not 0 < self.ce_alpha < np.inf:
             raise ValueError(f"ce_alpha must be a finite positive real, got {self.ce_alpha}")
 
 
@@ -147,21 +143,19 @@ def compute_mbest(pbests: np.ndarray) -> np.ndarray:
     return pbests.mean(axis=0)
 
 
-def ce_coefficient(t: int, max_iter: int, mode: str = "scheduled", alpha: float = 0.5) -> float:
+def ce_coefficient(t: int, max_iter: int, alpha: float | None = None) -> float:
     """Contraction-expansion coefficient at iteration t of max_iter.
 
-    Scheduled mode decays linearly: 0.5 + 0.5 * (max_iter - t) / max_iter,
-    i.e. 1.0 at t=0 down to 0.5 at t=max_iter. Fixed mode returns ``alpha``.
+    With ``alpha`` None it decays linearly: 0.5 + 0.5 * (max_iter - t) / max_iter,
+    i.e. 1.0 at t=0 down to 0.5 at t=max_iter. Otherwise it is ``alpha``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     if t < 0 or t > max_iter:
         raise ValueError(f"iteration index {t} outside [0, {max_iter}]")
-    if mode == "scheduled":
+    if alpha is None:
         return 0.5 + 0.5 * (max_iter - t) / max_iter
-    if mode == "fixed":
-        return float(alpha)
-    raise ValueError(f"unknown ce mode {mode!r}")
+    return float(alpha)
 
 
 def qpso_update_position(
@@ -362,7 +356,7 @@ def _optimize(fitness, space, config, callback, move, breed=False) -> OptimizeRe
     g = int(np.argmin(pbest_f))
     history = []
     for t in range(1, config.max_iter + 1):
-        alpha = ce_coefficient(t, config.max_iter, config.ce_mode, config.ce_alpha)
+        alpha = ce_coefficient(t, config.max_iter, config.ce_alpha)
         mbest = compute_mbest(pbest)
         if breed and t % config.lam == 0:
             bred = transposon_operator(np.vstack([pbest, pbest[g]]), config, space, rng)[:m]

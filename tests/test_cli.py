@@ -285,7 +285,6 @@ FLAG_VALUES = {
     "--jumping-rate": ("0.4", 0.5),
     "--n-transposons": ("2", 3),
     "--lam": ("4", 5),
-    "--ce-mode": ("fixed", "scheduled"),
     "--ce-alpha": ("0.7", 0.8),
     "--gamma-min": ("0.01", 0.02),
     "--gamma-max": ("1000.0", 2000.0),
@@ -462,6 +461,10 @@ class TestTrainPredictEvaluate:
         ("split", 7, "sidecar 'split' must be three fractions"),
         ("split", [0.6, 0.2], "sidecar 'split' must be three fractions"),
         ("lags", [1, 9], "sidecar 'lags' reach lag 9, past its 'n_lags' of 8"),
+        ("split", [0.5, 0.5, 0.5], "sidecar 'split': split fractions must sum to 1, got 1.5"),
+        ("split", [0.8, 0.4, -0.2], "sidecar 'split': all split fractions must be positive"),
+        ("cadence_minutes", "x", "sidecar 'cadence_minutes' must be a positive integer"),
+        ("cadence_minutes", 0, "sidecar 'cadence_minutes' must be a positive integer"),
         (_TEXT, "{not json", "invalid JSON: Expecting property name"),
     ])
     def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
@@ -506,6 +509,77 @@ class TestTrainPredictEvaluate:
                      "--model-out", str(tmp_path / "m")]) == 3
 
 
+# The experiment flags each command offers: the data flags that
+# ``prepare_data`` reads, and for tuning the trial, output, swarm and box flags.
+DATA_FLAG_NAMES = ["--in", "--synth-n", "--synth-seed", "--n-lags", "--select-fraction",
+                   "--mi-bins", "--z-threshold", "--train-frac", "--val-frac", "--test-frac"]
+TUNING_FLAG_NAMES = ["--trials", "--base-seed", "--outdir", "--population", "--iterations",
+                     "--jumping-rate", "--n-transposons", "--lam", "--ce-alpha",
+                     "--gamma-min", "--gamma-max", "--sigma2-min", "--sigma2-max"]
+COMMAND_FLAGS = {
+    "features": DATA_FLAG_NAMES + ["--outdir"],
+    "tune": DATA_FLAG_NAMES + TUNING_FLAG_NAMES,
+    "train": DATA_FLAG_NAMES,
+    "benchmark": DATA_FLAG_NAMES + TUNING_FLAG_NAMES,
+}
+
+
+def _subparser(command):
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[command]
+
+
+class TestCommandFlags:
+    def test_flag_tables(self):
+        assert [row[0] for row in cli.DATA_FLAGS] == DATA_FLAG_NAMES
+        assert [row[0] for row in cli.TUNING_FLAGS] == TUNING_FLAG_NAMES
+        assert [row[0] for row in EXPERIMENT_FLAGS] == DATA_FLAG_NAMES + TUNING_FLAG_NAMES
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_command_takes_its_flags(self, command):
+        every = {row[0] for row in EXPERIMENT_FLAGS}
+        offered = [opt for a in _subparser(command)._actions for opt in a.option_strings
+                   if opt in every]
+        assert offered == COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command,argv", [
+        ("train", ["--gamma", "100", "--sigma2", "50", "--model-out", "m", "--iterations", "5"]),
+        ("train", ["--gamma", "100", "--sigma2", "50", "--model-out", "m", "--outdir", "o"]),
+        ("features", ["--trials", "2"]),
+        ("features", ["--ce-alpha", "0.5"]),
+    ])
+    def test_unread_flag_usage_error(self, tmp_path, monkeypatch, capsys, command, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--synth-n", "600", "--n-lags", "8", *argv]) == 1
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_tuning_keys_of_a_shared_config_are_accepted(self, tmp_path, monkeypatch):
+        # One config file serves every command; train and features read
+        # their part of it.
+        monkeypatch.chdir(tmp_path)
+        cfg = {"synthetic": {"n": 600, "seed": 3}, "n_lags": 8, "select_fraction": 0.25,
+               "swarm": {"population": 6, "max_iter": 4, "ce_alpha": 0.7},
+               "trials": 1, "gamma_range": [0.1, 100.0], "outdir": "feat"}
+        Path("cfg.json").write_text(json.dumps(cfg))
+        assert main(["features", "--config", "cfg.json"]) == 0
+        assert main(["train", "--config", "cfg.json", "--gamma", "100", "--sigma2", "50",
+                     "--model-out", "m"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "feat", "m", "m.meta.json"]
+
+    @pytest.mark.parametrize("swarm,complaint", [
+        ({"seed": 3}, "base_seed"),
+        ({"ce_mode": "fixed"}, "unknown SwarmConfig keys: ['ce_mode']"),
+    ])
+    def test_unread_config_key_usage_error(self, tmp_path, capsys, swarm, complaint):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"n": 600}, "n_lags": 8, "swarm": swarm}))
+        assert main(["benchmark", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
+        assert complaint in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
 class _Resolved(Exception):
     pass
 
@@ -528,10 +602,10 @@ class TestHelpDefaults:
         monkeypatch.setattr(cli, "_resolve_config", capture)
         with pytest.raises(_Resolved):
             main([command, *required])
-        (subparsers,) = [a for a in build_parser()._actions
-                         if isinstance(a, argparse._SubParsersAction)]
-        helps = {a.dest: a.help for a in subparsers.choices[command]._actions}
-        for flag, path, _, _ in EXPERIMENT_FLAGS:
+        helps = {a.dest: a.help for a in _subparser(command)._actions}
+        rows = {row[0]: row for row in EXPERIMENT_FLAGS}
+        for flag in COMMAND_FLAGS[command]:
+            _, path, _, _ = rows[flag]
             default = _field(resolved[0], path)
             if default is not None:
                 assert helps[cli._dest(flag)].endswith(f"(default {default})"), flag

@@ -75,6 +75,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="finite"):
             tiny_config(sigma2_range=(8.0, float("inf")))
 
+    def test_swarm_seed_refused(self):
+        # trial t seeds its swarm with base_seed + t, so a swarm seed would be ignored
+        with pytest.raises(ValueError, match="base_seed"):
+            tiny_config(swarm=SwarmConfig(population=6, max_iter=4, seed=3))
+
 
 class TestConfigFromDict:
     def test_round_trip_fields(self):

@@ -92,9 +92,9 @@ class TestCeCoefficient:
     def test_schedule_midpoint(self):
         assert ce_coefficient(25, 50) == pytest.approx(0.75)
 
-    def test_fixed_mode(self):
+    def test_fixed_alpha(self):
         for t in (0, 3, 50):
-            assert ce_coefficient(t, 50, mode="fixed", alpha=0.5) == 0.5
+            assert ce_coefficient(t, 50, alpha=0.5) == 0.5
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -478,6 +478,7 @@ class TestSwarmConfig:
         assert cfg.jumping_rate == 0.2
         assert cfg.n_transposons == 1
         assert cfg.lam == 3
+        assert cfg.ce_alpha is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -485,7 +486,7 @@ class TestSwarmConfig:
             dict(population=0),
             dict(jumping_rate=1.5),
             dict(lam=0),
-            dict(ce_mode="bogus"),
+            dict(ce_alpha=0.0),
             dict(ce_alpha=-1.0),
             dict(seed=-1),
         ],
@@ -527,7 +528,7 @@ def _ref_run(fitness, space, config, callback, breed, pso):
     g = int(np.argmin(pbest_f))
     history = []
     for t in range(1, config.max_iter + 1):
-        alpha = ce_coefficient(t, config.max_iter, config.ce_mode, config.ce_alpha)
+        alpha = ce_coefficient(t, config.max_iter, config.ce_alpha)
         mbest = compute_mbest(pbest)
         if breed and t % config.lam == 0:
             bred = transposon_operator(np.vstack([pbest, pbest[g][None, :]]), config, space, rng)
@@ -604,7 +605,7 @@ def _recorded(optimize, fitness, space, config, **ref):
         (sphere, dict(population=7, max_iter=12)),
         (_rastrigin, dict(population=5, max_iter=9, jumping_rate=1.0, lam=1)),
         (_rastrigin, dict(population=1, max_iter=8, jumping_rate=1.0, lam=2)),
-        (_rastrigin, dict(population=6, max_iter=10, ce_mode="fixed", ce_alpha=0.7,
+        (_rastrigin, dict(population=6, max_iter=10, ce_alpha=0.7,
                           n_transposons=3, jumping_rate=0.6, lam=2)),
         (_nan_right_half, dict(population=8, max_iter=10, jumping_rate=0.5, lam=3)),
     ],
