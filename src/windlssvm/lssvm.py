@@ -266,6 +266,7 @@ class TrainingSet:
         scale = 1.0 + 1.0 / hp.gamma
         self._kernel.fill_kernel(hp.sigma2, H)
         H[np.diag_indices(n)] = scale
+        _mirror_lower(H)
         # L overwrites the lower triangle; the strict upper triangle keeps K.
         min_pivot = float(H.diagonal().min()) ** 2 if _cholesky_lower(H) else 0.0
         if not min_pivot >= PIVOT_RTOL * scale:
@@ -274,29 +275,39 @@ class TrainingSet:
                 f"< {PIVOT_RTOL:.0e} * max|H| ({scale:.3e}); "
                 f"gamma={hp.gamma:.6g} sigma2={hp.sigma2:.6g} n={n}"
             )
-        sol = cho_solve((H, True), np.column_stack((np.ones(n), y)), check_finite=False)
-        eta, nu = sol[:, 0], sol[:, 1]
-        b = nu.sum() / eta.sum()  # 1^T eta > 0 because H is positive definite
-        alpha = nu - b * eta
-
-        # Residual of the bordered system [1^T a ; H a + b - y], with H read
-        # from the upper triangle once its diagonal is restored.
+        alpha, b = _dual(cho_solve((H, True), np.column_stack((np.ones(n), y)),
+                                   check_finite=False))
+        # The residual reads H from the upper triangle once its diagonal is restored.
         H[np.diag_indices(n)] = scale
-        r = blas.dsymv(1.0, H, alpha, lower=0) + b - y
-        residual = np.hypot(alpha.sum(), np.linalg.norm(r))
-        y_norm = np.linalg.norm(y)
-        rel_residual = residual / y_norm if y_norm > 0 else residual
-        if not np.isfinite(rel_residual) or rel_residual > RESIDUAL_RTOL:
+        rel_residual = self._rel_residual(alpha, b, lower=0)
+        if not rel_residual <= RESIDUAL_RTOL:
             raise NumericError(
                 f"KKT solve residual {rel_residual:.3e} exceeds {RESIDUAL_RTOL:.0e} "
                 f"(min pivot {min_pivot:.3e}, gamma={hp.gamma:.6g}, sigma2={hp.sigma2:.6g}, n={n})"
             )
         return alpha, float(b)
 
+    def _rel_residual(self, alpha: np.ndarray, b: float, lower: int) -> float:
+        """Residual of the bordered system [1^T a ; H a + b - y] relative to
+        ||y||, with H read from its lower or upper triangle. Not finite if
+        a or b is not."""
+        y = self.y
+        r = blas.dsymv(1.0, self._H, alpha, lower=lower) + b - y
+        residual = np.hypot(alpha.sum(), np.linalg.norm(r))
+        y_norm = np.linalg.norm(y)
+        return residual / y_norm if y_norm > 0 else residual
+
     def model(self, hp: Hyperparams) -> LssvmModel:
         """The trained model at ``hp``; raises ``NumericError`` as ``solve``."""
         alpha, b = self.solve(hp)
         return LssvmModel(support_inputs=self.X, dual_coeffs=alpha, bias=b, hyperparams=hp)
+
+
+def _dual(sol: np.ndarray) -> tuple[np.ndarray, float]:
+    """a and b from the (n, 2) solution [eta, nu] of H [eta, nu] = [1, y]."""
+    eta, nu = sol[:, 0], sol[:, 1]
+    b = nu.sum() / eta.sum()  # 1^T eta > 0 because H is positive definite
+    return nu - b * eta, b
 
 
 def train(X, y, hp: Hyperparams) -> LssvmModel:
@@ -363,23 +374,32 @@ class KernelProduct:
         return out
 
     def fill_kernel(self, sigma2: float, out: np.ndarray):
-        """Write K(S, S) into the n x n array ``out``; the query rows must be
-        the support rows.
+        """Write K(S, S) into the lower triangle of the n x n array ``out``,
+        with a unit diagonal; the query rows must be the support rows.
 
         Column panel by column panel, each pair is computed once, on or below
-        the diagonal, and mirrored above it, so ``out`` is exactly symmetric,
-        with a unit diagonal.
+        the diagonal. The strict upper triangle is not filled: outside the
+        diagonal panels it is left as it is, and ``_mirror_lower`` copies the
+        lower triangle onto it.
         """
         n = self._Sa.shape[1]
         for start in range(0, n, PREDICT_BLOCK_ROWS):
             stop = min(start + PREDICT_BLOCK_ROWS, n)
-            w = stop - start
-            panel = np.exp(self._scaled_sq_dists(sigma2, start, start, stop),
-                           out=out[start:, start:stop])
-            top = panel[:w]
-            np.copyto(top, top.T, where=np.tri(w, k=-1, dtype=bool).T)
+            top = out[start:stop, start:stop]
+            np.exp(self._scaled_sq_dists(sigma2, start, start, stop), out=out[start:, start:stop])
             np.fill_diagonal(top, 1.0)
-            out[start:stop, stop:] = panel[w:].T
+
+
+def _mirror_lower(A: np.ndarray):
+    """Copy the strict lower triangle of the square array ``A`` onto its
+    strict upper triangle, ``PREDICT_BLOCK_ROWS`` columns at a time, so
+    ``A`` is exactly symmetric."""
+    n = A.shape[0]
+    for start in range(0, n, PREDICT_BLOCK_ROWS):
+        stop = min(start + PREDICT_BLOCK_ROWS, n)
+        top = A[start:stop, start:stop]
+        np.copyto(top, top.T, where=np.tri(stop - start, k=-1, dtype=bool).T)
+        A[start:stop, stop:] = A[stop:, start:stop].T
 
 
 def predict(model: LssvmModel, Xq) -> np.ndarray:

@@ -406,9 +406,13 @@ class TestTrainingKernel:
     def test_fill_is_exactly_symmetric_with_unit_diagonal(self, n):
         X = np.random.default_rng(n).uniform(0, 25, (n, 10))
         product = lssvm.KernelProduct(X, X)
+        lower = np.tril_indices(n)
         for sigma2 in (8.0, 75.0, 900.0, 4e4):
             H = np.full((n, n), np.nan, order="F")
             product.fill_kernel(sigma2, H)
+            filled = H[lower]
+            lssvm._mirror_lower(H)
+            assert np.array_equal(H[lower], filled)
             assert np.array_equal(H, H.T)
             np.testing.assert_array_equal(np.diag(H), 1.0)
             assert np.abs(H - build_kernel_matrix(X, sigma2)).max() <= 1e-13
@@ -470,6 +474,7 @@ class TestBlockedCholesky:
         training_set.solve(Hyperparams(100.0, 200.0))
         K = np.empty((300, 300), order="F")
         lssvm.KernelProduct(X, X).fill_kernel(200.0, K)
+        lssvm._mirror_lower(K)
         upper = np.triu_indices(300, k=1)
         assert np.array_equal(training_set._H[upper], K[upper])
 
