@@ -68,12 +68,13 @@ singular. Its gates:
 
 from __future__ import annotations
 
+import math
 from ctypes import (CFUNCTYPE, POINTER, PYFUNCTYPE, byref, c_char_p, c_double, c_int,
                     c_void_p, py_object, pythonapi)
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, cython_blas, cython_lapack
+from scipy.linalg import blas, cho_solve, cython_blas, cython_lapack, lapack
 
 # Squared Cholesky pivots smaller than this fraction of the largest matrix
 # entry are treated as a singular factorization.
@@ -87,6 +88,16 @@ RESIDUAL_RTOL = 1e-8
 PREDICT_BLOCK_ROWS = 64
 # Columns per step of the blocked Cholesky factorization of H.
 CHOLESKY_BLOCK = 128
+# Fast path: largest rank of the pivoted Cholesky preconditioner, and the
+# residual kernel diagonal, times gamma, at which it stops adding columns.
+PRECOND_RANK = 128
+PRECOND_TOL = 1e-3
+# Fast path: CG stops a right-hand side at this residual relative to its
+# norm, and falls back to the dense path after CG_MAX_ITER iterations.
+CG_RTOL = 1e-10
+CG_MAX_ITER = 50
+# The counts that TrainingSet.counts keeps.
+SOLVE_COUNTS = ("fast", "dense", "rank_cap", "cg_cap", "gate", "cg_iterations")
 
 
 class NumericError(RuntimeError):
@@ -247,6 +258,9 @@ class TrainingSet:
         self.y = y
         self._kernel = KernelProduct(X, X)
         self._H = np.empty((len(y), len(y)), order="F")
+        self._G = np.empty((len(y), min(len(y), PRECOND_RANK)), order="F")
+        self._M = np.empty(self._G.shape[1] ** 2)
+        self.counts = dict.fromkeys(SOLVE_COUNTS, 0)
 
     def solve(self, hp: Hyperparams) -> tuple[np.ndarray, float]:
         """Dual coefficients and bias of the LSSVM at ``hp``.
@@ -266,6 +280,14 @@ class TrainingSet:
         scale = 1.0 + 1.0 / hp.gamma
         self._kernel.fill_kernel(hp.sigma2, H)
         H[np.diag_indices(n)] = scale
+        counts = self.counts
+        if _pivot_gate_cannot_fire(n, hp.gamma):
+            fast = self._fast_solve(hp.gamma)
+            if not isinstance(fast, str):
+                counts["fast"] += 1
+                return fast
+            counts[fast] += 1
+        counts["dense"] += 1
         _mirror_lower(H)
         # L overwrites the lower triangle; the strict upper triangle keeps K.
         min_pivot = float(H.diagonal().min()) ** 2 if _cholesky_lower(H) else 0.0
@@ -287,6 +309,35 @@ class TrainingSet:
             )
         return alpha, float(b)
 
+    def _fast_solve(self, gamma: float) -> tuple[np.ndarray, float] | str:
+        """a and b by preconditioned CG on the filled lower triangle of H, or
+        the reason to fall back: "rank_cap", "cg_cap" or "gate"."""
+        H, G, y = self._H, self._G, self.y
+        rank, residual_diag = _pivoted_cholesky(H, G, PRECOND_TOL / gamma)
+        if rank == G.shape[1] and gamma * residual_diag > 1.0:
+            return "rank_cap"
+        G = G[:, :rank]
+        # P^-1 = gamma (I - G M^-1 G^T) with M = I/gamma + G^T G (Woodbury).
+        M = self._M[: rank * rank].reshape(rank, rank, order="F")
+        M = blas.dsyrk(1.0, G, trans=1, lower=1, c=M, overwrite_c=1)
+        M[np.diag_indices(rank)] += 1.0 / gamma
+        M, info = lapack.dpotrf(M, lower=1, overwrite_a=1)
+        if info:
+            return "gate"
+
+        def precondition(r):
+            w = lapack.dpotrs(M, blas.dgemv(1.0, G, r, trans=1), lower=1, overwrite_b=1)[0]
+            return blas.dgemv(-gamma, G, w, beta=gamma, y=r)
+
+        sol, iterations = _pcg(H, precondition, np.column_stack((np.ones(len(y)), y)))
+        self.counts["cg_iterations"] += iterations
+        if sol is None:
+            return "cg_cap"
+        alpha, b = _dual(sol)
+        if not self._rel_residual(alpha, b, lower=1) <= RESIDUAL_RTOL:
+            return "gate"
+        return alpha, float(b)
+
     def _rel_residual(self, alpha: np.ndarray, b: float, lower: int) -> float:
         """Residual of the bordered system [1^T a ; H a + b - y] relative to
         ||y||, with H read from its lower or upper triangle. Not finite if
@@ -301,6 +352,80 @@ class TrainingSet:
         """The trained model at ``hp``; raises ``NumericError`` as ``solve``."""
         alpha, b = self.solve(hp)
         return LssvmModel(support_inputs=self.X, dual_coeffs=alpha, bias=b, hyperparams=hp)
+
+
+def _pivot_gate_cannot_fire(n: int, gamma: float) -> bool:
+    """Whether the dense path's pivot gate provably passes on H = K + I/gamma.
+
+    Every squared pivot of H is at least lambda_min(H) >= 1/gamma. The
+    computed factor is the exact factor of H + E, with |E_ij| <= c_n max|H|
+    and c_n = (n + 1) u / (1 - (n + 1) u) for unit roundoff u (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Theorem 10.3),
+    so ||E||_2 <= n c_n max|H| and every computed squared pivot is at least
+    1/gamma - n c_n max|H|. The bound is taken twice over, for the blocked
+    order of the sums.
+    """
+    u = np.finfo(float).eps / 2
+    c_n = (n + 1) * u / (1 - (n + 1) * u)
+    scale = 1.0 + 1.0 / gamma
+    return 1.0 / gamma - 2 * n * c_n * scale >= PIVOT_RTOL * scale
+
+
+def _pivoted_cholesky(H: np.ndarray, G: np.ndarray, tol: float) -> tuple[int, float]:
+    """Greedy pivoted Cholesky K ~ G[:, :r] G[:, :r]^T of the unit-diagonal
+    kernel K whose strict lower triangle ``H`` holds.
+
+    Each step takes the row with the largest diagonal entry of K - G G^T as
+    the next pivot, until that entry is at most ``tol`` or G's columns run
+    out; at least one column is taken. Returns r and the largest diagonal
+    entry of K - G G^T left.
+    """
+    n, cap = G.shape
+    d = np.ones(n)
+    for r in range(cap):
+        i = int(d.argmax())
+        if r and d[i] <= tol:
+            return r, float(d[i])
+        g = G[:, r]
+        g[:i] = H[i, :i]
+        g[i:] = H[i:, i]
+        g[i] = 1.0
+        if r:
+            blas.dgemv(-1.0, G[:, :r], G[i, :r], beta=1.0, y=g, overwrite_y=1)
+        g *= 1.0 / math.sqrt(d[i])
+        d -= np.square(g)
+        d[i] = 0.0
+    return cap, float(d.max())
+
+
+def _pcg(H: np.ndarray, precondition, B: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """The solution of H X = B by preconditioned conjugate gradients, column
+    by column, with H read from its lower triangle, and the iterations
+    taken. Each column stops at a residual of ``CG_RTOL`` relative to its
+    right-hand side; the solution is None if one takes ``CG_MAX_ITER``
+    iterations without."""
+    X = np.zeros(B.shape, order="F")
+    iterations = 0
+    for x, r in zip(X.T, B.T.copy()):
+        stop = CG_RTOL * blas.dnrm2(r)
+        if not stop:
+            continue  # a zero right-hand side has the zero solution
+        p = precondition(r)
+        rz = blas.ddot(r, p)
+        for _ in range(CG_MAX_ITER):
+            iterations += 1
+            q = blas.dsymv(1.0, H, p, lower=1)
+            step = rz / blas.ddot(p, q)
+            blas.daxpy(p, x, a=step)
+            blas.daxpy(q, r, a=-step)
+            if blas.dnrm2(r) <= stop:
+                break
+            z = precondition(r)
+            rz, rz_old = blas.ddot(r, z), rz
+            p = blas.daxpy(p, z, a=rz / rz_old)
+        else:
+            return None, iterations
+    return X, iterations
 
 
 def _dual(sol: np.ndarray) -> tuple[np.ndarray, float]:

@@ -227,7 +227,9 @@ class TestTrain:
     @pytest.mark.parametrize("eps, fails", [(1e-7, True), (1e-11, False)])
     def test_residual_gate_catches_wrong_solve(self, monkeypatch, eps, fails):
         # Shifting nu by delta leaves 1^T a = 0 and makes the bordered
-        # residual H delta, so its size relative to ||y|| is eps.
+        # residual H delta, so its size relative to ||y|| is eps. Both
+        # solvers are perturbed: a fast solution that fails the gate goes to
+        # the dense path, and a dense one that fails it raises.
         rng = np.random.default_rng(31)
         n = 60
         X = rng.uniform(0.0, 5.0, (n, 3))
@@ -236,22 +238,33 @@ class TestTrain:
         H = build_kernel_matrix(X, hp.sigma2) + np.eye(n) / hp.gamma
         u = rng.standard_normal(n)
         delta = eps * np.linalg.norm(y) * u / np.linalg.norm(H @ u)
-        real_cho_solve = lssvm.cho_solve
+        real_cho_solve, real_pcg = lssvm.cho_solve, lssvm._pcg
         calls = []
 
-        def perturbed(*args, **kwargs):
+        def perturbed_cho_solve(*args, **kwargs):
             sol = real_cho_solve(*args, **kwargs)
             sol[:, 1] += delta
-            calls.append(1)
+            calls.append("dense")
             return sol
 
-        monkeypatch.setattr(lssvm, "cho_solve", perturbed)
+        def perturbed_pcg(*args):
+            sol, iterations = real_pcg(*args)
+            sol[:, 1] += delta
+            calls.append("fast")
+            return sol, iterations
+
+        monkeypatch.setattr(lssvm, "cho_solve", perturbed_cho_solve)
+        monkeypatch.setattr(lssvm, "_pcg", perturbed_pcg)
+        training_set = lssvm.TrainingSet(X, y)
         if fails:
             with pytest.raises(NumericError, match="residual"):
-                lssvm.TrainingSet(X, y).solve(hp)
+                training_set.solve(hp)
+            assert calls == ["fast", "dense"]
+            assert training_set.counts["gate"] == 1
         else:
-            lssvm.TrainingSet(X, y).solve(hp)
-        assert calls == [1]
+            training_set.solve(hp)
+            assert calls == ["fast"]
+            assert training_set.counts["fast"] == 1
 
     def test_singular_system_raises(self):
         with pytest.raises(NumericError, match="pivot"):
@@ -468,10 +481,13 @@ class TestBlockedCholesky:
         assert abs(b - b_ref) <= 1e-9 * scale
 
     def test_upper_triangle_is_the_filled_kernel(self):
+        # sigma2 = 200 needs a preconditioner of rank > PRECOND_RANK here, so
+        # the solve takes the dense path.
         rng = np.random.default_rng(300)
         X = rng.uniform(0, 25, (300, 6))
         training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, 300))
         training_set.solve(Hyperparams(100.0, 200.0))
+        assert training_set.counts["dense"] == 1
         K = np.empty((300, 300), order="F")
         lssvm.KernelProduct(X, X).fill_kernel(200.0, K)
         lssvm._mirror_lower(K)
@@ -486,3 +502,96 @@ class TestBlockedCholesky:
         lssvm.TrainingSet(X[:280], y[:280]).solve(Hyperparams(1e16, 10.0))
         with pytest.raises(NumericError, match="pivot"):
             lssvm.TrainingSet(X, y).solve(Hyperparams(1e16, 10.0))
+
+
+def dense_solve(monkeypatch, X, y, hp):
+    """The solve at ``hp`` with the fast path switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(lssvm, "_pivot_gate_cannot_fire", lambda n, gamma: False)
+        training_set = lssvm.TrainingSet(X, y)
+        solution = training_set.solve(hp)
+    assert training_set.counts["dense"] == 1
+    return solution
+
+
+def preconditioner_rank(X, hp):
+    n = len(X)
+    H = np.empty((n, n), order="F")
+    lssvm.KernelProduct(X, X).fill_kernel(hp.sigma2, H)
+    G = np.empty((n, min(n, lssvm.PRECOND_RANK)), order="F")
+    rank, residual_diag = lssvm._pivoted_cholesky(H, G, lssvm.PRECOND_TOL / hp.gamma)
+    return rank, hp.gamma * residual_diag
+
+
+class TestFastPath:
+    @pytest.mark.parametrize("n, hp, ranks", [
+        (250, Hyperparams(1.0, 4000.0), (1, 40)),      # low rank: large sigma2, small gamma
+        (300, Hyperparams(0.01, 1000.0), (1, 40)),
+        (300, Hyperparams(100.0, 4000.0), (80, 127)),  # near the rank cap
+        (300, Hyperparams(100.0, 400.0), (128, 128)),  # at it, gamma * residual <= 1
+    ])
+    def test_matches_oracle(self, n, hp, ranks):
+        rng = np.random.default_rng(41)
+        X = rng.uniform(0, 25, (n, 6))
+        y = rng.uniform(0, 20, n)
+        rank, excess = preconditioner_rank(X, hp)
+        assert ranks[0] <= rank <= ranks[1] and excess <= 1.0
+        training_set = lssvm.TrainingSet(X, y)
+        alpha, b = training_set.solve(hp)
+        assert training_set.counts["fast"] == 1 and training_set.counts["dense"] == 0
+        a_ref, b_ref, _ = kkt_oracle(X, y, hp.gamma, hp.sigma2)
+        scale = max(1.0, np.abs(a_ref).max(), abs(b_ref))
+        np.testing.assert_allclose(alpha, a_ref, atol=1e-9 * scale)
+        assert abs(b - b_ref) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("reason", ["rank_cap", "cg_cap", "gate"])
+    def test_fallback_equals_dense_solve(self, monkeypatch, reason):
+        rng = np.random.default_rng(43)
+        X = rng.uniform(0, 25, (300, 6))
+        y = rng.uniform(0, 20, 300)
+        # At sigma2 = 30 the kernel is far from low rank (gamma * residual
+        # is about 94 at the cap); at 4000 CG needs more than one iteration.
+        hp = Hyperparams(100.0, 30.0 if reason == "rank_cap" else 4000.0)
+        if reason == "cg_cap":
+            monkeypatch.setattr(lssvm, "CG_MAX_ITER", 1)
+        if reason == "gate":
+            real_pcg = lssvm._pcg
+
+            def perturbed(*args):
+                sol, iterations = real_pcg(*args)
+                sol[:, 1] *= 1 + 1e-6
+                return sol, iterations
+
+            monkeypatch.setattr(lssvm, "_pcg", perturbed)
+        training_set = lssvm.TrainingSet(X, y)
+        alpha, b = training_set.solve(hp)
+        counts = training_set.counts
+        assert counts["fast"] == 0 and counts["dense"] == 1 and counts[reason] == 1
+        assert sum(counts[r] for r in ("rank_cap", "cg_cap", "gate")) == 1
+        want_alpha, want_b = dense_solve(monkeypatch, X, y, hp)
+        np.testing.assert_array_equal(alpha, want_alpha)
+        assert b == want_b
+
+    def test_counts(self):
+        rng = np.random.default_rng(47)
+        X = rng.uniform(0, 25, (300, 6))
+        training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, 300))
+        training_set.solve(Hyperparams(1.0, 4000.0))
+        iterations = training_set.counts["cg_iterations"]
+        assert iterations >= 2
+        training_set.solve(Hyperparams(100.0, 30.0))  # rank cap: no CG
+        training_set.solve(Hyperparams(1e16, 30.0))  # beyond the pivot bound
+        assert training_set.counts == {"fast": 1, "dense": 2, "rank_cap": 1, "cg_cap": 0,
+                                       "gate": 0, "cg_iterations": iterations}
+        single = lssvm.TrainingSet(X[:1], [1.0])
+        single.solve(Hyperparams(1.0, 1.0))  # solved in closed form
+        assert single.counts == dict.fromkeys(lssvm.SOLVE_COUNTS, 0)
+
+    def test_pivot_bound_covers_the_search_box(self):
+        # The fast path takes every gamma of the default box at the full
+        # profile's size, and never the singular tests' gamma = 1e16.
+        assert lssvm._pivot_gate_cannot_fire(2575, 1e6)
+        assert lssvm._pivot_gate_cannot_fire(2575, 1e-4)
+        assert not lssvm._pivot_gate_cannot_fire(2, 1e16)
+        assert not lssvm._pivot_gate_cannot_fire(300, 1e16)
+        assert not lssvm._pivot_gate_cannot_fire(2575, 1e12)

@@ -266,7 +266,9 @@ class TestLssvmFitness:
     @pytest.mark.parametrize("func", [lssvm.TrainingSet.solve, lssvm.predict, LssvmFitness.__call__,
                                       lssvm.KernelProduct.__init__, lssvm.KernelProduct.matvec,
                                       lssvm.KernelProduct.fill_kernel,
-                                      lssvm.KernelProduct._scaled_sq_dists])
+                                      lssvm.KernelProduct._scaled_sq_dists,
+                                      lssvm.TrainingSet._fast_solve, lssvm.TrainingSet._rel_residual,
+                                      lssvm._pivoted_cholesky, lssvm._pcg, lssvm._mirror_lower])
     def test_no_numpy_matrix_product_in_hot_path(self, func):
         banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
