@@ -193,6 +193,9 @@ class LssvmModel:
         a = np.asarray(self.dual_coeffs, dtype=float)
         if X.ndim != 2 or a.ndim != 1:
             raise ValueError("support_inputs must be 2-D and dual_coeffs 1-D")
+        if X.shape[0] < 1 or X.shape[1] < 1:
+            raise ValueError(f"need at least one support row and one input column, "
+                             f"got shape {X.shape}")
         if a.shape[0] != X.shape[0]:
             raise ValueError(
                 f"dual_coeffs length {a.shape[0]} != support row count {X.shape[0]}"

@@ -489,6 +489,18 @@ class TestTrainPredictEvaluate:
             assert f"{meta_path}: {complaint}" in err
         assert not out.exists()
 
+    def test_model_without_support_rows_named(self, tmp_path, series_csv, capsys):
+        model_path = tmp_path / "m.lssvm"
+        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
+              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", str(model_path)])
+        blob = model_path.read_bytes()
+        # n = 0 support rows: the header, then only the bias.
+        model_path.write_bytes(blob[:8] + (0).to_bytes(8, "little") + blob[16:40] + blob[-8:])
+        capsys.readouterr()
+        for argv in (["predict", "--out", str(tmp_path / "p.csv")], ["evaluate"]):
+            assert main(argv + ["--model", str(model_path), "--in", series_csv]) == 2
+            assert f"{model_path}: corrupt model file" in capsys.readouterr().err
+
     def test_sidecar_without_optional_keys_loads(self, tmp_path, series_csv):
         model_path = str(tmp_path / "m.lssvm")
         main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",

@@ -8,6 +8,7 @@ import pytest
 from windlssvm.data_io import (
     DataError,
     MODEL_MAGIC,
+    MODEL_VERSION,
     load_csv,
     load_model,
     save_model,
@@ -308,6 +309,14 @@ class TestModelPersistence:
         Path(path).write_bytes(blob[:-9])
         with pytest.raises(DataError, match="corrupt|truncated"):
             load_model(path)
+
+    @pytest.mark.parametrize("n, m", [(0, 10), (3, 0)])
+    def test_empty_model_refused(self, tmp_path, n, m):
+        path = tmp_path / "model.bin"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<IQQdd", MODEL_VERSION, n, m, 1.0, 1.0)
+                         + struct.pack(f"<{n * m + n + 1}d", *[0.5] * (n * m + n + 1)))
+        with pytest.raises(DataError, match=f"^{path}: corrupt model file: need at least one"):
+            load_model(str(path))
 
     def test_trailing_garbage(self, tmp_path):
         model = self._model()

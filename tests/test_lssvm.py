@@ -350,6 +350,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             LssvmModel(np.ones((2, 1)), np.zeros(2), np.inf, Hyperparams(1.0, 1.0))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_refused(self, shape):
+        with pytest.raises(ValueError, match="at least one support row"):
+            LssvmModel(np.ones(shape), np.zeros(shape[0]), 0.0, Hyperparams(1.0, 1.0))
+
     def test_arrays_read_only(self):
         model = train([[1.0], [2.0]], [0.5, 1.5], Hyperparams(1.0, 1.0))
         with pytest.raises(ValueError):
