@@ -7,9 +7,9 @@ Training reduces to one dense linear system
 
 where K is the RBF kernel matrix of the training inputs. H = K + I/gamma is
 symmetric positive definite, so the solver never forms the bordered matrix:
-one Cholesky factorization of H solves H eta = 1 and H nu = y together, and
-then b = 1^T nu / 1^T eta and a = nu - b eta (Suykens et al., Least Squares
-Support Vector Machines, 2002, ch. 3).
+it solves H eta = 1 and H nu = y, and then b = 1^T nu / 1^T eta and
+a = nu - b eta (Suykens et al., Least Squares Support Vector Machines, 2002,
+ch. 3).
 
 ``KernelProduct`` owns every RBF kernel evaluation: the training kernel of
 a solve, and the kernel-vector products K(Q, S) c of ``predict`` and of the
@@ -21,18 +21,46 @@ at most n_support x PREDICT_BLOCK_ROWS doubles. Per block, one ``dgemm``
 writes the distances already scaled by -1/(2 sigma2), and they are clamped
 at 0 and turned into kernel values. ``matvec`` then takes one ``dgemv`` per block, so
 a product holds one cache-sized block, not an n_query x n_support kernel.
-``fill_kernel`` writes K(S, S) into a caller's n x n array: per column panel
-it computes each pair on or below the diagonal once, and mirrors it above
-the diagonal, so the kernel is exactly symmetric with a unit diagonal.
+``fill_kernel`` writes K(S, S) into the lower triangle of a caller's n x n
+array, with a unit diagonal: per column panel it computes each pair on or
+below the diagonal once. ``_mirror_lower`` copies that triangle above the
+diagonal when a solver needs the whole matrix.
 
 ``TrainingSet`` owns a training set's ``KernelProduct`` with itself, and the
 one Fortran-ordered n x n buffer that all of its solves share; it keeps no
-distances. The kernel is filled into the buffer, its unit diagonal is set
-to 1 + 1/gamma, and the Cholesky factor L overwrites the lower triangle only.
-The strict upper triangle still holds the mirrored K, so once that diagonal
-is written again the buffer's upper triangle is H again, the same numbers the
-factorization read, and the residual is taken from it with a symmetric
-matrix-vector product.
+distances. A solve fills the lower triangle of the buffer, sets its
+diagonal to 1 + 1/gamma, and then takes one of two solvers:
+
+- The fast path: preconditioned conjugate gradients on H, reading only the
+  lower triangle. A greedy pivoted Cholesky K ~ G G^T of rank at most
+  ``PRECOND_RANK`` (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62,
+  2012) stops once the largest diagonal entry of K - G G^T is at most
+  ``PRECOND_TOL``/gamma. The preconditioner P = G G^T + I/gamma is applied
+  through the Woodbury identity, with one Cholesky factor of the r x r matrix
+  I/gamma + G^T G. CG runs on each of the right-hand sides 1 and y until its
+  residual is ``CG_RTOL`` of the right-hand side's norm, for at most
+  ``CG_MAX_ITER`` iterations; Suykens et al. (LS-SVM classifiers: a large
+  scale algorithm, ECCTD 1999) solve this system with CG. Each product with
+  H is one ``dsymv``, and no state is carried from one solve to the next.
+- The dense path: ``_mirror_lower`` completes the buffer, and the Cholesky
+  factor L overwrites its lower triangle only. The strict upper triangle
+  still holds the mirrored K, so once the diagonal is written again the
+  buffer's upper triangle is H again, the same numbers the factorization
+  read.
+
+The solve takes the fast path wherever its pivot gate provably cannot fire
+(``_pivot_gate_cannot_fire``, below), and falls back to the dense path when:
+
+- the rank cap is reached while gamma times the largest diagonal entry of
+  K - G G^T is still above 1: the preconditioner then leaves much of the
+  spectrum unclustered, and the solve goes dense before running CG;
+- CG takes ``CG_MAX_ITER`` iterations without meeting ``CG_RTOL``, or
+  breaks down (only rounding or non-finite values make it);
+- the fast result fails the residual or finiteness gate.
+
+So the path, like the result, depends only on gamma, sigma2 and the
+training data. ``TrainingSet.counts`` counts the solves of each path, the
+fallbacks by reason and the CG iterations.
 
 The factorization is a right-looking blocked Cholesky (LAPACK Users' Guide,
 section 3.4) in steps of ``CHOLESKY_BLOCK`` columns: ``dpotrf`` factors the
@@ -60,10 +88,17 @@ singular. Its gates:
 
 - pivot: the factorization must succeed, and every squared Cholesky pivot
   must be at least PIVOT_RTOL * max|H|, where max|H| = 1 + 1/gamma because
-  K <= 1 with a unit diagonal;
-- residual: the residual of the bordered system, computed from H, a and b,
-  must be at most RESIDUAL_RTOL relative to ||y||;
+  K <= 1 with a unit diagonal. CG has no pivots, so the fast path is taken
+  only where this gate cannot fire: in exact arithmetic every squared pivot
+  is at least lambda_min(H) >= 1/gamma, and rounding lowers a computed one
+  by at most about n^2 u (1 + 1/gamma) for unit roundoff u;
+- residual: the residual of the bordered system, computed from H, a and b
+  with one ``dsymv`` on the triangle each path leaves intact, must be at
+  most RESIDUAL_RTOL relative to ||y||;
 - finiteness: training data, model entries and the residual must be finite.
+
+Both paths pass the same residual and finiteness gates. A fast result that
+fails one goes to the dense path, which raises if it fails too.
 """
 
 from __future__ import annotations
@@ -96,7 +131,7 @@ PRECOND_TOL = 1e-3
 # norm, and falls back to the dense path after CG_MAX_ITER iterations.
 CG_RTOL = 1e-10
 CG_MAX_ITER = 50
-# The counts that TrainingSet.counts keeps.
+# The counts that TrainingSet.counts keeps (see TrainingSet).
 SOLVE_COUNTS = ("fast", "dense", "rank_cap", "cg_cap", "gate", "cg_iterations")
 
 
@@ -246,6 +281,11 @@ class TrainingSet:
     the one Fortran-ordered n x n buffer that every ``solve`` overwrites, so
     a solve allocates no n x n array. Solves on one instance must not run
     concurrently.
+
+    ``counts`` counts this instance's solves of n >= 2 rows: "fast" ones
+    returned by CG and "dense" ones that ran the factorization, whether they
+    returned or raised; of the dense ones, the fallbacks from the fast path
+    by reason ("rank_cap", "cg_cap", "gate"); and "cg_iterations" in all.
     """
 
     def __init__(self, X, y):
@@ -332,7 +372,7 @@ class TrainingSet:
             w = lapack.dpotrs(M, blas.dgemv(1.0, G, r, trans=1), lower=1, overwrite_b=1)[0]
             return blas.dgemv(-gamma, G, w, beta=gamma, y=r)
 
-        sol, iterations = _pcg(H, precondition, np.column_stack((np.ones(len(y)), y)))
+        sol, iterations = _pcg(H, precondition, np.stack((np.ones(len(y)), y)))
         self.counts["cg_iterations"] += iterations
         if sol is None:
             return "cg_cap"
@@ -401,15 +441,19 @@ def _pivoted_cholesky(H: np.ndarray, G: np.ndarray, tol: float) -> tuple[int, fl
     return cap, float(d.max())
 
 
-def _pcg(H: np.ndarray, precondition, B: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """The solution of H X = B by preconditioned conjugate gradients, column
-    by column, with H read from its lower triangle, and the iterations
-    taken. Each column stops at a residual of ``CG_RTOL`` relative to its
-    right-hand side; the solution is None if one takes ``CG_MAX_ITER``
-    iterations without."""
-    X = np.zeros(B.shape, order="F")
+def _pcg(H: np.ndarray, precondition, rhs: np.ndarray) -> tuple[np.ndarray | None, int]:
+    """The (n, k) solution of H x = b for the k right-hand sides b, the rows
+    of ``rhs``, which it overwrites, by preconditioned conjugate gradients
+    with H read from its lower triangle; and the iterations taken.
+
+    Each right-hand side stops at a residual of ``CG_RTOL`` relative to its
+    norm. The solution is None if one takes ``CG_MAX_ITER`` iterations
+    without, or breaks down, which only rounding or non-finite values can
+    make it do, since H and the preconditioner are positive definite.
+    """
+    X = np.zeros(rhs.shape[::-1], order="F")
     iterations = 0
-    for x, r in zip(X.T, B.T.copy()):
+    for x, r in zip(X.T, rhs):
         stop = CG_RTOL * blas.dnrm2(r)
         if not stop:
             continue  # a zero right-hand side has the zero solution
@@ -418,7 +462,10 @@ def _pcg(H: np.ndarray, precondition, B: np.ndarray) -> tuple[np.ndarray | None,
         for _ in range(CG_MAX_ITER):
             iterations += 1
             q = blas.dsymv(1.0, H, p, lower=1)
-            step = rz / blas.ddot(p, q)
+            pq = blas.ddot(p, q)
+            if not (pq > 0 and rz > 0):
+                return None, iterations
+            step = rz / pq
             blas.daxpy(p, x, a=step)
             blas.daxpy(q, r, a=-step)
             if blas.dnrm2(r) <= stop:
