@@ -560,9 +560,8 @@ class KernelProduct:
         n = self._Sa.shape[1]
         for start in range(0, n, PREDICT_BLOCK_ROWS):
             stop = min(start + PREDICT_BLOCK_ROWS, n)
-            top = out[start:stop, start:stop]
             np.exp(self._scaled_sq_dists(sigma2, start, start, stop), out=out[start:, start:stop])
-            np.fill_diagonal(top, 1.0)
+            np.fill_diagonal(out[start:stop, start:stop], 1.0)
 
 
 def _mirror_lower(A: np.ndarray):
