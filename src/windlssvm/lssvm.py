@@ -22,56 +22,64 @@ writes the distances already scaled by -1/(2 sigma2), and they are clamped
 at 0 and turned into kernel values. ``matvec`` then takes one ``dgemv`` per block, so
 a product holds one cache-sized block, not an n_query x n_support kernel.
 ``fill_kernel`` writes K(S, S) into the lower triangle of a caller's n x n
-array, with a unit diagonal: per column panel it computes each pair on or
-below the diagonal once. ``_mirror_lower`` copies that triangle above the
-diagonal when a solver needs the whole matrix.
+array, with a unit diagonal, and its strict upper triangle either as the
+mirror image of the lower one or, in single precision, into another array.
 
-``TrainingSet`` owns a training set's ``KernelProduct`` with itself, and the
-one Fortran-ordered n x n buffer that all of its solves share; it keeps no
-distances. A solve fills the lower triangle of the buffer, sets its
-diagonal to 1 + 1/gamma, and then takes one of two solvers:
+``TrainingSet`` owns a training set's ``KernelProduct`` with itself, and one
+Fortran-ordered n x (n + 1) buffer that all of its solves share; it keeps no
+distances. Its first n columns are H. A solve takes one of two solvers,
+chosen by gamma and n alone:
 
-- The fast path: preconditioned conjugate gradients on H, reading only the
-  lower triangle. A greedy pivoted Cholesky K ~ G G^T of rank at most
-  ``PRECOND_RANK`` (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62,
-  2012) stops once the largest diagonal entry of K - G G^T is at most
-  ``PRECOND_TOL``/gamma. The preconditioner P = G G^T + I/gamma is applied
-  through the Woodbury identity, with one Cholesky factor of the r x r matrix
-  I/gamma + G^T G. CG runs on each of the right-hand sides 1 and y until its
-  residual is ``CG_RTOL`` of the right-hand side's norm, for at most
-  ``CG_MAX_ITER`` iterations; Suykens et al. (LS-SVM classifiers: a large
-  scale algorithm, ECCTD 1999) solve this system with CG. Each product with
-  H is one ``dsymv``, and no state is carried from one solve to the next.
-- The dense path: ``_mirror_lower`` completes the buffer, and the Cholesky
-  factor L overwrites its lower triangle only. The strict upper triangle
-  still holds the mirrored K, so once the diagonal is written again the
-  buffer's upper triangle is H again, the same numbers the factorization
-  read.
+- The fast path, where (1 + gamma n) u_s <= ``SINGLE_KAPPA_U`` for the
+  single-precision unit roundoff u_s. K's entries are at most 1, so
+  lambda_max(K) <= n and (1 + gamma n) bounds the condition number of H;
+  a Cholesky factor of H rounded to single precision is then a close
+  preconditioner of H. The fill writes K's lower triangle in double
+  precision and its upper triangle in single precision into the strict upper
+  triangle of the buffer: column j of that float32 array starts at the top
+  of the buffer's column j + 1, with a leading dimension of 2n floats, so
+  its upper triangle, R included, stays clear of H's lower triangle and
+  diagonal. A blocked single-precision Cholesky R^T R overwrites it.
+  Projected conjugate gradients (``_pcg``), in double precision and
+  reading H's lower triangle only, then solve the bordered system in one
+  Krylov sequence, with R^T R as the preconditioner, until its residual is
+  ``CG_RTOL`` of ||y||, for at most ``CG_MAX_ITER`` iterations. Each
+  product with H is one ``dsymv``, each preconditioner step two ``strsv``,
+  and no state is carried from one solve to the next.
+- The dense path: the buffer's first n columns hold the exactly symmetric
+  H, and its double-precision Cholesky factor L overwrites H's lower
+  triangle only. The strict upper triangle still holds K, so once the
+  diagonal is written again the upper triangle is H again, the same numbers
+  the factorization read.
 
-The solve takes the fast path wherever its pivot gate provably cannot fire
-(``_pivot_gate_cannot_fire``, below), and falls back to the dense path when:
+The fast path falls back to the dense path, after ``_mirror_lower`` copies
+H's lower triangle back over the single-precision array, when the
+single-precision factorization meets a non-positive pivot, when CG takes
+``CG_MAX_ITER`` iterations without meeting ``CG_RTOL`` or breaks down (only
+rounding or non-finite values make it), or when its result fails the
+residual or finiteness gate. So the path, like the result, depends only on
+gamma, sigma2 and the training data. ``TrainingSet.counts`` counts the
+solves of each path, the fallbacks by reason and the CG iterations.
 
-- the rank cap is reached while gamma times the largest diagonal entry of
-  K - G G^T is still above 1: the preconditioner then leaves much of the
-  spectrum unclustered, and the solve goes dense before running CG;
-- CG takes ``CG_MAX_ITER`` iterations without meeting ``CG_RTOL``, or
-  breaks down (only rounding or non-finite values make it);
-- the fast result fails the residual or finiteness gate.
+Both solvers fill the kernel and factor an n x n matrix, and CG takes a few
+iterations, so a solve costs nearly the same anywhere in the search box:
+the fast path saves the difference between the double- and the
+single-precision factorization. A solver whose cost depends on where it
+runs, such as CG on a low-rank preconditioner, makes a swarm's throughput
+depend on where the swarm goes.
 
-So the path, like the result, depends only on gamma, sigma2 and the
-training data. ``TrainingSet.counts`` counts the solves of each path, the
-fallbacks by reason and the CG iterations.
-
-The factorization is a right-looking blocked Cholesky (LAPACK Users' Guide,
-section 3.4) in steps of ``CHOLESKY_BLOCK`` columns: ``dpotrf`` factors the
-diagonal block, ``dtrsm`` solves the panel below it, and one ``dsyrk``
-updates the trailing lower triangle, which holds almost all of the flops.
-Each call addresses a block of the buffer through its leading dimension.
-The f2py wrappers of ``scipy.linalg.lapack`` and ``scipy.linalg.blas`` take
-no leading dimension and copy any non-contiguous view, so the three routines
-are taken instead, once at import, from the C function pointers that scipy
-exports for Cython (``scipy.linalg.cython_lapack`` and ``cython_blas``).
-Import fails if their signatures are not the expected 32-bit-integer ones.
+The factorizations are right-looking blocked Cholesky factorizations
+(LAPACK Users' Guide, section 3.4) in steps of ``CHOLESKY_BLOCK`` columns,
+or ``SINGLE_CHOLESKY_BLOCK`` in single precision: ``potrf`` factors the
+diagonal block, ``trsm`` solves the panel beside it,
+and one ``syrk`` updates the trailing triangle, which holds almost all of
+the flops. Each call addresses a block of the buffer through its leading
+dimension. The f2py wrappers of ``scipy.linalg.lapack`` and
+``scipy.linalg.blas`` take no leading dimension and copy any non-contiguous
+view, so these routines are taken instead, once at import, from the C
+function pointers that scipy exports for Cython (``scipy.linalg.cython_lapack``
+and ``cython_blas``). Import fails if their signatures are not the expected
+32-bit-integer ones.
 
 Every dense product of a solve or a prediction goes through the OpenBLAS
 behind ``scipy.linalg.blas``, which also serves scipy's Cython routines.
@@ -88,13 +96,14 @@ singular. Its gates:
 
 - pivot: the factorization must succeed, and every squared Cholesky pivot
   must be at least PIVOT_RTOL * max|H|, where max|H| = 1 + 1/gamma because
-  K <= 1 with a unit diagonal. CG has no pivots, so the fast path is taken
+  K <= 1 with a unit diagonal. CG has no pivots, but the fast path is taken
   only where this gate cannot fire: in exact arithmetic every squared pivot
   is at least lambda_min(H) >= 1/gamma, and rounding lowers a computed one
-  by at most about n^2 u (1 + 1/gamma) for unit roundoff u;
+  by at most about n^2 u (1 + 1/gamma) for the double-precision unit
+  roundoff u, far below 1/gamma wherever gamma n u_s <= ``SINGLE_KAPPA_U``;
 - residual: the residual of the bordered system, computed from H, a and b
-  with one ``dsymv`` on the triangle each path leaves intact, must be at
-  most RESIDUAL_RTOL relative to ||y||;
+  with one ``dsymv`` on the triangle of H each path leaves intact, must be
+  at most RESIDUAL_RTOL relative to ||y||;
 - finiteness: training data, model entries and the residual must be finite.
 
 Both paths pass the same residual and finiteness gates. A fast result that
@@ -103,13 +112,12 @@ fails one goes to the dense path, which raises if it fails too.
 
 from __future__ import annotations
 
-import math
-from ctypes import (CFUNCTYPE, POINTER, PYFUNCTYPE, byref, c_char_p, c_double, c_int,
-                    c_void_p, py_object, pythonapi)
+from ctypes import (CFUNCTYPE, POINTER, PYFUNCTYPE, byref, c_char_p, c_double, c_float,
+                    c_int, c_void_p, py_object, pythonapi)
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, cython_blas, cython_lapack, lapack
+from scipy.linalg import blas, cho_solve, cython_blas, cython_lapack
 
 # Squared Cholesky pivots smaller than this fraction of the largest matrix
 # entry are treated as a singular factorization.
@@ -121,18 +129,20 @@ RESIDUAL_RTOL = 1e-8
 # values is PREDICT_BLOCK_ROWS x n_support doubles: about 1.3 MB at the full
 # profile's 2575 support rows, so it stays in a core's L2 cache.
 PREDICT_BLOCK_ROWS = 64
-# Columns per step of the blocked Cholesky factorization of H.
+# Columns per step of the blocked Cholesky factorizations of H, in double
+# and in single precision.
 CHOLESKY_BLOCK = 128
-# Fast path: largest rank of the pivoted Cholesky preconditioner, and the
-# residual kernel diagonal, times gamma, at which it stops adding columns.
-PRECOND_RANK = 128
-PRECOND_TOL = 1e-3
-# Fast path: CG stops a right-hand side at this residual relative to its
-# norm, and falls back to the dense path after CG_MAX_ITER iterations.
+SINGLE_CHOLESKY_BLOCK = 256
+# The fast path is taken where (1 + gamma n) times the single-precision unit
+# roundoff, a bound on the single-precision rounding of H relative to its
+# smallest eigenvalue, is at most SINGLE_KAPPA_U.
+SINGLE_KAPPA_U = 0.5
+# Fast path: CG stops at this residual of the bordered system relative to
+# ||y||, and falls back to the dense path after CG_MAX_ITER iterations.
 CG_RTOL = 1e-10
-CG_MAX_ITER = 50
+CG_MAX_ITER = 12
 # The counts that TrainingSet.counts keeps (see TrainingSet).
-SOLVE_COUNTS = ("fast", "dense", "rank_cap", "cg_cap", "gate", "cg_iterations")
+SOLVE_COUNTS = ("fast", "dense", "factor", "cg_cap", "gate", "cg_iterations")
 
 
 class NumericError(RuntimeError):
@@ -142,20 +152,20 @@ class NumericError(RuntimeError):
 _CAPSULE_NAME = PYFUNCTYPE(c_char_p, py_object)(("PyCapsule_GetName", pythonapi))
 _CAPSULE_POINTER = PYFUNCTYPE(c_void_p, py_object, c_char_p)(("PyCapsule_GetPointer", pythonapi))
 _ARG_KINDS = {"char *": "c", "int *": "i"}
-_ARG_TYPES = {"c": c_char_p, "i": POINTER(c_int), "d": c_void_p}
+_ARG_TYPES = {"c": c_char_p, "i": POINTER(c_int), "d": c_void_p, "s": c_void_p}
 
 
 def _scipy_routine(module, name: str, kinds: str):
     """The C routine ``name`` of scipy's Cython LAPACK or BLAS ``module``.
 
     ``kinds`` spells the arguments it must take: c for ``char *``, i for
-    ``int *`` and d for ``double *``. Raises ImportError, naming the routine,
+    ``int *``, d for ``double *`` and s for ``float *``. Raises ImportError, naming the routine,
     if the exported signature differs, e.g. has 64-bit integers.
     """
     capsule = module.__pyx_capi__[name]
     signature = _CAPSULE_NAME(capsule)
     ret, _, args = signature.decode().partition(" (")
-    got = "".join(_ARG_KINDS.get(a, "d" if a.endswith("_d *") else "?")
+    got = "".join(_ARG_KINDS.get(a, {"_d *": "d", "_s *": "s"}.get(a[-4:], "?"))
                   for a in args.rstrip(")").split(", "))
     if ret != "void" or got != kinds:
         raise ImportError(f"scipy's {name} is {signature.decode()!r}, not a void routine "
@@ -167,6 +177,10 @@ def _scipy_routine(module, name: str, kinds: str):
 _DPOTRF = _scipy_routine(cython_lapack, "dpotrf", "cidii")
 _DTRSM = _scipy_routine(cython_blas, "dtrsm", "cccciiddidi")
 _DSYRK = _scipy_routine(cython_blas, "dsyrk", "cciiddiddi")
+_SPOTRF = _scipy_routine(cython_lapack, "spotrf", "cisii")
+_STRSM = _scipy_routine(cython_blas, "strsm", "cccciissisi")
+_SSYRK = _scipy_routine(cython_blas, "ssyrk", "cciississi")
+_STRSV = _scipy_routine(cython_blas, "strsv", "cccisisi")
 
 
 def _cholesky_lower(A: np.ndarray) -> bool:
@@ -192,6 +206,36 @@ def _cholesky_lower(A: np.ndarray) -> bool:
             # Panel below the block: P <- P L^-T; trailing lower triangle: T <- T - P P^T.
             _DTRSM(b"R", b"L", b"T", b"N", m, k, byref(one), at(j, j), lda, at(j + w, j), lda)
             _DSYRK(b"L", b"N", m, k, byref(minus_one), at(j + w, j), lda,
+                   byref(one), at(j + w, j + w), lda)
+    return True
+
+
+def _cholesky_upper_single(R: np.ndarray) -> bool:
+    """Overwrite the upper triangle of the float32 n x n array ``R``, whose
+    columns may lie any whole number of floats apart, with its Cholesky
+    factor (R <- U with R = U^T U), ``SINGLE_CHOLESKY_BLOCK`` columns per step,
+    leaving the strict lower triangle as it is. False if a pivot is not
+    positive.
+    """
+    n, ld = R.shape[0], R.strides[1] // R.itemsize
+    if R.dtype != np.float32 or R.strides[0] != R.itemsize or n != R.shape[1]:
+        raise ValueError("need a square float32 array with contiguous columns")
+    base = R.ctypes.data
+    lda, info, one, minus_one = c_int(ld), c_int(0), c_float(1.0), c_float(-1.0)
+
+    def at(i, j):
+        return base + R.itemsize * (i + j * ld)
+
+    for j in range(0, n, SINGLE_CHOLESKY_BLOCK):
+        w = min(SINGLE_CHOLESKY_BLOCK, n - j)
+        m, k = c_int(n - j - w), c_int(w)
+        _SPOTRF(b"U", k, at(j, j), lda, info)
+        if info.value:
+            return False
+        if m.value:
+            # Block row beside the block: B <- U^-T B; trailing upper triangle: T <- T - B^T B.
+            _STRSM(b"L", b"U", b"T", b"N", k, m, byref(one), at(j, j), lda, at(j, j + w), lda)
+            _SSYRK(b"U", b"T", m, k, byref(minus_one), at(j, j + w), lda,
                    byref(one), at(j + w, j + w), lda)
     return True
 
@@ -278,14 +322,15 @@ def kernel_from_sq_dists(sq_dists: np.ndarray, sigma2: float, out=None) -> np.nd
 
 class TrainingSet:
     """Checked training inputs, their ``KernelProduct`` with themselves and
-    the one Fortran-ordered n x n buffer that every ``solve`` overwrites, so
-    a solve allocates no n x n array. Solves on one instance must not run
-    concurrently.
+    the one Fortran-ordered n x (n + 1) buffer that every ``solve``
+    overwrites, so a solve allocates no n x n array. Solves on one instance
+    must not run concurrently.
 
     ``counts`` counts this instance's solves of n >= 2 rows: "fast" ones
-    returned by CG and "dense" ones that ran the factorization, whether they
-    returned or raised; of the dense ones, the fallbacks from the fast path
-    by reason ("rank_cap", "cg_cap", "gate"); and "cg_iterations" in all.
+    returned by CG and "dense" ones that ran the double-precision
+    factorization, whether they returned or raised; of the dense ones, the
+    fallbacks from the fast path by reason ("factor", "cg_cap", "gate"); and
+    "cg_iterations" in all.
     """
 
     def __init__(self, X, y):
@@ -299,10 +344,15 @@ class TrainingSet:
             raise ValueError("training data must be finite")
         self.X = X
         self.y = y
+        n = len(y)
         self._kernel = KernelProduct(X, X)
-        self._H = np.empty((len(y), len(y)), order="F")
-        self._G = np.empty((len(y), min(len(y), PRECOND_RANK)), order="F")
-        self._M = np.empty(self._G.shape[1] ** 2)
+        buffer = np.empty((n, n + 1), order="F")
+        self._H = buffer[:, :n]
+        # Column j of the single-precision array starts at the top of the
+        # buffer's column j + 1, so its upper triangle lies in H's strict
+        # upper triangle (see the module docstring).
+        self._R = np.ndarray((n, n), np.float32, buffer=buffer, offset=buffer.strides[1],
+                             strides=(4, buffer.strides[1]))
         self.counts = dict.fromkeys(SOLVE_COUNTS, 0)
 
     def solve(self, hp: Hyperparams) -> tuple[np.ndarray, float]:
@@ -321,17 +371,20 @@ class TrainingSet:
             return np.zeros(1), float(y[0])
         # K <= 1 with a unit diagonal, so H's diagonal, and max|H|, is 1 + 1/gamma.
         scale = 1.0 + 1.0 / hp.gamma
-        self._kernel.fill_kernel(hp.sigma2, H)
-        H[np.diag_indices(n)] = scale
         counts = self.counts
-        if _pivot_gate_cannot_fire(n, hp.gamma):
-            fast = self._fast_solve(hp.gamma)
+        if _single_precision_suffices(n, hp.gamma):
+            self._kernel.fill_kernel(hp.sigma2, H, upper=self._R)
+            H[np.diag_indices(n)] = scale
+            fast = self._fast_solve(scale)
             if not isinstance(fast, str):
                 counts["fast"] += 1
                 return fast
             counts[fast] += 1
+            _mirror_lower(H)
+        else:
+            self._kernel.fill_kernel(hp.sigma2, H)
+            H[np.diag_indices(n)] = scale
         counts["dense"] += 1
-        _mirror_lower(H)
         # L overwrites the lower triangle; the strict upper triangle keeps K.
         min_pivot = float(H.diagonal().min()) ** 2 if _cholesky_lower(H) else 0.0
         if not min_pivot >= PIVOT_RTOL * scale:
@@ -352,31 +405,28 @@ class TrainingSet:
             )
         return alpha, float(b)
 
-    def _fast_solve(self, gamma: float) -> tuple[np.ndarray, float] | str:
-        """a and b by preconditioned CG on the filled lower triangle of H, or
-        the reason to fall back: "rank_cap", "cg_cap" or "gate"."""
-        H, G, y = self._H, self._G, self.y
-        rank, residual_diag = _pivoted_cholesky(H, G, PRECOND_TOL / gamma)
-        if rank == G.shape[1] and gamma * residual_diag > 1.0:
-            return "rank_cap"
-        G = G[:, :rank]
-        # P^-1 = gamma (I - G M^-1 G^T) with M = I/gamma + G^T G (Woodbury).
-        M = self._M[: rank * rank].reshape(rank, rank, order="F")
-        M = blas.dsyrk(1.0, G, trans=1, lower=1, c=M, overwrite_c=1)
-        M[np.diag_indices(rank)] += 1.0 / gamma
-        M, info = lapack.dpotrf(M, lower=1, overwrite_a=1)
-        if info:
-            return "gate"
+    def _fast_solve(self, scale: float) -> tuple[np.ndarray, float] | str:
+        """a and b by CG on the filled lower triangle of H, preconditioned by
+        the single-precision Cholesky factor of the filled upper triangle;
+        or the reason to fall back: "factor", "cg_cap" or "gate"."""
+        R, y = self._R, self.y
+        n = len(y)
+        R[np.diag_indices(n)] = scale
+        if not _cholesky_upper_single(R):
+            return "factor"
+        args = (c_int(n), R.ctypes.data, c_int(R.strides[1] // R.itemsize))
+        one = c_int(1)
 
         def precondition(r):
-            w = lapack.dpotrs(M, blas.dgemv(1.0, G, r, trans=1), lower=1, overwrite_b=1)[0]
-            return blas.dgemv(-gamma, G, w, beta=gamma, y=r)
+            z = r.astype(np.float32)
+            _STRSV(b"U", b"T", b"N", *args, z.ctypes.data, one)
+            _STRSV(b"U", b"N", b"N", *args, z.ctypes.data, one)
+            return z.astype(np.float64)
 
-        sol, iterations = _pcg(H, precondition, np.stack((np.ones(len(y)), y)))
+        alpha, b, iterations = _pcg(self._H, precondition, y)
         self.counts["cg_iterations"] += iterations
-        if sol is None:
+        if alpha is None:
             return "cg_cap"
-        alpha, b = _dual(sol)
         if not self._rel_residual(alpha, b, lower=1) <= RESIDUAL_RTOL:
             return "gate"
         return alpha, float(b)
@@ -397,85 +447,75 @@ class TrainingSet:
         return LssvmModel(support_inputs=self.X, dual_coeffs=alpha, bias=b, hyperparams=hp)
 
 
-def _pivot_gate_cannot_fire(n: int, gamma: float) -> bool:
-    """Whether the dense path's pivot gate provably passes on H = K + I/gamma.
+def _single_precision_suffices(n: int, gamma: float) -> bool:
+    """Whether the fast path takes H = K + I/gamma of n rows.
 
-    Every squared pivot of H is at least lambda_min(H) >= 1/gamma. The
-    computed factor is the exact factor of H + E, with |E_ij| <= c_n max|H|
-    and c_n = (n + 1) u / (1 - (n + 1) u) for unit roundoff u (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Theorem 10.3),
-    so ||E||_2 <= n c_n max|H| and every computed squared pivot is at least
-    1/gamma - n c_n max|H|. The bound is taken twice over, for the blocked
-    order of the sums.
+    K's entries are at most 1, so lambda_max(K) <= n and the condition
+    number of H is at most 1 + gamma n; the single-precision factor of H
+    preconditions it closely where that number times the single-precision
+    unit roundoff is at most ``SINGLE_KAPPA_U``. There the dense path's pivot
+    gate could not fire either: every squared pivot of H is at least
+    lambda_min(H) >= 1/gamma, the computed factor is the exact factor of
+    H + E with ||E||_2 <= n c_n max|H| and c_n = (n + 1) u / (1 - (n + 1) u)
+    for the double-precision unit roundoff u (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Theorem 10.3), and 1/gamma, at least
+    n u_s / SINGLE_KAPPA_U here, is above that bound by a factor of about
+    u_s / (n u), 5e8 / n.
     """
-    u = np.finfo(float).eps / 2
-    c_n = (n + 1) * u / (1 - (n + 1) * u)
-    scale = 1.0 + 1.0 / gamma
-    return 1.0 / gamma - 2 * n * c_n * scale >= PIVOT_RTOL * scale
+    return (1.0 + gamma * n) * np.finfo(np.float32).eps / 2 <= SINGLE_KAPPA_U
 
 
-def _pivoted_cholesky(H: np.ndarray, G: np.ndarray, tol: float) -> tuple[int, float]:
-    """Greedy pivoted Cholesky K ~ G[:, :r] G[:, :r]^T of the unit-diagonal
-    kernel K whose strict lower triangle ``H`` holds.
+def _pcg(H: np.ndarray, precondition, y: np.ndarray) -> tuple[np.ndarray | None, float, int]:
+    """a and b of the bordered system [[0, 1^T], [1, H]] [b; a] = [0; y] by
+    projected preconditioned conjugate gradients, with H read from its lower
+    triangle; and the iterations taken, one product with H each.
 
-    Each step takes the row with the largest diagonal entry of K - G G^T as
-    the next pivot, until that entry is at most ``tol`` or G's columns run
-    out; at least one column is taken. Returns r and the largest diagonal
-    entry of K - G G^T left.
+    CG minimizes a^T H a / 2 - y^T a over 1^T a = 0 (Gould, Hribar and
+    Nocedal, SIAM J. Sci. Comput. 23, 2001): ``precondition`` applies M^-1
+    for some M close to H, and each step projects its result onto the
+    constraint, g = M^-1 r - v M^-1 1 with v = 1^T M^-1 r / 1^T M^-1 1, so
+    every iterate keeps 1^T a = 0. The gradient r = H a - y tends to -b 1,
+    so b is taken as -mean(r), and M^-1 is applied to r + b 1 = H a + b 1 - y,
+    the residual of the bordered system: on the constraint this gives the
+    same g, and it keeps the part of r that matters from being rounded away
+    next to b 1 in single precision (Gould et al.'s residual update). CG
+    stops once ||H a + b 1 - y|| is ``CG_RTOL`` of ||y||. a is None if that
+    takes more than ``CG_MAX_ITER`` iterations, or if CG breaks down, which
+    only rounding or non-finite values can make it do, since H and M are
+    positive definite.
     """
-    n, cap = G.shape
-    d = np.ones(n)
-    for r in range(cap):
-        i = int(d.argmax())
-        if r and d[i] <= tol:
-            return r, float(d[i])
-        g = G[:, r]
-        g[:i] = H[i, :i]
-        g[i:] = H[i:, i]
-        g[i] = 1.0
-        if r:
-            blas.dgemv(-1.0, G[:, :r], G[i, :r], beta=1.0, y=g, overwrite_y=1)
-        g *= 1.0 / math.sqrt(d[i])
-        d -= np.square(g)
-        d[i] = 0.0
-    return cap, float(d.max())
+    n = len(y)
+    stop = CG_RTOL * blas.dnrm2(y)
+    if not stop:
+        return np.zeros(n), 0.0, 0  # y = 0 has the zero solution
+    w = precondition(np.ones(n))
+    w_sum = w.sum()
 
+    def project(r):
+        z = precondition(r)
+        return blas.daxpy(w, z, a=-z.sum() / w_sum)
 
-def _pcg(H: np.ndarray, precondition, rhs: np.ndarray) -> tuple[np.ndarray | None, int]:
-    """The (n, k) solution of H x = b for the k right-hand sides b, the rows
-    of ``rhs``, which it overwrites, by preconditioned conjugate gradients
-    with H read from its lower triangle; and the iterations taken.
-
-    Each right-hand side stops at a residual of ``CG_RTOL`` relative to its
-    norm. The solution is None if one takes ``CG_MAX_ITER`` iterations
-    without, or breaks down, which only rounding or non-finite values can
-    make it do, since H and the preconditioner are positive definite.
-    """
-    X = np.zeros(rhs.shape[::-1], order="F")
-    iterations = 0
-    for x, r in zip(X.T, rhs):
-        stop = CG_RTOL * blas.dnrm2(r)
-        if not stop:
-            continue  # a zero right-hand side has the zero solution
-        p = precondition(r)
-        rz = blas.ddot(r, p)
-        for _ in range(CG_MAX_ITER):
-            iterations += 1
-            q = blas.dsymv(1.0, H, p, lower=1)
-            pq = blas.ddot(p, q)
-            if not (pq > 0 and rz > 0):
-                return None, iterations
-            step = rz / pq
-            blas.daxpy(p, x, a=step)
-            blas.daxpy(q, r, a=-step)
-            if blas.dnrm2(r) <= stop:
-                break
-            z = precondition(r)
-            rz, rz_old = blas.ddot(r, z), rz
-            p = blas.daxpy(p, z, a=rz / rz_old)
-        else:
-            return None, iterations
-    return X, iterations
+    a, r = np.zeros(n), -y
+    residual = r - r.mean()
+    g = project(residual)
+    rg = blas.ddot(residual, g)
+    p = -g
+    for iterations in range(1, CG_MAX_ITER + 1):
+        q = blas.dsymv(1.0, H, p, lower=1)
+        pq = blas.ddot(p, q)
+        if not (pq > 0 and rg > 0):
+            break
+        step = rg / pq
+        blas.daxpy(p, a, a=step)
+        r = blas.daxpy(q, r, a=step)
+        b = -r.mean()
+        residual = r + b
+        if blas.dnrm2(residual) <= stop:
+            return a, b, iterations
+        g = project(residual)
+        rg, rg_old = blas.ddot(residual, g), rg
+        p = blas.daxpy(p, -g, a=rg / rg_old)
+    return None, 0.0, iterations
 
 
 def _dual(sol: np.ndarray) -> tuple[np.ndarray, float]:
@@ -527,13 +567,14 @@ class KernelProduct:
         # f2py writes in place only into contiguous arrays.
         self._scratch = np.empty(n * min(PREDICT_BLOCK_ROWS, nq))
 
-    def _scaled_sq_dists(self, sigma2: float, first: int, start: int, stop: int):
-        """-||s - q||^2 / (2 sigma2) for the support rows from ``first`` on
-        and the query rows start:stop, clamped at 0 against rounding, as a
-        Fortran-ordered view of the scratch array."""
-        m, w = self._Sa.shape[1] - first, stop - start
+    def _scaled_sq_dists(self, sigma2: float, first: int, start: int, stop: int, last=None):
+        """-||s - q||^2 / (2 sigma2) for the support rows first:last (to the
+        end by default) and the query rows start:stop, clamped at 0 against
+        rounding, as a Fortran-ordered view of the scratch array."""
+        support = self._Sa[:, first:last]
+        m, w = support.shape[1], stop - start
         block = self._scratch[: m * w].reshape(m, w, order="F")
-        block = blas.dgemm(-0.5 / sigma2, self._Sa[:, first:], self._Qa[:, start:stop],
+        block = blas.dgemm(-0.5 / sigma2, support, self._Qa[:, start:stop],
                            c=block, trans_a=1, overwrite_c=1)
         return np.minimum(block, 0.0, out=block)
 
@@ -548,26 +589,44 @@ class KernelProduct:
             out[start:stop] = blas.dgemv(1.0, block, coeffs, trans=1)
         return out
 
-    def fill_kernel(self, sigma2: float, out: np.ndarray):
+    def fill_kernel(self, sigma2: float, out: np.ndarray, upper: np.ndarray | None = None):
         """Write K(S, S) into the lower triangle of the n x n array ``out``,
         with a unit diagonal; the query rows must be the support rows.
 
-        Column panel by column panel, each pair is computed once, on or below
-        the diagonal. The strict upper triangle is not filled: outside the
-        diagonal panels it is left as it is, and ``_mirror_lower`` copies the
-        lower triangle onto it.
+        Without ``upper``, each pair is computed once per column panel, on
+        or below the diagonal, and mirrored above it, so ``out`` is exactly
+        symmetric. With it, a float32 n x n array, each panel's pairs above
+        the diagonal are computed too and written, rounded, into the strict
+        upper triangle of ``upper``; ``out``'s strict upper triangle is then
+        left undefined, and ``upper``'s diagonal and lower triangle are not
+        written. ``upper`` may share memory with the strict upper triangle
+        of ``out``, as in ``TrainingSet``: each panel writes ``out`` first.
         """
         n = self._Sa.shape[1]
         for start in range(0, n, PREDICT_BLOCK_ROWS):
             stop = min(start + PREDICT_BLOCK_ROWS, n)
-            np.exp(self._scaled_sq_dists(sigma2, start, start, stop), out=out[start:, start:stop])
-            np.fill_diagonal(out[start:stop, start:stop], 1.0)
+            w = stop - start
+            panel = np.exp(self._scaled_sq_dists(sigma2, start, start, stop),
+                           out=out[start:, start:stop])
+            top = panel[:w]
+            above = np.tri(w, k=-1, dtype=bool).T
+            if upper is None:
+                np.copyto(top, top.T, where=above)
+                np.fill_diagonal(top, 1.0)
+                out[start:stop, stop:] = panel[w:].T
+                continue
+            np.fill_diagonal(top, 1.0)
+            np.copyto(upper[start:stop, start:stop], top.T, where=above, casting="same_kind")
+            if start:
+                np.exp(self._scaled_sq_dists(sigma2, 0, start, stop, last=start),
+                       out=upper[:start, start:stop], casting="same_kind")
 
 
 def _mirror_lower(A: np.ndarray):
     """Copy the strict lower triangle of the square array ``A`` onto its
     strict upper triangle, ``PREDICT_BLOCK_ROWS`` columns at a time, so
-    ``A`` is exactly symmetric."""
+    ``A`` is exactly symmetric, as ``KernelProduct.fill_kernel`` without
+    ``upper`` leaves it."""
     n = A.shape[0]
     for start in range(0, n, PREDICT_BLOCK_ROWS):
         stop = min(start + PREDICT_BLOCK_ROWS, n)

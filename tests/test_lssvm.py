@@ -227,9 +227,10 @@ class TestTrain:
     @pytest.mark.parametrize("eps, fails", [(1e-7, True), (1e-11, False)])
     def test_residual_gate_catches_wrong_solve(self, monkeypatch, eps, fails):
         # Shifting nu by delta leaves 1^T a = 0 and makes the bordered
-        # residual H delta, so its size relative to ||y|| is eps. Both
-        # solvers are perturbed: a fast solution that fails the gate goes to
-        # the dense path, and a dense one that fails it raises.
+        # residual H delta, and shifting b by eps ||y|| / sqrt(n) adds that
+        # to each of its n rows, so either way its size relative to ||y|| is
+        # eps. Both solvers are perturbed: a fast solution that fails the
+        # gate goes to the dense path, and a dense one that fails it raises.
         rng = np.random.default_rng(31)
         n = 60
         X = rng.uniform(0.0, 5.0, (n, 3))
@@ -248,10 +249,9 @@ class TestTrain:
             return sol
 
         def perturbed_pcg(*args):
-            sol, iterations = real_pcg(*args)
-            sol[:, 1] += delta
+            alpha, b, iterations = real_pcg(*args)
             calls.append("fast")
-            return sol, iterations
+            return alpha, b + eps * np.linalg.norm(y) / np.sqrt(n), iterations
 
         monkeypatch.setattr(lssvm, "cho_solve", perturbed_cho_solve)
         monkeypatch.setattr(lssvm, "_pcg", perturbed_pcg)
@@ -424,16 +424,51 @@ class TestTrainingKernel:
     def test_fill_is_exactly_symmetric_with_unit_diagonal(self, n):
         X = np.random.default_rng(n).uniform(0, 25, (n, 10))
         product = lssvm.KernelProduct(X, X)
-        lower = np.tril_indices(n)
         for sigma2 in (8.0, 75.0, 900.0, 4e4):
             H = np.full((n, n), np.nan, order="F")
             product.fill_kernel(sigma2, H)
-            filled = H[lower]
-            lssvm._mirror_lower(H)
-            assert np.array_equal(H[lower], filled)
             assert np.array_equal(H, H.T)
             np.testing.assert_array_equal(np.diag(H), 1.0)
             assert np.abs(H - build_kernel_matrix(X, sigma2)).max() <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_fill_with_single_precision_upper(self, n):
+        # Into separate arrays: the lower triangle is the symmetric fill's,
+        # the strict upper triangle of ``upper`` is K rounded to float32, and
+        # nothing else of ``upper`` is written.
+        X = np.random.default_rng(n).uniform(0, 25, (n, 10))
+        product = lssvm.KernelProduct(X, X)
+        lower, strict_upper = np.tril_indices(n), np.triu_indices(n, k=1)
+        for sigma2 in (8.0, 75.0, 900.0, 4e4):
+            K = np.empty((n, n), order="F")
+            product.fill_kernel(sigma2, K)
+            H = np.full((n, n), np.nan, order="F")
+            upper = np.full((n, n), -7.0, dtype=np.float32, order="F")
+            product.fill_kernel(sigma2, H, upper=upper)
+            assert np.array_equal(H[lower], K[lower])
+            np.testing.assert_allclose(upper[strict_upper], K[strict_upper], rtol=1e-7, atol=1e-30)
+            assert (np.tril(upper) == -7.0)[lower].all()
+
+    @pytest.mark.parametrize("n", [2, 65, 300])
+    def test_single_precision_factor_leaves_h_lower_intact(self, n):
+        # In a TrainingSet the float32 array shares the buffer with H: the
+        # fill and the single-precision factorization leave H's lower
+        # triangle and diagonal as the symmetric fill writes them.
+        rng = np.random.default_rng(n)
+        X = rng.uniform(0, 25, (n, 6))
+        training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, n))
+        hp = Hyperparams(10.0, 75.0)
+        training_set.solve(hp)
+        assert training_set.counts["fast"] == 1
+        K = np.empty((n, n), order="F")
+        lssvm.KernelProduct(X, X).fill_kernel(hp.sigma2, K)
+        K[np.diag_indices(n)] = 1.0 + 1.0 / hp.gamma
+        lower = np.tril_indices(n)
+        assert np.array_equal(training_set._H[lower], K[lower])
+        R = training_set._R
+        assert np.shares_memory(R, training_set._H)
+        U = np.triu(R).astype(float)
+        np.testing.assert_allclose(U.T @ U, K, atol=1e-5)
 
     def test_training_set_retains_one_square_array(self):
         n = 1000
@@ -464,11 +499,13 @@ class TestTrainingKernel:
 
 class TestBlockedCholesky:
     def test_scipy_routines_resolve(self):
-        for routine in (lssvm._DPOTRF, lssvm._DTRSM, lssvm._DSYRK):
+        for routine in (lssvm._DPOTRF, lssvm._DTRSM, lssvm._DSYRK,
+                        lssvm._SPOTRF, lssvm._STRSM, lssvm._SSYRK, lssvm._STRSV):
             assert ctypes.cast(routine, ctypes.c_void_p).value
 
     @pytest.mark.parametrize("module, name, kinds", [(cython_blas, "dsyrk", "cciiddidd"),
-                                                     (cython_lapack, "dpotrf", "cidil")])
+                                                     (cython_lapack, "dpotrf", "cidil"),
+                                                     (cython_blas, "ssyrk", "cciiddiddi")])
     def test_unexpected_signature_refused(self, module, name, kinds):
         with pytest.raises(ImportError, match=name):
             lssvm._scipy_routine(module, name, kinds)
@@ -486,16 +523,15 @@ class TestBlockedCholesky:
         assert abs(b - b_ref) <= 1e-9 * scale
 
     def test_upper_triangle_is_the_filled_kernel(self):
-        # sigma2 = 200 needs a preconditioner of rank > PRECOND_RANK here, so
-        # the solve takes the dense path.
+        # gamma = 1e5 at n = 300 is beyond the fast path's bound, so the
+        # solve takes the dense path.
         rng = np.random.default_rng(300)
         X = rng.uniform(0, 25, (300, 6))
         training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, 300))
-        training_set.solve(Hyperparams(100.0, 200.0))
+        training_set.solve(Hyperparams(1e5, 200.0))
         assert training_set.counts["dense"] == 1
         K = np.empty((300, 300), order="F")
         lssvm.KernelProduct(X, X).fill_kernel(200.0, K)
-        lssvm._mirror_lower(K)
         upper = np.triu_indices(300, k=1)
         assert np.array_equal(training_set._H[upper], K[upper])
 
@@ -512,35 +548,26 @@ class TestBlockedCholesky:
 def dense_solve(monkeypatch, X, y, hp):
     """The solve at ``hp`` with the fast path switched off."""
     with monkeypatch.context() as patch:
-        patch.setattr(lssvm, "_pivot_gate_cannot_fire", lambda n, gamma: False)
+        patch.setattr(lssvm, "_single_precision_suffices", lambda n, gamma: False)
         training_set = lssvm.TrainingSet(X, y)
         solution = training_set.solve(hp)
     assert training_set.counts["dense"] == 1
     return solution
 
 
-def preconditioner_rank(X, hp):
-    n = len(X)
-    H = np.empty((n, n), order="F")
-    lssvm.KernelProduct(X, X).fill_kernel(hp.sigma2, H)
-    G = np.empty((n, min(n, lssvm.PRECOND_RANK)), order="F")
-    rank, residual_diag = lssvm._pivoted_cholesky(H, G, lssvm.PRECOND_TOL / hp.gamma)
-    return rank, hp.gamma * residual_diag
-
-
 class TestFastPath:
-    @pytest.mark.parametrize("n, hp, ranks", [
-        (250, Hyperparams(1.0, 4000.0), (1, 40)),      # low rank: large sigma2, small gamma
-        (300, Hyperparams(0.01, 1000.0), (1, 40)),
-        (300, Hyperparams(100.0, 4000.0), (80, 127)),  # near the rank cap
-        (300, Hyperparams(100.0, 400.0), (128, 128)),  # at it, gamma * residual <= 1
+    @pytest.mark.parametrize("n, hp", [
+        (250, Hyperparams(1.0, 4000.0)),      # large sigma2, small gamma
+        (300, Hyperparams(1e-4, 8.0)),        # the box's corners
+        (300, Hyperparams(1e-4, 4e4)),
+        (300, Hyperparams(100.0, 8.0)),
+        (300, Hyperparams(2e4, 30.0)),        # near the bound at n = 300
+        (300, Hyperparams(2.7e4, 4e4)),
     ])
-    def test_matches_oracle(self, n, hp, ranks):
+    def test_matches_oracle(self, n, hp):
         rng = np.random.default_rng(41)
         X = rng.uniform(0, 25, (n, 6))
         y = rng.uniform(0, 20, n)
-        rank, excess = preconditioner_rank(X, hp)
-        assert ranks[0] <= rank <= ranks[1] and excess <= 1.0
         training_set = lssvm.TrainingSet(X, y)
         alpha, b = training_set.solve(hp)
         assert training_set.counts["fast"] == 1 and training_set.counts["dense"] == 0
@@ -549,30 +576,33 @@ class TestFastPath:
         np.testing.assert_allclose(alpha, a_ref, atol=1e-9 * scale)
         assert abs(b - b_ref) <= 1e-9 * scale
 
-    @pytest.mark.parametrize("reason", ["rank_cap", "cg_cap", "gate"])
+    @pytest.mark.parametrize("reason", ["factor", "cg_cap", "gate"])
     def test_fallback_equals_dense_solve(self, monkeypatch, reason):
         rng = np.random.default_rng(43)
         X = rng.uniform(0, 25, (300, 6))
         y = rng.uniform(0, 20, 300)
-        # At sigma2 = 30 the kernel is far from low rank (gamma * residual
-        # is about 94 at the cap); at 4000 CG needs more than one iteration.
-        hp = Hyperparams(100.0, 30.0 if reason == "rank_cap" else 4000.0)
+        hp = Hyperparams(100.0, 4000.0)
+        if reason == "factor":
+            # Far past the bound, H rounded to single precision is not
+            # positive definite: K is numerically of low rank at sigma2 =
+            # 1000, and 1/gamma is below single precision.
+            hp = Hyperparams(1e6, 1e3)
+            monkeypatch.setattr(lssvm, "SINGLE_KAPPA_U", 1e30)
         if reason == "cg_cap":
             monkeypatch.setattr(lssvm, "CG_MAX_ITER", 1)
         if reason == "gate":
             real_pcg = lssvm._pcg
 
             def perturbed(*args):
-                sol, iterations = real_pcg(*args)
-                sol[:, 1] *= 1 + 1e-6
-                return sol, iterations
+                alpha, b, iterations = real_pcg(*args)
+                return alpha, b * (1 + 1e-6), iterations
 
             monkeypatch.setattr(lssvm, "_pcg", perturbed)
         training_set = lssvm.TrainingSet(X, y)
         alpha, b = training_set.solve(hp)
         counts = training_set.counts
         assert counts["fast"] == 0 and counts["dense"] == 1 and counts[reason] == 1
-        assert sum(counts[r] for r in ("rank_cap", "cg_cap", "gate")) == 1
+        assert sum(counts[r] for r in ("factor", "cg_cap", "gate")) == 1
         want_alpha, want_b = dense_solve(monkeypatch, X, y, hp)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert b == want_b
@@ -584,19 +614,32 @@ class TestFastPath:
         training_set.solve(Hyperparams(1.0, 4000.0))
         iterations = training_set.counts["cg_iterations"]
         assert iterations >= 2
-        training_set.solve(Hyperparams(100.0, 30.0))  # rank cap: no CG
-        training_set.solve(Hyperparams(1e16, 30.0))  # beyond the pivot bound
-        assert training_set.counts == {"fast": 1, "dense": 2, "rank_cap": 1, "cg_cap": 0,
+        training_set.solve(Hyperparams(1e5, 30.0))  # beyond the bound: dense, no CG
+        training_set.solve(Hyperparams(1e16, 30.0))
+        assert training_set.counts == {"fast": 1, "dense": 2, "factor": 0, "cg_cap": 0,
                                        "gate": 0, "cg_iterations": iterations}
         single = lssvm.TrainingSet(X[:1], [1.0])
         single.solve(Hyperparams(1.0, 1.0))  # solved in closed form
         assert single.counts == dict.fromkeys(lssvm.SOLVE_COUNTS, 0)
 
-    def test_pivot_bound_covers_the_search_box(self):
-        # The fast path takes every gamma of the default box at the full
-        # profile's size, and never the singular tests' gamma = 1e16.
-        assert lssvm._pivot_gate_cannot_fire(2575, 1e6)
-        assert lssvm._pivot_gate_cannot_fire(2575, 1e-4)
-        assert not lssvm._pivot_gate_cannot_fire(2, 1e16)
-        assert not lssvm._pivot_gate_cannot_fire(300, 1e16)
-        assert not lssvm._pivot_gate_cannot_fire(2575, 1e12)
+    def test_bound(self):
+        # The bound at the full profile's size, and never the singular
+        # tests' gamma = 1e16.
+        assert lssvm._single_precision_suffices(2575, 3.2e3)
+        assert not lssvm._single_precision_suffices(2575, 3.3e3)
+        assert lssvm._single_precision_suffices(2575, 1e-4)
+        assert not lssvm._single_precision_suffices(2, 1e16)
+        assert not lssvm._single_precision_suffices(300, 1e16)
+
+    @pytest.mark.parametrize("n", [2, 300, 2575, 10**5, 10**7])
+    def test_pivot_gate_cannot_fire_within_the_bound(self, n):
+        # Every computed squared pivot is at least 1/gamma - 2 n c_n max|H|
+        # (see _single_precision_suffices), which clears the pivot gate at
+        # the largest gamma the fast path takes.
+        u = np.finfo(float).eps / 2
+        gamma = lssvm.SINGLE_KAPPA_U / (n * np.finfo(np.float32).eps / 2)
+        assert lssvm._single_precision_suffices(n, gamma * (1 - 1e-6))
+        assert not lssvm._single_precision_suffices(n, gamma * (1 + 1e-3))
+        c_n = (n + 1) * u / (1 - (n + 1) * u)
+        scale = 1.0 + 1.0 / gamma
+        assert 1.0 / gamma - 2 * n * c_n * scale >= lssvm.PIVOT_RTOL * scale
