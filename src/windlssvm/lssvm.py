@@ -22,8 +22,9 @@ writes the distances already scaled by -1/(2 sigma2), and they are clamped
 at 0 and turned into kernel values. ``matvec`` then takes one ``dgemv`` per block, so
 a product holds one cache-sized block, not an n_query x n_support kernel.
 ``fill_kernel`` writes K(S, S) into the lower triangle of a caller's n x n
-array, with a unit diagonal, and its strict upper triangle either as the
-mirror image of the lower one or, in single precision, into another array.
+array, with a unit diagonal, one ``dgemm`` per column panel, and copies each
+panel's transpose into the strict upper triangle: of the same array, or, in
+single precision, of another one. Each pair is computed once.
 
 ``TrainingSet`` owns a training set's ``KernelProduct`` with itself, and one
 Fortran-ordered n x (n + 1) buffer that all of its solves share; it keeps no
@@ -35,11 +36,14 @@ chosen by gamma and n alone:
   lambda_max(K) <= n and (1 + gamma n) bounds the condition number of H;
   a Cholesky factor of H rounded to single precision is then a close
   preconditioner of H. The fill writes K's lower triangle in double
-  precision and its upper triangle in single precision into the strict upper
+  precision and its mirror image in single precision into the strict upper
   triangle of the buffer: column j of that float32 array starts at the top
   of the buffer's column j + 1, with a leading dimension of 2n floats, so
   its upper triangle, R included, stays clear of H's lower triangle and
-  diagonal. A blocked single-precision Cholesky R^T R overwrites it.
+  diagonal. Each panel of the fill writes H before the float32 array, and
+  the float32 entries of panel [s, t) lie in the buffer's rows < t/2, which
+  later panels, writing rows >= t only, leave alone. A blocked
+  single-precision Cholesky R^T R overwrites that array.
   Projected conjugate gradients (``_pcg``), in double precision and
   reading H's lower triangle only, then solve the bordered system in one
   Krylov sequence, with R^T R as the preconditioner, until its residual is
@@ -52,14 +56,14 @@ chosen by gamma and n alone:
   diagonal is written again the upper triangle is H again, the same numbers
   the factorization read.
 
-The fast path falls back to the dense path, after ``_mirror_lower`` copies
-H's lower triangle back over the single-precision array, when the
-single-precision factorization meets a non-positive pivot, when CG takes
-``CG_MAX_ITER`` iterations without meeting ``CG_RTOL`` or breaks down (only
-rounding or non-finite values make it), or when its result fails the
-residual or finiteness gate. So the path, like the result, depends only on
-gamma, sigma2 and the training data. ``TrainingSet.counts`` counts the
-solves of each path, the fallbacks by reason and the CG iterations.
+The fast path falls back to the dense path, which fills the kernel again
+over the single-precision array, when the single-precision factorization
+meets a non-positive pivot, when CG takes ``CG_MAX_ITER`` iterations
+without meeting ``CG_RTOL`` or breaks down (only rounding or non-finite
+values make it), or when its result fails the residual or finiteness gate.
+So the path, like the result, depends only on gamma, sigma2 and the
+training data. ``TrainingSet.counts`` counts the solves of each path, the
+fallbacks by reason and the CG iterations.
 
 Both solvers fill the kernel and factor an n x n matrix, and CG takes a few
 iterations, so a solve costs nearly the same anywhere in the search box:
@@ -380,10 +384,8 @@ class TrainingSet:
                 counts["fast"] += 1
                 return fast
             counts[fast] += 1
-            _mirror_lower(H)
-        else:
-            self._kernel.fill_kernel(hp.sigma2, H)
-            H[np.diag_indices(n)] = scale
+        self._kernel.fill_kernel(hp.sigma2, H)
+        H[np.diag_indices(n)] = scale
         counts["dense"] += 1
         # L overwrites the lower triangle; the strict upper triangle keeps K.
         min_pivot = float(H.diagonal().min()) ** 2 if _cholesky_lower(H) else 0.0
@@ -479,15 +481,19 @@ def _pcg(H: np.ndarray, precondition, y: np.ndarray) -> tuple[np.ndarray | None,
     the residual of the bordered system: on the constraint this gives the
     same g, and it keeps the part of r that matters from being rounded away
     next to b 1 in single precision (Gould et al.'s residual update). CG
-    stops once ||H a + b 1 - y|| is ``CG_RTOL`` of ||y||. a is None if that
-    takes more than ``CG_MAX_ITER`` iterations, or if CG breaks down, which
-    only rounding or non-finite values can make it do, since H and M are
+    starts from a = 0 and b = mean(y), and stops once ||H a + b 1 - y|| is
+    ``CG_RTOL`` of ||y||, before the first step if y is constant (the first
+    direction would give p^T H p = 0 there). a is None if that takes more
+    than ``CG_MAX_ITER`` iterations, or if CG breaks down, which only
+    rounding or non-finite values can make it do, since H and M are
     positive definite.
     """
     n = len(y)
     stop = CG_RTOL * blas.dnrm2(y)
-    if not stop:
-        return np.zeros(n), 0.0, 0  # y = 0 has the zero solution
+    a, r, b = np.zeros(n), -y, y.mean()
+    residual = r + b
+    if blas.dnrm2(residual) <= stop:
+        return a, b, 0  # constant y, zero included: a = 0 and b = y's mean
     w = precondition(np.ones(n))
     w_sum = w.sum()
 
@@ -495,8 +501,6 @@ def _pcg(H: np.ndarray, precondition, y: np.ndarray) -> tuple[np.ndarray | None,
         z = precondition(r)
         return blas.daxpy(w, z, a=-z.sum() / w_sum)
 
-    a, r = np.zeros(n), -y
-    residual = r - r.mean()
     g = project(residual)
     rg = blas.ddot(residual, g)
     p = -g
@@ -567,11 +571,11 @@ class KernelProduct:
         # f2py writes in place only into contiguous arrays.
         self._scratch = np.empty(n * min(PREDICT_BLOCK_ROWS, nq))
 
-    def _scaled_sq_dists(self, sigma2: float, first: int, start: int, stop: int, last=None):
-        """-||s - q||^2 / (2 sigma2) for the support rows first:last (to the
-        end by default) and the query rows start:stop, clamped at 0 against
-        rounding, as a Fortran-ordered view of the scratch array."""
-        support = self._Sa[:, first:last]
+    def _scaled_sq_dists(self, sigma2: float, first: int, start: int, stop: int):
+        """-||s - q||^2 / (2 sigma2) for the support rows from ``first`` on and
+        the query rows start:stop, clamped at 0 against rounding, as a
+        Fortran-ordered view of the scratch array."""
+        support = self._Sa[:, first:]
         m, w = support.shape[1], stop - start
         block = self._scratch[: m * w].reshape(m, w, order="F")
         block = blas.dgemm(-0.5 / sigma2, support, self._Qa[:, start:stop],
@@ -591,17 +595,19 @@ class KernelProduct:
 
     def fill_kernel(self, sigma2: float, out: np.ndarray, upper: np.ndarray | None = None):
         """Write K(S, S) into the lower triangle of the n x n array ``out``,
-        with a unit diagonal; the query rows must be the support rows.
+        with a unit diagonal, and its mirror image into the strict upper
+        triangle of ``upper``; the query rows must be the support rows.
 
-        Without ``upper``, each pair is computed once per column panel, on
-        or below the diagonal, and mirrored above it, so ``out`` is exactly
-        symmetric. With it, a float32 n x n array, each panel's pairs above
-        the diagonal are computed too and written, rounded, into the strict
-        upper triangle of ``upper``; ``out``'s strict upper triangle is then
-        left undefined, and ``upper``'s diagonal and lower triangle are not
-        written. ``upper`` may share memory with the strict upper triangle
-        of ``out``, as in ``TrainingSet``: each panel writes ``out`` first.
+        Each pair is computed once per column panel, on or below the
+        diagonal, and the panel's transpose is copied above it. ``upper`` is
+        ``out`` by default, which is then exactly symmetric. It may be a
+        float32 n x n array, which takes the same values rounded; ``out``'s
+        strict upper triangle is then left undefined, and ``upper``'s
+        diagonal and lower triangle are not written. ``upper`` may share
+        memory with the strict upper triangle of ``out``, as in
+        ``TrainingSet``: each panel writes ``out`` first.
         """
+        upper = out if upper is None else upper
         n = self._Sa.shape[1]
         for start in range(0, n, PREDICT_BLOCK_ROWS):
             stop = min(start + PREDICT_BLOCK_ROWS, n)
@@ -609,30 +615,10 @@ class KernelProduct:
             panel = np.exp(self._scaled_sq_dists(sigma2, start, start, stop),
                            out=out[start:, start:stop])
             top = panel[:w]
-            above = np.tri(w, k=-1, dtype=bool).T
-            if upper is None:
-                np.copyto(top, top.T, where=above)
-                np.fill_diagonal(top, 1.0)
-                out[start:stop, stop:] = panel[w:].T
-                continue
             np.fill_diagonal(top, 1.0)
-            np.copyto(upper[start:stop, start:stop], top.T, where=above, casting="same_kind")
-            if start:
-                np.exp(self._scaled_sq_dists(sigma2, 0, start, stop, last=start),
-                       out=upper[:start, start:stop], casting="same_kind")
-
-
-def _mirror_lower(A: np.ndarray):
-    """Copy the strict lower triangle of the square array ``A`` onto its
-    strict upper triangle, ``PREDICT_BLOCK_ROWS`` columns at a time, so
-    ``A`` is exactly symmetric, as ``KernelProduct.fill_kernel`` without
-    ``upper`` leaves it."""
-    n = A.shape[0]
-    for start in range(0, n, PREDICT_BLOCK_ROWS):
-        stop = min(start + PREDICT_BLOCK_ROWS, n)
-        top = A[start:stop, start:stop]
-        np.copyto(top, top.T, where=np.tri(stop - start, k=-1, dtype=bool).T)
-        A[start:stop, stop:] = A[stop:, start:stop].T
+            np.copyto(upper[start:stop, start:stop], top.T,
+                      where=np.tri(w, k=-1, dtype=bool).T, casting="same_kind")
+            np.copyto(upper[start:stop, stop:], panel[w:].T, casting="same_kind")
 
 
 def predict(model: LssvmModel, Xq) -> np.ndarray:

@@ -434,8 +434,8 @@ class TestTrainingKernel:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
     def test_fill_with_single_precision_upper(self, n):
         # Into separate arrays: the lower triangle is the symmetric fill's,
-        # the strict upper triangle of ``upper`` is K rounded to float32, and
-        # nothing else of ``upper`` is written.
+        # the strict upper triangle of ``upper`` is its transpose rounded to
+        # float32, and nothing else of ``upper`` is written.
         X = np.random.default_rng(n).uniform(0, 25, (n, 10))
         product = lssvm.KernelProduct(X, X)
         lower, strict_upper = np.tril_indices(n), np.triu_indices(n, k=1)
@@ -446,7 +446,7 @@ class TestTrainingKernel:
             upper = np.full((n, n), -7.0, dtype=np.float32, order="F")
             product.fill_kernel(sigma2, H, upper=upper)
             assert np.array_equal(H[lower], K[lower])
-            np.testing.assert_allclose(upper[strict_upper], K[strict_upper], rtol=1e-7, atol=1e-30)
+            assert np.array_equal(upper[strict_upper], K.T[strict_upper].astype(np.float32))
             assert (np.tril(upper) == -7.0)[lower].all()
 
     @pytest.mark.parametrize("n", [2, 65, 300])
@@ -522,13 +522,20 @@ class TestBlockedCholesky:
         np.testing.assert_allclose(alpha, a_ref, atol=1e-9 * scale)
         assert abs(b - b_ref) <= 1e-9 * scale
 
-    def test_upper_triangle_is_the_filled_kernel(self):
+    @pytest.mark.parametrize("route", ["dense", "fallback"])
+    def test_upper_triangle_is_the_filled_kernel(self, monkeypatch, route):
         # gamma = 1e5 at n = 300 is beyond the fast path's bound, so the
-        # solve takes the dense path.
+        # solve takes the dense path; gamma = 10 is within it, and one CG
+        # iteration falls back to the dense path, which fills H again.
         rng = np.random.default_rng(300)
         X = rng.uniform(0, 25, (300, 6))
         training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, 300))
-        training_set.solve(Hyperparams(1e5, 200.0))
+        if route == "dense":
+            training_set.solve(Hyperparams(1e5, 200.0))
+        else:
+            monkeypatch.setattr(lssvm, "CG_MAX_ITER", 1)
+            training_set.solve(Hyperparams(10.0, 200.0))
+            assert training_set.counts["cg_cap"] == 1
         assert training_set.counts["dense"] == 1
         K = np.empty((300, 300), order="F")
         lssvm.KernelProduct(X, X).fill_kernel(200.0, K)
@@ -606,6 +613,16 @@ class TestFastPath:
         want_alpha, want_b = dense_solve(monkeypatch, X, y, hp)
         np.testing.assert_array_equal(alpha, want_alpha)
         assert b == want_b
+
+    def test_constant_targets_need_no_cg_step(self):
+        # The first CG direction would give p^T H p = 0: the starting point
+        # a = 0, b = 3.5 is the solution.
+        X = np.random.default_rng(49).uniform(0, 25, (300, 6))
+        training_set = lssvm.TrainingSet(X, np.full(300, 3.5))
+        alpha, b = training_set.solve(Hyperparams(10.0, 75.0))
+        assert not alpha.any() and b == 3.5
+        assert training_set.counts == {"fast": 1, "dense": 0, "factor": 0, "cg_cap": 0,
+                                       "gate": 0, "cg_iterations": 0}
 
     def test_counts(self):
         rng = np.random.default_rng(47)

@@ -268,7 +268,7 @@ class TestLssvmFitness:
                                       lssvm.KernelProduct.fill_kernel,
                                       lssvm.KernelProduct._scaled_sq_dists,
                                       lssvm.TrainingSet._fast_solve, lssvm.TrainingSet._rel_residual,
-                                      lssvm._cholesky_upper_single, lssvm._pcg, lssvm._mirror_lower])
+                                      lssvm._cholesky_upper_single, lssvm._pcg])
     def test_no_numpy_matrix_product_in_hot_path(self, func):
         banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
