@@ -1,18 +1,20 @@
 """Command-line interface.
 
 Subcommands: synth, clean, features, tune, train, predict, evaluate,
-benchmark. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-failure. Each command takes only the experiment flags it reads: train the
-data flags (input, lag window, MI selection, outlier gate, split), features
-those and --outdir, tune and benchmark those and the tuning flags (trials,
-seed, swarm, search box). A JSON config file (--config) may supply any
-experiment field, so one file serves every command; explicit flags take
-precedence over it.
+benchmark. Exit codes: 0 success, 1 usage error (a config file that cannot
+be read is one), 2 data error (any other file that cannot be read or
+written is one), 3 numeric failure. Each command takes only the experiment
+flags it reads: train the data flags (input, lag window, MI selection,
+outlier gate, split), features those and --outdir, tune and benchmark those
+and the tuning flags (trials, seed, swarm, search box). A JSON config file
+(--config) may supply any experiment field, so one file serves every
+command; explicit flags take precedence over it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -202,8 +204,8 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
         return config_from_dict(raw)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
-    except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {exc.filename}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {args.config}: {exc.strerror or exc}") from None
 
 
 def _distinct_positive_ints(lags) -> bool:
@@ -256,6 +258,16 @@ def _check_sidecar(meta, path: str):
             raise DataError(f"{path}: sidecar 'split': {exc}") from None
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Re-raise a ValueError about the series read from ``path`` (cleaning,
+    lagging, splitting) as a DataError that names the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------- commands
 
 FEATURES_DEFAULTS = {"outdir": "features"}
@@ -277,7 +289,8 @@ def cmd_clean(args):
         raise UsageError(f"--z-threshold must be a finite positive real, got {args.z_threshold!r}")
     series = load_csv(args.input)
     z = args.z_threshold if args.z_threshold is not None else ExperimentConfig.z_threshold
-    cleaned, replaced = clean(series, z)
+    with _naming(args.input):
+        cleaned, replaced = clean(series, z)
     write_series_csv(cleaned, args.out)
     print(f"replaced {replaced} of {len(series)} samples; wrote {args.out}")
     return 0
@@ -365,9 +378,10 @@ def _model_and_dataset(args):
     if series.cadence_minutes != trained:
         raise DataError(f"{args.input}: {series.cadence_minutes}-minute cadence, "
                         f"but the model was trained on a {trained}-minute series")
-    cleaned, _ = clean(series, meta.get("z_threshold", ExperimentConfig.z_threshold))
-    ds = make_lagged_dataset(cleaned, meta["n_lags"])
-    return model, meta, take_lags(ds, meta["lags"])
+    with _naming(args.input):
+        cleaned, _ = clean(series, meta.get("z_threshold", ExperimentConfig.z_threshold))
+        ds = make_lagged_dataset(cleaned, meta["n_lags"])
+        return model, meta, take_lags(ds, meta["lags"])
 
 
 def cmd_predict(args):
@@ -380,7 +394,8 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     model, meta, ds = _model_and_dataset(args)
     spec = SplitSpec(*meta["split"]) if "split" in meta else SplitSpec()
-    train, val, test = split(ds, spec)
+    with _naming(args.input):
+        train, val, test = split(ds, spec)
     block = {"train": train, "val": val, "test": test, "all": ds}[args.block]
     pred = lssvm.predict(model, block.features)
     m = metric_report(block.targets, pred)
@@ -463,7 +478,7 @@ def main(argv=None) -> int:
     except lssvm.NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError) as exc:  # DataError is a ValueError
+    except (ValueError, OSError) as exc:  # DataError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -64,16 +64,19 @@ def load_csv(path: str) -> TimeSeries:
 
     Raises DataError naming the offending 1-based line for malformed rows,
     unparseable, duplicate, out-of-order or off-cadence timestamps and the
-    first stamp after a change of cadence, and for empty files or a cadence
-    that is not a whole number of minutes.
+    first stamp after a change of cadence, and for files that are empty or
+    not UTF-8 text or whose cadence is not a whole number of minutes.
     """
     stamps = []
     linenos = []
     values = []
     mask = []
     first_content = True
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue

@@ -42,8 +42,9 @@ chosen by gamma and n alone:
   its upper triangle, R included, stays clear of H's lower triangle and
   diagonal. Each panel of the fill writes H before the float32 array, and
   the float32 entries of panel [s, t) lie in the buffer's rows < t/2, which
-  later panels, writing rows >= t only, leave alone. A blocked
-  single-precision Cholesky R^T R overwrites that array.
+  later panels, writing rows >= t only, leave alone. One ``spotrf`` call
+  overwrites that array's upper triangle with its single-precision Cholesky
+  factor R (H ~ R^T R); ``spotrf`` references no entry below the diagonal.
   Projected conjugate gradients (``_pcg``), in double precision and
   reading H's lower triangle only, then solve the bordered system in one
   Krylov sequence, with R^T R as the preconditioner, until its residual is
@@ -72,18 +73,20 @@ single-precision factorization. A solver whose cost depends on where it
 runs, such as CG on a low-rank preconditioner, makes a swarm's throughput
 depend on where the swarm goes.
 
-The factorizations are right-looking blocked Cholesky factorizations
-(LAPACK Users' Guide, section 3.4) in steps of ``CHOLESKY_BLOCK`` columns,
-or ``SINGLE_CHOLESKY_BLOCK`` in single precision: ``potrf`` factors the
-diagonal block, ``trsm`` solves the panel beside it,
-and one ``syrk`` updates the trailing triangle, which holds almost all of
-the flops. Each call addresses a block of the buffer through its leading
-dimension. The f2py wrappers of ``scipy.linalg.lapack`` and
-``scipy.linalg.blas`` take no leading dimension and copy any non-contiguous
-view, so these routines are taken instead, once at import, from the C
-function pointers that scipy exports for Cython (``scipy.linalg.cython_lapack``
-and ``cython_blas``). Import fails if their signatures are not the expected
-32-bit-integer ones.
+The double-precision factorization is a right-looking blocked Cholesky
+factorization (LAPACK Users' Guide, section 3.4) in steps of
+``CHOLESKY_BLOCK`` columns: ``dpotrf`` factors the diagonal block, ``dtrsm``
+solves the panel below it, and one ``dsyrk`` updates the trailing triangle,
+which holds almost all of the flops. Measured at n = 2575 on 2 cores, it is
+about 10 ms faster than one ``dpotrf`` call over the whole matrix. In single
+precision the same blocking saved nothing, so the fast path makes one
+``spotrf`` call. Each call addresses its block of the buffer
+through its leading dimension. The f2py wrappers of ``scipy.linalg.lapack``
+and ``scipy.linalg.blas`` take no leading dimension and copy any
+non-contiguous view, so these routines are taken instead, once at import,
+from the C function pointers that scipy exports for Cython
+(``scipy.linalg.cython_lapack`` and ``cython_blas``). Import fails if their
+signatures are not the expected 32-bit-integer ones.
 
 Every dense product of a solve or a prediction goes through the OpenBLAS
 behind ``scipy.linalg.blas``, which also serves scipy's Cython routines.
@@ -116,8 +119,8 @@ fails one goes to the dense path, which raises if it fails too.
 
 from __future__ import annotations
 
-from ctypes import (CFUNCTYPE, POINTER, PYFUNCTYPE, byref, c_char_p, c_double, c_float,
-                    c_int, c_void_p, py_object, pythonapi)
+from ctypes import (CFUNCTYPE, POINTER, PYFUNCTYPE, byref, c_char_p, c_double, c_int,
+                    c_void_p, py_object, pythonapi)
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,10 +136,8 @@ RESIDUAL_RTOL = 1e-8
 # values is PREDICT_BLOCK_ROWS x n_support doubles: about 1.3 MB at the full
 # profile's 2575 support rows, so it stays in a core's L2 cache.
 PREDICT_BLOCK_ROWS = 64
-# Columns per step of the blocked Cholesky factorizations of H, in double
-# and in single precision.
+# Columns per step of the blocked double-precision Cholesky factorization of H.
 CHOLESKY_BLOCK = 128
-SINGLE_CHOLESKY_BLOCK = 256
 # The fast path is taken where (1 + gamma n) times the single-precision unit
 # roundoff, a bound on the single-precision rounding of H relative to its
 # smallest eigenvalue, is at most SINGLE_KAPPA_U.
@@ -182,8 +183,6 @@ _DPOTRF = _scipy_routine(cython_lapack, "dpotrf", "cidii")
 _DTRSM = _scipy_routine(cython_blas, "dtrsm", "cccciiddidi")
 _DSYRK = _scipy_routine(cython_blas, "dsyrk", "cciiddiddi")
 _SPOTRF = _scipy_routine(cython_lapack, "spotrf", "cisii")
-_STRSM = _scipy_routine(cython_blas, "strsm", "cccciissisi")
-_SSYRK = _scipy_routine(cython_blas, "ssyrk", "cciississi")
 _STRSV = _scipy_routine(cython_blas, "strsv", "cccisisi")
 
 
@@ -217,31 +216,15 @@ def _cholesky_lower(A: np.ndarray) -> bool:
 def _cholesky_upper_single(R: np.ndarray) -> bool:
     """Overwrite the upper triangle of the float32 n x n array ``R``, whose
     columns may lie any whole number of floats apart, with its Cholesky
-    factor (R <- U with R = U^T U), ``SINGLE_CHOLESKY_BLOCK`` columns per step,
-    leaving the strict lower triangle as it is. False if a pivot is not
-    positive.
+    factor (R <- U with R = U^T U), in one ``spotrf`` call, leaving the
+    strict lower triangle as it is. False if a pivot is not positive.
     """
     n, ld = R.shape[0], R.strides[1] // R.itemsize
     if R.dtype != np.float32 or R.strides[0] != R.itemsize or n != R.shape[1]:
         raise ValueError("need a square float32 array with contiguous columns")
-    base = R.ctypes.data
-    lda, info, one, minus_one = c_int(ld), c_int(0), c_float(1.0), c_float(-1.0)
-
-    def at(i, j):
-        return base + R.itemsize * (i + j * ld)
-
-    for j in range(0, n, SINGLE_CHOLESKY_BLOCK):
-        w = min(SINGLE_CHOLESKY_BLOCK, n - j)
-        m, k = c_int(n - j - w), c_int(w)
-        _SPOTRF(b"U", k, at(j, j), lda, info)
-        if info.value:
-            return False
-        if m.value:
-            # Block row beside the block: B <- U^-T B; trailing upper triangle: T <- T - B^T B.
-            _STRSM(b"L", b"U", b"T", b"N", k, m, byref(one), at(j, j), lda, at(j, j + w), lda)
-            _SSYRK(b"U", b"T", m, k, byref(minus_one), at(j, j + w), lda,
-                   byref(one), at(j + w, j + w), lda)
-    return True
+    info = c_int(0)
+    _SPOTRF(b"U", c_int(n), R.ctypes.data, c_int(ld), info)
+    return not info.value
 
 
 @dataclass(frozen=True)

@@ -514,6 +514,35 @@ class TestTrainPredictEvaluate:
         assert main(["train", "--in", series_csv, "--gamma", "-1", "--sigma2", "50",
                      "--model-out", str(tmp_path / "m")]) == 1
 
+    @pytest.mark.parametrize("command, rows, complaint", [
+        ("clean", "non-utf8", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        ("predict", 5, "series length 5 must exceed n_lags 8"),
+        ("evaluate", 12, "need at least 5 rows to split, got 4"),
+        ("clean", "blank", "every sample is missing"),
+        ("predict", "blank", "every sample is missing"),
+    ])
+    def test_series_data_error_names_file(self, tmp_path, series_csv, capsys, command, rows,
+                                          complaint):
+        model_path = str(tmp_path / "m.lssvm")
+        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
+              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
+        header, *lines = Path(series_csv).read_text().splitlines()
+        src = tmp_path / "in.csv"
+        if rows == "non-utf8":
+            src.write_bytes("\n".join([header] + lines[:20]).encode() + b"\xff\n")
+        elif rows == "blank":
+            src.write_text("\n".join([header] + [ln.split(",")[0] + "," for ln in lines[:20]]))
+        else:
+            src.write_text("\n".join([header] + lines[:rows]) + "\n")
+        out = tmp_path / "o.csv"
+        argv = {"clean": ["clean", "--out", str(out)],
+                "predict": ["predict", "--model", model_path, "--out", str(out)],
+                "evaluate": ["evaluate", "--model", model_path]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--in", str(src)]) == 2
+        assert f"data error: {src}: {complaint}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_failure_exit_3(self, tmp_path, series_csv):
         # absurd kernel width flattens the kernel matrix into singularity
         assert main(["train", "--in", series_csv, "--gamma", "1e12",
@@ -624,6 +653,24 @@ class TestHelpDefaults:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv, code", [
+        (["predict", "--model", "{dir}", "--in", "{dir}", "--out", "{tmp}/p.csv"], 2),
+        (["clean", "--in", "{dir}", "--out", "{tmp}/c.csv"], 2),
+        (["tune", "--strategy", "pso", "--config", "{dir}"], 1),
+        (["benchmark", "--synth-n", "600", "--n-lags", "8", "--iterations", "1",
+          "--population", "2", "--trials", "1", "--outdir", "{file}"], 2),
+    ])
+    def test_unreadable_path_named_without_traceback(self, tmp_path, capsys, argv, code):
+        # A directory where a file is read, or a file where a directory is made.
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        names = {"dir": tmp_path / "adir", "file": tmp_path / "afile", "tmp": tmp_path}
+        path = names["file" if "{file}" in argv else "dir"]
+        assert main([arg.format(**names) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert str(path) in err
+
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
 

@@ -90,6 +90,12 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/file.csv")
 
+    def test_non_utf8_file_names_path(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"2015-04-01T00:00,7.3\n2015-04-01T00:20,\xff\n")
+        with pytest.raises(DataError, match=f"^{p}: not UTF-8 text: .*0xff"):
+            load_csv(str(p))
+
 
 def _stamped(n, start=0, minutes=20):
     """Header plus n rows at a cadence of ``minutes``, value i on row i."""

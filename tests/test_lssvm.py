@@ -449,7 +449,7 @@ class TestTrainingKernel:
             assert np.array_equal(upper[strict_upper], K.T[strict_upper].astype(np.float32))
             assert (np.tril(upper) == -7.0)[lower].all()
 
-    @pytest.mark.parametrize("n", [2, 65, 300])
+    @pytest.mark.parametrize("n", [2, 65, 300, 1000])
     def test_single_precision_factor_leaves_h_lower_intact(self, n):
         # In a TrainingSet the float32 array shares the buffer with H: the
         # fill and the single-precision factorization leave H's lower
@@ -500,7 +500,7 @@ class TestTrainingKernel:
 class TestBlockedCholesky:
     def test_scipy_routines_resolve(self):
         for routine in (lssvm._DPOTRF, lssvm._DTRSM, lssvm._DSYRK,
-                        lssvm._SPOTRF, lssvm._STRSM, lssvm._SSYRK, lssvm._STRSV):
+                        lssvm._SPOTRF, lssvm._STRSV):
             assert ctypes.cast(routine, ctypes.c_void_p).value
 
     @pytest.mark.parametrize("module, name, kinds", [(cython_blas, "dsyrk", "cciiddidd"),
