@@ -165,8 +165,10 @@ def _read_config(path) -> dict:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError("config root must be a JSON object")
+        raise ValueError(f"{path}: config root must be a JSON object")
     return raw
 
 
@@ -259,12 +261,18 @@ def _check_sidecar(meta, path: str):
 
 
 @contextlib.contextmanager
-def _naming(path: str):
+def _naming(path: str | None):
     """Re-raise a ValueError about the series read from ``path`` (cleaning,
-    lagging, splitting) as a DataError that names the file."""
+    lagging, splitting) as a DataError that names the file. A DataError,
+    which names its file already, and an error about a synthetic series
+    (``path`` None) pass as they are."""
     try:
         yield
+    except DataError:
+        raise
     except ValueError as exc:
+        if path is None:
+            raise
         raise DataError(f"{path}: {exc}") from None
 
 
@@ -298,9 +306,10 @@ def cmd_clean(args):
 
 def cmd_features(args):
     cfg = _resolve_config(args, FEATURES_DEFAULTS)
-    cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
-    ds = make_lagged_dataset(cleaned, cfg.n_lags)
-    ranked = mi_ranking(split(ds, cfg.split)[0], cfg.mi_bins)
+    with _naming(cfg.input_csv):
+        cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
+        ds = make_lagged_dataset(cleaned, cfg.n_lags)
+        ranked = mi_ranking(split(ds, cfg.split)[0], cfg.mi_bins)
     selected = top_lags(ranked, cfg.select_fraction)
 
     outdir = cfg.outdir
@@ -324,7 +333,11 @@ def cmd_features(args):
 
 def cmd_benchmark(args):
     cfg = _resolve_config(args)
-    report = run_experiment(cfg)
+    with _naming(cfg.input_csv):
+        data = prepare_data(cfg)
+    # An unusable --outdir is found here, not after the whole run.
+    os.makedirs(cfg.outdir, exist_ok=True)
+    report = run_experiment(cfg, data=data)
     write_report(report, cfg.outdir)
     print(summary_table(report))
     print(f"report written to {cfg.outdir}/report.csv")
@@ -337,7 +350,8 @@ def cmd_train(args):
         hp = lssvm.Hyperparams(args.gamma, args.sigma2)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    data = prepare_data(cfg)
+    with _naming(cfg.input_csv):
+        data = prepare_data(cfg)
     model = lssvm.train(data.train.features, data.train.targets, hp)
     save_model(model, args.model_out, data.model_meta)
     val_pred = lssvm.predict(model, data.val.features)

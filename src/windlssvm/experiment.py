@@ -227,11 +227,13 @@ def run_job(data, fitness, space, swarm_cfg, strategy, trial) -> TrialResult:
     return result
 
 
-def run_experiment(config: ExperimentConfig, log=print) -> ExperimentReport:
-    """Prepare the data, run the (trial, strategy) jobs in that fixed order,
-    seeding trial t with base_seed + t, and merge the results. A failed job
-    is recorded with its error; the other jobs still run."""
-    data = prepare_data(config)
+def run_experiment(config: ExperimentConfig, log=print,
+                   data: PreparedData | None = None) -> ExperimentReport:
+    """Prepare the data, unless ``data`` is ``prepare_data(config)`` already,
+    run the (trial, strategy) jobs in that fixed order, seeding trial t with
+    base_seed + t, and merge the results. A failed job is recorded with its
+    error; the other jobs still run."""
+    data = prepare_data(config) if data is None else data
     log(
         f"data ready: {data.train.n_rows}/{data.val.n_rows}/{data.test.n_rows} rows, "
         f"lags {list(data.selected_lags)}, {data.n_replaced} samples replaced"

@@ -19,8 +19,9 @@ product of a support column and a query column is ||s - q||^2. It walks the
 query rows in blocks of ``PREDICT_BLOCK_ROWS`` through one scratch array of
 at most n_support x PREDICT_BLOCK_ROWS doubles. Per block, one ``dgemm``
 writes the distances already scaled by -1/(2 sigma2), and they are clamped
-at 0 and turned into kernel values. ``matvec`` then takes one ``dgemv`` per block, so
-a product holds one cache-sized block, not an n_query x n_support kernel.
+at 0 and turned into kernel values. ``matvec`` then takes one vector-matrix
+product per block, so a product holds one cache-sized block, not an
+n_query x n_support kernel.
 ``fill_kernel`` writes K(S, S) into the lower triangle of a caller's n x n
 array, with a unit diagonal, one ``dgemm`` per column panel, and copies each
 panel's transpose into the strict upper triangle: of the same array, or, in
@@ -80,23 +81,19 @@ solves the panel below it, and one ``dsyrk`` updates the trailing triangle,
 which holds almost all of the flops. Measured at n = 2575 on 2 cores, it is
 about 10 ms faster than one ``dpotrf`` call over the whole matrix. In single
 precision the same blocking saved nothing, so the fast path makes one
-``spotrf`` call. Each call addresses its block of the buffer
-through its leading dimension. The f2py wrappers of ``scipy.linalg.lapack``
-and ``scipy.linalg.blas`` take no leading dimension and copy any
-non-contiguous view, so these routines are taken instead, once at import,
-from the C function pointers that scipy exports for Cython
-(``scipy.linalg.cython_lapack`` and ``cython_blas``). Import fails if their
-signatures are not the expected 32-bit-integer ones.
+``spotrf`` call. Two ``dtrsm`` calls then solve H [eta, nu] = [1, y] with
+the factor.
 
-Every dense product of a solve or a prediction goes through the OpenBLAS
-behind ``scipy.linalg.blas``, which also serves scipy's Cython routines.
-numpy loads its own OpenBLAS, and a numpy matrix product leaves that
-library's worker threads spinning into the next factorization, so the two
-thread pools then compete for the same cores. ``predict`` runs between the swarms of an
-experiment, just before the next strategy's first factorization. No numpy
-product is left on the solve or prediction path. ``pairwise_sq_dists`` and
-``kernel_from_sq_dists``, which build a whole distance or kernel matrix,
-are not on it.
+Every BLAS and LAPACK routine comes from the one OpenBLAS that numpy's
+wheels bundle, which numpy's own products use too, so a process loads one
+library and runs one thread pool. That build has 64-bit integers and
+exports each routine as ``scipy_<name>_64_``. The routines are looked up
+once at import, through ``ctypes``, in numpy's core extension module, whose
+dependencies include the library; import fails with an ImportError naming
+the first symbol not found, as with a numpy built on MKL or a distribution's
+BLAS. Each call addresses its block of an array through its leading
+dimension, so no call copies a view. Level-1 steps and the kernel-vector
+product are plain numpy.
 
 The solver refuses to return solutions from systems that are numerically
 singular. Its gates:
@@ -119,12 +116,11 @@ fails one goes to the dense path, which raises if it fails too.
 
 from __future__ import annotations
 
-from ctypes import (CFUNCTYPE, POINTER, PYFUNCTYPE, byref, c_char_p, c_double, c_int,
-                    c_void_p, py_object, pythonapi)
+from ctypes import CDLL, POINTER, c_char_p, c_double, c_int64, c_void_p
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, cython_blas, cython_lapack
+from numpy._core import _multiarray_umath
 
 # Squared Cholesky pivots smaller than this fraction of the largest matrix
 # entry are treated as a singular factorization.
@@ -154,36 +150,40 @@ class NumericError(RuntimeError):
     """Raised when the KKT system is too ill-conditioned to solve reliably."""
 
 
-_CAPSULE_NAME = PYFUNCTYPE(c_char_p, py_object)(("PyCapsule_GetName", pythonapi))
-_CAPSULE_POINTER = PYFUNCTYPE(c_void_p, py_object, c_char_p)(("PyCapsule_GetPointer", pythonapi))
-_ARG_KINDS = {"char *": "c", "int *": "i"}
-_ARG_TYPES = {"c": c_char_p, "i": POINTER(c_int), "d": c_void_p, "s": c_void_p}
+# numpy's core extension module; a symbol lookup in it searches the
+# libraries it depends on, OpenBLAS among them.
+_NUMPY_CORE = CDLL(_multiarray_umath.__file__)
+_ARG_TYPES = {"c": c_char_p, "i": POINTER(c_int64), "d": POINTER(c_double), "p": c_void_p}
 
 
-def _scipy_routine(module, name: str, kinds: str):
-    """The C routine ``name`` of scipy's Cython LAPACK or BLAS ``module``.
+def _blas_routine(name: str, kinds: str):
+    """The BLAS or LAPACK routine ``name`` of numpy's OpenBLAS, exported as
+    ``scipy_<name>_64_``.
 
-    ``kinds`` spells the arguments it must take: c for ``char *``, i for
-    ``int *``, d for ``double *`` and s for ``float *``. Raises ImportError, naming the routine,
-    if the exported signature differs, e.g. has 64-bit integers.
+    ``kinds`` spells the arguments it takes: c for ``char *``, i for a
+    64-bit ``int *``, d for a ``double *`` scalar and p for an array
+    pointer. Raises ImportError, naming the symbol, if numpy's libraries do
+    not export it.
     """
-    capsule = module.__pyx_capi__[name]
-    signature = _CAPSULE_NAME(capsule)
-    ret, _, args = signature.decode().partition(" (")
-    got = "".join(_ARG_KINDS.get(a, {"_d *": "d", "_s *": "s"}.get(a[-4:], "?"))
-                  for a in args.rstrip(")").split(", "))
-    if ret != "void" or got != kinds:
-        raise ImportError(f"scipy's {name} is {signature.decode()!r}, not a void routine "
-                          f"of {len(kinds)} arguments with 32-bit int * dimensions")
-    pointer = _CAPSULE_POINTER(capsule, signature)
-    return CFUNCTYPE(None, *(_ARG_TYPES[k] for k in kinds))(pointer)
+    symbol = f"scipy_{name}_64_"
+    try:
+        routine = _NUMPY_CORE[symbol]
+    except AttributeError:
+        raise ImportError(f"numpy {np.__version__} exports no {symbol}: windlssvm needs the "
+                          "64-bit-integer OpenBLAS bundled with numpy's wheels") from None
+    routine.argtypes = [_ARG_TYPES[k] for k in kinds]
+    routine.restype = None
+    return routine
 
 
-_DPOTRF = _scipy_routine(cython_lapack, "dpotrf", "cidii")
-_DTRSM = _scipy_routine(cython_blas, "dtrsm", "cccciiddidi")
-_DSYRK = _scipy_routine(cython_blas, "dsyrk", "cciiddiddi")
-_SPOTRF = _scipy_routine(cython_lapack, "spotrf", "cisii")
-_STRSV = _scipy_routine(cython_blas, "strsv", "cccisisi")
+_DPOTRF = _blas_routine("dpotrf", "cipii")
+_DTRSM = _blas_routine("dtrsm", "cccciidpipi")
+_DSYRK = _blas_routine("dsyrk", "cciidpidpi")
+_SPOTRF = _blas_routine("spotrf", "cipii")
+_STRSV = _blas_routine("strsv", "cccipipi")
+_DGEMM = _blas_routine("dgemm", "cciiidpipidpi")
+_DSYMV = _blas_routine("dsymv", "cidpipidpi")
+_ONE, _ZERO, _MINUS_ONE, _UNIT_STRIDE = c_double(1.0), c_double(0.0), c_double(-1.0), c_int64(1)
 
 
 def _cholesky_lower(A: np.ndarray) -> bool:
@@ -194,23 +194,47 @@ def _cholesky_lower(A: np.ndarray) -> bool:
     if A.dtype != np.float64 or not A.flags.f_contiguous or A.shape[0] != A.shape[1]:
         raise ValueError("need a square, Fortran-ordered float64 array")
     n, base = A.shape[0], A.ctypes.data
-    lda, info, one, minus_one = c_int(n), c_int(0), c_double(1.0), c_double(-1.0)
+    lda, info = c_int64(n), c_int64(0)
 
     def at(i, j):
         return base + A.itemsize * (i + j * n)
 
     for j in range(0, n, CHOLESKY_BLOCK):
         w = min(CHOLESKY_BLOCK, n - j)
-        m, k = c_int(n - j - w), c_int(w)
+        m, k = c_int64(n - j - w), c_int64(w)
         _DPOTRF(b"L", k, at(j, j), lda, info)
         if info.value:
             return False
         if m.value:
             # Panel below the block: P <- P L^-T; trailing lower triangle: T <- T - P P^T.
-            _DTRSM(b"R", b"L", b"T", b"N", m, k, byref(one), at(j, j), lda, at(j + w, j), lda)
-            _DSYRK(b"L", b"N", m, k, byref(minus_one), at(j + w, j), lda,
-                   byref(one), at(j + w, j + w), lda)
+            _DTRSM(b"R", b"L", b"T", b"N", m, k, _ONE, at(j, j), lda, at(j + w, j), lda)
+            _DSYRK(b"L", b"N", m, k, _MINUS_ONE, at(j + w, j), lda, _ONE, at(j + w, j + w), lda)
     return True
+
+
+def _cholesky_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Overwrite the Fortran-ordered n x k array ``B`` with (L L^T)^-1 B, for
+    the Cholesky factor L in the lower triangle of the Fortran-ordered n x n
+    array ``L``, by two triangular solves; return ``B``."""
+    if not (L.flags.f_contiguous and B.flags.f_contiguous and B.dtype == L.dtype == np.float64
+            and L.shape == (len(B), len(B))):
+        raise ValueError("need Fortran-ordered float64 arrays, L square with B's rows")
+    n, k = c_int64(len(B)), c_int64(B.shape[1])
+    for trans in (b"N", b"T"):
+        _DTRSM(b"L", b"L", trans, b"N", n, k, _ONE, L.ctypes.data, n, B.ctypes.data, n)
+    return B
+
+
+def _symv(H: np.ndarray, x: np.ndarray, lower: bool) -> np.ndarray:
+    """H x for the symmetric, Fortran-ordered n x n array ``H``, read from its
+    lower or upper triangle."""
+    if not (H.flags.f_contiguous and H.dtype == np.float64 and H.shape == (len(x), len(x))):
+        raise ValueError("need a square, Fortran-ordered float64 array of x's length")
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n, out = c_int64(len(x)), np.empty(len(x))
+    _DSYMV(b"L" if lower else b"U", n, _ONE, H.ctypes.data, n, x.ctypes.data, _UNIT_STRIDE,
+           _ZERO, out.ctypes.data, _UNIT_STRIDE)
+    return out
 
 
 def _cholesky_upper_single(R: np.ndarray) -> bool:
@@ -222,8 +246,8 @@ def _cholesky_upper_single(R: np.ndarray) -> bool:
     n, ld = R.shape[0], R.strides[1] // R.itemsize
     if R.dtype != np.float32 or R.strides[0] != R.itemsize or n != R.shape[1]:
         raise ValueError("need a square float32 array with contiguous columns")
-    info = c_int(0)
-    _SPOTRF(b"U", c_int(n), R.ctypes.data, c_int(ld), info)
+    info = c_int64(0)
+    _SPOTRF(b"U", c_int64(n), R.ctypes.data, c_int64(ld), info)
     return not info.value
 
 
@@ -378,11 +402,12 @@ class TrainingSet:
                 f"< {PIVOT_RTOL:.0e} * max|H| ({scale:.3e}); "
                 f"gamma={hp.gamma:.6g} sigma2={hp.sigma2:.6g} n={n}"
             )
-        alpha, b = _dual(cho_solve((H, True), np.column_stack((np.ones(n), y)),
-                                   check_finite=False))
+        rhs = np.empty((n, 2), order="F")
+        rhs[:, 0], rhs[:, 1] = 1.0, y
+        alpha, b = _dual(_cholesky_solve(H, rhs))
         # The residual reads H from the upper triangle once its diagonal is restored.
         H[np.diag_indices(n)] = scale
-        rel_residual = self._rel_residual(alpha, b, lower=0)
+        rel_residual = self._rel_residual(alpha, b, lower=False)
         if not rel_residual <= RESIDUAL_RTOL:
             raise NumericError(
                 f"KKT solve residual {rel_residual:.3e} exceeds {RESIDUAL_RTOL:.0e} "
@@ -399,29 +424,28 @@ class TrainingSet:
         R[np.diag_indices(n)] = scale
         if not _cholesky_upper_single(R):
             return "factor"
-        args = (c_int(n), R.ctypes.data, c_int(R.strides[1] // R.itemsize))
-        one = c_int(1)
+        args = (c_int64(n), R.ctypes.data, c_int64(R.strides[1] // R.itemsize))
 
         def precondition(r):
             z = r.astype(np.float32)
-            _STRSV(b"U", b"T", b"N", *args, z.ctypes.data, one)
-            _STRSV(b"U", b"N", b"N", *args, z.ctypes.data, one)
+            _STRSV(b"U", b"T", b"N", *args, z.ctypes.data, _UNIT_STRIDE)
+            _STRSV(b"U", b"N", b"N", *args, z.ctypes.data, _UNIT_STRIDE)
             return z.astype(np.float64)
 
         alpha, b, iterations = _pcg(self._H, precondition, y)
         self.counts["cg_iterations"] += iterations
         if alpha is None:
             return "cg_cap"
-        if not self._rel_residual(alpha, b, lower=1) <= RESIDUAL_RTOL:
+        if not self._rel_residual(alpha, b, lower=True) <= RESIDUAL_RTOL:
             return "gate"
         return alpha, float(b)
 
-    def _rel_residual(self, alpha: np.ndarray, b: float, lower: int) -> float:
+    def _rel_residual(self, alpha: np.ndarray, b: float, lower: bool) -> float:
         """Residual of the bordered system [1^T a ; H a + b - y] relative to
         ||y||, with H read from its lower or upper triangle. Not finite if
         a or b is not."""
         y = self.y
-        r = blas.dsymv(1.0, self._H, alpha, lower=lower) + b - y
+        r = _symv(self._H, alpha, lower) + b - y
         residual = np.hypot(alpha.sum(), np.linalg.norm(r))
         y_norm = np.linalg.norm(y)
         return residual / y_norm if y_norm > 0 else residual
@@ -472,36 +496,37 @@ def _pcg(H: np.ndarray, precondition, y: np.ndarray) -> tuple[np.ndarray | None,
     positive definite.
     """
     n = len(y)
-    stop = CG_RTOL * blas.dnrm2(y)
+    stop = CG_RTOL * np.linalg.norm(y)
     a, r, b = np.zeros(n), -y, y.mean()
     residual = r + b
-    if blas.dnrm2(residual) <= stop:
+    if np.linalg.norm(residual) <= stop:
         return a, b, 0  # constant y, zero included: a = 0 and b = y's mean
     w = precondition(np.ones(n))
     w_sum = w.sum()
 
     def project(r):
         z = precondition(r)
-        return blas.daxpy(w, z, a=-z.sum() / w_sum)
+        z -= z.sum() / w_sum * w
+        return z
 
     g = project(residual)
-    rg = blas.ddot(residual, g)
+    rg = residual @ g
     p = -g
     for iterations in range(1, CG_MAX_ITER + 1):
-        q = blas.dsymv(1.0, H, p, lower=1)
-        pq = blas.ddot(p, q)
+        q = _symv(H, p, lower=True)
+        pq = p @ q
         if not (pq > 0 and rg > 0):
             break
         step = rg / pq
-        blas.daxpy(p, a, a=step)
-        r = blas.daxpy(q, r, a=step)
+        a += step * p
+        r += step * q
         b = -r.mean()
         residual = r + b
-        if blas.dnrm2(residual) <= stop:
+        if np.linalg.norm(residual) <= stop:
             return a, b, iterations
         g = project(residual)
-        rg, rg_old = blas.ddot(residual, g), rg
-        p = blas.daxpy(p, -g, a=rg / rg_old)
+        rg, rg_old = residual @ g, rg
+        p = rg / rg_old * p - g
     return None, 0.0, iterations
 
 
@@ -550,19 +575,20 @@ class KernelProduct:
         self._Qa[d] = 1.0
         self._Qa[d + 1] = np.square(self._Qa[:d]).sum(axis=0)
         self._Qa[:d] *= -2.0
-        # Flat, so that every (m, w) block viewed from its head is contiguous:
-        # f2py writes in place only into contiguous arrays.
+        # Flat, so that every (m, w) block viewed from its head is contiguous
+        # and dgemm writes it with a leading dimension of m.
         self._scratch = np.empty(n * min(PREDICT_BLOCK_ROWS, nq))
 
     def _scaled_sq_dists(self, sigma2: float, first: int, start: int, stop: int):
         """-||s - q||^2 / (2 sigma2) for the support rows from ``first`` on and
         the query rows start:stop, clamped at 0 against rounding, as a
         Fortran-ordered view of the scratch array."""
-        support = self._Sa[:, first:]
-        m, w = support.shape[1], stop - start
+        (k, n), w = self._Sa.shape, stop - start
+        m, ld = n - first, c_int64(k)
         block = self._scratch[: m * w].reshape(m, w, order="F")
-        block = blas.dgemm(-0.5 / sigma2, support, self._Qa[:, start:stop],
-                           c=block, trans_a=1, overwrite_c=1)
+        _DGEMM(b"T", b"N", c_int64(m), c_int64(w), ld, c_double(-0.5 / sigma2),
+               self._Sa[:, first].ctypes.data, ld, self._Qa[:, start].ctypes.data, ld,
+               _ZERO, block.ctypes.data, c_int64(m))
         return np.minimum(block, 0.0, out=block)
 
     def matvec(self, sigma2: float, coeffs) -> np.ndarray:
@@ -573,7 +599,7 @@ class KernelProduct:
             stop = min(start + PREDICT_BLOCK_ROWS, nq)
             block = self._scaled_sq_dists(sigma2, 0, start, stop)
             np.exp(block, out=block)
-            out[start:stop] = blas.dgemv(1.0, block, coeffs, trans=1)
+            np.matmul(coeffs, block, out=out[start:stop])
         return out
 
     def fill_kernel(self, sigma2: float, out: np.ndarray, upper: np.ndarray | None = None):

@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from windlssvm import cli
 from windlssvm.cli import EXPERIMENT_FLAGS, _resolve_config, build_parser, main
 from windlssvm.data_io import load_csv, write_series_csv
 from windlssvm.experiment import OPTIMIZERS
+from windlssvm.metrics import LssvmFitness
 from windlssvm.pipeline import TimeSeries
 
 
@@ -216,6 +219,28 @@ class TestTuneAndBenchmark:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["benchmark", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("text, complaint", [
+        (b"\xff{}", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        (b"[1, 2]", "config root must be a JSON object"),
+    ], ids=["non-utf8", "not-an-object"])
+    def test_unusable_config_named(self, tmp_path, capsys, text, complaint):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_bytes(text)
+        assert main(["tune", "--strategy", "pso", "--config", str(cfg_path)]) == 1
+        assert f"usage error: {cfg_path}: {complaint}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["tune", "--strategy", "pso"], ["benchmark"]])
+    def test_unusable_outdir_refused_before_the_run(self, tmp_path, monkeypatch, capsys, command):
+        positions = []
+        real_call = LssvmFitness.__call__
+        monkeypatch.setattr(LssvmFitness, "__call__",
+                            lambda fit, position: positions.append(position) or real_call(fit, position))
+        outdir = tmp_path / "afile"
+        outdir.write_text("")
+        assert main(command + _tiny_flags(str(outdir))) == 2
+        assert positions == []
+        assert f"data error: [Errno 17] File exists: '{outdir}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override,key", [
         ({"trials": 1.5}, "config key 'trials'"),
@@ -542,6 +567,48 @@ class TestTrainPredictEvaluate:
         assert main(argv + ["--in", str(src)]) == 2
         assert f"data error: {src}: {complaint}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["tune", "benchmark", "train", "features"])
+    def test_short_series_data_error_names_file(self, tmp_path, series_csv, capsys, command):
+        header, *lines = Path(series_csv).read_text().splitlines()
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join([header] + lines[:5]) + "\n")
+        out = tmp_path / "out"
+        argv = {"tune": ["tune", "--strategy", "pso", "--outdir", str(out)],
+                "benchmark": ["benchmark", "--outdir", str(out)],
+                "train": ["train", "--gamma", "100", "--sigma2", "50", "--model-out", str(out)],
+                "features": ["features", "--outdir", str(out)]}[command]
+        assert main(argv + ["--in", str(src), "--n-lags", "8"]) == 2
+        assert f"data error: {src}: series length 5 must exceed n_lags 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_blas_library_and_no_scipy(self, tmp_path, series_csv):
+        # train and predict in a fresh process: every BLAS call goes to the
+        # one OpenBLAS that numpy loads, so one library is mapped and scipy
+        # is never imported.
+        script = (
+            "import json, sys\n"
+            "from windlssvm import cli\n"
+            "model, series = sys.argv[1:]\n"
+            "assert cli.main(['train', '--in', series, '--gamma', '100', '--sigma2', '50',\n"
+            "                 '--n-lags', '8', '--model-out', model]) == 0\n"
+            "assert cli.main(['predict', '--model', model, '--in', series,\n"
+            "                 '--out', model + '.csv']) == 0\n"
+            "libraries = None\n"
+            "if sys.platform.startswith('linux'):\n"
+            "    with open('/proc/self/maps') as fh:\n"
+            "        libraries = sorted({ln.split()[-1] for ln in fh if 'openblas' in ln.lower()})\n"
+            "print(json.dumps({'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "                  'openblas': libraries}))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "m"), series_csv],
+                              capture_output=True, text=True, env=env, check=True)
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded["scipy"] == []
+        if sys.platform.startswith("linux"):
+            assert len(loaded["openblas"]) == 1, loaded["openblas"]
 
     def test_numeric_failure_exit_3(self, tmp_path, series_csv):
         # absurd kernel width flattens the kernel matrix into singularity

