@@ -25,6 +25,7 @@ validation and test fractions).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from datetime import datetime, timedelta
@@ -100,7 +101,7 @@ def load_csv(path: str) -> TimeSeries:
             v = float(value)
         except ValueError:
             raise DataError(f"{path}: line {lineno}: unparseable value {value!r}") from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise DataError(f"{path}: line {lineno}: non-finite value {value!r}")
         values.append(v)
         mask.append(False)

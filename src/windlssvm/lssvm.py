@@ -23,43 +23,45 @@ at 0 and turned into kernel values. ``matvec`` then takes one vector-matrix
 product per block, so a product holds one cache-sized block, not an
 n_query x n_support kernel.
 ``fill_kernel`` writes K(S, S) into the lower triangle of a caller's n x n
-array, with a unit diagonal, one ``dgemm`` per column panel, and copies each
-panel's transpose into the strict upper triangle: of the same array, or, in
-single precision, of another one. Each pair is computed once.
+array, with a unit diagonal, one ``dgemm`` per column panel, and
+G = P K P, for the permutation P that reverses the row order, into the
+upper triangle of another array, in double or single precision. Column
+n - 1 - j of G is column j of K's lower triangle read bottom-up, so each
+panel reaches G by one reversed copy, not a transpose. Each pair is
+computed once.
 
 ``TrainingSet`` owns a training set's ``KernelProduct`` with itself, and one
 Fortran-ordered n x (n + 1) buffer that all of its solves share; it keeps no
-distances. Its first n columns are H. A solve takes one of two solvers,
-chosen by gamma and n alone:
+distances. H lies in the lower triangle of its first n columns, and only the
+fill writes it. Each solver factors G = P H P instead, in the upper
+triangle of the buffer's columns 1..n, which lies above H's diagonal: in
+double precision, the n x n array from the top of column 1 with a leading
+dimension of n; in single precision, the float32 array whose column j
+starts at the top of the buffer's column j + 1, with a leading dimension of
+2n floats, so that its upper triangle covers about half of H's strict upper
+triangle. The fill writes H's lower triangle and G's upper triangle, and
+nothing else, so neither overwrites the other. Both solvers read H, for CG
+and for the gates, from its intact lower triangle. A solve takes one of
+two solvers, chosen by gamma and n alone:
 
 - The fast path, where (1 + gamma n) u_s <= ``SINGLE_KAPPA_U`` for the
   single-precision unit roundoff u_s. K's entries are at most 1, so
   lambda_max(K) <= n and (1 + gamma n) bounds the condition number of H;
   a Cholesky factor of H rounded to single precision is then a close
-  preconditioner of H. The fill writes K's lower triangle in double
-  precision and its mirror image in single precision into the strict upper
-  triangle of the buffer: column j of that float32 array starts at the top
-  of the buffer's column j + 1, with a leading dimension of 2n floats, so
-  its upper triangle, R included, stays clear of H's lower triangle and
-  diagonal. Each panel of the fill writes H before the float32 array, and
-  the float32 entries of panel [s, t) lie in the buffer's rows < t/2, which
-  later panels, writing rows >= t only, leave alone. One ``spotrf`` call
-  overwrites that array's upper triangle with its single-precision Cholesky
-  factor R (H ~ R^T R); ``spotrf`` references no entry below the diagonal.
-  Projected conjugate gradients (``_pcg``), in double precision and
-  reading H's lower triangle only, then solve the bordered system in one
-  Krylov sequence, with R^T R as the preconditioner, until its residual is
+  preconditioner of H. The single-precision G is overwritten by its factor
+  R (G ~ R^T R), so H^-1 ~ P R^-1 R^-T P. Projected conjugate gradients
+  (``_pcg``), in double precision, then solve the bordered system in one
+  Krylov sequence with that preconditioner, until its residual is
   ``CG_RTOL`` of ||y||, for at most ``CG_MAX_ITER`` iterations. Each
-  product with H is one ``dsymv``, each preconditioner step two ``strsv``,
-  and no state is carried from one solve to the next.
-- The dense path: the buffer's first n columns hold the exactly symmetric
-  H, and its double-precision Cholesky factor L overwrites H's lower
-  triangle only. The strict upper triangle still holds K, so once the
-  diagonal is written again the upper triangle is H again, the same numbers
-  the factorization read.
+  product with H is one ``dsymv``, each preconditioner step reverses the
+  vector, makes two ``strsv`` calls and reverses it back, and no state is
+  carried from one solve to the next.
+- The dense path: the fill writes G in double precision, its Cholesky
+  factor U overwrites it (G = U^T U), and two ``dtrsm`` calls solve
+  H [eta, nu] = [1, y] as P G^-1 P [1, y].
 
-The fast path falls back to the dense path, which fills the kernel again
-over the single-precision array, when the single-precision factorization
+The fast path falls back to the dense path, which fills G again in double
+precision over the single-precision array, when the single-precision factorization
 meets a non-positive pivot, when CG takes ``CG_MAX_ITER`` iterations
 without meeting ``CG_RTOL`` or breaks down (only rounding or non-finite
 values make it), or when its result fails the residual or finiteness gate.
@@ -74,15 +76,17 @@ single-precision factorization. A solver whose cost depends on where it
 runs, such as CG on a low-rank preconditioner, makes a swarm's throughput
 depend on where the swarm goes.
 
-The double-precision factorization is a right-looking blocked Cholesky
-factorization (LAPACK Users' Guide, section 3.4) in steps of
-``CHOLESKY_BLOCK`` columns: ``dpotrf`` factors the diagonal block, ``dtrsm``
-solves the panel below it, and one ``dsyrk`` updates the trailing triangle,
-which holds almost all of the flops. Measured at n = 2575 on 2 cores, it is
-about 10 ms faster than one ``dpotrf`` call over the whole matrix. In single
-precision the same blocking saved nothing, so the fast path makes one
-``spotrf`` call. Two ``dtrsm`` calls then solve H [eta, nu] = [1, y] with
-the factor.
+Both precisions take one factorization, ``_cholesky_upper``: a
+right-looking blocked Cholesky factorization (LAPACK Users' Guide, section
+3.4) in steps of ``CHOLESKY_BLOCK`` columns. ``potrf`` factors the diagonal
+block, ``trtri`` inverts a copy of its factor in a scratch array the
+``TrainingSet`` owns, ``trmm`` multiplies the panel right of the block by
+that inverse, and one ``syrk`` updates the trailing triangle, which holds
+almost all of the flops. Measured at n = 2575 on 2 cores, it takes about
+41 ms in single precision against about 55 ms for one ``spotrf`` call, and
+about 70 ms in double precision against about 80 ms for the same blocking
+with ``dtrsm`` panels in the lower triangle; OpenBLAS's ``strsm`` is slow on
+these panels, so a product with the inverse replaces it.
 
 Every BLAS and LAPACK routine comes from the one OpenBLAS that numpy's
 wheels bundle, which numpy's own products use too, so a process loads one
@@ -99,15 +103,16 @@ The solver refuses to return solutions from systems that are numerically
 singular. Its gates:
 
 - pivot: the factorization must succeed, and every squared Cholesky pivot
-  must be at least PIVOT_RTOL * max|H|, where max|H| = 1 + 1/gamma because
-  K <= 1 with a unit diagonal. CG has no pivots, but the fast path is taken
-  only where this gate cannot fire: in exact arithmetic every squared pivot
-  is at least lambda_min(H) >= 1/gamma, and rounding lowers a computed one
-  by at most about n^2 u (1 + 1/gamma) for the double-precision unit
-  roundoff u, far below 1/gamma wherever gamma n u_s <= ``SINGLE_KAPPA_U``;
+  of G must be at least PIVOT_RTOL * max|H|, where max|H| = 1 + 1/gamma
+  because K <= 1 with a unit diagonal. CG has no pivots, but the fast path
+  is taken only where this gate cannot fire: in exact arithmetic every
+  squared pivot is at least lambda_min(G) = lambda_min(H) >= 1/gamma, and
+  rounding lowers a computed one by at most about n^2 u (1 + 1/gamma) for
+  the double-precision unit roundoff u, far below 1/gamma wherever
+  gamma n u_s <= ``SINGLE_KAPPA_U``;
 - residual: the residual of the bordered system, computed from H, a and b
-  with one ``dsymv`` on the triangle of H each path leaves intact, must be
-  at most RESIDUAL_RTOL relative to ||y||;
+  with one ``dsymv`` on H's lower triangle, must be at most RESIDUAL_RTOL
+  relative to ||y||;
 - finiteness: training data, model entries and the residual must be finite.
 
 Both paths pass the same residual and finiteness gates. A fast result that
@@ -116,7 +121,7 @@ fails one goes to the dense path, which raises if it fails too.
 
 from __future__ import annotations
 
-from ctypes import CDLL, POINTER, c_char_p, c_double, c_int64, c_void_p
+from ctypes import CDLL, POINTER, c_char_p, c_double, c_float, c_int64, c_void_p
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +137,7 @@ RESIDUAL_RTOL = 1e-8
 # values is PREDICT_BLOCK_ROWS x n_support doubles: about 1.3 MB at the full
 # profile's 2575 support rows, so it stays in a core's L2 cache.
 PREDICT_BLOCK_ROWS = 64
-# Columns per step of the blocked double-precision Cholesky factorization of H.
+# Columns per step of the blocked Cholesky factorization, in both precisions.
 CHOLESKY_BLOCK = 128
 # The fast path is taken where (1 + gamma n) times the single-precision unit
 # roundoff, a bound on the single-precision rounding of H relative to its
@@ -144,6 +149,8 @@ CG_RTOL = 1e-10
 CG_MAX_ITER = 12
 # The counts that TrainingSet.counts keeps (see TrainingSet).
 SOLVE_COUNTS = ("fast", "dense", "factor", "cg_cap", "gate", "cg_iterations")
+# The lower triangle, diagonal included, of a diagonal block of fill_kernel.
+_LOWER_BLOCK = np.tri(PREDICT_BLOCK_ROWS, dtype=bool)
 
 
 class NumericError(RuntimeError):
@@ -153,7 +160,8 @@ class NumericError(RuntimeError):
 # numpy's core extension module; a symbol lookup in it searches the
 # libraries it depends on, OpenBLAS among them.
 _NUMPY_CORE = CDLL(_multiarray_umath.__file__)
-_ARG_TYPES = {"c": c_char_p, "i": POINTER(c_int64), "d": POINTER(c_double), "p": c_void_p}
+_ARG_TYPES = {"c": c_char_p, "i": POINTER(c_int64), "d": POINTER(c_double),
+              "f": POINTER(c_float), "p": c_void_p}
 
 
 def _blas_routine(name: str, kinds: str):
@@ -161,9 +169,9 @@ def _blas_routine(name: str, kinds: str):
     ``scipy_<name>_64_``.
 
     ``kinds`` spells the arguments it takes: c for ``char *``, i for a
-    64-bit ``int *``, d for a ``double *`` scalar and p for an array
-    pointer. Raises ImportError, naming the symbol, if numpy's libraries do
-    not export it.
+    64-bit ``int *``, d and f for a ``double *`` and a ``float *`` scalar,
+    and p for an array pointer. Raises ImportError, naming the symbol, if
+    numpy's libraries do not export it.
     """
     symbol = f"scipy_{name}_64_"
     try:
@@ -177,78 +185,91 @@ def _blas_routine(name: str, kinds: str):
 
 
 _DPOTRF = _blas_routine("dpotrf", "cipii")
+_DTRTRI = _blas_routine("dtrtri", "ccipii")
+_DTRMM = _blas_routine("dtrmm", "cccciidpipi")
 _DTRSM = _blas_routine("dtrsm", "cccciidpipi")
 _DSYRK = _blas_routine("dsyrk", "cciidpidpi")
 _SPOTRF = _blas_routine("spotrf", "cipii")
+_STRTRI = _blas_routine("strtri", "ccipii")
+_STRMM = _blas_routine("strmm", "cccciifpipi")
+_SSYRK = _blas_routine("ssyrk", "cciifpifpi")
 _STRSV = _blas_routine("strsv", "cccipipi")
 _DGEMM = _blas_routine("dgemm", "cciiidpipidpi")
 _DSYMV = _blas_routine("dsymv", "cidpipidpi")
 _ONE, _ZERO, _MINUS_ONE, _UNIT_STRIDE = c_double(1.0), c_double(0.0), c_double(-1.0), c_int64(1)
+# The routines of _cholesky_upper and its scalars 1 and -1, by precision.
+_FACTOR_ROUTINES = {
+    np.dtype(np.float64): (_DPOTRF, _DTRTRI, _DTRMM, _DSYRK, _ONE, _MINUS_ONE),
+    np.dtype(np.float32): (_SPOTRF, _STRTRI, _STRMM, _SSYRK, c_float(1.0), c_float(-1.0)),
+}
 
 
-def _cholesky_lower(A: np.ndarray) -> bool:
-    """Overwrite the lower triangle of the Fortran-ordered n x n array ``A``
-    with its Cholesky factor, ``CHOLESKY_BLOCK`` columns per step, leaving
-    the strict upper triangle as it is. False if a pivot is not positive.
+def _cholesky_upper(A: np.ndarray, scratch: np.ndarray) -> bool:
+    """Overwrite the upper triangle of the float32 or float64 n x n array
+    ``A``, whose columns are contiguous and may lie any whole number of
+    entries apart, with its Cholesky factor U (A = U^T U), ``CHOLESKY_BLOCK``
+    columns per step, leaving the strict lower triangle as it is. The
+    float64 array ``scratch``, of at least min(n, CHOLESKY_BLOCK)^2 entries,
+    takes the inverse of each diagonal block. False if a pivot is not
+    positive.
     """
-    if A.dtype != np.float64 or not A.flags.f_contiguous or A.shape[0] != A.shape[1]:
-        raise ValueError("need a square, Fortran-ordered float64 array")
-    n, base = A.shape[0], A.ctypes.data
-    lda, info = c_int64(n), c_int64(0)
+    n, size = A.shape[0], A.itemsize
+    if (A.dtype not in _FACTOR_ROUTINES or n != A.shape[1] or A.strides[0] != size
+            or A.strides[1] % size or scratch.dtype != np.float64
+            or scratch.size < min(n, CHOLESKY_BLOCK) ** 2):
+        raise ValueError("need a square float32 or float64 array with contiguous columns "
+                         "and a large enough float64 scratch")
+    potrf, trtri, trmm, syrk, one, minus_one = _FACTOR_ROUTINES[A.dtype]
+    base, lda, info = A.ctypes.data, c_int64(A.strides[1] // size), c_int64(0)
+    blocks = scratch.view(A.dtype)
 
     def at(i, j):
-        return base + A.itemsize * (i + j * n)
+        return base + size * i + A.strides[1] * j
 
     for j in range(0, n, CHOLESKY_BLOCK):
         w = min(CHOLESKY_BLOCK, n - j)
         m, k = c_int64(n - j - w), c_int64(w)
-        _DPOTRF(b"L", k, at(j, j), lda, info)
+        potrf(b"U", k, at(j, j), lda, info)
         if info.value:
             return False
         if m.value:
-            # Panel below the block: P <- P L^-T; trailing lower triangle: T <- T - P P^T.
-            _DTRSM(b"R", b"L", b"T", b"N", m, k, _ONE, at(j, j), lda, at(j + w, j), lda)
-            _DSYRK(b"L", b"N", m, k, _MINUS_ONE, at(j + w, j), lda, _ONE, at(j + w, j + w), lda)
+            # Panel right of the block: P <- U^-T P, by a product with the
+            # inverse of the block's factor U; trailing upper triangle:
+            # T <- T - P^T P. trtri and trmm read the copy's upper triangle only.
+            inverse = blocks[: w * w].reshape(w, w, order="F")
+            np.copyto(inverse, A[j:j + w, j:j + w])
+            trtri(b"U", b"N", k, inverse.ctypes.data, k, info)
+            trmm(b"L", b"U", b"T", b"N", k, m, one, inverse.ctypes.data, k, at(j, j + w), lda)
+            syrk(b"U", b"T", m, k, minus_one, at(j, j + w), lda, one, at(j + w, j + w), lda)
     return True
 
 
-def _cholesky_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Overwrite the Fortran-ordered n x k array ``B`` with (L L^T)^-1 B, for
-    the Cholesky factor L in the lower triangle of the Fortran-ordered n x n
-    array ``L``, by two triangular solves; return ``B``."""
-    if not (L.flags.f_contiguous and B.flags.f_contiguous and B.dtype == L.dtype == np.float64
-            and L.shape == (len(B), len(B))):
-        raise ValueError("need Fortran-ordered float64 arrays, L square with B's rows")
+def _cholesky_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Overwrite the Fortran-ordered n x k array ``B`` with H^-1 B for
+    H = P U^T U P, P reversing the row order, and the Cholesky factor U in
+    the upper triangle of the Fortran-ordered n x n array ``U``, by two
+    triangular solves; return ``B``."""
+    if not (U.flags.f_contiguous and B.flags.f_contiguous and B.dtype == U.dtype == np.float64
+            and U.shape == (len(B), len(B))):
+        raise ValueError("need Fortran-ordered float64 arrays, U square with B's rows")
     n, k = c_int64(len(B)), c_int64(B.shape[1])
-    for trans in (b"N", b"T"):
-        _DTRSM(b"L", b"L", trans, b"N", n, k, _ONE, L.ctypes.data, n, B.ctypes.data, n)
+    B[:] = B[::-1]
+    for trans in (b"T", b"N"):
+        _DTRSM(b"L", b"U", trans, b"N", n, k, _ONE, U.ctypes.data, n, B.ctypes.data, n)
+    B[:] = B[::-1]
     return B
 
 
-def _symv(H: np.ndarray, x: np.ndarray, lower: bool) -> np.ndarray:
+def _symv(H: np.ndarray, x: np.ndarray) -> np.ndarray:
     """H x for the symmetric, Fortran-ordered n x n array ``H``, read from its
-    lower or upper triangle."""
+    lower triangle."""
     if not (H.flags.f_contiguous and H.dtype == np.float64 and H.shape == (len(x), len(x))):
         raise ValueError("need a square, Fortran-ordered float64 array of x's length")
     x = np.ascontiguousarray(x, dtype=np.float64)
     n, out = c_int64(len(x)), np.empty(len(x))
-    _DSYMV(b"L" if lower else b"U", n, _ONE, H.ctypes.data, n, x.ctypes.data, _UNIT_STRIDE,
+    _DSYMV(b"L", n, _ONE, H.ctypes.data, n, x.ctypes.data, _UNIT_STRIDE,
            _ZERO, out.ctypes.data, _UNIT_STRIDE)
     return out
-
-
-def _cholesky_upper_single(R: np.ndarray) -> bool:
-    """Overwrite the upper triangle of the float32 n x n array ``R``, whose
-    columns may lie any whole number of floats apart, with its Cholesky
-    factor (R <- U with R = U^T U), in one ``spotrf`` call, leaving the
-    strict lower triangle as it is. False if a pivot is not positive.
-    """
-    n, ld = R.shape[0], R.strides[1] // R.itemsize
-    if R.dtype != np.float32 or R.strides[0] != R.itemsize or n != R.shape[1]:
-        raise ValueError("need a square float32 array with contiguous columns")
-    info = c_int64(0)
-    _SPOTRF(b"U", c_int64(n), R.ctypes.data, c_int64(ld), info)
-    return not info.value
 
 
 @dataclass(frozen=True)
@@ -359,11 +380,15 @@ class TrainingSet:
         self._kernel = KernelProduct(X, X)
         buffer = np.empty((n, n + 1), order="F")
         self._H = buffer[:, :n]
-        # Column j of the single-precision array starts at the top of the
-        # buffer's column j + 1, so its upper triangle lies in H's strict
-        # upper triangle (see the module docstring).
+        # G = P H P lies in the upper triangle of the buffer's columns 1..n,
+        # clear of H's lower triangle: in double precision with columns n
+        # doubles apart, in single precision 2n floats apart (see the module
+        # docstring).
+        self._G = buffer[:, 1:]
         self._R = np.ndarray((n, n), np.float32, buffer=buffer, offset=buffer.strides[1],
                              strides=(4, buffer.strides[1]))
+        # The inverse of each diagonal block of _cholesky_upper.
+        self._block_inverse = np.empty(min(n, CHOLESKY_BLOCK) ** 2)
         self.counts = dict.fromkeys(SOLVE_COUNTS, 0)
 
     def solve(self, hp: Hyperparams) -> tuple[np.ndarray, float]:
@@ -375,27 +400,29 @@ class TrainingSet:
             If H is not numerically positive definite (the pivot gate) or the
             KKT residual exceeds ``RESIDUAL_RTOL``.
         """
-        y, H = self.y, self._H
+        y, H, G = self.y, self._H, self._G
         n = y.shape[0]
         if n == 1:
             # 1^T a = 0 forces a = 0, and then b = y_0.
             return np.zeros(1), float(y[0])
         # K <= 1 with a unit diagonal, so H's diagonal, and max|H|, is 1 + 1/gamma.
         scale = 1.0 + 1.0 / hp.gamma
+        diagonal = np.diag_indices(n)
         counts = self.counts
         if _single_precision_suffices(n, hp.gamma):
-            self._kernel.fill_kernel(hp.sigma2, H, upper=self._R)
-            H[np.diag_indices(n)] = scale
+            self._kernel.fill_kernel(hp.sigma2, H, self._R)
+            H[diagonal] = scale
             fast = self._fast_solve(scale)
             if not isinstance(fast, str):
                 counts["fast"] += 1
                 return fast
             counts[fast] += 1
-        self._kernel.fill_kernel(hp.sigma2, H)
-        H[np.diag_indices(n)] = scale
+        self._kernel.fill_kernel(hp.sigma2, H, G)
+        H[diagonal] = G[diagonal] = scale
         counts["dense"] += 1
-        # L overwrites the lower triangle; the strict upper triangle keeps K.
-        min_pivot = float(H.diagonal().min()) ** 2 if _cholesky_lower(H) else 0.0
+        # U overwrites G's upper triangle; H's lower triangle stays as filled.
+        min_pivot = (float(G.diagonal().min()) ** 2
+                     if _cholesky_upper(G, self._block_inverse) else 0.0)
         if not min_pivot >= PIVOT_RTOL * scale:
             raise NumericError(
                 f"near-singular KKT system: min pivot {min_pivot:.3e} "
@@ -404,10 +431,8 @@ class TrainingSet:
             )
         rhs = np.empty((n, 2), order="F")
         rhs[:, 0], rhs[:, 1] = 1.0, y
-        alpha, b = _dual(_cholesky_solve(H, rhs))
-        # The residual reads H from the upper triangle once its diagonal is restored.
-        H[np.diag_indices(n)] = scale
-        rel_residual = self._rel_residual(alpha, b, lower=False)
+        alpha, b = _dual(_cholesky_solve(G, rhs))
+        rel_residual = self._rel_residual(alpha, b)
         if not rel_residual <= RESIDUAL_RTOL:
             raise NumericError(
                 f"KKT solve residual {rel_residual:.3e} exceeds {RESIDUAL_RTOL:.0e} "
@@ -417,35 +442,36 @@ class TrainingSet:
 
     def _fast_solve(self, scale: float) -> tuple[np.ndarray, float] | str:
         """a and b by CG on the filled lower triangle of H, preconditioned by
-        the single-precision Cholesky factor of the filled upper triangle;
-        or the reason to fall back: "factor", "cg_cap" or "gate"."""
+        the single-precision Cholesky factor of G = P H P; or the reason to
+        fall back: "factor", "cg_cap" or "gate"."""
         R, y = self._R, self.y
         n = len(y)
         R[np.diag_indices(n)] = scale
-        if not _cholesky_upper_single(R):
+        if not _cholesky_upper(R, self._block_inverse):
             return "factor"
         args = (c_int64(n), R.ctypes.data, c_int64(R.strides[1] // R.itemsize))
 
         def precondition(r):
-            z = r.astype(np.float32)
+            # H^-1 ~ P (R^T R)^-1 P.
+            z = r[::-1].astype(np.float32)
             _STRSV(b"U", b"T", b"N", *args, z.ctypes.data, _UNIT_STRIDE)
             _STRSV(b"U", b"N", b"N", *args, z.ctypes.data, _UNIT_STRIDE)
-            return z.astype(np.float64)
+            return z[::-1].astype(np.float64)
 
         alpha, b, iterations = _pcg(self._H, precondition, y)
         self.counts["cg_iterations"] += iterations
         if alpha is None:
             return "cg_cap"
-        if not self._rel_residual(alpha, b, lower=True) <= RESIDUAL_RTOL:
+        if not self._rel_residual(alpha, b) <= RESIDUAL_RTOL:
             return "gate"
         return alpha, float(b)
 
-    def _rel_residual(self, alpha: np.ndarray, b: float, lower: bool) -> float:
+    def _rel_residual(self, alpha: np.ndarray, b: float) -> float:
         """Residual of the bordered system [1^T a ; H a + b - y] relative to
-        ||y||, with H read from its lower or upper triangle. Not finite if
-        a or b is not."""
+        ||y||, with H read from its lower triangle. Not finite if a or b is
+        not."""
         y = self.y
-        r = _symv(self._H, alpha, lower) + b - y
+        r = _symv(self._H, alpha) + b - y
         residual = np.hypot(alpha.sum(), np.linalg.norm(r))
         y_norm = np.linalg.norm(y)
         return residual / y_norm if y_norm > 0 else residual
@@ -513,7 +539,7 @@ def _pcg(H: np.ndarray, precondition, y: np.ndarray) -> tuple[np.ndarray | None,
     rg = residual @ g
     p = -g
     for iterations in range(1, CG_MAX_ITER + 1):
-        q = _symv(H, p, lower=True)
+        q = _symv(H, p)
         pq = p @ q
         if not (pq > 0 and rg > 0):
             break
@@ -602,32 +628,35 @@ class KernelProduct:
             np.matmul(coeffs, block, out=out[start:stop])
         return out
 
-    def fill_kernel(self, sigma2: float, out: np.ndarray, upper: np.ndarray | None = None):
-        """Write K(S, S) into the lower triangle of the n x n array ``out``,
-        with a unit diagonal, and its mirror image into the strict upper
-        triangle of ``upper``; the query rows must be the support rows.
+    def fill_kernel(self, sigma2: float, lower: np.ndarray, upper: np.ndarray):
+        """Write K = K(S, S) into the lower triangle of the float64 n x n
+        array ``lower``, with a unit diagonal, and G = P K P, P reversing the
+        row order, into the upper triangle of the float32 or float64 n x n
+        array ``upper``; the query rows must be the support rows.
 
-        Each pair is computed once per column panel, on or below the
-        diagonal, and the panel's transpose is copied above it. ``upper`` is
-        ``out`` by default, which is then exactly symmetric. It may be a
-        float32 n x n array, which takes the same values rounded; ``out``'s
-        strict upper triangle is then left undefined, and ``upper``'s
-        diagonal and lower triangle are not written. ``upper`` may share
-        memory with the strict upper triangle of ``out``, as in
-        ``TrainingSet``: each panel writes ``out`` first.
+        Each pair is computed once, on or below the diagonal, one column
+        panel at a time, and turned into kernel values in the scratch array.
+        Column n - 1 - j of G is column j of K's lower triangle read
+        bottom-up, so each panel reaches G by one reversed copy. Nothing
+        else of either array is written, so they may share memory with
+        disjoint triangles, as in ``TrainingSet``; every copy reads the
+        scratch array, so numpy makes no temporary copy of an overlapping
+        source.
         """
-        upper = out if upper is None else upper
         n = self._Sa.shape[1]
         for start in range(0, n, PREDICT_BLOCK_ROWS):
             stop = min(start + PREDICT_BLOCK_ROWS, n)
-            w = stop - start
-            panel = np.exp(self._scaled_sq_dists(sigma2, start, start, stop),
-                           out=out[start:, start:stop])
-            top = panel[:w]
+            w, first, last = stop - start, n - stop, n - start
+            panel = self._scaled_sq_dists(sigma2, start, start, stop)
+            np.exp(panel, out=panel)
+            top, below = panel[:w], panel[w:]
             np.fill_diagonal(top, 1.0)
-            np.copyto(upper[start:stop, start:stop], top.T,
-                      where=np.tri(w, k=-1, dtype=bool).T, casting="same_kind")
-            np.copyto(upper[start:stop, stop:], panel[w:].T, casting="same_kind")
+            tri = _LOWER_BLOCK[:w, :w]
+            np.copyto(lower[start:stop, start:stop], top, where=tri)
+            np.copyto(upper[first:last, first:last], top[::-1, ::-1], where=tri.T,
+                      casting="same_kind")
+            np.copyto(lower[stop:, start:stop], below)
+            np.copyto(upper[:first, first:last], below[::-1, ::-1], casting="same_kind")
 
 
 def predict(model: LssvmModel, Xq) -> np.ndarray:

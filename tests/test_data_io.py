@@ -80,9 +80,10 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="no samples"):
             load_csv(str(p))
 
-    def test_non_finite_rejected(self, tmp_path):
-        p = tmp_path / "inf.csv"
-        p.write_text("2015-04-01T00:00,inf\n")
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_rejected(self, tmp_path, value):
+        p = tmp_path / "non_finite.csv"
+        p.write_text(f"2015-04-01T00:00,{value}\n")
         with pytest.raises(DataError, match="line 1"):
             load_csv(str(p))
 

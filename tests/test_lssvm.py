@@ -418,56 +418,118 @@ class TestPairwiseSqDists:
         assert peak < 1.5 * n * n * 8
 
 
+def filled_kernel(X, sigma2):
+    """K as fill_kernel writes it, mirrored from its lower triangle."""
+    n = len(X)
+    K = np.empty((n, n), order="F")
+    lssvm.KernelProduct(X, X).fill_kernel(sigma2, K, np.empty((n, n), order="F"))
+    return np.tril(K) + np.tril(K, -1).T
+
+
+def fresh_fill(X, hp):
+    """H = K + I/gamma as a TrainingSet fills it."""
+    H = filled_kernel(X, hp.sigma2)
+    H[np.diag_indices(len(X))] = 1.0 + 1.0 / hp.gamma
+    return H
+
+
 class TestTrainingKernel:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
     def test_fill_is_exactly_symmetric_with_unit_diagonal(self, n):
+        # The lower triangle and the reversed upper one hold the same
+        # numbers: K's lower triangle is G = P K P's upper one, read back to
+        # front.
         X = np.random.default_rng(n).uniform(0, 25, (n, 10))
         product = lssvm.KernelProduct(X, X)
+        lower = np.tril_indices(n)
         for sigma2 in (8.0, 75.0, 900.0, 4e4):
             H = np.full((n, n), np.nan, order="F")
-            product.fill_kernel(sigma2, H)
-            assert np.array_equal(H, H.T)
+            G = np.full((n, n), np.nan, order="F")
+            product.fill_kernel(sigma2, H, G)
+            assert np.array_equal(G[::-1, ::-1][lower], H[lower])
             np.testing.assert_array_equal(np.diag(H), 1.0)
-            assert np.abs(H - build_kernel_matrix(X, sigma2)).max() <= 1e-13
+            K = np.tril(H) + np.tril(H, -1).T
+            assert np.abs(K - build_kernel_matrix(X, sigma2)).max() <= 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
     def test_fill_with_single_precision_upper(self, n):
-        # Into separate arrays: the lower triangle is the symmetric fill's,
-        # the strict upper triangle of ``upper`` is its transpose rounded to
-        # float32, and nothing else of ``upper`` is written.
+        # Into separate arrays: the lower triangle is the double-precision
+        # fill's, the upper triangle of ``upper`` is its reversal rounded to
+        # float32, and nothing else of either array is written.
         X = np.random.default_rng(n).uniform(0, 25, (n, 10))
         product = lssvm.KernelProduct(X, X)
         lower, strict_upper = np.tril_indices(n), np.triu_indices(n, k=1)
         for sigma2 in (8.0, 75.0, 900.0, 4e4):
-            K = np.empty((n, n), order="F")
-            product.fill_kernel(sigma2, K)
+            K = filled_kernel(X, sigma2)
             H = np.full((n, n), np.nan, order="F")
             upper = np.full((n, n), -7.0, dtype=np.float32, order="F")
-            product.fill_kernel(sigma2, H, upper=upper)
+            product.fill_kernel(sigma2, H, upper)
             assert np.array_equal(H[lower], K[lower])
-            assert np.array_equal(upper[strict_upper], K.T[strict_upper].astype(np.float32))
-            assert (np.tril(upper) == -7.0)[lower].all()
+            assert np.isnan(H[strict_upper]).all()
+            assert np.array_equal(np.triu(upper), np.triu(K[::-1, ::-1].astype(np.float32)))
+            assert (upper[np.tril_indices(n, k=-1)] == -7.0).all()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("n", [1, 2, 65, 130])
+    def test_fill_writes_only_h_lower_and_g_upper(self, n, dtype):
+        # In a TrainingSet's NaN-filled buffer, the fill writes exactly H's
+        # lower triangle and the upper triangle of G = P H P, in double
+        # precision from the top of columns 1..n or in single precision with
+        # a leading dimension of 2n floats.
+        X = np.random.default_rng(n).uniform(0, 25, (n, 10))
+        training_set = lssvm.TrainingSet(X, np.zeros(n))
+        G = training_set._G if dtype == np.float64 else training_set._R
+        sigma2 = 75.0
+        K = filled_kernel(X, sigma2)
+        buffer = training_set._H.base
+        assert buffer.shape == (n, n + 1) and np.shares_memory(G, buffer)
+        buffer[...] = np.nan
+        want = np.full_like(buffer, np.nan)
+        want_H, want_G = want[:, :n], np.ndarray(G.shape, G.dtype, buffer=want, offset=8 * n,
+                                                 strides=G.strides)
+        lower, upper = np.tril_indices(n), np.triu_indices(n)
+        want_H[lower] = K[lower]
+        want_G[upper] = K[::-1, ::-1][upper]
+        training_set._kernel.fill_kernel(sigma2, training_set._H, G)
+        assert np.array_equal(buffer.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("n", [2, 65, 300, 1000])
     def test_single_precision_factor_leaves_h_lower_intact(self, n):
         # In a TrainingSet the float32 array shares the buffer with H: the
         # fill and the single-precision factorization leave H's lower
-        # triangle and diagonal as the symmetric fill writes them.
+        # triangle and diagonal as the fill writes them, and the float32
+        # upper triangle holds the factor U of G = P H P.
         rng = np.random.default_rng(n)
         X = rng.uniform(0, 25, (n, 6))
         training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, n))
         hp = Hyperparams(10.0, 75.0)
         training_set.solve(hp)
         assert training_set.counts["fast"] == 1
-        K = np.empty((n, n), order="F")
-        lssvm.KernelProduct(X, X).fill_kernel(hp.sigma2, K)
-        K[np.diag_indices(n)] = 1.0 + 1.0 / hp.gamma
+        H = fresh_fill(X, hp)
         lower = np.tril_indices(n)
-        assert np.array_equal(training_set._H[lower], K[lower])
+        assert np.array_equal(training_set._H[lower], H[lower])
         R = training_set._R
         assert np.shares_memory(R, training_set._H)
         U = np.triu(R).astype(float)
-        np.testing.assert_allclose(U.T @ U, K, atol=1e-5)
+        np.testing.assert_allclose(U.T @ U, H[::-1, ::-1], atol=1e-5)
+
+    @pytest.mark.parametrize("route", ["fast", "dense", "fallback"])
+    def test_h_lower_is_the_fresh_fill_after_a_solve(self, monkeypatch, route):
+        # No factorization writes H's lower triangle: after a fast solve, a
+        # dense one (gamma = 1e5 at n = 300 is beyond the fast path's bound)
+        # and a fallback (one CG iteration at gamma = 10) it is the fill's.
+        rng = np.random.default_rng(300)
+        X = rng.uniform(0, 25, (300, 6))
+        training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, 300))
+        hp = Hyperparams(1e5 if route == "dense" else 10.0, 200.0)
+        if route == "fallback":
+            monkeypatch.setattr(lssvm, "CG_MAX_ITER", 1)
+        training_set.solve(hp)
+        counts = training_set.counts
+        want = {"fast": (1, 0, 0), "dense": (0, 1, 0), "fallback": (0, 1, 1)}[route]
+        assert (counts["fast"], counts["dense"], counts["cg_cap"]) == want
+        lower = np.tril_indices(300)
+        assert np.array_equal(training_set._H[lower], fresh_fill(X, hp)[lower])
 
     def test_training_set_retains_one_square_array(self):
         n = 1000
@@ -497,8 +559,8 @@ class TestTrainingKernel:
 
 
 class TestBlockedCholesky:
-    @pytest.mark.parametrize("name", ["DPOTRF", "DTRSM", "DSYRK", "SPOTRF", "STRSV",
-                                      "DGEMM", "DSYMV"])
+    @pytest.mark.parametrize("name", ["DPOTRF", "DTRTRI", "DTRMM", "DTRSM", "DSYRK", "SPOTRF",
+                                      "STRTRI", "STRMM", "SSYRK", "STRSV", "DGEMM", "DSYMV"])
     def test_routines_resolve_in_numpys_blas(self, name):
         routine = getattr(lssvm, f"_{name}")
         assert routine.__name__ == f"scipy_{name.lower()}_64_"
@@ -521,25 +583,51 @@ class TestBlockedCholesky:
         np.testing.assert_allclose(alpha, a_ref, atol=1e-9 * scale)
         assert abs(b - b_ref) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 300])
+    def test_factor_matches_numpy_across_block_edges(self, n, dtype, rtol):
+        # The factor of G = P H P, in an array whose columns lie 2n entries
+        # apart as the float32 one of a TrainingSet does; the strict lower
+        # triangle is left as it is.
+        X = np.random.default_rng(n).uniform(0, 5, (n, 3))
+        G = (build_kernel_matrix(X, 2.0) + np.eye(n) / 10.0)[::-1, ::-1]
+        A = np.empty((2 * n, n), dtype=dtype, order="F")[:n]
+        A[...] = G
+        before = np.tril(A, -1)
+        assert lssvm._cholesky_upper(A, np.empty(min(n, lssvm.CHOLESKY_BLOCK) ** 2))
+        want = np.linalg.cholesky(G).T
+        assert np.abs(np.triu(A) - want).max() <= rtol * np.abs(want).max()
+        assert np.array_equal(np.tril(A, -1), before)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_factor_refuses_a_later_block(self, dtype):
+        # The first block is positive definite; a negative diagonal entry in
+        # the second one makes the matrix indefinite.
+        n = 300
+        X = np.random.default_rng(7).uniform(0, 5, (n, 3))
+        A = np.asfortranarray(build_kernel_matrix(X, 2.0) + np.eye(n), dtype=dtype)
+        A[200, 200] = -1.0
+        assert not lssvm._cholesky_upper(A, np.empty(lssvm.CHOLESKY_BLOCK ** 2))
+
     @pytest.mark.parametrize("route", ["dense", "fallback"])
-    def test_upper_triangle_is_the_filled_kernel(self, monkeypatch, route):
+    def test_upper_triangle_is_the_factor_of_the_reversed_kernel(self, monkeypatch, route):
         # gamma = 1e5 at n = 300 is beyond the fast path's bound, so the
         # solve takes the dense path; gamma = 10 is within it, and one CG
-        # iteration falls back to the dense path, which fills H again.
+        # iteration falls back to the dense path, which fills G again in
+        # double precision. Its upper triangle then holds the factor U of
+        # G = P H P.
         rng = np.random.default_rng(300)
         X = rng.uniform(0, 25, (300, 6))
         training_set = lssvm.TrainingSet(X, rng.uniform(0, 20, 300))
-        if route == "dense":
-            training_set.solve(Hyperparams(1e5, 200.0))
-        else:
+        hp = Hyperparams(1e5 if route == "dense" else 10.0, 200.0)
+        if route == "fallback":
             monkeypatch.setattr(lssvm, "CG_MAX_ITER", 1)
-            training_set.solve(Hyperparams(10.0, 200.0))
-            assert training_set.counts["cg_cap"] == 1
+        training_set.solve(hp)
+        assert training_set.counts["cg_cap"] == (route == "fallback")
         assert training_set.counts["dense"] == 1
-        K = np.empty((300, 300), order="F")
-        lssvm.KernelProduct(X, X).fill_kernel(200.0, K)
-        upper = np.triu_indices(300, k=1)
-        assert np.array_equal(training_set._H[upper], K[upper])
+        U = np.triu(training_set._G)
+        want = fresh_fill(X, hp)[::-1, ::-1]
+        np.testing.assert_allclose(U.T @ U, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
     def test_singular_later_block_raises(self):
         rng = np.random.default_rng(5)
