@@ -157,9 +157,10 @@ def _add_experiment_args(p, flags, defaults: dict | None = None):
         p.add_argument(flag, dest=_dest(flag), type=kind, help=help_text)
 
 
-def _read_config(path) -> dict:
-    if not path:
-        return {}
+def _read_json_object(path: str, label: str) -> dict:
+    """The JSON object in the file ``path``. Raises ValueError, naming the
+    file, if it is not UTF-8 text, not JSON, or not a JSON object (the
+    ``label`` file's root)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -168,7 +169,7 @@ def _read_config(path) -> dict:
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config root must be a JSON object")
+        raise ValueError(f"{path}: {label} root must be a JSON object")
     return raw
 
 
@@ -189,7 +190,9 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
     build the config from it. ``defaults`` holds a command's own top-level
     defaults, which the config file and the flags override."""
     try:
-        raw = {**(defaults or {}), **_read_config(args.config)}
+        raw = dict(defaults or {})
+        if args.config:
+            raw.update(_read_json_object(args.config, "config"))
         # The synthetic series is the source unless a CSV is named; the
         # --synth-* flags are ignored when one is.
         if args.input is not None:
@@ -240,11 +243,9 @@ SIDECAR_KEYS = (
 )
 
 
-def _check_sidecar(meta, path: str):
-    """Raise DataError, naming ``path``, unless ``meta`` has the shape that
-    ``prepare_data`` gives a sidecar."""
-    if not isinstance(meta, dict):
-        raise DataError(f"{path}: sidecar root must be a JSON object")
+def _check_sidecar(meta: dict, path: str):
+    """Raise DataError, naming ``path``, unless ``meta`` has the keys and
+    values that ``prepare_data`` gives a sidecar."""
     for key, required, check, wanted in SIDECAR_KEYS:
         if key not in meta and required:
             raise DataError(f"{path}: sidecar has no {key!r}")
@@ -310,6 +311,7 @@ def cmd_features(args):
         cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
         ds = make_lagged_dataset(cleaned, cfg.n_lags)
         ranked = mi_ranking(split(ds, cfg.split)[0], cfg.mi_bins)
+        corr = autocorrelation(cleaned, cfg.n_lags)
     selected = top_lags(ranked, cfg.select_fraction)
 
     outdir = cfg.outdir
@@ -319,7 +321,6 @@ def cmd_features(args):
         lines.append(f"{rank},{lag},{mi!r},{int(rank <= len(selected))}")
     atomic_write_text(os.path.join(outdir, "mi_ranking.csv"), "\n".join(lines) + "\n")
 
-    corr = autocorrelation(cleaned, cfg.n_lags)
     lines = ["lag,correlation"]
     for k in range(1, cfg.n_lags + 1):
         lines.append(f"{k},{float(corr[k - 1])!r}")
@@ -373,11 +374,8 @@ def _model_and_dataset(args):
                 f"--lags is only for models without a sidecar, and {meta_path} exists; "
                 "drop --lags to use the sidecar's lags, outlier gate and split"
             )
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{meta_path}: invalid JSON: {exc}") from None
+        # Its ValueError, like a DataError, reaches main as a data error.
+        meta = _read_json_object(meta_path, "sidecar")
         _check_sidecar(meta, meta_path)
     elif args.lags:
         meta = {"lags": args.lags, "n_lags": max(args.lags)}

@@ -53,12 +53,14 @@ two solvers, chosen by gamma and n alone:
   (``_pcg``), in double precision, then solve the bordered system in one
   Krylov sequence with that preconditioner, until its residual is
   ``CG_RTOL`` of ||y||, for at most ``CG_MAX_ITER`` iterations. Each
-  product with H is one ``dsymv``, each preconditioner step reverses the
-  vector, makes two ``strsv`` calls and reverses it back, and no state is
-  carried from one solve to the next.
+  product with H is one ``dsymv``, each preconditioner step is one
+  ``_cholesky_solve``, which reverses the vector, makes two ``strsv``
+  calls and reverses it back, and no state is carried from one solve to
+  the next.
 - The dense path: the fill writes G in double precision, its Cholesky
-  factor U overwrites it (G = U^T U), and two ``dtrsm`` calls solve
-  H [eta, nu] = [1, y] as P G^-1 P [1, y].
+  factor U overwrites it (G = U^T U), and the same ``_cholesky_solve``
+  takes eta = H^-1 1 and nu = H^-1 y as P G^-1 P times each right-hand
+  side, with two ``dtrsv`` calls per right-hand side.
 
 The fast path falls back to the dense path, which fills G again in double
 precision over the single-precision array, when the single-precision factorization
@@ -79,14 +81,18 @@ depend on where the swarm goes.
 Both precisions take one factorization, ``_cholesky_upper``: a
 right-looking blocked Cholesky factorization (LAPACK Users' Guide, section
 3.4) in steps of ``CHOLESKY_BLOCK`` columns. ``potrf`` factors the diagonal
-block, ``trtri`` inverts a copy of its factor in a scratch array the
-``TrainingSet`` owns, ``trmm`` multiplies the panel right of the block by
-that inverse, and one ``syrk`` updates the trailing triangle, which holds
-almost all of the flops. Measured at n = 2575 on 2 cores, it takes about
-41 ms in single precision against about 55 ms for one ``spotrf`` call, and
-about 70 ms in double precision against about 80 ms for the same blocking
-with ``dtrsm`` panels in the lower triangle; OpenBLAS's ``strsm`` is slow on
-these panels, so a product with the inverse replaces it.
+block, ``trtri`` inverts a copy of its factor in a scratch array of at
+most ``CHOLESKY_BLOCK``^2 entries that each factorization allocates,
+``trmm`` multiplies the panel right of the block by that inverse, and one
+``syrk`` updates the trailing triangle, which holds almost all of the
+flops. Measured at n = 2575 on 2 cores, it takes about 41 ms in single
+precision against about 55 ms for one ``spotrf`` call, and about 70 ms in
+double precision against about 80 ms for the same blocking with ``dtrsm``
+panels in the lower triangle; OpenBLAS's ``strsm`` is slow on these
+panels, so a product with the inverse replaces it. Both precisions also
+take one solve with the factor, ``_cholesky_solve``: two ``trsv`` calls
+per vector. At that n one ``strsm`` call on one vector took about 5.4 ms
+against 1.4 ms for the two ``strsv`` calls.
 
 Every BLAS and LAPACK routine comes from the one OpenBLAS that numpy's
 wheels bundle, which numpy's own products use too, so a process loads one
@@ -187,8 +193,8 @@ def _blas_routine(name: str, kinds: str):
 _DPOTRF = _blas_routine("dpotrf", "cipii")
 _DTRTRI = _blas_routine("dtrtri", "ccipii")
 _DTRMM = _blas_routine("dtrmm", "cccciidpipi")
-_DTRSM = _blas_routine("dtrsm", "cccciidpipi")
 _DSYRK = _blas_routine("dsyrk", "cciidpidpi")
+_DTRSV = _blas_routine("dtrsv", "cccipipi")
 _SPOTRF = _blas_routine("spotrf", "cipii")
 _STRTRI = _blas_routine("strtri", "ccipii")
 _STRMM = _blas_routine("strmm", "cccciifpipi")
@@ -197,31 +203,37 @@ _STRSV = _blas_routine("strsv", "cccipipi")
 _DGEMM = _blas_routine("dgemm", "cciiidpipidpi")
 _DSYMV = _blas_routine("dsymv", "cidpipidpi")
 _ONE, _ZERO, _MINUS_ONE, _UNIT_STRIDE = c_double(1.0), c_double(0.0), c_double(-1.0), c_int64(1)
-# The routines of _cholesky_upper and its scalars 1 and -1, by precision.
+# The routines of _cholesky_upper and _cholesky_solve and the scalars 1 and
+# -1, by precision.
 _FACTOR_ROUTINES = {
-    np.dtype(np.float64): (_DPOTRF, _DTRTRI, _DTRMM, _DSYRK, _ONE, _MINUS_ONE),
-    np.dtype(np.float32): (_SPOTRF, _STRTRI, _STRMM, _SSYRK, c_float(1.0), c_float(-1.0)),
+    np.dtype(np.float64): (_DPOTRF, _DTRTRI, _DTRMM, _DSYRK, _DTRSV, _ONE, _MINUS_ONE),
+    np.dtype(np.float32): (_SPOTRF, _STRTRI, _STRMM, _SSYRK, _STRSV, c_float(1.0), c_float(-1.0)),
 }
 
 
-def _cholesky_upper(A: np.ndarray, scratch: np.ndarray) -> bool:
+def _factor_layout(A: np.ndarray):
+    """The routines of ``A``'s precision from ``_FACTOR_ROUTINES``, the
+    address of ``A`` and its leading dimension, for a square float32 or
+    float64 array whose columns are contiguous and may lie any whole number
+    of entries apart."""
+    size = A.itemsize
+    if (A.dtype not in _FACTOR_ROUTINES or A.shape[0] != A.shape[1] or A.strides[0] != size
+            or A.strides[1] % size):
+        raise ValueError("need a square float32 or float64 array with contiguous columns")
+    return _FACTOR_ROUTINES[A.dtype], A.ctypes.data, c_int64(A.strides[1] // size)
+
+
+def _cholesky_upper(A: np.ndarray) -> bool:
     """Overwrite the upper triangle of the float32 or float64 n x n array
-    ``A``, whose columns are contiguous and may lie any whole number of
-    entries apart, with its Cholesky factor U (A = U^T U), ``CHOLESKY_BLOCK``
-    columns per step, leaving the strict lower triangle as it is. The
-    float64 array ``scratch``, of at least min(n, CHOLESKY_BLOCK)^2 entries,
-    takes the inverse of each diagonal block. False if a pivot is not
-    positive.
+    ``A``, laid out as ``_factor_layout`` takes it, with its Cholesky factor
+    U (A = U^T U), ``CHOLESKY_BLOCK`` columns per step, leaving the strict
+    lower triangle as it is. Each diagonal block is inverted in one scratch
+    array of at most ``CHOLESKY_BLOCK``^2 entries in A's precision. False if
+    a pivot is not positive.
     """
-    n, size = A.shape[0], A.itemsize
-    if (A.dtype not in _FACTOR_ROUTINES or n != A.shape[1] or A.strides[0] != size
-            or A.strides[1] % size or scratch.dtype != np.float64
-            or scratch.size < min(n, CHOLESKY_BLOCK) ** 2):
-        raise ValueError("need a square float32 or float64 array with contiguous columns "
-                         "and a large enough float64 scratch")
-    potrf, trtri, trmm, syrk, one, minus_one = _FACTOR_ROUTINES[A.dtype]
-    base, lda, info = A.ctypes.data, c_int64(A.strides[1] // size), c_int64(0)
-    blocks = scratch.view(A.dtype)
+    (potrf, trtri, trmm, syrk, _, one, minus_one), base, lda = _factor_layout(A)
+    n, size, info = A.shape[0], A.itemsize, c_int64(0)
+    blocks = np.empty(min(n, CHOLESKY_BLOCK) ** 2, A.dtype)
 
     def at(i, j):
         return base + size * i + A.strides[1] * j
@@ -244,20 +256,18 @@ def _cholesky_upper(A: np.ndarray, scratch: np.ndarray) -> bool:
     return True
 
 
-def _cholesky_solve(U: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Overwrite the Fortran-ordered n x k array ``B`` with H^-1 B for
-    H = P U^T U P, P reversing the row order, and the Cholesky factor U in
-    the upper triangle of the Fortran-ordered n x n array ``U``, by two
-    triangular solves; return ``B``."""
-    if not (U.flags.f_contiguous and B.flags.f_contiguous and B.dtype == U.dtype == np.float64
-            and U.shape == (len(B), len(B))):
-        raise ValueError("need Fortran-ordered float64 arrays, U square with B's rows")
-    n, k = c_int64(len(B)), c_int64(B.shape[1])
-    B[:] = B[::-1]
+def _cholesky_solve(U: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """H^-1 r in double precision, for H = P U^T U P with P reversing the
+    row order and the Cholesky factor U in the upper triangle of the
+    float32 or float64 array ``U``, laid out as ``_factor_layout`` takes it:
+    two triangular solves in U's precision on the reversed vector."""
+    (*_, trsv, _, _), base, lda = _factor_layout(U)
+    if r.shape != (len(U),):
+        raise ValueError(f"need a vector of length {len(U)}, got shape {r.shape}")
+    z, n = r[::-1].astype(U.dtype), c_int64(len(r))
     for trans in (b"T", b"N"):
-        _DTRSM(b"L", b"U", trans, b"N", n, k, _ONE, U.ctypes.data, n, B.ctypes.data, n)
-    B[:] = B[::-1]
-    return B
+        trsv(b"U", trans, b"N", n, base, lda, z.ctypes.data, _UNIT_STRIDE)
+    return z[::-1].astype(np.float64)
 
 
 def _symv(H: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -387,8 +397,6 @@ class TrainingSet:
         self._G = buffer[:, 1:]
         self._R = np.ndarray((n, n), np.float32, buffer=buffer, offset=buffer.strides[1],
                              strides=(4, buffer.strides[1]))
-        # The inverse of each diagonal block of _cholesky_upper.
-        self._block_inverse = np.empty(min(n, CHOLESKY_BLOCK) ** 2)
         self.counts = dict.fromkeys(SOLVE_COUNTS, 0)
 
     def solve(self, hp: Hyperparams) -> tuple[np.ndarray, float]:
@@ -421,17 +429,14 @@ class TrainingSet:
         H[diagonal] = G[diagonal] = scale
         counts["dense"] += 1
         # U overwrites G's upper triangle; H's lower triangle stays as filled.
-        min_pivot = (float(G.diagonal().min()) ** 2
-                     if _cholesky_upper(G, self._block_inverse) else 0.0)
+        min_pivot = float(G.diagonal().min()) ** 2 if _cholesky_upper(G) else 0.0
         if not min_pivot >= PIVOT_RTOL * scale:
             raise NumericError(
                 f"near-singular KKT system: min pivot {min_pivot:.3e} "
                 f"< {PIVOT_RTOL:.0e} * max|H| ({scale:.3e}); "
                 f"gamma={hp.gamma:.6g} sigma2={hp.sigma2:.6g} n={n}"
             )
-        rhs = np.empty((n, 2), order="F")
-        rhs[:, 0], rhs[:, 1] = 1.0, y
-        alpha, b = _dual(_cholesky_solve(G, rhs))
+        alpha, b = _dual(_cholesky_solve(G, np.ones(n)), _cholesky_solve(G, y))
         rel_residual = self._rel_residual(alpha, b)
         if not rel_residual <= RESIDUAL_RTOL:
             raise NumericError(
@@ -447,18 +452,10 @@ class TrainingSet:
         R, y = self._R, self.y
         n = len(y)
         R[np.diag_indices(n)] = scale
-        if not _cholesky_upper(R, self._block_inverse):
+        if not _cholesky_upper(R):
             return "factor"
-        args = (c_int64(n), R.ctypes.data, c_int64(R.strides[1] // R.itemsize))
-
-        def precondition(r):
-            # H^-1 ~ P (R^T R)^-1 P.
-            z = r[::-1].astype(np.float32)
-            _STRSV(b"U", b"T", b"N", *args, z.ctypes.data, _UNIT_STRIDE)
-            _STRSV(b"U", b"N", b"N", *args, z.ctypes.data, _UNIT_STRIDE)
-            return z[::-1].astype(np.float64)
-
-        alpha, b, iterations = _pcg(self._H, precondition, y)
+        # H^-1 ~ P (R^T R)^-1 P.
+        alpha, b, iterations = _pcg(self._H, lambda r: _cholesky_solve(R, r), y)
         self.counts["cg_iterations"] += iterations
         if alpha is None:
             return "cg_cap"
@@ -556,9 +553,8 @@ def _pcg(H: np.ndarray, precondition, y: np.ndarray) -> tuple[np.ndarray | None,
     return None, 0.0, iterations
 
 
-def _dual(sol: np.ndarray) -> tuple[np.ndarray, float]:
-    """a and b from the (n, 2) solution [eta, nu] of H [eta, nu] = [1, y]."""
-    eta, nu = sol[:, 0], sol[:, 1]
+def _dual(eta: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, float]:
+    """a and b from eta = H^-1 1 and nu = H^-1 y."""
     b = nu.sum() / eta.sum()  # 1^T eta > 0 because H is positive definite
     return nu - b * eta, b
 

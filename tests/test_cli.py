@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from windlssvm import cli
@@ -150,6 +151,17 @@ class TestFeatures:
         written = sorted(p.name for p in tmp_path.iterdir() if p.is_dir())
         assert written == [expected]
         assert sorted(os.listdir(expected)) == ["correlation.csv", "mi_ranking.csv"]
+
+    def test_constant_series_named_before_any_output(self, tmp_path, capsys):
+        # The lag correlation of a constant series is undefined, though its
+        # MI ranking is not; neither table is written.
+        src = tmp_path / "c.csv"
+        write_series_csv(TimeSeries(np.full(600, 5.0)), str(src))
+        outdir = tmp_path / "feat"
+        assert main(["features", "--in", str(src), "--n-lags", "8",
+                     "--outdir", str(outdir)]) == 2
+        assert f"data error: {src}: correlation undefined" in capsys.readouterr().err
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("flag", ["--z-threshold", "--train-frac"])
     def test_nan_setting_usage_error(self, tmp_path, flag):
@@ -491,6 +503,7 @@ class TestTrainPredictEvaluate:
         ("cadence_minutes", "x", "sidecar 'cadence_minutes' must be a positive integer"),
         ("cadence_minutes", 0, "sidecar 'cadence_minutes' must be a positive integer"),
         (_TEXT, "{not json", "invalid JSON: Expecting property name"),
+        (_TEXT, b"\xff\xfe{}", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
     ])
     def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
                                           complaint):
@@ -505,7 +518,10 @@ class TestTrainPredictEvaluate:
             del meta[key]
         elif key is not _TEXT:
             meta[key] = value
-        meta_path.write_text(value if key is _TEXT else json.dumps(meta))
+        if isinstance(value, bytes):
+            meta_path.write_bytes(value)
+        else:
+            meta_path.write_text(value if key is _TEXT else json.dumps(meta))
         out = tmp_path / "p.csv"
         capsys.readouterr()
         for argv in (["predict", "--out", str(out)], ["evaluate"]):
