@@ -22,13 +22,14 @@ writes the distances already scaled by -1/(2 sigma2), and they are clamped
 at 0 and turned into kernel values. ``matvec`` then takes one vector-matrix
 product per block, so a product holds one cache-sized block, not an
 n_query x n_support kernel.
-``fill_kernel`` writes K(S, S) into the lower triangle of a caller's n x n
-array, with a unit diagonal, one ``dgemm`` per column panel, and
-G = P K P, for the permutation P that reverses the row order, into the
-upper triangle of another array, in double or single precision. Column
-n - 1 - j of G is column j of K's lower triangle read bottom-up, so each
-panel reaches G by one reversed copy, not a transpose. Each pair is
-computed once.
+``fill_kernel`` writes K(S, S) with its unit diagonal replaced by a
+caller's value, which a solve sets to 1 + 1/gamma to make H = K + I/gamma,
+into the lower triangle of a caller's n x n array, one ``dgemm`` per column
+panel; and G = P H P, for the permutation P that reverses the row order,
+diagonal included, into the upper triangle of another array, in double or
+single precision. Column n - 1 - j of G is column j of H's lower triangle
+read bottom-up, so each panel reaches G by one reversed copy, not a
+transpose. Each pair is computed once.
 
 ``TrainingSet`` owns a training set's ``KernelProduct`` with itself, and one
 Fortran-ordered n x (n + 1) buffer that all of its solves share; it keeps no
@@ -42,31 +43,33 @@ starts at the top of the buffer's column j + 1, with a leading dimension of
 triangle. The fill writes H's lower triangle and G's upper triangle, and
 nothing else, so neither overwrites the other. Both solvers read H, for CG
 and for the gates, from its intact lower triangle. A solve takes one of
-two solvers, chosen by gamma and n alone:
+two solvers, chosen by gamma and n alone, and each is one sequence: fill,
+factor, solve, gate.
 
 - The fast path, where (1 + gamma n) u_s <= ``SINGLE_KAPPA_U`` for the
   single-precision unit roundoff u_s. K's entries are at most 1, so
   lambda_max(K) <= n and (1 + gamma n) bounds the condition number of H;
   a Cholesky factor of H rounded to single precision is then a close
-  preconditioner of H. The single-precision G is overwritten by its factor
-  R (G ~ R^T R), so H^-1 ~ P R^-1 R^-T P. Projected conjugate gradients
-  (``_pcg``), in double precision, then solve the bordered system in one
-  Krylov sequence with that preconditioner, until its residual is
-  ``CG_RTOL`` of ||y||, for at most ``CG_MAX_ITER`` iterations. Each
-  product with H is one ``dsymv``, each preconditioner step is one
-  ``_cholesky_solve``, which reverses the vector, makes two ``strsv``
-  calls and reverses it back, and no state is carried from one solve to
-  the next.
+  preconditioner of H. The fill writes G in single precision, and its
+  factor R overwrites it (G ~ R^T R), so H^-1 ~ P R^-1 R^-T P. Projected
+  conjugate gradients (``_pcg``), in double precision, then solve the
+  bordered system in one Krylov sequence with that preconditioner, until
+  its residual is ``CG_RTOL`` of ||y||, for at most ``CG_MAX_ITER``
+  iterations. Each product with H is one ``dsymv``, each preconditioner
+  step is one ``_cholesky_solve``, which reverses the vector, makes two
+  ``strsv`` calls and reverses it back, and no state is carried from one
+  solve to the next.
 - The dense path: the fill writes G in double precision, its Cholesky
   factor U overwrites it (G = U^T U), and the same ``_cholesky_solve``
   takes eta = H^-1 1 and nu = H^-1 y as P G^-1 P times each right-hand
   side, with two ``dtrsv`` calls per right-hand side.
 
 The fast path falls back to the dense path, which fills G again in double
-precision over the single-precision array, when the single-precision factorization
-meets a non-positive pivot, when CG takes ``CG_MAX_ITER`` iterations
-without meeting ``CG_RTOL`` or breaks down (only rounding or non-finite
-values make it), or when its result fails the residual or finiteness gate.
+precision over the single-precision array, when the single-precision
+factorization meets a non-positive pivot ("factor"), when CG takes
+``CG_MAX_ITER`` iterations without meeting ``CG_RTOL`` or breaks down (only
+rounding or non-finite values make it; "cg_cap"), or when its result fails
+the residual or finiteness gate ("gate").
 So the path, like the result, depends only on gamma, sigma2 and the
 training data. ``TrainingSet.counts`` counts the solves of each path, the
 fallbacks by reason and the CG iterations.
@@ -400,7 +403,10 @@ class TrainingSet:
         self.counts = dict.fromkeys(SOLVE_COUNTS, 0)
 
     def solve(self, hp: Hyperparams) -> tuple[np.ndarray, float]:
-        """Dual coefficients and bias of the LSSVM at ``hp``.
+        """Dual coefficients and bias of the LSSVM at ``hp``: the fast path
+        where ``_single_precision_suffices``, then the dense path if it was
+        not taken or fell back, each as fill, factor, solve and gate (see
+        the module docstring).
 
         Raises
         ------
@@ -408,25 +414,31 @@ class TrainingSet:
             If H is not numerically positive definite (the pivot gate) or the
             KKT residual exceeds ``RESIDUAL_RTOL``.
         """
-        y, H, G = self.y, self._H, self._G
+        y, H, G, R = self.y, self._H, self._G, self._R
         n = y.shape[0]
         if n == 1:
             # 1^T a = 0 forces a = 0, and then b = y_0.
             return np.zeros(1), float(y[0])
         # K <= 1 with a unit diagonal, so H's diagonal, and max|H|, is 1 + 1/gamma.
         scale = 1.0 + 1.0 / hp.gamma
-        diagonal = np.diag_indices(n)
         counts = self.counts
         if _single_precision_suffices(n, hp.gamma):
-            self._kernel.fill_kernel(hp.sigma2, H, self._R)
-            H[diagonal] = scale
-            fast = self._fast_solve(scale)
-            if not isinstance(fast, str):
-                counts["fast"] += 1
-                return fast
-            counts[fast] += 1
-        self._kernel.fill_kernel(hp.sigma2, H, G)
-        H[diagonal] = G[diagonal] = scale
+            # CG on H, preconditioned by the single-precision factor R of
+            # G = P H P: H^-1 ~ P (R^T R)^-1 P.
+            self._kernel.fill_kernel(hp.sigma2, scale, H, R)
+            reason = "factor"
+            if _cholesky_upper(R):
+                alpha, b, iterations = _pcg(H, lambda r: _cholesky_solve(R, r), y)
+                counts["cg_iterations"] += iterations
+                if alpha is None:
+                    reason = "cg_cap"
+                elif self._rel_residual(alpha, b) <= RESIDUAL_RTOL:
+                    counts["fast"] += 1
+                    return alpha, float(b)
+                else:
+                    reason = "gate"
+            counts[reason] += 1
+        self._kernel.fill_kernel(hp.sigma2, scale, H, G)
         counts["dense"] += 1
         # U overwrites G's upper triangle; H's lower triangle stays as filled.
         min_pivot = float(G.diagonal().min()) ** 2 if _cholesky_upper(G) else 0.0
@@ -443,24 +455,6 @@ class TrainingSet:
                 f"KKT solve residual {rel_residual:.3e} exceeds {RESIDUAL_RTOL:.0e} "
                 f"(min pivot {min_pivot:.3e}, gamma={hp.gamma:.6g}, sigma2={hp.sigma2:.6g}, n={n})"
             )
-        return alpha, float(b)
-
-    def _fast_solve(self, scale: float) -> tuple[np.ndarray, float] | str:
-        """a and b by CG on the filled lower triangle of H, preconditioned by
-        the single-precision Cholesky factor of G = P H P; or the reason to
-        fall back: "factor", "cg_cap" or "gate"."""
-        R, y = self._R, self.y
-        n = len(y)
-        R[np.diag_indices(n)] = scale
-        if not _cholesky_upper(R):
-            return "factor"
-        # H^-1 ~ P (R^T R)^-1 P.
-        alpha, b, iterations = _pcg(self._H, lambda r: _cholesky_solve(R, r), y)
-        self.counts["cg_iterations"] += iterations
-        if alpha is None:
-            return "cg_cap"
-        if not self._rel_residual(alpha, b) <= RESIDUAL_RTOL:
-            return "gate"
         return alpha, float(b)
 
     def _rel_residual(self, alpha: np.ndarray, b: float) -> float:
@@ -624,15 +618,16 @@ class KernelProduct:
             np.matmul(coeffs, block, out=out[start:stop])
         return out
 
-    def fill_kernel(self, sigma2: float, lower: np.ndarray, upper: np.ndarray):
-        """Write K = K(S, S) into the lower triangle of the float64 n x n
-        array ``lower``, with a unit diagonal, and G = P K P, P reversing the
-        row order, into the upper triangle of the float32 or float64 n x n
-        array ``upper``; the query rows must be the support rows.
+    def fill_kernel(self, sigma2: float, diagonal: float, lower: np.ndarray, upper: np.ndarray):
+        """Write K = K(S, S) with ``diagonal`` in place of its unit diagonal,
+        H = K + (diagonal - 1) I, into the lower triangle of the float64
+        n x n array ``lower``, and G = P H P, P reversing the row order, into
+        the upper triangle of the float32 or float64 n x n array ``upper``,
+        rounded to its precision; the query rows must be the support rows.
 
         Each pair is computed once, on or below the diagonal, one column
         panel at a time, and turned into kernel values in the scratch array.
-        Column n - 1 - j of G is column j of K's lower triangle read
+        Column n - 1 - j of G is column j of H's lower triangle read
         bottom-up, so each panel reaches G by one reversed copy. Nothing
         else of either array is written, so they may share memory with
         disjoint triangles, as in ``TrainingSet``; every copy reads the
@@ -646,7 +641,7 @@ class KernelProduct:
             panel = self._scaled_sq_dists(sigma2, start, start, stop)
             np.exp(panel, out=panel)
             top, below = panel[:w], panel[w:]
-            np.fill_diagonal(top, 1.0)
+            np.fill_diagonal(top, diagonal)
             tri = _LOWER_BLOCK[:w, :w]
             np.copyto(lower[start:stop, start:stop], top, where=tri)
             np.copyto(upper[first:last, first:last], top[::-1, ::-1], where=tri.T,

@@ -237,14 +237,20 @@ def top_lags(ranked: list[tuple[int, float]], fraction: float) -> tuple[int, ...
 
 def split(ds: LaggedDataset, spec: SplitSpec) -> tuple[LaggedDataset, LaggedDataset, LaggedDataset]:
     """Contiguous chronological split: floor-sized train and validation blocks,
-    remainder to test. No shuffling."""
+    remainder to test. No shuffling. Raises ValueError if a block would be
+    empty."""
     r = ds.n_rows
     if r < 5:
         raise ValueError(f"need at least 5 rows to split, got {r}")
     n_train = int(spec.train_frac * r)
     n_val = int(spec.val_frac * r)
+    fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
+    bounds = (0, n_train, n_train + n_val, r)
     blocks = []
-    for lo, hi in ((0, n_train), (n_train, n_train + n_val), (n_train + n_val, r)):
+    for name, frac, lo, hi in zip(("train", "validation", "test"), fracs, bounds, bounds[1:]):
+        if hi <= lo:
+            raise ValueError(f"the {name} block is empty: a fraction of {frac!r} "
+                             f"of {r} rows holds no row")
         blocks.append(
             LaggedDataset(ds.features[lo:hi].copy(), ds.targets[lo:hi].copy(), ds.lag_indices)
         )

@@ -3,6 +3,8 @@ AR(1) + white noise, shifted upward if needed to a minimum of ``FLOOR``."""
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n < 500:
             raise ValueError(f"n must be at least 500, got {self.n}")
+        if not (isinstance(self.mean, numbers.Real) and math.isfinite(self.mean)):
+            raise ValueError(f"mean must be a finite real, got {self.mean!r}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TimeSeries:

@@ -62,7 +62,12 @@ class TestSynth:
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_too_short_is_usage_error(self, tmp_path):
-        assert main(["synth", "--n", "10", "--out", str(tmp_path / "x.csv")]) == 1
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--n", "10", "--out", str(out)]) == 1
+        # So is a mean that is not finite, which would make every sample NaN.
+        for mean in ("nan", "inf", "-inf"):
+            assert main(["synth", f"--mean={mean}", "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 class TestClean:
@@ -253,6 +258,27 @@ class TestTuneAndBenchmark:
         assert main(command + _tiny_flags(str(outdir))) == 2
         assert positions == []
         assert f"data error: [Errno 17] File exists: '{outdir}'" in capsys.readouterr().err
+
+    def test_empty_validation_block_refused_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                           series_csv):
+        # 600 samples give 592 lagged rows, of which a fraction of 0.001 is
+        # no row.
+        positions = []
+        real_call = LssvmFitness.__call__
+        monkeypatch.setattr(LssvmFitness, "__call__",
+                            lambda fit, position: positions.append(position) or real_call(fit, position))
+        fracs = ["--in", series_csv, "--train-frac", "0.998", "--val-frac", "0.001",
+                 "--test-frac", "0.001"]
+        outdir, model = tmp_path / "run", tmp_path / "m"
+        assert main(["benchmark"] + _tiny_flags(str(outdir)) + fracs) == 2
+        assert main(["train", "--n-lags", "8", "--gamma", "10", "--sigma2", "10",
+                     "--model-out", str(model)] + fracs) == 2
+        assert positions == []
+        assert not outdir.exists() and not model.exists()
+        assert not Path(f"{model}.meta.json").exists()
+        err = capsys.readouterr().err
+        assert err.count(f"data error: {series_csv}: the validation block is empty: "
+                         "a fraction of 0.001 of 592 rows holds no row") == 2
 
     @pytest.mark.parametrize("override,key", [
         ({"trials": 1.5}, "config key 'trials'"),

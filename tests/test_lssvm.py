@@ -416,19 +416,18 @@ class TestPairwiseSqDists:
         assert peak < 1.5 * n * n * 8
 
 
-def filled_kernel(X, sigma2):
-    """K as fill_kernel writes it, mirrored from its lower triangle."""
+def filled_kernel(X, sigma2, diagonal):
+    """K with ``diagonal`` on its diagonal as fill_kernel writes it, mirrored
+    from its lower triangle."""
     n = len(X)
     K = np.empty((n, n), order="F")
-    lssvm.KernelProduct(X, X).fill_kernel(sigma2, K, np.empty((n, n), order="F"))
+    lssvm.KernelProduct(X, X).fill_kernel(sigma2, diagonal, K, np.empty((n, n), order="F"))
     return np.tril(K) + np.tril(K, -1).T
 
 
 def fresh_fill(X, hp):
     """H = K + I/gamma as a TrainingSet fills it."""
-    H = filled_kernel(X, hp.sigma2)
-    H[np.diag_indices(len(X))] = 1.0 + 1.0 / hp.gamma
-    return H
+    return filled_kernel(X, hp.sigma2, 1.0 + 1.0 / hp.gamma)
 
 
 class TestTrainingKernel:
@@ -443,7 +442,7 @@ class TestTrainingKernel:
         for sigma2 in (8.0, 75.0, 900.0, 4e4):
             H = np.full((n, n), np.nan, order="F")
             G = np.full((n, n), np.nan, order="F")
-            product.fill_kernel(sigma2, H, G)
+            product.fill_kernel(sigma2, 1.0, H, G)
             assert np.array_equal(G[::-1, ::-1][lower], H[lower])
             np.testing.assert_array_equal(np.diag(H), 1.0)
             K = np.tril(H) + np.tril(H, -1).T
@@ -458,10 +457,10 @@ class TestTrainingKernel:
         product = lssvm.KernelProduct(X, X)
         lower, strict_upper = np.tril_indices(n), np.triu_indices(n, k=1)
         for sigma2 in (8.0, 75.0, 900.0, 4e4):
-            K = filled_kernel(X, sigma2)
+            K = filled_kernel(X, sigma2, 1.0)
             H = np.full((n, n), np.nan, order="F")
             upper = np.full((n, n), -7.0, dtype=np.float32, order="F")
-            product.fill_kernel(sigma2, H, upper)
+            product.fill_kernel(sigma2, 1.0, H, upper)
             assert np.array_equal(H[lower], K[lower])
             assert np.isnan(H[strict_upper]).all()
             assert np.array_equal(np.triu(upper), np.triu(K[::-1, ::-1].astype(np.float32)))
@@ -473,12 +472,13 @@ class TestTrainingKernel:
         # In a TrainingSet's NaN-filled buffer, the fill writes exactly H's
         # lower triangle and the upper triangle of G = P H P, in double
         # precision from the top of columns 1..n or in single precision with
-        # a leading dimension of 2n floats.
+        # a leading dimension of 2n floats. The diagonal it is given lands on
+        # both diagonals, rounded to G's precision.
         X = np.random.default_rng(n).uniform(0, 25, (n, 10))
         training_set = lssvm.TrainingSet(X, np.zeros(n))
         G = training_set._G if dtype == np.float64 else training_set._R
-        sigma2 = 75.0
-        K = filled_kernel(X, sigma2)
+        sigma2, diagonal = 75.0, 1.0 + 1.0 / 3.0
+        K = filled_kernel(X, sigma2, 1.0)
         buffer = training_set._H.base
         assert buffer.shape == (n, n + 1) and np.shares_memory(G, buffer)
         buffer[...] = np.nan
@@ -488,8 +488,11 @@ class TestTrainingKernel:
         lower, upper = np.tril_indices(n), np.triu_indices(n)
         want_H[lower] = K[lower]
         want_G[upper] = K[::-1, ::-1][upper]
-        training_set._kernel.fill_kernel(sigma2, training_set._H, G)
+        want_H[np.diag_indices(n)] = want_G[np.diag_indices(n)] = diagonal
+        training_set._kernel.fill_kernel(sigma2, diagonal, training_set._H, G)
         assert np.array_equal(buffer.view(np.uint64), want.view(np.uint64))
+        assert (np.diag(training_set._H) == diagonal).all()
+        assert (np.diag(G) == dtype(diagonal)).all()
 
     @pytest.mark.parametrize("n", [2, 65, 300, 1000])
     def test_single_precision_factor_leaves_h_lower_intact(self, n):

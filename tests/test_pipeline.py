@@ -296,6 +296,15 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(ValueError):
             split(self._dataset(4), SplitSpec())
+        # A fraction too small for the row count leaves its block empty.
+        for r, spec, block, frac in [
+            (592, SplitSpec(0.998, 0.001, 0.001), "validation", "0.001"),
+            (592, SplitSpec(0.001, 0.5, 0.499), "train", "0.001"),
+            (10, SplitSpec(0.5, 0.5, 1e-10), "test", "1e-10"),
+        ]:
+            with pytest.raises(ValueError, match=f"the {block} block is empty: "
+                                                 f"a fraction of {frac} of {r} rows"):
+                split(self._dataset(r), spec)
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,12 @@ def test_min_length_enforced():
         SyntheticSpec(n=499)
 
 
+@pytest.mark.parametrize("mean", [np.nan, np.inf, -np.inf, "8"])
+def test_mean_must_be_a_finite_real(mean):
+    with pytest.raises(ValueError, match="mean must be a finite real"):
+        SyntheticSpec(mean=mean)
+
+
 def test_no_missing_samples():
     out = generate_synthetic(SyntheticSpec(n=500, seed=9))
     assert not out.missing_mask.any()
