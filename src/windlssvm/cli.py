@@ -71,6 +71,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _dataclass_from_dict(cls, d: dict, label: str | None = None):
     label = label or cls.__name__
     types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -81,6 +85,10 @@ def _dataclass_from_dict(cls, d: dict, label: str | None = None):
         # The config modules postpone annotations, so a type is its source text.
         if types[name] == "int" and not _is_int(value):
             raise ValueError(f"{label} key {name!r} must be an integer, got {value!r}")
+        if types[name] == "float" and not _is_real(value):
+            raise ValueError(f"{label} key {name!r} must be a real number, got {value!r}")
+        if types[name] == "float | None" and not (value is None or _is_real(value)):
+            raise ValueError(f"{label} key {name!r} must be a real number or null, got {value!r}")
     return cls(**d)
 
 
@@ -99,6 +107,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         d["strategies"] = tuple(d["strategies"])
     for key in ("gamma_range", "sigma2_range"):
         if isinstance(d.get(key), list):
+            if not all(_is_real(v) for v in d[key]):
+                raise ValueError(f"config key {key!r} must hold real numbers, got {d[key]!r}")
             d[key] = tuple(float(v) for v in d[key])
     return _dataclass_from_dict(ExperimentConfig, d, "config")
 
@@ -224,10 +234,6 @@ def _lag_list(text: str) -> list[int]:
     if not _distinct_positive_ints(lags):
         raise argparse.ArgumentTypeError(f"expected distinct positive integers, got {text!r}")
     return lags
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 # Model sidecar keys: (key, required, check, what the check wants). The

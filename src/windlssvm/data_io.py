@@ -28,7 +28,7 @@ import json
 import math
 import os
 import struct
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
@@ -41,7 +41,6 @@ MODEL_VERSION = 1
 DEFAULT_START = datetime(2015, 4, 1, 0, 0)
 # Consecutive equal steps longer than the cadence that mark a cadence change.
 CADENCE_CHANGE_STEPS = 3
-_TIMESTAMP_FMT = "%Y-%m-%dT%H:%M"
 
 
 class DataError(ValueError):
@@ -171,16 +170,13 @@ def write_series_csv(series: TimeSeries, path: str, start: datetime | None = Non
     ``DEFAULT_START``; seconds are written only when the start has any.
     """
     start = start or series.start or DEFAULT_START
-    fmt = _TIMESTAMP_FMT + (":%S" if start.second else "")
-    step = timedelta(minutes=series.cadence_minutes)
-    rows = ["timestamp,value"]
-    for i in range(len(series)):
-        stamp = (start + i * step).strftime(fmt)
-        if series.missing_mask[i]:
-            rows.append(f"{stamp},")
-        else:
-            rows.append(f"{stamp},{float(series.values[i])!r}")
-    atomic_write_text(path, "\n".join(rows) + "\n")
+    unit = "s" if start.second else "m"
+    steps = np.arange(len(series)) * np.timedelta64(series.cadence_minutes, "m")
+    stamps = np.datetime_as_string(np.datetime64(start, unit) + steps, unit=unit).tolist()
+    rows = [f"{stamp}," if missing else f"{stamp},{value!r}"
+            for stamp, value, missing in zip(stamps, series.values.tolist(),
+                                             series.missing_mask.tolist())]
+    atomic_write_text(path, "\n".join(["timestamp,value", *rows]) + "\n")
 
 
 def write_forecast_csv(path: str, actual: np.ndarray, forecast: np.ndarray):

@@ -1,4 +1,15 @@
-"""Series cleaning, lagged feature construction, MI-based lag selection, splits."""
+"""Series cleaning, lagged feature construction, MI-based lag selection, splits.
+
+Mutual information is a plug-in estimate over an equal-width bins x bins
+histogram. Each variable is binned by numpy's 2-D histogram rule, without
+calling it: edges ``np.linspace(min, max, bins + 1)``, a constant variable
+widened by 0.5 each way, a value in the bin whose left edge is the last
+edge at or below it (``searchsorted`` side "right"), and a value on the top
+edge in the last bin. ``mi_ranking`` bins the targets once and the lag
+columns ``_MI_BLOCK`` (8) at a time, and counts a block's joint histograms
+with one ``np.bincount``, so no temporary of a 2575-row block exceeds
+165 KB.
+"""
 
 from __future__ import annotations
 
@@ -184,38 +195,103 @@ def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:
 def mutual_information(feature: np.ndarray, target: np.ndarray, bins: int = 16) -> float:
     """Plug-in mutual information (nats) over a bins x bins equal-width histogram.
 
+    Each variable is binned by numpy's 2-D histogram rule (``_bin_rows``).
     Computed as H(X) + H(Y) - H(X, Y) with each entropy summed over sorted
     probabilities, so the estimate is exactly symmetric in its arguments.
+    Raises ValueError on a non-finite value.
     """
     feature = np.asarray(feature, dtype=float).ravel()
     target = np.asarray(target, dtype=float).ravel()
     if feature.size != target.size:
         raise ValueError(f"length mismatch: {feature.size} vs {target.size}")
-    if bins < 1:
-        raise ValueError("bins must be positive")
-    if feature.size < 2 * bins:
-        raise ValueError(f"need at least 2*bins = {2 * bins} samples, got {feature.size}")
-    joint, _, _ = np.histogram2d(feature, target, bins=bins)
-    n = feature.size
-    h_x = _entropy(joint.sum(axis=1), n)
-    h_y = _entropy(joint.sum(axis=0), n)
-    h_xy = _entropy(joint.ravel(), n)
-    return max(h_x + h_y - h_xy, 0.0)
+    (mi,) = _mi_rows(feature[None, :], *_target_bins(target, bins), bins)
+    return mi
 
 
-def _entropy(counts: np.ndarray, n: int) -> float:
-    p = counts[counts > 0] / n
-    p = np.sort(p)
-    return float(-(p * np.log(p)).sum())
+# Lag columns binned together by mi_ranking. Whole-matrix temporaries (2 MB
+# at 2575 x 100) cost more time and leave glibc's heap grown.
+_MI_BLOCK = 8
 
 
 def mi_ranking(ds: LaggedDataset, bins: int = 16) -> list[tuple[int, float]]:
-    """(lag, MI against targets) pairs, sorted by descending MI then smaller lag."""
-    scores = [
-        (ds.lag_indices[j], mutual_information(ds.features[:, j], ds.targets, bins))
-        for j in range(ds.n_features)
-    ]
+    """(lag, MI against targets) pairs, sorted by descending MI then smaller lag.
+
+    Each MI equals ``mutual_information(ds.features[:, j], ds.targets, bins)``
+    bit for bit: the same bins (numpy's 2-D histogram rule: edges
+    ``np.linspace(min, max, bins + 1)``, a constant column widened by 0.5
+    each way, a value on the top edge in the last bin) and the same
+    sorted-probability entropy sums. The targets are binned and H(Y) summed
+    once; the lag columns are binned ``_MI_BLOCK`` (8) at a time, and one
+    ``np.bincount`` counts a block's joint histograms.
+    """
+    target_bins = _target_bins(ds.targets, bins)
+    scores = []
+    for j0 in range(0, ds.n_features, _MI_BLOCK):
+        rows = np.ascontiguousarray(ds.features[:, j0:j0 + _MI_BLOCK].T)
+        scores += zip(ds.lag_indices[j0:j0 + _MI_BLOCK], _mi_rows(rows, *target_bins, bins))
     return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
+
+
+def _target_bins(target: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
+    """The target's bin per sample, and its entropy H(Y)."""
+    if bins < 1:
+        raise ValueError("bins must be positive")
+    if target.size < 2 * bins:
+        raise ValueError(f"need at least 2*bins = {2 * bins} samples, got {target.size}")
+    (y_bin,) = _bin_rows(target[None, :], bins)
+    (h_y,) = _entropies(np.bincount(y_bin, minlength=bins)[None, :], target.size)
+    return y_bin, h_y
+
+
+def _mi_rows(rows: np.ndarray, y_bin: np.ndarray, h_y: float, bins: int) -> list[float]:
+    """The MI of each row of ``rows`` against the target of ``_target_bins``."""
+    width, n = rows.shape
+    # Cell (x, y) of row k is entry (k * bins + x) * bins + y of one histogram.
+    cells = _bin_rows(rows, bins)
+    cells += (np.arange(width) * bins)[:, None]
+    cells *= bins
+    cells += y_bin
+    joint = np.bincount(cells.ravel(), minlength=width * bins * bins).reshape(width, bins * bins)
+    h_x = _entropies(joint.reshape(width, bins, bins).sum(axis=2), n)
+    h_xy = _entropies(joint, n)
+    return [max(hx + h_y - hxy, 0.0) for hx, hxy in zip(h_x, h_xy)]
+
+
+def _bin_rows(rows: np.ndarray, bins: int) -> np.ndarray:
+    """The equal-width bin, 0..bins-1, of each entry of each row of ``rows``,
+    by numpy's 2-D histogram rule: the edges are ``np.linspace(min, max,
+    bins + 1)`` of the row (a constant row widened by 0.5 each way), a value
+    falls in the bin whose left edge is the last edge at or below it
+    (``searchsorted`` side "right"), and a value on the top edge in the last
+    bin. Raises ValueError, as numpy's histogram does, on a non-finite value
+    or on a range too wide to subtract.
+    """
+    lo = rows.min(axis=1)
+    hi = rows.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(hi - lo).all():
+            raise ValueError("cannot bin values whose range is not finite")
+    constant = lo == hi
+    lo = np.where(constant, lo - 0.5, lo)
+    hi = np.where(constant, hi + 0.5, hi)
+    # Every value lies within the outer edges, so its bin is the number of
+    # inner edges at or below it: numpy's searchsorted index less one,
+    # and the top-edge values already in the last bin.
+    out = np.empty(rows.shape, dtype=np.intp)
+    for i, row in enumerate(rows):
+        inner = np.linspace(lo[i], hi[i], bins + 1)[1:-1]
+        out[i] = np.searchsorted(inner, row, side="right")
+    return out
+
+
+def _entropies(counts: np.ndarray, n: int) -> list[float]:
+    """The entropy (nats) of each row of ``counts``, n samples a row, summed
+    over the row's nonzero probabilities in ascending order."""
+    p = np.sort(counts, axis=1) / n
+    zeros = (counts == 0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log(p)
+    return [float(-terms[i, z:].sum()) for i, z in enumerate(zeros)]
 
 
 def take_lags(ds: LaggedDataset, lags) -> LaggedDataset:

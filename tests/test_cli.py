@@ -294,6 +294,25 @@ class TestTuneAndBenchmark:
         assert f"{key} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("override,message", [
+        ({"z_threshold": "4"}, "config key 'z_threshold' must be a real number, got '4'"),
+        ({"z_threshold": True}, "config key 'z_threshold' must be a real number, got True"),
+        ({"split": {"train_frac": "0.6", "val_frac": 0.2, "test_frac": 0.2}},
+         "SplitSpec key 'train_frac' must be a real number"),
+        ({"swarm": {"ce_alpha": "0.5"}}, "SwarmConfig key 'ce_alpha' must be a real number or null"),
+        ({"gamma_range": ["1e-4", "abc"]}, "config key 'gamma_range' must hold real numbers"),
+        ({"gamma_range": ["1e-4", 1000.0]}, "config key 'gamma_range' must hold real numbers"),
+        ({"sigma2_range": [0.1, False]}, "config key 'sigma2_range' must hold real numbers"),
+    ])
+    def test_non_real_config_value_usage_error(self, tmp_path, capsys, override, message):
+        cfg = {"synthetic": {"n": 600, "seed": 3}, "n_lags": 8, "select_fraction": 0.25,
+               "swarm": {"population": 6, "max_iter": 4}, "strategies": ["qpso"], "trials": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**cfg, **override}))
+        assert main(["benchmark", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_tune_exits_3_when_every_trial_fails(self, tmp_path):
         # a box deep in singular territory: every KKT solve fails
         flags = _tiny_flags(str(tmp_path / "run")) + [

@@ -1,5 +1,5 @@
 import struct
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +235,36 @@ class TestTimestamps:
             load_csv(str(p))
 
 
+def per_row_series_csv(series, start):
+    """The series CSV formatted one row at a time with ``strftime``: the
+    oracle for ``write_series_csv``."""
+    fmt = "%Y-%m-%dT%H:%M" + (":%S" if start.second else "")
+    step = timedelta(minutes=series.cadence_minutes)
+    rows = ["timestamp,value"]
+    for i in range(len(series)):
+        stamp = (start + i * step).strftime(fmt)
+        if series.missing_mask[i]:
+            rows.append(f"{stamp},")
+        else:
+            rows.append(f"{stamp},{float(series.values[i])!r}")
+    return "\n".join(rows) + "\n"
+
+
 class TestSeriesRoundTrip:
+    @pytest.mark.parametrize("cadence", [10, 20, 60])
+    @pytest.mark.parametrize("start", [datetime(2015, 4, 1), datetime(2019, 12, 31, 23, 50),
+                                       datetime(2020, 2, 28, 22, 0, 30),
+                                       datetime(1969, 12, 31, 23, 59, 59, 999999)])
+    def test_bytes_equal_per_row_formatter(self, tmp_path, cadence, start):
+        # crosses a leap day and a year end; blanks, values of every size
+        rng = np.random.default_rng(cadence)
+        values = rng.uniform(0, 25, 2160) * 10.0 ** rng.integers(-8, 8, 2160)
+        values[:4] = (0.0, -0.0, 1e300, 5e-324)
+        s = TimeSeries(values, cadence, missing_mask=rng.random(2160) < 0.05)
+        out = tmp_path / "out.csv"
+        write_series_csv(s, str(out), start)
+        assert out.read_bytes() == per_row_series_csv(s, start).encode()
+
     def test_write_then_load_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         s = TimeSeries(rng.uniform(0, 20, 50))

@@ -1,13 +1,16 @@
+import tracemalloc
 from datetime import datetime
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from windlssvm.experiment import ExperimentConfig, load_series
 from windlssvm.pipeline import (
     LaggedDataset,
     SplitSpec,
     TimeSeries,
+    _bin_rows,
     autocorrelation,
     clean,
     make_lagged_dataset,
@@ -17,6 +20,7 @@ from windlssvm.pipeline import (
     take_lags,
     top_lags,
 )
+from windlssvm.synthetic import SyntheticSpec
 
 
 def entropy_oracle(x, bins):
@@ -24,6 +28,133 @@ def entropy_oracle(x, bins):
     counts, _ = np.histogram(x, bins=bins)
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())
+
+
+def histogram2d_mi(feature, target, bins):
+    """MI as computed per lag with np.histogram2d: the oracle for the binning."""
+    joint, _, _ = np.histogram2d(feature, target, bins=bins)
+    n = feature.size
+
+    def entropy(counts):
+        p = np.sort(counts[counts > 0] / n)
+        return float(-(p * np.log(p)).sum())
+
+    return max(entropy(joint.sum(axis=1)) + entropy(joint.sum(axis=0)) - entropy(joint.ravel()), 0.0)
+
+
+def histogram2d_ranking(ds, bins=16):
+    scores = [(lag, histogram2d_mi(ds.features[:, j], ds.targets, bins))
+              for j, lag in enumerate(ds.lag_indices)]
+    return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
+
+
+def adversarial_columns(n, rng, bins):
+    """Columns whose values sit on bin edges, or whose edges round together."""
+    ints = rng.integers(0, 17, n).astype(float)
+    ints[:2] = (0.0, 16.0)  # range [0, 16]: at 16 bins every value is an edge
+    at_max = rng.random(n)
+    at_max[rng.random(n) < 0.2] = at_max.max()
+    signed_zero = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    signed_zero[:3] = (-0.0, 0.0, 1.0)
+    tiny = 5e-324 * rng.integers(0, 20, n)
+    tiny[:2] = (0.0, 5e-324 * 19)
+    return np.column_stack([
+        np.full(n, 3.25),                     # constant: widened by 0.5 each way
+        np.full(n, 1e16),                     # constant whose widening rounds away
+        ints,
+        ints / 16.0,                          # edges at exact binary fractions
+        at_max,
+        signed_zero,                          # both zeros and one 1.0: range [0, 1]
+        np.where(rng.random(n) < 0.5, 0.0, -0.0),  # constant zeros of both signs
+        -1.0 - 4.0 * rng.random(n),           # negative range
+        -ints,
+        tiny,                                 # subnormal range: linspace's zero-step branch
+        1e16 + rng.integers(0, 8, n),         # edges collapse onto a few doubles
+        1e16 + rng.integers(0, 40, n),
+        1e300 * rng.standard_normal(n),       # wide but finite span
+        np.resize(np.linspace(-1.3, 2.9, bins + 1), n),  # every value an edge
+        rng.standard_normal(n),
+    ])
+
+
+class TestHistogramBinning:
+    """mi_ranking and mutual_information bin as np.histogram2d does."""
+
+    @staticmethod
+    def _columns(bins, target):
+        rng = np.random.default_rng(bins)
+        n = 300
+        y = {"normal": rng.standard_normal(n),
+             "integers": rng.integers(-3, 4, n).astype(float),
+             "constant": np.full(n, -2.0),
+             "collapsed": 1e16 + rng.integers(0, 5, n)}[target]
+        return adversarial_columns(n, rng, bins), y
+
+    @pytest.mark.parametrize("bins", [1, 2, 7, 16])
+    @pytest.mark.parametrize("target", ["normal", "integers", "constant", "collapsed"])
+    def test_joint_counts_equal_histogram2d(self, bins, target):
+        # all columns binned in one call, so each column's edges must not
+        # depend on the others'
+        X, y = self._columns(bins, target)
+        x_bins = _bin_rows(np.ascontiguousarray(X.T), bins)
+        (y_bin,) = _bin_rows(y[None, :], bins)
+        for j in range(X.shape[1]):
+            joint = np.bincount(x_bins[j] * bins + y_bin, minlength=bins * bins)
+            expected, _, _ = np.histogram2d(X[:, j], y, bins=bins)
+            np.testing.assert_array_equal(joint.reshape(bins, bins), expected)
+
+    @pytest.mark.parametrize("bins", [1, 2, 7, 16])
+    @pytest.mark.parametrize("target", ["normal", "integers", "constant", "collapsed"])
+    def test_mi_equals_histogram2d(self, bins, target):
+        X, y = self._columns(bins, target)
+        ds = LaggedDataset(X, y, tuple(range(1, X.shape[1] + 1)))
+        assert mi_ranking(ds, bins) == histogram2d_ranking(ds, bins)
+        for j in range(X.shape[1]):
+            assert mutual_information(y, X[:, j], bins) == histogram2d_mi(y, X[:, j], bins)
+
+    @pytest.mark.parametrize("synth_n,n_lags", [(1000, 20), (4393, 100)])
+    def test_profile_training_blocks(self, synth_n, n_lags):
+        # the reduced and full profiles' MI input, as prepare_data builds it
+        cfg = ExperimentConfig(synthetic=SyntheticSpec(n=synth_n, seed=7), n_lags=n_lags)
+        cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
+        train = split(make_lagged_dataset(cleaned, n_lags), cfg.split)[0]
+        assert mi_ranking(train, cfg.mi_bins) == histogram2d_ranking(train, cfg.mi_bins)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        f = np.arange(40.0)
+        f[5] = bad
+        with pytest.raises(ValueError):
+            np.histogram2d(f, np.arange(40.0), bins=4)
+        with pytest.raises(ValueError):
+            mutual_information(f, np.arange(40.0), 4)
+        with pytest.raises(ValueError):
+            mutual_information(np.arange(40.0), f, 4)
+        ds = LaggedDataset(np.column_stack([np.arange(40.0), f]), np.arange(40.0), (1, 2))
+        with pytest.raises(ValueError):
+            mi_ranking(ds, 4)
+
+    def test_span_too_wide_refused(self):
+        # max - min overflows, so histogram2d's edges hold NaN and it raises
+        f = np.zeros(40)
+        f[:2] = (-1e308, 1e308)
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            np.histogram2d(f, np.arange(40.0), bins=4)
+        with pytest.raises(ValueError):
+            mutual_information(f, np.arange(40.0), 4)
+
+    def test_peak_allocation_bounded(self):
+        # 2575 x 100 is the full profile's training block; whole-matrix
+        # temporaries would take 2 MB each
+        rng = np.random.default_rng(0)
+        ds = LaggedDataset(rng.random((2575, 100)), rng.random(2575), tuple(range(1, 101)))
+        tracemalloc.start()
+        try:
+            mi_ranking(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestClean:
