@@ -8,7 +8,11 @@ flags it reads: train the data flags (input, lag window, MI selection,
 outlier gate, split), features those and --outdir, tune and benchmark those
 and the tuning flags (trials, seed, swarm, search box). A JSON config file
 (--config) may supply any experiment field, so one file serves every
-command; explicit flags take precedence over it.
+command; explicit flags take precedence over it. Every config value is
+checked against the type its dataclass field declares: a string, a number,
+a list of a fixed length (a range) or of any length (strategies), a nested
+object (synthetic, split, swarm), null where the field allows it. A value
+that does not fit is a usage error naming its key.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
+import typing
 
 from . import lssvm
 from .data_io import (
@@ -52,7 +58,6 @@ from .pipeline import (
     take_lags,
     top_lags,
 )
-from .swarm import SwarmConfig
 from .synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -75,41 +80,50 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _dataclass_from_dict(cls, d: dict, label: str | None = None):
-    label = label or cls.__name__
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
+# What a config field of each scalar type wants: (check, in words).
+_SCALARS = {int: (_is_int, "an integer"), float: (_is_real, "a real number"),
+            str: (lambda v: isinstance(v, str), "a string")}
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _read(tp, value, what: str, or_null: str = ""):
+    """``value`` read from JSON as the declared type ``tp``: a settings
+    dataclass from an object, ``tuple[X, X]`` or ``tuple[X, ...]`` from a list
+    (of that length), ``X | None`` also from null, a scalar as it is. Raises
+    ValueError naming ``what`` when the value does not fit."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        wanted = "a list" if args[-1] is Ellipsis else f"a list of {len(args)} values"
+        if isinstance(value, list) and (args[-1] is Ellipsis or len(value) == len(args)):
+            return tuple(_read(args[0], v, f"{what} item {i}") for i, v in enumerate(value))
+    elif args:  # X | None, X first
+        return None if value is None else _read(args[0], value, what, " or null")
+    elif dataclasses.is_dataclass(tp):
+        if isinstance(value, dict):
+            return _dataclass_from_dict(tp, value, tp.__name__)
+        wanted = f"a {tp.__name__} object"
+    else:
+        check, wanted = _SCALARS[tp]
+        if check(value):
+            return value
+    raise ValueError(f"{what} must be {wanted}{or_null}, got {value!r}")
+
+
+def _dataclass_from_dict(cls, d: dict, label: str):
+    """``cls`` from the JSON object ``d``, each value read as its field's
+    declared type; an unknown key or a value that does not fit is a
+    ValueError naming the key and ``label``."""
+    types = _field_types(cls)
     unknown = sorted(set(d) - set(types))
     if unknown:
         raise ValueError(f"unknown {label} keys: {unknown}")
-    for name, value in d.items():
-        # The config modules postpone annotations, so a type is its source text.
-        if types[name] == "int" and not _is_int(value):
-            raise ValueError(f"{label} key {name!r} must be an integer, got {value!r}")
-        if types[name] == "float" and not _is_real(value):
-            raise ValueError(f"{label} key {name!r} must be a real number, got {value!r}")
-        if types[name] == "float | None" and not (value is None or _is_real(value)):
-            raise ValueError(f"{label} key {name!r} must be a real number or null, got {value!r}")
-    return cls(**d)
+    return cls(**{k: _read(types[k], v, f"{label} key {k!r}") for k, v in d.items()})
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from plain JSON data; unknown keys are rejected."""
     if not isinstance(d, dict):
         raise ValueError("config root must be a JSON object")
-    d = dict(d)
-    if isinstance(d.get("synthetic"), dict):
-        d["synthetic"] = _dataclass_from_dict(SyntheticSpec, d["synthetic"])
-    if isinstance(d.get("split"), dict):
-        d["split"] = _dataclass_from_dict(SplitSpec, d["split"])
-    if isinstance(d.get("swarm"), dict):
-        d["swarm"] = _dataclass_from_dict(SwarmConfig, d["swarm"])
-    if isinstance(d.get("strategies"), list):
-        d["strategies"] = tuple(d["strategies"])
-    for key in ("gamma_range", "sigma2_range"):
-        if isinstance(d.get(key), list):
-            if not all(_is_real(v) for v in d[key]):
-                raise ValueError(f"config key {key!r} must hold real numbers, got {d[key]!r}")
-            d[key] = tuple(float(v) for v in d[key])
     return _dataclass_from_dict(ExperimentConfig, d, "config")
 
 
@@ -184,15 +198,17 @@ def _read_json_object(path: str, label: str) -> dict:
 
 
 def _write_flag(raw: dict, path: tuple, value):
+    # A range that is not a list of two, or settings that are not an object,
+    # stay as they are, so that the config reader names their key.
     key, *rest = path
     if not rest:
         raw[key] = value
     elif isinstance(rest[0], int):
-        pair = list(raw.get(key, getattr(ExperimentConfig, key)))
-        pair[rest[0]] = value
-        raw[key] = pair
-    else:
-        raw[key] = {**raw.get(key, {}), rest[0]: value}
+        pair = raw.get(key, getattr(ExperimentConfig, key))
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            raw[key] = [value, pair[1]] if rest[0] == 0 else [pair[0], value]
+    elif isinstance(raw.setdefault(key, {}), dict):
+        raw[key] = {**raw[key], rest[0]: value}
 
 
 def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
@@ -207,8 +223,8 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
         # --synth-* flags are ignored when one is.
         if args.input is not None:
             raw["synthetic"] = None
-        elif raw.get("input_csv") is None:
-            raw["synthetic"] = raw.get("synthetic") or {}
+        elif raw.get("input_csv") is None and raw.get("synthetic") is None:
+            raw["synthetic"] = {}
         # A command's parser holds only the flags it reads.
         for flag, path, _, _ in EXPERIMENT_FLAGS:
             value = getattr(args, _dest(flag), None)

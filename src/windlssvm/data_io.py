@@ -3,7 +3,8 @@
 Series CSV format: one ``timestamp,value`` pair per line, UTF-8 with or
 without a leading byte-order mark, optional ``timestamp,value`` header. An
 empty value field marks a missing sample.
-Timestamps are ISO 8601 (``2015-04-01T00:20``) and strictly increasing in
+Timestamps are naive ISO 8601 (``2015-04-01T00:20``; one with a zone
+designator such as ``Z`` or ``+02:00`` is refused) and strictly increasing in
 whole multiples of the cadence: the most common step between stamps (the
 smaller on a tie), in whole minutes. A step of k cadences marks the k - 1
 samples in between as missing. An outage is one long step, but
@@ -28,6 +29,7 @@ import json
 import math
 import os
 import struct
+import warnings
 from datetime import datetime
 
 import numpy as np
@@ -145,22 +147,33 @@ def load_csv(path: str) -> TimeSeries:
 
 def _stamp_seconds(path: str, stamps: list[str], linenos: list[int]) -> np.ndarray:
     """Timestamps as int64 seconds, parsed in one vectorized call; only a
-    failed parse goes stamp by stamp to name the first bad line."""
+    failed parse goes stamp by stamp to name the first bad line. numpy would
+    shift a stamp with a zone designator to UTC with only a warning, so the
+    warning fails the parse."""
     try:
-        t = np.array(stamps, dtype="datetime64[s]")
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = np.array(stamps, dtype="datetime64[s]")
+    except (ValueError, Warning):
         t = None
     if t is None or np.isnat(t).any():
-        i = next(i for i, stamp in enumerate(stamps) if not _is_timestamp(stamp))
-        raise DataError(f"{path}: line {linenos[i]}: unparseable timestamp {stamps[i]!r}")
+        i, problem = next((i, p) for i, p in enumerate(map(_stamp_problem, stamps)) if p)
+        raise DataError(f"{path}: line {linenos[i]}: {problem}")
     return t.astype(np.int64)
 
 
-def _is_timestamp(stamp: str) -> bool:
+def _stamp_problem(stamp: str) -> str | None:
+    """Why ``stamp`` is refused, or None for a naive ISO 8601 stamp."""
     try:
-        return not np.isnat(np.datetime64(stamp, "s"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not np.isnat(np.datetime64(stamp, "s")):
+                return None
+    except Warning:
+        return f"timestamp {stamp!r} has a time zone; stamps must be naive, with no Z or UTC offset"
     except ValueError:
-        return False
+        pass
+    return f"unparseable timestamp {stamp!r}"
 
 
 def write_series_csv(series: TimeSeries, path: str, start: datetime | None = None):

@@ -384,7 +384,8 @@ def test_end_to_end_determinism(reduced_benchmark, tmp_path):
 def test_end_to_end_full_profile(tmp_path):
     """Full-scale protocol: n=4393, 100 lags, 50 iterations, 5 trials.
 
-    Hours of wall time on a single core; run explicitly with `-m slow`.
+    About 15–18 minutes serial on 2 vCPU by estimate (not measured end to
+    end); run explicitly with `-m slow`.
     """
     config = ExperimentConfig(
         synthetic=SyntheticSpec(n=4393, seed=7),

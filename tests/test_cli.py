@@ -107,6 +107,14 @@ class TestClean:
         junk.write_text("\n".join(["not-a-time," + ln.split(",")[1] for ln in lines[1:]]) + "\n")
         assert main(["clean", "--in", str(junk), "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_zoned_stamps_exit_2(self, tmp_path, series_csv, capsys):
+        lines = Path(series_csv).read_text().splitlines()
+        zoned = tmp_path / "zoned.csv"
+        zoned.write_text("\n".join([lines[0]] + [ln.replace(",", "+02:00,") for ln in lines[1:]]))
+        assert main(["clean", "--in", str(zoned), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "line 2: timestamp '2015-04-01T00:00+02:00' has a time zone" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["clean", "--in", str(tmp_path / "nope.csv"), "--out", "o.csv"]) == 2
 
@@ -280,19 +288,30 @@ class TestTuneAndBenchmark:
         assert err.count(f"data error: {series_csv}: the validation block is empty: "
                          "a fraction of 0.001 of 592 rows holds no row") == 2
 
+    @staticmethod
+    def _refused(tmp_path, monkeypatch, capsys, override, flags=()) -> str:
+        """Run benchmark on a tiny config with ``override`` and ``flags``;
+        assert it exits 1 and writes nothing, and return its stderr."""
+        cfg = {"synthetic": {"n": 600, "seed": 3}, "n_lags": 8, "select_fraction": 0.25,
+               "swarm": {"population": 6, "max_iter": 4}, "strategies": ["qpso"], "trials": 1,
+               "outdir": "o"}
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({**cfg, **override}))
+        assert main(["benchmark", "--config", "cfg.json", *flags]) == 1
+        assert os.listdir() == ["cfg.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err
+        return err
+
     @pytest.mark.parametrize("override,key", [
         ({"trials": 1.5}, "config key 'trials'"),
         ({"swarm": {"population": 2.5, "max_iter": 4}}, "SwarmConfig key 'population'"),
         ({"synthetic": {"n": 600.0, "seed": 3}}, "SyntheticSpec key 'n'"),
     ])
-    def test_non_integer_config_value_usage_error(self, tmp_path, capsys, override, key):
-        cfg = {"synthetic": {"n": 600, "seed": 3}, "n_lags": 8, "select_fraction": 0.25,
-               "swarm": {"population": 6, "max_iter": 4}, "strategies": ["qpso"], "trials": 1}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**cfg, **override}))
-        assert main(["benchmark", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
-        assert f"{key} must be an integer" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+    def test_non_integer_config_value_usage_error(self, tmp_path, monkeypatch, capsys, override,
+                                                  key):
+        err = self._refused(tmp_path, monkeypatch, capsys, override)
+        assert f"{key} must be an integer" in err
 
     @pytest.mark.parametrize("override,message", [
         ({"z_threshold": "4"}, "config key 'z_threshold' must be a real number, got '4'"),
@@ -300,18 +319,40 @@ class TestTuneAndBenchmark:
         ({"split": {"train_frac": "0.6", "val_frac": 0.2, "test_frac": 0.2}},
          "SplitSpec key 'train_frac' must be a real number"),
         ({"swarm": {"ce_alpha": "0.5"}}, "SwarmConfig key 'ce_alpha' must be a real number or null"),
-        ({"gamma_range": ["1e-4", "abc"]}, "config key 'gamma_range' must hold real numbers"),
-        ({"gamma_range": ["1e-4", 1000.0]}, "config key 'gamma_range' must hold real numbers"),
-        ({"sigma2_range": [0.1, False]}, "config key 'sigma2_range' must hold real numbers"),
+        ({"gamma_range": ["1e-4", "abc"]},
+         "config key 'gamma_range' item 0 must be a real number, got '1e-4'"),
+        ({"gamma_range": ["1e-4", 1000.0]},
+         "config key 'gamma_range' item 0 must be a real number, got '1e-4'"),
+        ({"sigma2_range": [0.1, False]},
+         "config key 'sigma2_range' item 1 must be a real number, got False"),
+        # Each type a config field declares, not only the real numbers.
+        ({"split": [0.6, 0.2, 0.2]},
+         "config key 'split' must be a SplitSpec object, got [0.6, 0.2, 0.2]"),
+        ({"swarm": 5}, "config key 'swarm' must be a SwarmConfig object, got 5"),
+        ({"synthetic": "x"}, "config key 'synthetic' must be a SyntheticSpec object or null, got 'x'"),
+        ({"input_csv": 0}, "config key 'input_csv' must be a string or null, got 0"),
+        ({"strategies": "pso"}, "config key 'strategies' must be a list, got 'pso'"),
+        ({"strategies": ["pso", 1]}, "config key 'strategies' item 1 must be a string, got 1"),
+        ({"gamma_range": [1, 2, 3]},
+         "config key 'gamma_range' must be a list of 2 values, got [1, 2, 3]"),
+        ({"outdir": 7}, "config key 'outdir' must be a string, got 7"),
+        ({"synthetic": 0}, "config key 'synthetic' must be a SyntheticSpec object or null, got 0"),
     ])
-    def test_non_real_config_value_usage_error(self, tmp_path, capsys, override, message):
-        cfg = {"synthetic": {"n": 600, "seed": 3}, "n_lags": 8, "select_fraction": 0.25,
-               "swarm": {"population": 6, "max_iter": 4}, "strategies": ["qpso"], "trials": 1}
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({**cfg, **override}))
-        assert main(["benchmark", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+    def test_non_real_config_value_usage_error(self, tmp_path, monkeypatch, capsys, override,
+                                               message):
+        assert message in self._refused(tmp_path, monkeypatch, capsys, override)
+
+    @pytest.mark.parametrize("override,flags,message", [
+        ({"split": 3}, ["--train-frac", "0.5"], "config key 'split' must be a SplitSpec object"),
+        ({"synthetic": "x"}, ["--synth-n", "700"], "config key 'synthetic' must be a SyntheticSpec"),
+        ({"gamma_range": [1]}, ["--gamma-max", "5"],
+         "config key 'gamma_range' must be a list of 2 values, got [1]"),
+        ({"sigma2_range": "ab"}, ["--sigma2-min", "5"],
+         "config key 'sigma2_range' must be a list of 2 values, got 'ab'"),
+    ])
+    def test_flag_into_mistyped_config_value_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                         override, flags, message):
+        assert message in self._refused(tmp_path, monkeypatch, capsys, override, flags)
 
     def test_tune_exits_3_when_every_trial_fails(self, tmp_path):
         # a box deep in singular territory: every KKT solve fails

@@ -114,6 +114,18 @@ class TestTimestamps:
         with pytest.raises(DataError, match="line 7: unparseable timestamp 'not-a-time'"):
             load_csv(str(p))
 
+    @pytest.mark.parametrize("zone", ["Z", "+02:00"])
+    def test_zoned_stamp_names_line(self, tmp_path, zone):
+        # numpy would shift the stamp to UTC and only warn.
+        lines = _stamped(10)
+        lines[6] = f"2015-04-01T01:40{zone},3.0"
+        p = tmp_path / "zoned.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError) as info:
+            load_csv(str(p))
+        assert str(info.value) == (f"{p}: line 7: timestamp '2015-04-01T01:40{zone}' has a time "
+                                   "zone; stamps must be naive, with no Z or UTC offset")
+
     def test_nat_stamp_rejected(self, tmp_path):
         p = tmp_path / "nat.csv"
         p.write_text("2015-04-01T00:00,1.0\nNaT,2.0\n")

@@ -100,6 +100,14 @@ class TestConfigFromDict:
         assert cfg.strategies == ("qpso",)
         assert cfg.gamma_range == (0.01, 100.0)
 
+    def test_values_kept_as_read(self):
+        # No float() pass: lists become tuples and numbers keep their type.
+        cfg = config_from_dict({"synthetic": {}, "gamma_range": [1, 1000000], "z_threshold": 4,
+                                "swarm": {"ce_alpha": None}})
+        assert cfg.gamma_range == (1, 1000000) and type(cfg.gamma_range[0]) is int
+        assert cfg.z_threshold == 4 and type(cfg.z_threshold) is int
+        assert cfg.swarm.ce_alpha is None and cfg.input_csv is None
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ValueError, match="unknown config keys.*bogus"):
             config_from_dict({"bogus": 1})
