@@ -12,7 +12,10 @@ command; explicit flags take precedence over it. Every config value is
 checked against the type its dataclass field declares: a string, a number,
 a list of a fixed length (a range) or of any length (strategies), a nested
 object (synthetic, split, swarm), null where the field allows it. A value
-that does not fit is a usage error naming its key.
+that does not fit is a usage error naming its key. predict and evaluate read
+a model's sidecar (<model>.meta.json) by the same rule, against the fields of
+experiment.ModelMeta: an unknown key, a missing required key or a value that
+does not fit is a data error naming the file and the key.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .data_io import (
 from .experiment import (
     OPTIMIZERS,
     ExperimentConfig,
+    ModelMeta,
     PERSISTENCE,
     load_series,
     prepare_data,
@@ -72,17 +76,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# What a config field of each scalar type wants: (check, in words).
-_SCALARS = {int: (_is_int, "an integer"), float: (_is_real, "a real number"),
-            str: (lambda v: isinstance(v, str), "a string")}
+# What a config field of each scalar type takes: (the JSON types, in words).
+# A JSON true or false is a Python bool, an int, and is refused.
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a real number"), str: (str, "a string")}
 _field_types = functools.cache(typing.get_type_hints)
 
 
@@ -103,20 +99,23 @@ def _read(tp, value, what: str, or_null: str = ""):
             return _dataclass_from_dict(tp, value, tp.__name__)
         wanted = f"a {tp.__name__} object"
     else:
-        check, wanted = _SCALARS[tp]
-        if check(value):
+        kinds, wanted = _SCALARS[tp]
+        if isinstance(value, kinds) and not isinstance(value, bool):
             return value
     raise ValueError(f"{what} must be {wanted}{or_null}, got {value!r}")
 
 
 def _dataclass_from_dict(cls, d: dict, label: str):
     """``cls`` from the JSON object ``d``, each value read as its field's
-    declared type; an unknown key or a value that does not fit is a
-    ValueError naming the key and ``label``."""
+    declared type; an unknown or missing key or a value that does not fit is
+    a ValueError naming the key and ``label``."""
     types = _field_types(cls)
     unknown = sorted(set(d) - set(types))
     if unknown:
         raise ValueError(f"unknown {label} keys: {unknown}")
+    for f in dataclasses.fields(cls):
+        if f.name not in d and f.default is dataclasses.MISSING is f.default_factory:
+            raise ValueError(f"{label} has no {f.name!r}")
     return cls(**{k: _read(types[k], v, f"{label} key {k!r}") for k, v in d.items()})
 
 
@@ -239,56 +238,23 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
         raise UsageError(f"cannot read config file {args.config}: {exc.strerror or exc}") from None
 
 
-def _distinct_positive_ints(lags) -> bool:
-    return (isinstance(lags, list) and bool(lags) and len(set(lags)) == len(lags)
-            and all(_is_int(v) and v >= 1 for v in lags))
-
-
-def _lag_list(text: str) -> list[int]:
-    """``--lags``: distinct positive integers separated by commas."""
-    lags = [int(tok) if tok.strip().isdecimal() else 0 for tok in text.split(",")]
-    if not _distinct_positive_ints(lags):
-        raise argparse.ArgumentTypeError(f"expected distinct positive integers, got {text!r}")
-    return lags
-
-
-# Model sidecar keys: (key, required, check, what the check wants). The
-# optional keys were added after the first sidecars were written.
-SIDECAR_KEYS = (
-    ("format", True, lambda v: v == 1 and _is_int(v), "1"),
-    ("lags", True, _distinct_positive_ints, "distinct positive integers"),
-    ("n_lags", True, _is_int, "an integer"),
-    ("cadence_minutes", False, lambda v: _is_int(v) and v > 0, "a positive integer"),
-    ("z_threshold", False, lambda v: _is_real(v) and 0 < v < math.inf, "a finite positive real"),
-    ("split", False, lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_real, v)),
-     "three fractions"),
-)
-
-
-def _check_sidecar(meta: dict, path: str):
-    """Raise DataError, naming ``path``, unless ``meta`` has the keys and
-    values that ``prepare_data`` gives a sidecar."""
-    for key, required, check, wanted in SIDECAR_KEYS:
-        if key not in meta and required:
-            raise DataError(f"{path}: sidecar has no {key!r}")
-        if key in meta and not check(meta[key]):
-            raise DataError(f"{path}: sidecar {key!r} must be {wanted}, got {meta[key]!r}")
-    if max(meta["lags"]) > meta["n_lags"]:
-        raise DataError(f"{path}: sidecar 'lags' reach lag {max(meta['lags'])}, "
-                        f"past its 'n_lags' of {meta['n_lags']}")
-    if "split" in meta:
-        try:
-            SplitSpec(*meta["split"])
-        except ValueError as exc:
-            raise DataError(f"{path}: sidecar 'split': {exc}") from None
+def _lag_list(text: str) -> ModelMeta:
+    """``--lags``, distinct positive integers separated by commas, as the
+    sidecar of a model that has none: window max(lags), default gate and
+    split."""
+    lags = tuple(int(tok) if tok.strip().isdecimal() else 0 for tok in text.split(","))
+    try:
+        return ModelMeta(1, lags, max(lags))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected distinct positive integers, got {text!r}") from None
 
 
 @contextlib.contextmanager
 def _naming(path: str | None):
-    """Re-raise a ValueError about the series read from ``path`` (cleaning,
-    lagging, splitting) as a DataError that names the file. A DataError,
-    which names its file already, and an error about a synthetic series
-    (``path`` None) pass as they are."""
+    """Re-raise a ValueError about what was read from ``path`` (a series
+    being cleaned, lagged or split, a sidecar's values) as a DataError that
+    names the file. A DataError, which names its file already, and an error
+    about a synthetic series (``path`` None) pass as they are."""
     try:
         yield
     except DataError:
@@ -379,7 +345,7 @@ def cmd_train(args):
     save_model(model, args.model_out, data.model_meta)
     val_pred = lssvm.predict(model, data.val.features)
     print(
-        f"trained on {data.train.n_rows} rows (lags {list(data.selected_lags)}); "
+        f"trained on {data.train.n_rows} rows (lags {list(data.model_meta.lags)}); "
         f"validation rmse {rmse(data.val.targets, val_pred):.4f}"
     )
     print(f"model written to {args.model_out} (+ .meta.json)")
@@ -387,7 +353,7 @@ def cmd_train(args):
 
 
 def _model_and_dataset(args):
-    """The saved model, its metadata, and the input series lagged to its lags."""
+    """The saved model, its sidecar, and the input series lagged to its lags."""
     model = load_model(args.model)
     meta_path = args.model + ".meta.json"
     if os.path.exists(meta_path):
@@ -396,26 +362,27 @@ def _model_and_dataset(args):
                 f"--lags is only for models without a sidecar, and {meta_path} exists; "
                 "drop --lags to use the sidecar's lags, outlier gate and split"
             )
-        # Its ValueError, like a DataError, reaches main as a data error.
-        meta = _read_json_object(meta_path, "sidecar")
-        _check_sidecar(meta, meta_path)
+        # Its ValueError names the file and, like a DataError, reaches main
+        # as a data error.
+        raw = _read_json_object(meta_path, "sidecar")
+        with _naming(meta_path):
+            meta = _dataclass_from_dict(ModelMeta, raw, "sidecar")
     elif args.lags:
-        meta = {"lags": args.lags, "n_lags": max(args.lags)}
+        meta = args.lags
     else:
         raise DataError(f"{meta_path} not found; pass --lags to describe the model's features")
-    if len(meta["lags"]) != model.support_inputs.shape[1]:
+    if len(meta.lags) != model.support_inputs.shape[1]:
         raise DataError(
-            f"model expects {model.support_inputs.shape[1]} features but metadata lists {len(meta['lags'])} lags"
+            f"model expects {model.support_inputs.shape[1]} features but metadata lists {len(meta.lags)} lags"
         )
     series = load_csv(args.input)
-    trained = meta.get("cadence_minutes", series.cadence_minutes)
-    if series.cadence_minutes != trained:
+    if meta.cadence_minutes not in (None, series.cadence_minutes):
         raise DataError(f"{args.input}: {series.cadence_minutes}-minute cadence, "
-                        f"but the model was trained on a {trained}-minute series")
+                        f"but the model was trained on a {meta.cadence_minutes}-minute series")
     with _naming(args.input):
-        cleaned, _ = clean(series, meta.get("z_threshold", ExperimentConfig.z_threshold))
-        ds = make_lagged_dataset(cleaned, meta["n_lags"])
-        return model, meta, take_lags(ds, meta["lags"])
+        cleaned, _ = clean(series, meta.z_threshold)
+        ds = make_lagged_dataset(cleaned, meta.n_lags)
+        return model, meta, take_lags(ds, meta.lags)
 
 
 def cmd_predict(args):
@@ -427,9 +394,8 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     model, meta, ds = _model_and_dataset(args)
-    spec = SplitSpec(*meta["split"]) if "split" in meta else SplitSpec()
     with _naming(args.input):
-        train, val, test = split(ds, spec)
+        train, val, test = split(ds, SplitSpec(*meta.split))
     block = {"train": train, "val": val, "test": test, "all": ds}[args.block]
     pred = lssvm.predict(model, block.features)
     m = metric_report(block.targets, pred)

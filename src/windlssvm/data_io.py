@@ -16,15 +16,17 @@ support row/column counts (u64 each), gamma and sigma2 (f64), the support
 matrix row-major (f64), the dual coefficients (f64) and the bias (f64).
 
 A model file's sidecar, ``<model>.meta.json``, tells ``predict`` and
-``evaluate`` how to rebuild the model's input rows from a series. Its keys:
-``format`` (1), ``cadence_minutes`` (the series cadence), ``lags`` (the
-selected lags, in feature order), ``n_lags`` (the lag window length),
-``z_threshold`` (the outlier gate of ``clean``) and ``split`` (the train,
-validation and test fractions).
+``evaluate`` how to rebuild the model's input rows from a series. It is an
+``experiment.ModelMeta``, which defines its keys, written as a JSON object
+with sorted keys. The CLI reads it back like a config file: each value is
+checked against the type ``ModelMeta`` declares for its key, then by
+``ModelMeta``'s own checks; an unknown key or a missing required one is
+refused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -50,10 +52,17 @@ class DataError(ValueError):
 
 
 def _atomic_write_bytes(path: str, payload: bytes):
+    """Write ``payload`` to a temp file and rename it to ``path``; if either
+    step fails, the temp file is removed and the error re-raised."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path: str, text: str):
@@ -199,9 +208,10 @@ def write_forecast_csv(path: str, actual: np.ndarray, forecast: np.ndarray):
     atomic_write_text(path, "\n".join(["index,actual,forecast,abs_error", *rows]) + "\n")
 
 
-def save_model(model: LssvmModel, path: str, meta: dict | None = None):
+def save_model(model: LssvmModel, path: str, meta=None):
     """Write the versioned binary model file (atomic: temp file then rename),
-    and ``meta`` as its ``.meta.json`` sidecar when given."""
+    and ``meta``, an ``experiment.ModelMeta``, as its ``.meta.json`` sidecar
+    when given."""
     X = np.ascontiguousarray(model.support_inputs, dtype="<f8")
     a = np.ascontiguousarray(model.dual_coeffs, dtype="<f8")
     n, m = X.shape
@@ -211,7 +221,8 @@ def save_model(model: LssvmModel, path: str, meta: dict | None = None):
     payload = head + X.tobytes() + a.tobytes() + struct.pack("<d", model.bias)
     _atomic_write_bytes(path, payload)
     if meta is not None:
-        atomic_write_text(path + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
+        atomic_write_text(path + ".meta.json",
+                          json.dumps(dataclasses.asdict(meta), sort_keys=True) + "\n")
 
 
 def load_model(path: str) -> LssvmModel:

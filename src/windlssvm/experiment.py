@@ -137,7 +137,7 @@ class ExperimentReport:
     selected_lags: tuple[int, ...]
     n_replaced: int
     test_targets: np.ndarray
-    model_meta: dict
+    model_meta: ModelMeta
 
 
 def recompute_aggregates(trials) -> dict[str, dict[str, tuple[float, float]]]:
@@ -169,18 +169,54 @@ def load_series(config: ExperimentConfig) -> TimeSeries:
     return generate_synthetic(config.synthetic)
 
 
+@dataclass(frozen=True)
+class ModelMeta:
+    """A model's sidecar, ``<model>.meta.json``: what ``predict`` and
+    ``evaluate`` need to rebuild its input rows from a series. ``lags`` are
+    the selected lags in feature order, ``n_lags`` the lag window,
+    ``cadence_minutes`` the training series' cadence (None: not recorded),
+    ``z_threshold`` the outlier gate of ``clean`` and ``split`` the train,
+    validation and test fractions. The optional fields were added after the
+    first sidecars were written."""
+
+    format: int
+    lags: tuple[int, ...]
+    n_lags: int
+    cadence_minutes: int | None = None
+    z_threshold: float = ExperimentConfig.z_threshold
+    split: tuple[float, float, float] = dataclasses.astuple(SplitSpec())
+
+    def __post_init__(self):
+        if self.format != 1:
+            raise ValueError(f"sidecar 'format' must be 1, got {self.format!r}")
+        if not self.lags or len(set(self.lags)) != len(self.lags) or min(self.lags) < 1:
+            raise ValueError(f"sidecar 'lags' must be distinct positive integers, got {list(self.lags)}")
+        if max(self.lags) > self.n_lags:
+            raise ValueError(f"sidecar 'lags' reach lag {max(self.lags)}, "
+                             f"past its 'n_lags' of {self.n_lags}")
+        if self.cadence_minutes is not None and self.cadence_minutes < 1:
+            raise ValueError("sidecar 'cadence_minutes' must be a positive integer, "
+                             f"got {self.cadence_minutes!r}")
+        if not 0 < self.z_threshold < np.inf:
+            raise ValueError("sidecar 'z_threshold' must be a finite positive real, "
+                             f"got {self.z_threshold!r}")
+        try:
+            SplitSpec(*self.split)
+        except ValueError as exc:
+            raise ValueError(f"sidecar 'split': {exc}") from None
+
+
 @dataclass
 class PreparedData:
     """Pipeline output shared by every trial and strategy, and the sidecar
-    (``.meta.json``) of every model trained on it."""
+    of every model trained on it."""
 
     train: LaggedDataset
     val: LaggedDataset
     test: LaggedDataset
-    selected_lags: tuple[int, ...]
     n_replaced: int
     persistence_pred: np.ndarray
-    model_meta: dict
+    model_meta: ModelMeta
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
@@ -195,15 +231,9 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     train, val, test = split(take_lags(ds, selected), config.split)
     # Naive one-step persistence on the test block: the lag-1 value.
     persistence_pred = test_full.features[:, ds.lag_indices.index(1)].copy()
-    meta = {
-        "format": 1,
-        "cadence_minutes": cleaned.cadence_minutes,
-        "lags": list(selected),
-        "n_lags": config.n_lags,
-        "z_threshold": config.z_threshold,
-        "split": dataclasses.astuple(config.split),
-    }
-    return PreparedData(train, val, test, selected, n_replaced, persistence_pred, meta)
+    meta = ModelMeta(1, selected, config.n_lags, cleaned.cadence_minutes, config.z_threshold,
+                     dataclasses.astuple(config.split))
+    return PreparedData(train, val, test, n_replaced, persistence_pred, meta)
 
 
 def run_job(data, fitness, space, swarm_cfg, strategy, trial) -> TrialResult:
@@ -236,7 +266,7 @@ def run_experiment(config: ExperimentConfig, log=print,
     data = prepare_data(config) if data is None else data
     log(
         f"data ready: {data.train.n_rows}/{data.val.n_rows}/{data.test.n_rows} rows, "
-        f"lags {list(data.selected_lags)}, {data.n_replaced} samples replaced"
+        f"lags {list(data.model_meta.lags)}, {data.n_replaced} samples replaced"
     )
 
     fitness = LssvmFitness(data.train, data.val)
@@ -265,7 +295,7 @@ def run_experiment(config: ExperimentConfig, log=print,
     return ExperimentReport(
         trials=trials,
         aggregates=recompute_aggregates(trials),
-        selected_lags=data.selected_lags,
+        selected_lags=data.model_meta.lags,
         n_replaced=data.n_replaced,
         test_targets=data.test.targets.copy(),
         model_meta=data.model_meta,

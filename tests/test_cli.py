@@ -76,6 +76,14 @@ class TestClean:
         assert main(["clean", "--in", series_csv, "--out", out]) == 0
         assert len(load_csv(out)) == 600
 
+    def test_out_directory_data_error_leaves_no_temp_file(self, tmp_path, series_csv, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["clean", "--in", series_csv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "series.csv"]
+
     def test_fills_missing(self, tmp_path):
         src = tmp_path / "gappy.csv"
         src.write_text("2015-04-01T00:00,5.0\n2015-04-01T00:20,\n2015-04-01T00:40,7.0\n")
@@ -568,7 +576,11 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert "60-minute cadence, but the model was trained on a 20-minute series" in err
         assert not out.exists()
-        # a sidecar written before the cadence was recorded is not checked
+        # a sidecar written before the cadence was recorded is not checked,
+        # and a null cadence reads as not recorded
+        meta["cadence_minutes"] = None
+        meta_path.write_text(json.dumps(meta))
+        assert main(argv) == 0
         del meta["cadence_minutes"]
         meta_path.write_text(json.dumps(meta))
         assert main(argv) == 0
@@ -577,19 +589,21 @@ class TestTrainPredictEvaluate:
         ("lags", _DROP, "sidecar has no 'lags'"),
         (None, "list root", "sidecar root must be a JSON object"),
         ("format", 7, "sidecar 'format' must be 1"),
-        ("lags", 2, "sidecar 'lags' must be distinct positive integers"),
+        ("lags", 2, "sidecar key 'lags' must be a list, got 2"),
         ("lags", [1, 1], "sidecar 'lags' must be distinct positive integers"),
-        ("n_lags", "8", "sidecar 'n_lags' must be an integer"),
-        ("z_threshold", None, "sidecar 'z_threshold' must be a finite positive real"),
-        ("split", 7, "sidecar 'split' must be three fractions"),
-        ("split", [0.6, 0.2], "sidecar 'split' must be three fractions"),
+        ("n_lags", "8", "sidecar key 'n_lags' must be an integer, got '8'"),
+        ("z_threshold", None, "sidecar key 'z_threshold' must be a real number, got None"),
+        ("split", 7, "sidecar key 'split' must be a list of 3 values, got 7"),
+        ("split", [0.6, 0.2], "sidecar key 'split' must be a list of 3 values, got [0.6, 0.2]"),
         ("lags", [1, 9], "sidecar 'lags' reach lag 9, past its 'n_lags' of 8"),
         ("split", [0.5, 0.5, 0.5], "sidecar 'split': split fractions must sum to 1, got 1.5"),
         ("split", [0.8, 0.4, -0.2], "sidecar 'split': all split fractions must be positive"),
-        ("cadence_minutes", "x", "sidecar 'cadence_minutes' must be a positive integer"),
+        ("cadence_minutes", "x", "sidecar key 'cadence_minutes' must be an integer or null, got 'x'"),
         ("cadence_minutes", 0, "sidecar 'cadence_minutes' must be a positive integer"),
         (_TEXT, "{not json", "invalid JSON: Expecting property name"),
         (_TEXT, b"\xff\xfe{}", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+        ("z_treshold", 2.0, "unknown sidecar keys: ['z_treshold']"),
+        ("format", _DROP, "sidecar has no 'format'"),
     ])
     def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
                                           complaint):
@@ -627,6 +641,25 @@ class TestTrainPredictEvaluate:
         for argv in (["predict", "--out", str(tmp_path / "p.csv")], ["evaluate"]):
             assert main(argv + ["--model", str(model_path), "--in", series_csv]) == 2
             assert f"{model_path}: corrupt model file" in capsys.readouterr().err
+
+    def test_sidecar_text(self, tmp_path, series_csv):
+        cfg, model_path = tmp_path / "c.json", tmp_path / "m.lssvm"
+        cfg.write_text('{"z_threshold": 4}')
+        assert main(["train", "--in", series_csv, "--config", str(cfg), "--n-lags", "8",
+                     "--select-fraction", "0.25", "--gamma", "100", "--sigma2", "50",
+                     "--model-out", str(model_path)]) == 0
+        assert Path(f"{model_path}.meta.json").read_text() == (
+            '{"cadence_minutes": 20, "format": 1, "lags": [1, 2], "n_lags": 8, '
+            '"split": [0.6, 0.2, 0.2], "z_threshold": 4}\n'
+        )
+
+    def test_failed_sidecar_write_leaves_no_temp_file(self, tmp_path, series_csv, capsys):
+        d = tmp_path / "d"
+        (d / "m.lssvm.meta.json").mkdir(parents=True)
+        assert main(["train", "--in", series_csv, "--n-lags", "8", "--select-fraction", "0.25",
+                     "--gamma", "100", "--sigma2", "50", "--model-out", str(d / "m.lssvm")]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     def test_sidecar_without_optional_keys_loads(self, tmp_path, series_csv):
         model_path = str(tmp_path / "m.lssvm")

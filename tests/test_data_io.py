@@ -14,6 +14,7 @@ from windlssvm.data_io import (
     save_model,
     write_series_csv,
 )
+from windlssvm.experiment import ModelMeta
 from windlssvm.lssvm import Hyperparams, predict, train
 from windlssvm.pipeline import TimeSeries
 
@@ -344,8 +345,11 @@ class TestModelPersistence:
 
     def test_meta_sidecar(self, tmp_path):
         path = str(tmp_path / "model.bin")
-        save_model(self._model(), path, {"n_lags": 8, "lags": [2, 1]})
-        assert Path(path + ".meta.json").read_text() == '{"lags": [2, 1], "n_lags": 8}\n'
+        save_model(self._model(), path, ModelMeta(1, (2, 1), 8))
+        assert Path(path + ".meta.json").read_text() == (
+            '{"cadence_minutes": null, "format": 1, "lags": [2, 1], "n_lags": 8, '
+            '"split": [0.6, 0.2, 0.2], "z_threshold": 4.0}\n'
+        )
         save_model(self._model(), str(tmp_path / "bare.bin"))
         assert not (tmp_path / "bare.bin.meta.json").exists()
 

@@ -10,6 +10,7 @@ from windlssvm.experiment import (
     OPTIMIZERS,
     ExperimentConfig,
     ExperimentReport,
+    ModelMeta,
     PERSISTENCE,
     TrialResult,
     prepare_data,
@@ -126,7 +127,7 @@ class TestPrepareData:
         data = prepare_data(tiny_config())
         total = data.train.n_rows + data.val.n_rows + data.test.n_rows
         assert total == 600 - 8
-        assert len(data.selected_lags) == 2  # ceil(0.25 * 8)
+        assert len(data.model_meta.lags) == 2  # ceil(0.25 * 8)
         assert data.train.lag_indices == data.val.lag_indices == data.test.lag_indices
         assert data.persistence_pred.shape == data.test.targets.shape
 
@@ -135,7 +136,21 @@ class TestPrepareData:
         # to the train portion yields the same ranking
         cfg = tiny_config()
         data = prepare_data(cfg)
-        assert all(1 <= lag <= 8 for lag in data.selected_lags)
+        assert all(1 <= lag <= 8 for lag in data.model_meta.lags)
+
+
+class TestModelMeta:
+    # The sidecar reader's own cases are in test_cli's malformed-sidecar rows.
+    @pytest.mark.parametrize("fields, complaint", [
+        ((1, (), 1), "sidecar 'lags' must be distinct positive integers, got []"),
+        ((1, (0, 1), 1), "sidecar 'lags' must be distinct positive integers, got [0, 1]"),
+        ((1, (1,), 1, None, float("inf")), "sidecar 'z_threshold' must be a finite positive real"),
+        ((1, (1,), 1, None, float("nan")), "sidecar 'z_threshold' must be a finite positive real"),
+    ])
+    def test_refused(self, fields, complaint):
+        with pytest.raises(ValueError) as info:
+            ModelMeta(*fields)
+        assert str(info.value).startswith(complaint)
 
 
 class TestRunExperiment:
@@ -300,7 +315,7 @@ class TestReportRows:
             selected_lags=(1, 2),
             n_replaced=0,
             test_targets=np.array([1.0, 2.0]),
-            model_meta={},
+            model_meta=ModelMeta(1, (1, 2), 2),
         )
         write_report(rep, str(tmp_path))
         return (tmp_path / "report.csv").read_text().splitlines()
