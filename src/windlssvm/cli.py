@@ -25,7 +25,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import typing
@@ -55,6 +54,7 @@ from .metrics import format_mape, metric_report, rmse
 from .pipeline import (
     SplitSpec,
     autocorrelation,
+    check_z_threshold,
     clean,
     make_lagged_dataset,
     mi_ranking,
@@ -282,12 +282,13 @@ def cmd_synth(args):
 
 
 def cmd_clean(args):
-    if args.z_threshold is not None and not 0 < args.z_threshold < math.inf:
-        raise UsageError(f"--z-threshold must be a finite positive real, got {args.z_threshold!r}")
+    try:
+        check_z_threshold(args.z_threshold, "--z-threshold")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     series = load_csv(args.input)
-    z = args.z_threshold if args.z_threshold is not None else ExperimentConfig.z_threshold
     with _naming(args.input):
-        cleaned, replaced = clean(series, z)
+        cleaned, replaced = clean(series, args.z_threshold)
     write_series_csv(cleaned, args.out)
     print(f"replaced {replaced} of {len(series)} samples; wrote {args.out}")
     return 0
@@ -417,7 +418,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("clean", help="replace missing samples and outliers")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--z-threshold", type=float)
+    p.add_argument("--z-threshold", type=float, default=ExperimentConfig.z_threshold)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_clean)
 

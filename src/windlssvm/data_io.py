@@ -211,7 +211,8 @@ def write_forecast_csv(path: str, actual: np.ndarray, forecast: np.ndarray):
 def save_model(model: LssvmModel, path: str, meta=None):
     """Write the versioned binary model file (atomic: temp file then rename),
     and ``meta``, an ``experiment.ModelMeta``, as its ``.meta.json`` sidecar
-    when given."""
+    when given. If the sidecar write fails, the model file is removed too,
+    so it cannot be read beside an older sidecar."""
     X = np.ascontiguousarray(model.support_inputs, dtype="<f8")
     a = np.ascontiguousarray(model.dual_coeffs, dtype="<f8")
     n, m = X.shape
@@ -221,8 +222,12 @@ def save_model(model: LssvmModel, path: str, meta=None):
     payload = head + X.tobytes() + a.tobytes() + struct.pack("<d", model.bias)
     _atomic_write_bytes(path, payload)
     if meta is not None:
-        atomic_write_text(path + ".meta.json",
-                          json.dumps(dataclasses.asdict(meta), sort_keys=True) + "\n")
+        try:
+            atomic_write_text(path + ".meta.json",
+                              json.dumps(dataclasses.asdict(meta), sort_keys=True) + "\n")
+        except BaseException:
+            os.remove(path)
+            raise
 
 
 def load_model(path: str) -> LssvmModel:

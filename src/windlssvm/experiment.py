@@ -33,6 +33,7 @@ from .pipeline import (
     LaggedDataset,
     SplitSpec,
     TimeSeries,
+    check_z_threshold,
     clean,
     make_lagged_dataset,
     mi_ranking,
@@ -92,8 +93,7 @@ class ExperimentConfig:
             raise ValueError(f"select_fraction must lie in (0, 1], got {self.select_fraction}")
         if self.mi_bins < 1:
             raise ValueError("mi_bins must be positive")
-        if not 0 < self.z_threshold < np.inf:
-            raise ValueError(f"z_threshold must be a finite positive real, got {self.z_threshold!r}")
+        check_z_threshold(self.z_threshold)
         if not self.strategies:
             raise ValueError("at least one strategy required")
         for s in self.strategies:
@@ -197,9 +197,7 @@ class ModelMeta:
         if self.cadence_minutes is not None and self.cadence_minutes < 1:
             raise ValueError("sidecar 'cadence_minutes' must be a positive integer, "
                              f"got {self.cadence_minutes!r}")
-        if not 0 < self.z_threshold < np.inf:
-            raise ValueError("sidecar 'z_threshold' must be a finite positive real, "
-                             f"got {self.z_threshold!r}")
+        check_z_threshold(self.z_threshold, "sidecar 'z_threshold'")
         try:
             SplitSpec(*self.split)
         except ValueError as exc:
@@ -277,6 +275,9 @@ def run_experiment(config: ExperimentConfig, log=print,
 
     trials: list[TrialResult] = []
     for trial in range(config.trials):
+        # The trial's strategies share a seed, so they score many of the
+        # same positions; the fitness keeps one trial's values at a time.
+        fitness.forget()
         swarm_cfg = dataclasses.replace(config.swarm, seed=config.base_seed + trial)
         for strat in config.strategies:
             result = run_job(data, fitness, space, swarm_cfg, strat, trial)

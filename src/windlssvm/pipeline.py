@@ -98,6 +98,13 @@ class SplitSpec:
             raise ValueError(f"split fractions must sum to 1, got {sum(fracs)!r}")
 
 
+def check_z_threshold(z, name: str = "z_threshold"):
+    """The outlier gate's rule: ``clean``'s ``z_threshold`` is a finite
+    positive real. Raises ValueError naming the value as ``name``."""
+    if not 0 < z < math.inf:
+        raise ValueError(f"{name} must be a finite positive real, got {z!r}")
+
+
 def clean(series: TimeSeries, z_threshold: float = 4.0) -> tuple[TimeSeries, int]:
     """Replace missing samples and outliers with the mean of the valid samples.
 
@@ -108,8 +115,7 @@ def clean(series: TimeSeries, z_threshold: float = 4.0) -> tuple[TimeSeries, int
     Replacement repeats until no sample is flagged, which makes the operation
     idempotent. Returns the cleaned series and the number of replaced samples.
     """
-    if not 0 < z_threshold < math.inf:
-        raise ValueError(f"z_threshold must be a finite positive real, got {z_threshold!r}")
+    check_z_threshold(z_threshold)
     values = series.values.astype(float).copy()
     missing = series.missing_mask | ~np.isfinite(values)
     if missing.all():

@@ -660,6 +660,8 @@ class TestTrainPredictEvaluate:
                      "--gamma", "100", "--sigma2", "50", "--model-out", str(d / "m.lssvm")]) == 2
         assert capsys.readouterr().err.startswith("data error: ")
         assert list(tmp_path.rglob("*.tmp")) == []
+        # A model left behind could be read beside an older sidecar.
+        assert not (d / "m.lssvm").exists()
 
     def test_sidecar_without_optional_keys_loads(self, tmp_path, series_csv):
         model_path = str(tmp_path / "m.lssvm")

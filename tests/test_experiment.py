@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from windlssvm import experiment
 from windlssvm.cli import config_from_dict
 from windlssvm.experiment import (
     OPTIMIZERS,
@@ -303,6 +304,55 @@ class TestRunJob:
         assert (result.seed, result.trial, result.strategy) == (cfg.base_seed, 0, "qpso")
         assert result.metrics is result.model is result.predictions is None
         assert result.wall_time is not None
+
+
+class TestFitnessStore:
+    """A trial's fitness answers a (gamma, sigma2) it scored before from its
+    store; every output is that of a run that solves on every call."""
+
+    @staticmethod
+    def _run(outdir, monkeypatch, store):
+        fits, scored = [], []  # scored: the (gamma, sigma2) of each trial
+
+        class Recording(LssvmFitness):
+            def __init__(self, *args):
+                super().__init__(*args)
+                fits.append(self)
+
+            def forget(self):
+                super().forget()
+                scored.append(set())
+
+            def __call__(self, position):
+                scored[-1].add(self.decode(position))
+                if not store:
+                    super().forget()
+                return super().__call__(position)
+
+        monkeypatch.setattr(experiment, "LssvmFitness", Recording)
+        cfg = tiny_config(strategies=("pso", "qpso", "ebqpso"),
+                          swarm=SwarmConfig(population=5, max_iter=3))
+        report = run_experiment(cfg, log=silent)
+        write_report(report, str(outdir))
+        (fit,) = fits
+        evaluations = sum(t.evaluations for t in report.trials if t.strategy != PERSISTENCE)
+        return fit.training_set.counts, scored, evaluations
+
+    def test_same_outputs_fewer_solves(self, tmp_path, monkeypatch):
+        counts, scored, evaluations = self._run(tmp_path / "store", monkeypatch, store=True)
+        counts_off, _, evaluations_off = self._run(tmp_path / "solve", monkeypatch, store=False)
+        names = sorted(p.name for p in (tmp_path / "store").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "solve").iterdir())
+        assert any(n.startswith("predictions_") for n in names)
+        for name in names:
+            assert (tmp_path / "store" / name).read_bytes() == (tmp_path / "solve" / name).read_bytes()
+
+        # Two trials of three strategies: six winners retrained.
+        assert len(scored) == 2
+        assert evaluations == evaluations_off
+        assert counts["fast"] + counts["dense"] == sum(map(len, scored)) + 6
+        assert counts_off["fast"] + counts_off["dense"] == evaluations + 6
+        assert sum(map(len, scored)) < evaluations
 
 
 class TestReportRows:

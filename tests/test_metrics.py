@@ -110,6 +110,11 @@ def _dataset(X, y, lags=(1,)):
     return LaggedDataset(np.asarray(X, dtype=float), np.asarray(y, dtype=float), lags)
 
 
+def _solves(fit):
+    counts = fit.training_set.counts
+    return counts["fast"] + counts["dense"]
+
+
 class TestLssvmFitness:
     def test_pure(self):
         rng = np.random.default_rng(2)
@@ -117,7 +122,11 @@ class TestLssvmFitness:
         va = _dataset(rng.uniform(0, 5, (8, 2)), rng.uniform(0, 5, 8), (1, 2))
         fit = LssvmFitness(tr, va)
         pos = np.array([1.0, 0.5])
-        assert fit(pos) == fit(pos)
+        first = fit(pos)
+        fit(np.array([3.0, 1.2]))
+        fit.forget()
+        assert fit(pos) == first
+        assert _solves(fit) == 3
 
     def test_interpolation_limit_on_train_as_val(self):
         rng = np.random.default_rng(3)
@@ -143,6 +152,14 @@ class TestLssvmFitness:
         fit = LssvmFitness(tr, tr)
         assert fit(np.array([16.0, 0.0])) == np.inf
 
+    def test_stored_inf_stays_inf(self):
+        tr = _dataset([[1.0], [1.0]], [0.0, 1.0])
+        fit = LssvmFitness(tr, tr)
+        pos = np.array([16.0, 0.0])
+        assert fit(pos) == np.inf
+        assert fit(pos) == np.inf
+        assert _solves(fit) == 1
+
     def test_scratch_buffers_carry_no_state(self):
         # rows 0 and 1 coincide, so gamma=1e16 makes the KKT system singular
         rng = np.random.default_rng(6)
@@ -153,7 +170,10 @@ class TestLssvmFitness:
         p1, p2 = np.array([1.0, 0.5]), np.array([3.0, 1.2])
         fails = [np.array([16.0, 0.0]), np.array([11.5, 29.5])]
         fit = LssvmFitness(tr, va)
-        got = [fit(p1)] + [fit(p) for p in fails] + [fit(p2), fit(p1)]
+        got = [fit(p1)] + [fit(p) for p in fails] + [fit(p2)]
+        fit.forget()
+        got.append(fit(p1))
+        assert _solves(fit) == 5
         assert got[1:3] == [np.inf, np.inf]
         expected = [LssvmFitness(tr, va)(p) for p in (p1, p2, p1)]
         assert [got[0], got[3], got[4]] == expected
@@ -167,12 +187,14 @@ class TestLssvmFitness:
         fit = LssvmFitness(tr, va)
         pos = np.array([2.0, 1.5])
         first = fit(pos)
+        fit.forget()
         tracemalloc.start()
         try:
             again = fit(pos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert _solves(fit) == 2
         assert again == first and np.isfinite(first)
         assert peak < 0.5 * n * n * 8
 
@@ -186,12 +208,14 @@ class TestLssvmFitness:
         fit = LssvmFitness(tr, va)
         pos = np.array([2.0, 1.5])
         first = fit(pos)
+        fit.forget()
         tracemalloc.start()
         try:
             again = fit(pos)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert _solves(fit) == 2
         assert again == first and np.isfinite(first)
         assert peak < 0.5 * n_val * n * 8
 
@@ -232,6 +256,7 @@ class TestLssvmFitness:
         fit = LssvmFitness(tr, va)
         fails = [np.array([16.0, 0.0]), np.array([11.5, 29.5])]
         for p in (np.array([1.0, 0.5]), np.array([3.0, 1.2]), np.array([-2.0, 2.0])):
+            fit.forget()
             fit(p)
             assert all(fit(f) == np.inf for f in fails)
             got = fit.model(p)

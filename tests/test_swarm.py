@@ -451,6 +451,24 @@ class TestEbqpsoSpecifics:
         assert np.array_equal(r_eb.history, r_q.history)
         assert r_eb.evaluations == r_q.evaluations
 
+    def test_tuners_share_positions_until_breeding(self):
+        # One trial seeds every strategy alike. These shared positions are
+        # the repeats that metrics.LssvmFitness answers without a solve.
+        cfg = SwarmConfig(population=5, max_iter=5, seed=21, lam=3)
+        m, shared = cfg.population, cfg.population * cfg.lam
+
+        def scored(optimize):
+            seen = []
+            optimize(lambda x: seen.append(x.copy()) or sphere(x), SPHERE_SPACE, cfg)
+            return np.array(seen)
+
+        pso, qpso, eb = (scored(opt) for opt in (optimize_pso, optimize_qpso, optimize_ebqpso))
+        # The initial swarm, for all three.
+        assert np.array_equal(pso[:m], qpso[:m]) and np.array_equal(eb[:m], qpso[:m])
+        # QPSO and EBQPSO through iteration lam - 1, then no position in common.
+        assert np.array_equal(eb[:shared], qpso[:shared])
+        assert not {tuple(x) for x in eb[shared:]} & {tuple(x) for x in qpso[shared:]}
+
     def test_zero_jumping_rate_breeding_is_noop(self):
         cfg = SwarmConfig(max_iter=12, seed=31, jumping_rate=0.0)
         record = []
