@@ -14,8 +14,9 @@ a list of a fixed length (a range) or of any length (strategies), a nested
 object (synthetic, split, swarm), null where the field allows it. A value
 that does not fit is a usage error naming its key. predict and evaluate read
 a model's sidecar (<model>.meta.json) by the same rule, against the fields of
-experiment.ModelMeta: an unknown key, a missing required key or a value that
-does not fit is a data error naming the file and the key.
+experiment.ModelMeta: a missing sidecar is a data error naming its path, and
+an unknown or missing key or a value that does not fit is one naming the file
+and the key.
 """
 
 from __future__ import annotations
@@ -238,17 +239,6 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
         raise UsageError(f"cannot read config file {args.config}: {exc.strerror or exc}") from None
 
 
-def _lag_list(text: str) -> ModelMeta:
-    """``--lags``, distinct positive integers separated by commas, as the
-    sidecar of a model that has none: window max(lags), default gate and
-    split."""
-    lags = tuple(int(tok) if tok.strip().isdecimal() else 0 for tok in text.split(","))
-    try:
-        return ModelMeta(1, lags, max(lags))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected distinct positive integers, got {text!r}") from None
-
-
 @contextlib.contextmanager
 def _naming(path: str | None):
     """Re-raise a ValueError about what was read from ``path`` (a series
@@ -357,27 +347,17 @@ def _model_and_dataset(args):
     """The saved model, its sidecar, and the input series lagged to its lags."""
     model = load_model(args.model)
     meta_path = args.model + ".meta.json"
-    if os.path.exists(meta_path):
-        if args.lags:
-            raise UsageError(
-                f"--lags is only for models without a sidecar, and {meta_path} exists; "
-                "drop --lags to use the sidecar's lags, outlier gate and split"
-            )
-        # Its ValueError names the file and, like a DataError, reaches main
-        # as a data error.
-        raw = _read_json_object(meta_path, "sidecar")
-        with _naming(meta_path):
-            meta = _dataclass_from_dict(ModelMeta, raw, "sidecar")
-    elif args.lags:
-        meta = args.lags
-    else:
-        raise DataError(f"{meta_path} not found; pass --lags to describe the model's features")
+    # A missing file is an OSError and the reader's ValueError names the
+    # file; either reaches main as a data error.
+    raw = _read_json_object(meta_path, "sidecar")
+    with _naming(meta_path):
+        meta = _dataclass_from_dict(ModelMeta, raw, "sidecar")
     if len(meta.lags) != model.support_inputs.shape[1]:
         raise DataError(
             f"model expects {model.support_inputs.shape[1]} features but metadata lists {len(meta.lags)} lags"
         )
     series = load_csv(args.input)
-    if meta.cadence_minutes not in (None, series.cadence_minutes):
+    if meta.cadence_minutes != series.cadence_minutes:
         raise DataError(f"{args.input}: {series.cadence_minutes}-minute cadence, "
                         f"but the model was trained on a {meta.cadence_minutes}-minute series")
     with _naming(args.input):
@@ -443,15 +423,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("predict", help="apply a saved model to a series CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="input", required=True)
-    lags_help = "distinct positive lags, comma-separated, when no .meta.json is present"
-    p.add_argument("--lags", type=_lag_list, help=lags_help)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on a split block")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--lags", type=_lag_list, help=lags_help)
     p.add_argument("--block", choices=("train", "val", "test", "all"), default="test")
     p.set_defaults(func=cmd_evaluate)
 

@@ -15,13 +15,13 @@ Model files are little-endian binary: magic ``LSVM``, format version (u32),
 support row/column counts (u64 each), gamma and sigma2 (f64), the support
 matrix row-major (f64), the dual coefficients (f64) and the bias (f64).
 
-A model file's sidecar, ``<model>.meta.json``, tells ``predict`` and
-``evaluate`` how to rebuild the model's input rows from a series. It is an
-``experiment.ModelMeta``, which defines its keys, written as a JSON object
+Every model file has a sidecar, ``<model>.meta.json``, written with it by
+``save_model``; it tells ``predict`` and ``evaluate`` how to rebuild the
+model's input rows from a series, and they read a model only with it. It is
+an ``experiment.ModelMeta``, which defines its keys, written as a JSON object
 with sorted keys. The CLI reads it back like a config file: each value is
 checked against the type ``ModelMeta`` declares for its key, then by
-``ModelMeta``'s own checks; an unknown key or a missing required one is
-refused.
+``ModelMeta``'s own checks; an unknown or missing key is refused.
 """
 
 from __future__ import annotations
@@ -208,11 +208,11 @@ def write_forecast_csv(path: str, actual: np.ndarray, forecast: np.ndarray):
     atomic_write_text(path, "\n".join(["index,actual,forecast,abs_error", *rows]) + "\n")
 
 
-def save_model(model: LssvmModel, path: str, meta=None):
-    """Write the versioned binary model file (atomic: temp file then rename),
-    and ``meta``, an ``experiment.ModelMeta``, as its ``.meta.json`` sidecar
-    when given. If the sidecar write fails, the model file is removed too,
-    so it cannot be read beside an older sidecar."""
+def save_model(model: LssvmModel, path: str, meta):
+    """Write the versioned binary model file (atomic: temp file then rename)
+    and ``meta``, an ``experiment.ModelMeta``, as its ``.meta.json`` sidecar.
+    If the sidecar write fails, the model file is removed too, so it cannot
+    be read beside an older sidecar."""
     X = np.ascontiguousarray(model.support_inputs, dtype="<f8")
     a = np.ascontiguousarray(model.dual_coeffs, dtype="<f8")
     n, m = X.shape
@@ -221,13 +221,12 @@ def save_model(model: LssvmModel, path: str, meta=None):
     )
     payload = head + X.tobytes() + a.tobytes() + struct.pack("<d", model.bias)
     _atomic_write_bytes(path, payload)
-    if meta is not None:
-        try:
-            atomic_write_text(path + ".meta.json",
-                              json.dumps(dataclasses.asdict(meta), sort_keys=True) + "\n")
-        except BaseException:
-            os.remove(path)
-            raise
+    try:
+        atomic_write_text(path + ".meta.json",
+                          json.dumps(dataclasses.asdict(meta), sort_keys=True) + "\n")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def load_model(path: str) -> LssvmModel:

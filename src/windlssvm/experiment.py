@@ -174,17 +174,16 @@ class ModelMeta:
     """A model's sidecar, ``<model>.meta.json``: what ``predict`` and
     ``evaluate`` need to rebuild its input rows from a series. ``lags`` are
     the selected lags in feature order, ``n_lags`` the lag window,
-    ``cadence_minutes`` the training series' cadence (None: not recorded),
-    ``z_threshold`` the outlier gate of ``clean`` and ``split`` the train,
-    validation and test fractions. The optional fields were added after the
-    first sidecars were written."""
+    ``cadence_minutes`` the training series' cadence, ``z_threshold`` the
+    outlier gate of ``clean`` and ``split`` the train, validation and test
+    fractions."""
 
     format: int
     lags: tuple[int, ...]
     n_lags: int
-    cadence_minutes: int | None = None
-    z_threshold: float = ExperimentConfig.z_threshold
-    split: tuple[float, float, float] = dataclasses.astuple(SplitSpec())
+    cadence_minutes: int
+    z_threshold: float
+    split: tuple[float, float, float]
 
     def __post_init__(self):
         if self.format != 1:
@@ -194,7 +193,7 @@ class ModelMeta:
         if max(self.lags) > self.n_lags:
             raise ValueError(f"sidecar 'lags' reach lag {max(self.lags)}, "
                              f"past its 'n_lags' of {self.n_lags}")
-        if self.cadence_minutes is not None and self.cadence_minutes < 1:
+        if self.cadence_minutes < 1:
             raise ValueError("sidecar 'cadence_minutes' must be a positive integer, "
                              f"got {self.cadence_minutes!r}")
         check_z_threshold(self.z_threshold, "sidecar 'z_threshold'")

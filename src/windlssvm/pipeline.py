@@ -20,8 +20,8 @@ from datetime import datetime
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Cleaning replaces values until the flag set is empty; the cap only guards
-# against pathological oscillation.
+# Cleaning replaces values until the flag set is empty; a series that still
+# has flags after this many passes is refused.
 _MAX_CLEAN_PASSES = 100
 
 
@@ -113,7 +113,9 @@ def clean(series: TimeSeries, z_threshold: float = 4.0) -> tuple[TimeSeries, int
     leave-one-out standard deviations. (Leaving the candidate out keeps a
     single gross spike from inflating the gate that should catch it.)
     Replacement repeats until no sample is flagged, which makes the operation
-    idempotent. Returns the cleaned series and the number of replaced samples.
+    idempotent; a series still flagged after ``_MAX_CLEAN_PASSES`` passes is
+    a ValueError. Returns the cleaned series and the number of replaced
+    samples.
     """
     check_z_threshold(z_threshold)
     values = series.values.astype(float).copy()
@@ -138,6 +140,9 @@ def clean(series: TimeSeries, z_threshold: float = 4.0) -> tuple[TimeSeries, int
         values[invalid] = values[valid].mean()
         replaced |= invalid
         invalid = _flag_invalid(values, z_threshold)
+    if invalid.any():
+        raise ValueError(f"the outlier gate still flags {int(invalid.sum())} samples "
+                         f"after {_MAX_CLEAN_PASSES} replacement passes")
 
     cleaned = TimeSeries(values, series.cadence_minutes, start=series.start)
     return cleaned, int(replaced.sum())

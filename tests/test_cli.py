@@ -486,9 +486,17 @@ class TestFlagTable:
 
 
 class TestTrainPredictEvaluate:
-    def test_evaluate_benchmark_model_matches_report(self, tmp_path, series_csv, capsys):
+    # The second case trains with a split and a gate other than the defaults
+    # (z = 3 replaces one sample of this series); evaluate must take both from
+    # the sidecar.
+    @pytest.mark.parametrize("data_flags", [
+        [],
+        ["--train-frac", "0.5", "--val-frac", "0.25", "--test-frac", "0.25", "--z-threshold", "3"],
+    ], ids=["default", "split-and-gate"])
+    def test_evaluate_benchmark_model_matches_report(self, tmp_path, series_csv, capsys,
+                                                     data_flags):
         outdir = tmp_path / "bench"
-        flags = _tiny_flags(str(outdir)) + ["--in", series_csv]
+        flags = _tiny_flags(str(outdir)) + ["--in", series_csv] + data_flags
         assert main(["benchmark"] + flags) == 0
         with open(outdir / "report.csv") as fh:
             (row,) = [r for r in csv.DictReader(fh) if r["kind"] == "trial" and r["strategy"] == "qpso"]
@@ -522,44 +530,6 @@ class TestTrainPredictEvaluate:
         assert main(["evaluate", "--model", model_path, "--in", series_csv,
                      "--block", "all"]) == 0
 
-    def test_predict_without_meta_needs_lags(self, tmp_path, series_csv):
-        model_path = str(tmp_path / "m.lssvm")
-        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
-              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
-        os.remove(model_path + ".meta.json")
-        out = str(tmp_path / "p.csv")
-        assert main(["predict", "--model", model_path, "--in", series_csv,
-                     "--out", out]) == 2
-        # recover by passing the lags explicitly (2 features were selected)
-        code = main(["predict", "--model", model_path, "--in", series_csv,
-                     "--lags", "1,2", "--out", out])
-        assert code == 0
-
-    @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    @pytest.mark.parametrize("lags", ["1,x", ",,", "-2", "0,1", "1,1"])
-    def test_malformed_lags_usage_error(self, tmp_path, series_csv, capsys, command, lags):
-        model_path = str(tmp_path / "m.lssvm")
-        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
-              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
-        os.remove(model_path + ".meta.json")
-        argv = [command, "--model", model_path, "--in", series_csv, "--lags", lags]
-        if command == "predict":
-            argv += ["--out", str(tmp_path / "p.csv")]
-        capsys.readouterr()
-        assert main(argv) == 1
-        assert "argument --lags" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "p.csv")
-
-    def test_lags_refused_when_sidecar_exists(self, tmp_path, series_csv, capsys):
-        model_path = str(tmp_path / "m.lssvm")
-        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
-              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
-        for cmd in (["predict", "--out", str(tmp_path / "p.csv")], ["evaluate"]):
-            assert main(cmd + ["--model", model_path, "--in", series_csv,
-                               "--lags", "1,2"]) == 1
-            assert model_path + ".meta.json" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "p.csv")
-
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_cadence_mismatch_refused(self, tmp_path, series_csv, hourly_csv, capsys, command):
         model_path = str(tmp_path / "m.lssvm")
@@ -576,14 +546,6 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert "60-minute cadence, but the model was trained on a 20-minute series" in err
         assert not out.exists()
-        # a sidecar written before the cadence was recorded is not checked,
-        # and a null cadence reads as not recorded
-        meta["cadence_minutes"] = None
-        meta_path.write_text(json.dumps(meta))
-        assert main(argv) == 0
-        del meta["cadence_minutes"]
-        meta_path.write_text(json.dumps(meta))
-        assert main(argv) == 0
 
     @pytest.mark.parametrize("key,value,complaint", [
         ("lags", _DROP, "sidecar has no 'lags'"),
@@ -598,12 +560,16 @@ class TestTrainPredictEvaluate:
         ("lags", [1, 9], "sidecar 'lags' reach lag 9, past its 'n_lags' of 8"),
         ("split", [0.5, 0.5, 0.5], "sidecar 'split': split fractions must sum to 1, got 1.5"),
         ("split", [0.8, 0.4, -0.2], "sidecar 'split': all split fractions must be positive"),
-        ("cadence_minutes", "x", "sidecar key 'cadence_minutes' must be an integer or null, got 'x'"),
+        ("cadence_minutes", "x", "sidecar key 'cadence_minutes' must be an integer, got 'x'"),
         ("cadence_minutes", 0, "sidecar 'cadence_minutes' must be a positive integer"),
         (_TEXT, "{not json", "invalid JSON: Expecting property name"),
         (_TEXT, b"\xff\xfe{}", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
         ("z_treshold", 2.0, "unknown sidecar keys: ['z_treshold']"),
         ("format", _DROP, "sidecar has no 'format'"),
+        ("cadence_minutes", _DROP, "sidecar has no 'cadence_minutes'"),
+        ("z_threshold", _DROP, "sidecar has no 'z_threshold'"),
+        ("split", _DROP, "sidecar has no 'split'"),
+        ("cadence_minutes", None, "sidecar key 'cadence_minutes' must be an integer, got None"),
     ])
     def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
                                           complaint):
@@ -628,6 +594,19 @@ class TestTrainPredictEvaluate:
             assert main(argv + ["--model", model_path, "--in", series_csv]) == 2
             err = capsys.readouterr().err
             assert f"{meta_path}: {complaint}" in err
+        assert not out.exists()
+
+    def test_missing_sidecar_data_error(self, tmp_path, series_csv, capsys):
+        model_path = str(tmp_path / "m.lssvm")
+        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
+              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
+        os.remove(model_path + ".meta.json")
+        out = tmp_path / "p.csv"
+        capsys.readouterr()
+        for argv in (["predict", "--out", str(out)], ["evaluate"]):
+            assert main(argv + ["--model", model_path, "--in", series_csv]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("data error: ") and f"{model_path}.meta.json" in err
         assert not out.exists()
 
     def test_model_without_support_rows_named(self, tmp_path, series_csv, capsys):
@@ -662,15 +641,6 @@ class TestTrainPredictEvaluate:
         assert list(tmp_path.rglob("*.tmp")) == []
         # A model left behind could be read beside an older sidecar.
         assert not (d / "m.lssvm").exists()
-
-    def test_sidecar_without_optional_keys_loads(self, tmp_path, series_csv):
-        model_path = str(tmp_path / "m.lssvm")
-        main(["train", "--in", series_csv, "--gamma", "100", "--sigma2", "50",
-              "--n-lags", "8", "--select-fraction", "0.25", "--model-out", model_path])
-        meta_path = Path(model_path + ".meta.json")
-        meta = json.loads(meta_path.read_text())
-        meta_path.write_text(json.dumps({k: meta[k] for k in ("format", "lags", "n_lags")}))
-        assert main(["evaluate", "--model", model_path, "--in", series_csv]) == 0
 
     def test_train_bad_gamma_usage_error(self, tmp_path, series_csv):
         assert main(["train", "--in", series_csv, "--gamma", "-1", "--sigma2", "50",

@@ -324,6 +324,9 @@ class TestSeriesRoundTrip:
 
 
 class TestModelPersistence:
+    # The sidecar of a model on three lags, which every model file has.
+    _META = ModelMeta(1, (1, 2, 3), 3, 20, 4.0, (0.6, 0.2, 0.2))
+
     def _model(self, seed=0, n=12, d=3):
         rng = np.random.default_rng(seed)
         X = rng.uniform(-2, 2, (n, d))
@@ -333,7 +336,7 @@ class TestModelPersistence:
     def test_round_trip_bit_exact_predictions(self, tmp_path):
         model = self._model()
         path = str(tmp_path / "model.bin")
-        save_model(model, path)
+        save_model(model, path, self._META)
         loaded = load_model(path)
         rng = np.random.default_rng(1)
         Xq = rng.uniform(-2, 2, (20, 3))
@@ -345,18 +348,16 @@ class TestModelPersistence:
 
     def test_meta_sidecar(self, tmp_path):
         path = str(tmp_path / "model.bin")
-        save_model(self._model(), path, ModelMeta(1, (2, 1), 8))
+        save_model(self._model(), path, ModelMeta(1, (2, 1, 5), 8, 10, 3.5, (0.5, 0.25, 0.25)))
         assert Path(path + ".meta.json").read_text() == (
-            '{"cadence_minutes": null, "format": 1, "lags": [2, 1], "n_lags": 8, '
-            '"split": [0.6, 0.2, 0.2], "z_threshold": 4.0}\n'
+            '{"cadence_minutes": 10, "format": 1, "lags": [2, 1, 5], "n_lags": 8, '
+            '"split": [0.5, 0.25, 0.25], "z_threshold": 3.5}\n'
         )
-        save_model(self._model(), str(tmp_path / "bare.bin"))
-        assert not (tmp_path / "bare.bin.meta.json").exists()
 
     def test_truncated_file(self, tmp_path):
         model = self._model()
         path = str(tmp_path / "model.bin")
-        save_model(model, path)
+        save_model(model, path, self._META)
         blob = Path(path).read_bytes()
         Path(path).write_bytes(blob[:-9])
         with pytest.raises(DataError, match="corrupt|truncated"):
@@ -373,7 +374,7 @@ class TestModelPersistence:
     def test_trailing_garbage(self, tmp_path):
         model = self._model()
         path = str(tmp_path / "model.bin")
-        save_model(model, path)
+        save_model(model, path, self._META)
         with open(path, "ab") as fh:
             fh.write(b"zz")
         with pytest.raises(DataError, match="corrupt"):
@@ -382,7 +383,7 @@ class TestModelPersistence:
     def test_future_version(self, tmp_path):
         model = self._model()
         path = str(tmp_path / "model.bin")
-        save_model(model, path)
+        save_model(model, path, self._META)
         blob = bytearray(Path(path).read_bytes())
         blob[4:8] = struct.pack("<I", 99)
         Path(path).write_bytes(bytes(blob))

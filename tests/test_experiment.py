@@ -140,13 +140,17 @@ class TestPrepareData:
         assert all(1 <= lag <= 8 for lag in data.model_meta.lags)
 
 
+_SPLIT = (0.6, 0.2, 0.2)
+
+
 class TestModelMeta:
     # The sidecar reader's own cases are in test_cli's malformed-sidecar rows.
     @pytest.mark.parametrize("fields, complaint", [
-        ((1, (), 1), "sidecar 'lags' must be distinct positive integers, got []"),
-        ((1, (0, 1), 1), "sidecar 'lags' must be distinct positive integers, got [0, 1]"),
-        ((1, (1,), 1, None, float("inf")), "sidecar 'z_threshold' must be a finite positive real"),
-        ((1, (1,), 1, None, float("nan")), "sidecar 'z_threshold' must be a finite positive real"),
+        ((1, (), 1, 20, 4.0, _SPLIT), "sidecar 'lags' must be distinct positive integers, got []"),
+        ((1, (0, 1), 1, 20, 4.0, _SPLIT),
+         "sidecar 'lags' must be distinct positive integers, got [0, 1]"),
+        ((1, (1,), 1, 20, float("inf"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
+        ((1, (1,), 1, 20, float("nan"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
     ])
     def test_refused(self, fields, complaint):
         with pytest.raises(ValueError) as info:
@@ -365,7 +369,7 @@ class TestReportRows:
             selected_lags=(1, 2),
             n_replaced=0,
             test_targets=np.array([1.0, 2.0]),
-            model_meta=ModelMeta(1, (1, 2), 2),
+            model_meta=ModelMeta(1, (1, 2), 2, 20, 4.0, (0.6, 0.2, 0.2)),
         )
         write_report(rep, str(tmp_path))
         return (tmp_path / "report.csv").read_text().splitlines()

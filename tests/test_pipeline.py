@@ -207,6 +207,13 @@ class TestClean:
             np.testing.assert_array_equal(twice.values, once.values)
             assert n2 == 0
 
+    def test_still_flagged_after_pass_cap_refused(self):
+        # An exponential tail keeps flagging its next-largest samples; each
+        # pass replaces a few, and 100 passes leave 63 flagged.
+        values = np.concatenate([np.zeros(1000), 1.5 ** np.arange(400)])
+        with pytest.raises(ValueError, match="^the outlier gate still flags 63 samples after 100"):
+            clean(TimeSeries(values))
+
     @given(
         st.lists(st.floats(0.0, 30.0), min_size=3, max_size=60),
         st.data(),
