@@ -45,7 +45,6 @@ from .experiment import (
     ExperimentConfig,
     ModelMeta,
     PERSISTENCE,
-    load_series,
     prepare_data,
     run_experiment,
     summary_table,
@@ -58,10 +57,9 @@ from .pipeline import (
     check_z_threshold,
     clean,
     make_lagged_dataset,
-    mi_ranking,
+    mi_ranking,  # noqa: F401 -- not called here; perfbench's traced runs patch it
     split,
     take_lags,
-    top_lags,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -287,16 +285,14 @@ def cmd_clean(args):
 def cmd_features(args):
     cfg = _resolve_config(args, FEATURES_DEFAULTS)
     with _naming(cfg.input_csv):
-        cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
-        ds = make_lagged_dataset(cleaned, cfg.n_lags)
-        ranked = mi_ranking(split(ds, cfg.split)[0], cfg.mi_bins)
-        corr = autocorrelation(cleaned, cfg.n_lags)
-    selected = top_lags(ranked, cfg.select_fraction)
+        data = prepare_data(cfg)
+        corr = autocorrelation(data.cleaned, cfg.n_lags)
+    selected = data.model_meta.lags
 
     outdir = cfg.outdir
     os.makedirs(outdir, exist_ok=True)
     lines = ["rank,lag,mi,selected"]
-    for rank, (lag, mi) in enumerate(ranked, start=1):
+    for rank, (lag, mi) in enumerate(data.ranking, start=1):
         lines.append(f"{rank},{lag},{mi!r},{int(rank <= len(selected))}")
     atomic_write_text(os.path.join(outdir, "mi_ranking.csv"), "\n".join(lines) + "\n")
 
@@ -306,7 +302,7 @@ def cmd_features(args):
     atomic_write_text(os.path.join(outdir, "correlation.csv"), "\n".join(lines) + "\n")
 
     top = ", ".join(str(lag) for lag in selected)
-    print(f"selected {len(selected)} of {ds.n_features} lags by MI: {top}")
+    print(f"selected {len(selected)} of {cfg.n_lags} lags by MI: {top}")
     print(f"wrote {outdir}/mi_ranking.csv and {outdir}/correlation.csv")
     return 0
 

@@ -197,6 +197,8 @@ class ModelMeta:
             raise ValueError("sidecar 'cadence_minutes' must be a positive integer, "
                              f"got {self.cadence_minutes!r}")
         check_z_threshold(self.z_threshold, "sidecar 'z_threshold'")
+        if len(self.split) != 3:
+            raise ValueError(f"sidecar 'split' must hold 3 fractions, got {list(self.split)}")
         try:
             SplitSpec(*self.split)
         except ValueError as exc:
@@ -206,7 +208,9 @@ class ModelMeta:
 @dataclass
 class PreparedData:
     """Pipeline output shared by every trial and strategy, and the sidecar
-    of every model trained on it."""
+    of every model trained on it. ``ranking`` is the train block's full
+    ``mi_ranking``, of which ``model_meta.lags`` are the top lags, and
+    ``cleaned`` the cleaned series the blocks were lagged from."""
 
     train: LaggedDataset
     val: LaggedDataset
@@ -214,23 +218,25 @@ class PreparedData:
     n_replaced: int
     persistence_pred: np.ndarray
     model_meta: ModelMeta
+    ranking: list[tuple[int, float]]
+    cleaned: TimeSeries
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """clean -> lag -> MI selection fitted on the train block -> split."""
+    """clean -> lag -> MI selection fitted on the train block -> split. The
+    only place that decides which lags a model reads."""
     series = load_series(config)
     cleaned, n_replaced = clean(series, config.z_threshold)
     ds = make_lagged_dataset(cleaned, config.n_lags)
-
-    train_full, _, test_full = split(ds, config.split)
-    selected = top_lags(mi_ranking(train_full, config.mi_bins), config.select_fraction)
+    ranking = mi_ranking(split(ds, config.split)[0], config.mi_bins)
+    selected = top_lags(ranking, config.select_fraction)
 
     train, val, test = split(take_lags(ds, selected), config.split)
-    # Naive one-step persistence on the test block: the lag-1 value.
-    persistence_pred = test_full.features[:, ds.lag_indices.index(1)].copy()
+    # Naive one-step persistence: each test target's previous value.
+    persistence_pred = np.concatenate((val.targets[-1:], test.targets[:-1]))
     meta = ModelMeta(1, selected, config.n_lags, cleaned.cadence_minutes, config.z_threshold,
                      dataclasses.astuple(config.split))
-    return PreparedData(train, val, test, n_replaced, persistence_pred, meta)
+    return PreparedData(train, val, test, n_replaced, persistence_pred, meta, ranking, cleaned)
 
 
 def run_job(data, fitness, space, swarm_cfg, strategy, trial) -> TrialResult:
@@ -263,14 +269,14 @@ def run_experiment(config: ExperimentConfig, log=print,
     data = prepare_data(config) if data is None else data
     log(
         f"data ready: {data.train.n_rows}/{data.val.n_rows}/{data.test.n_rows} rows, "
-        f"lags {list(data.model_meta.lags)}, {data.n_replaced} samples replaced"
+        f"lags {list(data.model_meta.lags)}, {data.n_replaced} samples replaced, "
+        f"kernel buffer {lssvm.buffer_bytes(data.train.n_rows) / 1e6:.1f} MB"
     )
 
     fitness = LssvmFitness(data.train, data.val)
     space = hyperparam_space(config.gamma_range, config.sigma2_range)
     persistence = TrialResult(PERSISTENCE, 0, config.base_seed, evaluations=0, wall_time=0.0,
-                              metrics=metric_report(data.test.targets, data.persistence_pred),
-                              predictions=data.persistence_pred)
+                              metrics=metric_report(data.test.targets, data.persistence_pred))
 
     trials: list[TrialResult] = []
     for trial in range(config.trials):
@@ -333,7 +339,7 @@ def write_report(report: ExperimentReport, outdir: str):
     atomic_write_text(os.path.join(outdir, "report.csv"), text.getvalue())
 
     for tr in report.trials:
-        if not tr.ok or tr.predictions is None or tr.strategy == PERSISTENCE:
+        if tr.predictions is None:  # a failed trial or persistence
             continue
         write_forecast_csv(
             os.path.join(outdir, f"predictions_{tr.strategy}_{tr.trial}.csv"),

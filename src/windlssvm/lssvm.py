@@ -130,6 +130,7 @@ fails one goes to the dense path, which raises if it fails too.
 
 from __future__ import annotations
 
+import os
 from ctypes import CDLL, POINTER, c_char_p, c_double, c_float, c_int64, c_void_p
 from dataclasses import dataclass
 
@@ -365,11 +366,22 @@ def kernel_from_sq_dists(sq_dists: np.ndarray, sigma2: float, out=None) -> np.nd
     return np.exp(out, out=out)
 
 
+def buffer_bytes(n: int) -> int:
+    """The size of a ``TrainingSet``'s buffer for n training rows."""
+    return 8 * n * (n + 1)
+
+
+def physical_memory_bytes() -> int:
+    """The machine's physical memory; a cgroup's memory limit is not read."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 class TrainingSet:
     """Checked training inputs, their ``KernelProduct`` with themselves and
     the one Fortran-ordered n x (n + 1) buffer that every ``solve``
     overwrites, so a solve allocates no n x n array. Solves on one instance
-    must not run concurrently.
+    must not run concurrently. A buffer larger than the machine's physical
+    memory is a ValueError, raised before it is allocated.
 
     ``counts`` counts this instance's solves of n >= 2 rows: "fast" ones
     returned by CG and "dense" ones that ran the double-precision
@@ -390,6 +402,11 @@ class TrainingSet:
         self.X = X
         self.y = y
         n = len(y)
+        need, have = buffer_bytes(n), physical_memory_bytes()
+        if need > have:
+            raise ValueError(f"a training block of {n} rows needs a {need}-byte kernel buffer, "
+                             f"more than the machine's {have} bytes of physical memory; "
+                             "lower --train-frac")
         self._kernel = KernelProduct(X, X)
         buffer = np.empty((n, n + 1), order="F")
         self._H = buffer[:, :n]

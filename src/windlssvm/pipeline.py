@@ -1,5 +1,10 @@
 """Series cleaning, lagged feature construction, MI-based lag selection, splits.
 
+A sample is missing when ``TimeSeries.missing_mask`` says so, and the mask
+holds every non-finite value: ``clean`` fills exactly those samples,
+``make_lagged_dataset`` refuses a series that has any, and
+``data_io.write_series_csv`` writes them as blank fields.
+
 Mutual information is a plug-in estimate over an equal-width bins x bins
 histogram. Each variable is binned by numpy's 2-D histogram rule, without
 calling it: edges ``np.linspace(min, max, bins + 1)``, a constant variable
@@ -27,9 +32,11 @@ _MAX_CLEAN_PASSES = 100
 
 @dataclass
 class TimeSeries:
-    """Ordered scalar samples on a fixed cadence; missing entries are masked.
-    ``start`` is the first sample's time stamp when the series was read from
-    a file, ``None`` for generated series."""
+    """Ordered scalar samples on a fixed cadence. ``missing_mask`` is the one
+    record of which samples are missing: the given mask, if any, or'ed with
+    the non-finite values, in a new array (the caller's mask is not
+    changed). ``start`` is the first sample's time stamp when the series was
+    read from a file, ``None`` for generated series."""
 
     values: np.ndarray
     cadence_minutes: int = 20
@@ -40,12 +47,13 @@ class TimeSeries:
         self.values = np.asarray(self.values, dtype=float).ravel()
         if self.cadence_minutes <= 0:
             raise ValueError("cadence_minutes must be positive")
-        if self.missing_mask is None:
-            self.missing_mask = np.zeros(self.values.size, dtype=bool)
-        else:
-            self.missing_mask = np.asarray(self.missing_mask, dtype=bool).ravel()
-            if self.missing_mask.size != self.values.size:
+        missing = ~np.isfinite(self.values)
+        if self.missing_mask is not None:
+            mask = np.asarray(self.missing_mask, dtype=bool).ravel()
+            if mask.size != self.values.size:
                 raise ValueError("missing_mask length != values length")
+            missing = mask | missing
+        self.missing_mask = missing
 
     def __len__(self) -> int:
         return self.values.size
@@ -108,18 +116,18 @@ def check_z_threshold(z, name: str = "z_threshold"):
 def clean(series: TimeSeries, z_threshold: float = 4.0) -> tuple[TimeSeries, int]:
     """Replace missing samples and outliers with the mean of the valid samples.
 
-    A sample is invalid when it is masked or non-finite, negative, or when it
-    deviates from the mean of the other samples by more than ``z_threshold``
-    leave-one-out standard deviations. (Leaving the candidate out keeps a
-    single gross spike from inflating the gate that should catch it.)
-    Replacement repeats until no sample is flagged, which makes the operation
-    idempotent; a series still flagged after ``_MAX_CLEAN_PASSES`` passes is
-    a ValueError. Returns the cleaned series and the number of replaced
-    samples.
+    A sample is invalid when it is missing (``series.missing_mask``, which
+    holds every non-finite value), negative, or when it deviates from the
+    mean of the other samples by more than ``z_threshold`` leave-one-out
+    standard deviations. (Leaving the candidate out keeps a single gross
+    spike from inflating the gate that should catch it.) Replacement repeats
+    until no sample is flagged, which makes the operation idempotent; a
+    series still flagged after ``_MAX_CLEAN_PASSES`` passes is a ValueError.
+    Returns the cleaned series and the number of replaced samples.
     """
     check_z_threshold(z_threshold)
     values = series.values.astype(float).copy()
-    missing = series.missing_mask | ~np.isfinite(values)
+    missing = series.missing_mask
     if missing.all():
         raise ValueError("every sample is missing; nothing to clean against")
 

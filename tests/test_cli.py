@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windlssvm import cli
+from windlssvm import cli, lssvm
 from windlssvm.cli import EXPERIMENT_FLAGS, _resolve_config, build_parser, main
 from windlssvm.data_io import load_csv, write_series_csv
-from windlssvm.experiment import OPTIMIZERS
+from windlssvm.experiment import OPTIMIZERS, prepare_data
 from windlssvm.metrics import LssvmFitness
 from windlssvm.pipeline import TimeSeries
 
@@ -153,6 +153,25 @@ class TestFeatures:
         assert len(ranking) == 9 and ranking[0] == "rank,lag,mi,selected"
         assert len(corr) == 9 and corr[0] == "lag,correlation"
         assert sum(int(r.split(",")[3]) for r in ranking[1:]) == 1  # ceil(0.1*8)
+
+    # features reports the ranking and the selection that prepare_data makes
+    # for train and benchmark. The CSV case takes a split and a gate other
+    # than the defaults (z = 3 replaces one sample of this series).
+    @pytest.mark.parametrize("from_csv, data_flags", [
+        (False, ["--synth-n", "600", "--synth-seed", "3"]),
+        (True, ["--train-frac", "0.5", "--val-frac", "0.25", "--test-frac", "0.25",
+                "--z-threshold", "3"]),
+    ], ids=["synthetic", "csv-split-and-gate"])
+    def test_reports_the_models_selection(self, tmp_path, series_csv, from_csv, data_flags):
+        source = ["--in", series_csv] if from_csv else []
+        flags = source + data_flags + ["--n-lags", "8", "--select-fraction", "0.25"]
+        outdir = tmp_path / "feat"
+        assert main(["features", *flags, "--outdir", str(outdir)]) == 0
+        data = prepare_data(_resolve_config(build_parser().parse_args(["features", *flags])))
+        with open(outdir / "mi_ranking.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(int(r["lag"]), r["mi"]) for r in rows] == [(lag, repr(mi)) for lag, mi in data.ranking]
+        assert tuple(int(r["lag"]) for r in rows if r["selected"] == "1") == data.model_meta.lags
 
     @pytest.mark.parametrize("config_outdir,flag_outdir,expected", [
         (None, None, "features"),
@@ -716,6 +735,23 @@ class TestTrainPredictEvaluate:
         assert loaded["scipy"] == []
         if sys.platform.startswith("linux"):
             assert len(loaded["openblas"]) == 1, loaded["openblas"]
+
+    # A training block whose buffer exceeds the machine's memory is refused
+    # before the run; the memory figure is patched, nothing large is allocated.
+    @pytest.mark.parametrize("command", [
+        ["train", "--gamma", "100", "--sigma2", "50", "--model-out", "m"],
+        ["benchmark", "--trials", "1", "--population", "6", "--iterations", "4", "--outdir", "run"],
+    ], ids=["train", "benchmark"])
+    def test_training_block_beyond_memory_data_error(self, tmp_path, series_csv, capsys,
+                                                     monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(lssvm, "physical_memory_bytes", lambda: lssvm.buffer_bytes(355) - 1)
+        assert main(command + ["--in", series_csv, "--n-lags", "8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: a training block of 355 rows needs a "
+                              f"{lssvm.buffer_bytes(355)}-byte kernel buffer")
+        assert err.rstrip().endswith("lower --train-frac")
+        assert not os.path.exists("m") and not os.path.exists("run/report.csv")
 
     def test_numeric_failure_exit_3(self, tmp_path, series_csv):
         # absurd kernel width flattens the kernel matrix into singularity

@@ -22,6 +22,7 @@ from windlssvm.experiment import (
     write_report,
 )
 from windlssvm.metrics import LssvmFitness, MetricReport, hyperparam_space
+from windlssvm.pipeline import make_lagged_dataset, split
 from windlssvm.swarm import SearchSpace, SwarmConfig
 from windlssvm.synthetic import SyntheticSpec
 
@@ -131,6 +132,10 @@ class TestPrepareData:
         assert len(data.model_meta.lags) == 2  # ceil(0.25 * 8)
         assert data.train.lag_indices == data.val.lag_indices == data.test.lag_indices
         assert data.persistence_pred.shape == data.test.targets.shape
+        # Persistence is each test target's previous value: bit for bit the
+        # lag-1 column of the test block of all n_lags lags.
+        test_full = split(make_lagged_dataset(data.cleaned, 8), tiny_config().split)[2]
+        assert data.persistence_pred.tobytes() == test_full.features[:, 0].tobytes()
 
     def test_selection_fit_on_train_block_only(self):
         # selection must not depend on val/test rows: truncating the series
@@ -151,6 +156,8 @@ class TestModelMeta:
          "sidecar 'lags' must be distinct positive integers, got [0, 1]"),
         ((1, (1,), 1, 20, float("inf"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
         ((1, (1,), 1, 20, float("nan"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
+        ((1, (1, 2), 4, 20, 4.0, (0.5, 0.3)), "sidecar 'split' must hold 3 fractions, got [0.5, 0.3]"),
+        ((1, (1, 2), 4, 20, 4.0, (0.4, 0.2, 0.2, 0.2)), "sidecar 'split' must hold 3 fractions"),
     ])
     def test_refused(self, fields, complaint):
         with pytest.raises(ValueError) as info:
@@ -161,7 +168,10 @@ class TestModelMeta:
 class TestRunExperiment:
     def test_single_trial_report_shape(self):
         cfg = tiny_config(trials=1)
-        rep = run_experiment(cfg, log=silent)
+        logged = []
+        rep = run_experiment(cfg, log=logged.append)
+        # 355 train rows: an 8 * 355 * 356-byte kernel buffer.
+        assert logged[0].endswith(", kernel buffer 1.0 MB")
         strat_rows = [t for t in rep.trials if t.strategy == "qpso"]
         pers_rows = [t for t in rep.trials if t.strategy == PERSISTENCE]
         assert len(strat_rows) == 1 and len(pers_rows) == 1

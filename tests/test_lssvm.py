@@ -544,6 +544,31 @@ class TestTrainingKernel:
             tracemalloc.stop()
         assert retained < 1.25 * n * n * 8
 
+    def test_buffer_beyond_memory_refused_before_allocation(self, monkeypatch):
+        # The memory figure is patched one byte short of the 2000 rows'
+        # 32 MB buffer, which is never allocated.
+        n = 2000
+        X, y = np.linspace(0.0, 1.0, n)[:, None], np.linspace(0.0, 1.0, n)
+        need = lssvm.buffer_bytes(n)
+        assert need == 8 * n * (n + 1)
+        monkeypatch.setattr(lssvm, "physical_memory_bytes", lambda: need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                lssvm.TrainingSet(X, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"a training block of 2000 rows needs a {need}-byte kernel "
+                                   f"buffer, more than the machine's {need - 1} bytes of physical "
+                                   "memory; lower --train-frac")
+        assert peak < need / 100
+        monkeypatch.setattr(lssvm, "physical_memory_bytes", lambda: lssvm.buffer_bytes(3))
+        assert lssvm.TrainingSet(X[:3], y[:3]).solve(Hyperparams(10.0, 1.0))[0].shape == (3,)
+
+    def test_physical_memory_is_read(self):
+        assert lssvm.physical_memory_bytes() > lssvm.buffer_bytes(2575)
+
     def test_solves_repeat_bit_identically(self):
         rng = np.random.default_rng(23)
         X = rng.uniform(0, 25, (300, 6))

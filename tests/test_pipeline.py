@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from windlssvm.data_io import load_csv, write_series_csv
 from windlssvm.experiment import ExperimentConfig, load_series
 from windlssvm.pipeline import (
     LaggedDataset,
@@ -185,6 +186,21 @@ class TestClean:
         out, n = clean(TimeSeries([1.0, np.nan, 3.0]))
         assert n == 1
         assert np.isfinite(out.values).all()
+
+    def test_nan_without_mask_refused_by_lagging(self):
+        with pytest.raises(ValueError, match="clean it first"):
+            make_lagged_dataset(TimeSeries([1.0, 2.0, np.nan, 4.0, 5.0]), 2)
+
+    def test_nan_without_mask_round_trips_through_csv(self, tmp_path):
+        path = str(tmp_path / "s.csv")
+        write_series_csv(TimeSeries([1.0, np.nan, 3.0, np.inf]), path)
+        assert load_csv(path).missing_mask.tolist() == [False, True, False, True]
+
+    def test_callers_mask_not_mutated(self):
+        mask = np.array([False, False, True])
+        series = TimeSeries([1.0, np.nan, 3.0], missing_mask=mask)
+        assert mask.tolist() == [False, False, True]
+        assert series.missing_mask.tolist() == [False, True, True]
 
     def test_all_missing_rejected(self):
         with pytest.raises(ValueError):
