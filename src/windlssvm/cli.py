@@ -136,7 +136,6 @@ DATA_FLAGS = (
     ("--synth-seed", ("synthetic", "seed"), int, "synthetic generator seed"),
     ("--n-lags", ("n_lags",), int, "lag window length"),
     ("--select-fraction", ("select_fraction",), float, "fraction of lags kept by MI"),
-    ("--mi-bins", ("mi_bins",), int, "histogram bins for MI"),
     ("--z-threshold", ("z_threshold",), float, "outlier gate width"),
     ("--train-frac", ("split", "train_frac"), float, None),
     ("--val-frac", ("split", "val_frac"), float, None),
@@ -150,9 +149,6 @@ TUNING_FLAGS = (
     OUTDIR_FLAG,
     ("--population", ("swarm", "population"), int, "swarm size"),
     ("--iterations", ("swarm", "max_iter"), int, "optimizer iterations"),
-    ("--jumping-rate", ("swarm", "jumping_rate"), float, None),
-    ("--n-transposons", ("swarm", "n_transposons"), int, None),
-    ("--lam", ("swarm", "lam"), int, "breeding period"),
     ("--ce-alpha", ("swarm", "ce_alpha"), float,
      "fixed contraction-expansion coefficient; unset, it decays from 1.0 to 0.5"),
     ("--gamma-min", ("gamma_range", 0), float, None),
@@ -260,7 +256,7 @@ FEATURES_DEFAULTS = {"outdir": "features"}
 
 def cmd_synth(args):
     try:
-        spec = SyntheticSpec(n=args.n, seed=args.seed, mean=args.mean)
+        spec = SyntheticSpec(n=args.n, seed=args.seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     series = generate_synthetic(spec)
@@ -388,7 +384,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate a synthetic series CSV")
     p.add_argument("--n", type=int, default=SyntheticSpec.n)
     p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
-    p.add_argument("--mean", type=float, default=SyntheticSpec.mean)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

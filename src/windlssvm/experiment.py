@@ -73,7 +73,6 @@ class ExperimentConfig:
     synthetic: SyntheticSpec | None = None
     n_lags: int = 100
     select_fraction: float = 0.1
-    mi_bins: int = 16
     z_threshold: float = 4.0
     split: SplitSpec = field(default_factory=SplitSpec)
     strategies: tuple[str, ...] = ("pso", "qpso", "ebqpso")
@@ -91,8 +90,6 @@ class ExperimentConfig:
             raise ValueError("n_lags must be positive")
         if not 0.0 < self.select_fraction <= 1.0:
             raise ValueError(f"select_fraction must lie in (0, 1], got {self.select_fraction}")
-        if self.mi_bins < 1:
-            raise ValueError("mi_bins must be positive")
         check_z_threshold(self.z_threshold)
         if not self.strategies:
             raise ValueError("at least one strategy required")
@@ -228,7 +225,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     series = load_series(config)
     cleaned, n_replaced = clean(series, config.z_threshold)
     ds = make_lagged_dataset(cleaned, config.n_lags)
-    ranking = mi_ranking(split(ds, config.split)[0], config.mi_bins)
+    ranking = mi_ranking(split(ds, config.split)[0])
     selected = top_lags(ranking, config.select_fraction)
 
     train, val, test = split(take_lags(ds, selected), config.split)

@@ -371,17 +371,52 @@ def buffer_bytes(n: int) -> int:
     return 8 * n * (n + 1)
 
 
-def physical_memory_bytes() -> int:
-    """The machine's physical memory; a cgroup's memory limit is not read."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+# Where ``memory_limit_bytes`` finds proc/self/cgroup and sys/fs/cgroup.
+SYSTEM_ROOT = "/"
+
+
+def memory_limit_bytes() -> tuple[int, str | None]:
+    """The memory this process may use and the file that sets it (None for
+    the machine's physical memory): the smaller of physical memory and the
+    process's memory-cgroup limit. Under cgroup v2 that limit is the smallest
+    numeric ``memory.max`` from the process's cgroup up to the root ("max"
+    sets none); under v1 it is ``hierarchical_memory_limit`` in
+    ``memory.stat``. A file that cannot be read sets no limit."""
+    limit = (os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"), None)
+    cgroups = _split_lines(os.path.join(SYSTEM_ROOT, "proc/self/cgroup"), ":", 2)
+    for _, controllers, path in cgroups:
+        if controllers == "":
+            mount, name, key = "", "memory.max", []
+        elif "memory" in controllers.split(","):
+            mount, name, key = "memory", "memory.stat", ["hierarchical_memory_limit"]
+        else:
+            continue
+        # A cgroup outside the mount's view (a namespaced "/.." path) is
+        # read from the mount's root only.
+        parts = [] if ".." in path.split("/") else [p for p in path.split("/") if p]
+        for i in range(len(parts), -1, -1):
+            file = os.path.join(SYSTEM_ROOT, "sys/fs/cgroup", mount, *parts[:i], name)
+            for *words, value in filter(None, _split_lines(file)):
+                if words == key and value.isdigit() and int(value) < limit[0]:
+                    limit = (int(value), file)
+    return limit
+
+
+def _split_lines(file: str, sep: str | None = None, maxsplit: int = -1) -> list[list[str]]:
+    """Each line of ``file`` split by ``sep``; none if it cannot be read."""
+    try:
+        with open(file) as fh:
+            return [line.split(sep, maxsplit) for line in fh.read().splitlines()]
+    except OSError:
+        return []
 
 
 class TrainingSet:
     """Checked training inputs, their ``KernelProduct`` with themselves and
     the one Fortran-ordered n x (n + 1) buffer that every ``solve``
     overwrites, so a solve allocates no n x n array. Solves on one instance
-    must not run concurrently. A buffer larger than the machine's physical
-    memory is a ValueError, raised before it is allocated.
+    must not run concurrently. A buffer larger than ``memory_limit_bytes``
+    is a ValueError, raised before it is allocated.
 
     ``counts`` counts this instance's solves of n >= 2 rows: "fast" ones
     returned by CG and "dense" ones that ran the double-precision
@@ -402,11 +437,12 @@ class TrainingSet:
         self.X = X
         self.y = y
         n = len(y)
-        need, have = buffer_bytes(n), physical_memory_bytes()
+        need, (have, source) = buffer_bytes(n), memory_limit_bytes()
         if need > have:
+            limit = (f"the machine's {have} bytes of physical memory" if source is None
+                     else f"the {have}-byte memory cgroup limit in {source}")
             raise ValueError(f"a training block of {n} rows needs a {need}-byte kernel buffer, "
-                             f"more than the machine's {have} bytes of physical memory; "
-                             "lower --train-frac")
+                             f"more than {limit}; lower --train-frac")
         self._kernel = KernelProduct(X, X)
         buffer = np.empty((n, n + 1), order="F")
         self._H = buffer[:, :n]

@@ -20,7 +20,7 @@ row-major, then one draw block per iteration, row-major: per particle, for
 QPSO the phi vector, the u vector and the sign vector, for PSO the cognitive
 then the social vector. On breeding iterations the breeding pass draws first,
 per pool row: the activation uniform, then if activated the partner-row
-uniform, the operator-choice uniform, and the two gene loci per transposon.
+uniform, the operator-choice uniform, and the transposon's two gene loci.
 The fitness is called once per particle in index order (bred rows first,
 only those the operator changed). mbest is taken from the iteration-start
 personal bests, before breeding; gbest and the personal bests that the move
@@ -39,6 +39,11 @@ import numpy as np
 PSO_INERTIA = 0.729
 PSO_COGNITIVE = 1.49445
 PSO_SOCIAL = 1.49445
+
+# EBQPSO's breeding rule: every BREEDING_PERIOD iterations each pooled best
+# starts one single-gene transposon with probability JUMPING_RATE.
+JUMPING_RATE = 0.2
+BREEDING_PERIOD = 3
 
 
 @dataclass(frozen=True)
@@ -82,9 +87,9 @@ class SearchSpace:
 @dataclass(frozen=True)
 class SwarmConfig:
     """Optimizer settings; the defaults are the reference configuration
-    (20 particles, 50 iterations, jumping rate 0.2, one single-gene
-    transposon, breeding every 3 iterations). The problem dimension is the
-    search space's.
+    (20 particles, 50 iterations). EBQPSO's breeding rule is not a setting:
+    ``JUMPING_RATE`` and ``BREEDING_PERIOD`` fix it. The problem dimension
+    is the search space's.
 
     ``ce_alpha`` is the contraction-expansion coefficient: ``None`` decays
     it linearly from 1.0 to 0.5 over the run, a number holds it fixed.
@@ -92,19 +97,12 @@ class SwarmConfig:
 
     population: int = 20
     max_iter: int = 50
-    jumping_rate: float = 0.2
-    n_transposons: int = 1
-    lam: int = 3
     seed: int = 0
     ce_alpha: float | None = None
 
     def __post_init__(self):
         if self.population < 1 or self.max_iter < 1:
             raise ValueError("population and max_iter must be positive")
-        if not 0.0 <= self.jumping_rate <= 1.0:
-            raise ValueError(f"jumping_rate must lie in [0, 1], got {self.jumping_rate}")
-        if self.n_transposons < 1 or self.lam < 1:
-            raise ValueError("n_transposons and lam must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.ce_alpha is not None and not 0 < self.ce_alpha < np.inf:
@@ -269,14 +267,13 @@ def _check_locus(idx: int, size: int):
 
 def transposon_operator(
     epool: np.ndarray,
-    config: SwarmConfig,
     space: SearchSpace,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Breed an elitist pool (M personal bests plus the global best as rows).
 
-    Each row, with probability ``jumping_rate``, initiates a transposon
-    operation with a uniformly drawn partner row (possibly itself); the
+    Each row, with probability ``JUMPING_RATE``, initiates one single-gene
+    transposon with a uniformly drawn partner row (possibly itself); the
     operation is cut-and-paste or copy-and-paste with equal probability and
     acts on the pool normalized to the unit box. Rows never touched by an
     operation are returned bit-identical; touched rows are denormalized back
@@ -292,18 +289,17 @@ def transposon_operator(
     norm = normalize(epool, space)
     touched = np.zeros(n_rows, dtype=bool)
     for i in range(n_rows):
-        if rng.random() >= config.jumping_rate:
+        if rng.random() >= JUMPING_RATE:
             continue
         c2 = int(np.ceil(rng.random() * n_rows))
         c2 = min(max(c2, 1), n_rows) - 1
         op = cut_and_paste if rng.random() > 0.5 else copy_and_paste
-        for _ in range(config.n_transposons):
-            src = int(rng.integers(d))
-            dst = int(rng.integers(d))
-            if c2 == i:
-                norm[i] = op(norm[i], None, src, dst)
-            else:
-                norm[i], norm[c2] = op(norm[i], norm[c2], src, dst)
+        src = int(rng.integers(d))
+        dst = int(rng.integers(d))
+        if c2 == i:
+            norm[i] = op(norm[i], None, src, dst)
+        else:
+            norm[i], norm[c2] = op(norm[i], norm[c2], src, dst)
         touched[i] = True
         touched[c2] = True
 
@@ -336,9 +332,9 @@ def _optimize(fitness, space, config, callback, move, breed=False) -> OptimizeRe
     """The swarm loop shared by the three optimizers.
 
     ``move`` takes the arguments of :func:`qpso_update_position` and returns
-    the swarm's new (m, d) positions. With ``breed``, every ``config.lam``-th
-    iteration first breeds the elitist pool and offers the changed rows to
-    their particles' bests.
+    the swarm's new (m, d) positions. With ``breed``, every
+    ``BREEDING_PERIOD``-th iteration first breeds the elitist pool and
+    offers the changed rows to their particles' bests.
     """
     rng = np.random.default_rng(config.seed)
     evaluate = _Evaluator(fitness)
@@ -358,8 +354,8 @@ def _optimize(fitness, space, config, callback, move, breed=False) -> OptimizeRe
     for t in range(1, config.max_iter + 1):
         alpha = ce_coefficient(t, config.max_iter, config.ce_alpha)
         mbest = compute_mbest(pbest)
-        if breed and t % config.lam == 0:
-            bred = transposon_operator(np.vstack([pbest, pbest[g]]), config, space, rng)[:m]
+        if breed and t % BREEDING_PERIOD == 0:
+            bred = transposon_operator(np.vstack([pbest, pbest[g]]), space, rng)[:m]
             # Rows the operator left bit-identical keep their cached fitness;
             # re-evaluating them cannot change the outcome.
             rows = np.flatnonzero(np.any(bred != pbest, axis=1))
@@ -415,5 +411,5 @@ def optimize_ebqpso(
     callback: Callback | None = None,
 ) -> OptimizeResult:
     """Quantum-behaved PSO with transposon breeding of the elitist pool
-    every ``config.lam`` iterations."""
+    every ``BREEDING_PERIOD`` iterations."""
     return _optimize(fitness, space, config, callback, qpso_update_position, breed=True)

@@ -1,16 +1,16 @@
-"""Seeded synthetic wind-speed-like series of a fixed shape: sinusoids +
-AR(1) + white noise, shifted upward if needed to a minimum of ``FLOOR``."""
+"""Seeded synthetic wind-speed-like series of a fixed shape: ``MEAN`` plus
+sinusoids + AR(1) + white noise, shifted upward if needed to a minimum of
+``FLOOR``."""
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pipeline import TimeSeries
 
+MEAN = 8.0
 SINUSOIDS = ((2.0, 72.0), (0.8, 36.0))  # (amplitude, period in samples): a day and half a day at 20 min
 AR_COEFF = 0.9
 AR_STD = 0.4
@@ -21,17 +21,14 @@ CADENCE_MINUTES = 20
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """The settings of the fixed-shape series: length, seed and mean level."""
+    """The settings of the fixed-shape series: length and seed."""
 
     n: int = 4393
     seed: int = 7
-    mean: float = 8.0
 
     def __post_init__(self):
         if self.n < 500:
             raise ValueError(f"n must be at least 500, got {self.n}")
-        if not (isinstance(self.mean, numbers.Real) and math.isfinite(self.mean)):
-            raise ValueError(f"mean must be a finite real, got {self.mean!r}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> TimeSeries:
@@ -39,7 +36,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TimeSeries:
     is the AR innovation vector, then the white-noise vector."""
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.n, dtype=float)
-    x = np.full(spec.n, spec.mean)
+    x = np.full(spec.n, MEAN)
     for amp, period in SINUSOIDS:
         x += amp * np.sin(2.0 * np.pi * t / period)
 

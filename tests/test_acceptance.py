@@ -223,7 +223,7 @@ def test_ebqpso_non_inferior_on_rastrigin():
     space = SearchSpace(np.array([-5.12, -5.12]), np.array([5.12, 5.12]))
     qpso_best, eb_best = [], []
     for seed in range(30):
-        cfg = SwarmConfig(seed=seed)  # reference settings: M=20, T=50, lam=3, jr=0.2
+        cfg = SwarmConfig(seed=seed)  # reference settings: M=20, T=50
         qpso_best.append(optimize_qpso(rastrigin, space, cfg).best_fitness)
         eb_best.append(optimize_ebqpso(rastrigin, space, cfg).best_fitness)
     med_q, med_e = float(np.median(qpso_best)), float(np.median(eb_best))

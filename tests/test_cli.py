@@ -64,9 +64,8 @@ class TestSynth:
     def test_too_short_is_usage_error(self, tmp_path):
         out = tmp_path / "x.csv"
         assert main(["synth", "--n", "10", "--out", str(out)]) == 1
-        # So is a mean that is not finite, which would make every sample NaN.
-        for mean in ("nan", "inf", "-inf"):
-            assert main(["synth", f"--mean={mean}", "--out", str(out)]) == 1
+        # So is --mean: the series' level is synthetic.MEAN.
+        assert main(["synth", "--mean", "8", "--out", str(out)]) == 1
         assert not out.exists()
 
 
@@ -259,7 +258,7 @@ class TestTuneAndBenchmark:
         assert main(["benchmark", "--config", str(cfg_path)]) == 1
 
     @pytest.mark.parametrize("key", ["sinusoids", "ar_coeff", "ar_std", "noise_std", "floor",
-                                     "cadence_minutes"])
+                                     "cadence_minutes", "mean"])
     def test_fixed_synthetic_shape_key_usage_error(self, tmp_path, capsys, key):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"synthetic": {"n": 600, key: 1}}))
@@ -425,16 +424,12 @@ FLAG_VALUES = {
     "--synth-seed": ("9", 10),
     "--n-lags": ("12", 13),
     "--select-fraction": ("0.3", 0.4),
-    "--mi-bins": ("8", 9),
     "--z-threshold": ("5.5", 6.5),
     "--train-frac": ("0.5", 0.4),
     "--val-frac": ("0.3", 0.4),
     "--test-frac": ("0.3", 0.4),
     "--population": ("7", 8),
     "--iterations": ("9", 10),
-    "--jumping-rate": ("0.4", 0.5),
-    "--n-transposons": ("2", 3),
-    "--lam": ("4", 5),
     "--ce-alpha": ("0.7", 0.8),
     "--gamma-min": ("0.01", 0.02),
     "--gamma-max": ("1000.0", 2000.0),
@@ -464,15 +459,28 @@ def _field(cfg, path):
     return cfg
 
 
+# A flag's test id numbers it by its row in this list, the flag table as it
+# stood when the ids were first made, so that removing a flag renames no other
+# flag's tests. A new flag goes at the end.
+FLAG_ID_ORDER = ("--in", "--synth-n", "--synth-seed", "--n-lags", "--select-fraction",
+                 "--mi-bins", "--z-threshold", "--train-frac", "--val-frac", "--test-frac",
+                 "--trials", "--base-seed", "--outdir", "--population", "--iterations",
+                 "--jumping-rate", "--n-transposons", "--lam", "--ce-alpha",
+                 "--gamma-min", "--gamma-max", "--sigma2-min", "--sigma2-max")
+FLAG_ROWS = [pytest.param(flag, path, kind,
+                          id=f"{flag}-path{FLAG_ID_ORDER.index(flag)}-{kind.__name__}")
+             for flag, path, kind, _ in EXPERIMENT_FLAGS]
+
+
 class TestFlagTable:
-    @pytest.mark.parametrize("flag,path,kind", [row[:3] for row in EXPERIMENT_FLAGS])
+    @pytest.mark.parametrize("flag,path,kind", FLAG_ROWS)
     def test_flag_sets_field(self, tmp_path, flag, path, kind):
         value, _ = FLAG_VALUES[flag]
         config = {"split": SPLIT_PARTNERS[path[1]]} if path[0] == "split" else None
         cfg = _resolve([flag, value], config, tmp_path)
         assert _field(cfg, path) == kind(value)
 
-    @pytest.mark.parametrize("flag,path,kind", [row[:3] for row in EXPERIMENT_FLAGS])
+    @pytest.mark.parametrize("flag,path,kind", FLAG_ROWS)
     def test_flag_overrides_config(self, tmp_path, flag, path, kind):
         value, configured = FLAG_VALUES[flag]
         key, *rest = path
@@ -745,7 +753,8 @@ class TestTrainPredictEvaluate:
     def test_training_block_beyond_memory_data_error(self, tmp_path, series_csv, capsys,
                                                      monkeypatch, command):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(lssvm, "physical_memory_bytes", lambda: lssvm.buffer_bytes(355) - 1)
+        limit = (lssvm.buffer_bytes(355) - 1, None)
+        monkeypatch.setattr(lssvm, "memory_limit_bytes", lambda: limit)
         assert main(command + ["--in", series_csv, "--n-lags", "8"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: a training block of 355 rows needs a "
@@ -763,10 +772,9 @@ class TestTrainPredictEvaluate:
 # The experiment flags each command offers: the data flags that
 # ``prepare_data`` reads, and for tuning the trial, output, swarm and box flags.
 DATA_FLAG_NAMES = ["--in", "--synth-n", "--synth-seed", "--n-lags", "--select-fraction",
-                   "--mi-bins", "--z-threshold", "--train-frac", "--val-frac", "--test-frac"]
+                   "--z-threshold", "--train-frac", "--val-frac", "--test-frac"]
 TUNING_FLAG_NAMES = ["--trials", "--base-seed", "--outdir", "--population", "--iterations",
-                     "--jumping-rate", "--n-transposons", "--lam", "--ce-alpha",
-                     "--gamma-min", "--gamma-max", "--sigma2-min", "--sigma2-max"]
+                     "--ce-alpha", "--gamma-min", "--gamma-max", "--sigma2-min", "--sigma2-max"]
 COMMAND_FLAGS = {
     "features": DATA_FLAG_NAMES + ["--outdir"],
     "tune": DATA_FLAG_NAMES + TUNING_FLAG_NAMES,
@@ -799,6 +807,12 @@ class TestCommandFlags:
         ("train", ["--gamma", "100", "--sigma2", "50", "--model-out", "m", "--outdir", "o"]),
         ("features", ["--trials", "2"]),
         ("features", ["--ce-alpha", "0.5"]),
+        # The breeding rule and the MI bin count are constants, no flags.
+        ("benchmark", ["--lam", "3"]),
+        ("benchmark", ["--jumping-rate", "0.2"]),
+        ("tune", ["--strategy", "ebqpso", "--n-transposons", "1"]),
+        ("features", ["--mi-bins", "16"]),
+        ("train", ["--gamma", "100", "--sigma2", "50", "--model-out", "m", "--mi-bins", "16"]),
     ])
     def test_unread_flag_usage_error(self, tmp_path, monkeypatch, capsys, command, argv):
         monkeypatch.chdir(tmp_path)
@@ -822,12 +836,23 @@ class TestCommandFlags:
     @pytest.mark.parametrize("swarm,complaint", [
         ({"seed": 3}, "base_seed"),
         ({"ce_mode": "fixed"}, "unknown SwarmConfig keys: ['ce_mode']"),
+        ({"jumping_rate": 0.2}, "unknown SwarmConfig keys: ['jumping_rate']"),
+        ({"n_transposons": 1}, "unknown SwarmConfig keys: ['n_transposons']"),
+        ({"lam": 3}, "unknown SwarmConfig keys: ['lam']"),
     ])
     def test_unread_config_key_usage_error(self, tmp_path, capsys, swarm, complaint):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"synthetic": {"n": 600}, "n_lags": 8, "swarm": swarm}))
         assert main(["benchmark", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
         assert complaint in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_mi_bins_key_usage_error(self, tmp_path, capsys):
+        # The MI ranking takes pipeline.mi_ranking's 16 bins; no key sets them.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"n": 600}, "n_lags": 8, "mi_bins": 16}))
+        assert main(["features", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
+        assert "unknown config keys: ['mi_bins']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

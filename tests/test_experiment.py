@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from windlssvm import experiment
+from windlssvm import experiment, swarm
 from windlssvm.cli import config_from_dict
 from windlssvm.experiment import (
     OPTIMIZERS,
@@ -432,9 +432,11 @@ class TestAggregates:
 
 
 @pytest.mark.parametrize("strategy", sorted(OPTIMIZERS))
-def test_optimizer_call_contract(strategy):
+def test_optimizer_call_contract(strategy, monkeypatch):
     # Benchmark harnesses wrap each OPTIMIZERS entry, call it positionally,
     # count the per-point fitness calls and read pbest_fitness per iteration.
+    monkeypatch.setattr(swarm, "JUMPING_RATE", 1.0)
+    monkeypatch.setattr(swarm, "BREEDING_PERIOD", 2)
     calls = []
 
     def fitness(x):
@@ -442,7 +444,7 @@ def test_optimizer_call_contract(strategy):
         return np.nan if x[0] > 0.8 else float(np.sum((x - 0.3) ** 2))
 
     space = SearchSpace(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
-    config = SwarmConfig(population=5, max_iter=6, jumping_rate=1.0, lam=2, seed=4)
+    config = SwarmConfig(population=5, max_iter=6, seed=4)
     snaps = []
     result = OPTIMIZERS[strategy](fitness, space, config, snaps.append)
     assert len(calls) == result.evaluations >= config.population * (config.max_iter + 1)

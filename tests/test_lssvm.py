@@ -1,5 +1,6 @@
 import ctypes
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -551,7 +552,7 @@ class TestTrainingKernel:
         X, y = np.linspace(0.0, 1.0, n)[:, None], np.linspace(0.0, 1.0, n)
         need = lssvm.buffer_bytes(n)
         assert need == 8 * n * (n + 1)
-        monkeypatch.setattr(lssvm, "physical_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(lssvm, "memory_limit_bytes", lambda: (need - 1, None))
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as info:
@@ -563,11 +564,71 @@ class TestTrainingKernel:
                                    f"buffer, more than the machine's {need - 1} bytes of physical "
                                    "memory; lower --train-frac")
         assert peak < need / 100
-        monkeypatch.setattr(lssvm, "physical_memory_bytes", lambda: lssvm.buffer_bytes(3))
+        monkeypatch.setattr(lssvm, "memory_limit_bytes", lambda: (lssvm.buffer_bytes(3), None))
         assert lssvm.TrainingSet(X[:3], y[:3]).solve(Hyperparams(10.0, 1.0))[0].shape == (3,)
 
     def test_physical_memory_is_read(self):
-        assert lssvm.physical_memory_bytes() > lssvm.buffer_bytes(2575)
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert lssvm.buffer_bytes(2575) < lssvm.memory_limit_bytes()[0] <= physical
+
+    @staticmethod
+    def _fake_cgroups(root, monkeypatch, cgroup, files):
+        # proc/self/cgroup holds ``cgroup`` (no file if None); ``files`` lie
+        # under sys/fs/cgroup.
+        monkeypatch.setattr(lssvm, "SYSTEM_ROOT", str(root))
+        if cgroup is not None:
+            (root / "proc" / "self").mkdir(parents=True)
+            (root / "proc" / "self" / "cgroup").write_text(cgroup)
+        for name, text in files.items():
+            (root / "sys/fs/cgroup" / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / "sys/fs/cgroup" / name).write_text(text)
+
+    # In each tree the file named first sets the limit, 1 MB; the others set
+    # a higher limit, none, or lie outside the process's cgroup.
+    @pytest.mark.parametrize("cgroup,files", [
+        ("0::/jobs/run\n", {"jobs/memory.max": "1000000\n", "jobs/run/memory.max": "max\n",
+                            "memory.max": "2000000\n", "other/memory.max": "5\n"}),
+        ("4:memory:/jobs/run\n3:cpuset:/\n0::/\n",
+         {"memory/jobs/run/memory.stat": "hierarchical_memory_limit 1000000\n"
+                                         "hierarchical_memsw_limit 5\n"}),
+        # A v1 container sees its own cgroup at the mount's root.
+        ("4:memory:/docker/abc\n",
+         {"memory/memory.stat": "cache 0\nhierarchical_memory_limit 1000000\n"}),
+        # A cgroup v2 namespace shows a cgroup outside it as a "/.." path.
+        ("0::/../outer\n", {"memory.max": "1000000\n", "outer/memory.max": "5\n"}),
+    ], ids=["v2", "v1", "v1-container", "v2-outside-namespace"])
+    def test_memory_cgroup_limit_is_read(self, tmp_path, monkeypatch, cgroup, files):
+        self._fake_cgroups(tmp_path, monkeypatch, cgroup, files)
+        limiting = tmp_path / "sys/fs/cgroup" / next(iter(files))
+        assert lssvm.memory_limit_bytes() == (10**6, str(limiting))
+
+    @pytest.mark.parametrize("cgroup,files", [
+        (None, {}),
+        ("0::/jobs\n", {"jobs/memory.max": "max\n"}),
+        ("4:memory:/\n",
+         {"memory/memory.stat": "hierarchical_memory_limit 9223372036854771712\n"}),
+    ], ids=["no-cgroup-file", "v2-max", "v1-unlimited"])
+    def test_unlimited_cgroup_leaves_physical_memory(self, tmp_path, monkeypatch, cgroup, files):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        self._fake_cgroups(tmp_path, monkeypatch, cgroup, files)
+        assert lssvm.memory_limit_bytes() == (physical, None)
+
+    def test_buffer_beyond_cgroup_limit_refused_before_allocation(self, tmp_path, monkeypatch):
+        n = 2000
+        need = lssvm.buffer_bytes(n)
+        self._fake_cgroups(tmp_path, monkeypatch, "0::/jobs\n",
+                           {"jobs/memory.max": f"{need - 1}\n"})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                lssvm.TrainingSet(np.linspace(0.0, 1.0, n)[:, None], np.linspace(0.0, 1.0, n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"a training block of 2000 rows needs a {need}-byte kernel "
+                                   f"buffer, more than the {need - 1}-byte memory cgroup limit in "
+                                   f"{tmp_path}/sys/fs/cgroup/jobs/memory.max; lower --train-frac")
+        assert peak < need / 100
 
     def test_solves_repeat_bit_identically(self):
         rng = np.random.default_rng(23)

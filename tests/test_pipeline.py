@@ -119,7 +119,7 @@ class TestHistogramBinning:
         cfg = ExperimentConfig(synthetic=SyntheticSpec(n=synth_n, seed=7), n_lags=n_lags)
         cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
         train = split(make_lagged_dataset(cleaned, n_lags), cfg.split)[0]
-        assert mi_ranking(train, cfg.mi_bins) == histogram2d_ranking(train, cfg.mi_bins)
+        assert mi_ranking(train) == histogram2d_ranking(train)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused(self, bad):

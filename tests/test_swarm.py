@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from windlssvm import swarm
 from windlssvm.swarm import (
     PSO_COGNITIVE,
     PSO_INERTIA,
@@ -296,44 +297,47 @@ class TestTransposonOperator:
     def _pool(self, rng, rows=5):
         return rng.random((rows, 2))
 
-    def test_zero_jumping_rate_is_identity(self):
+    def test_zero_jumping_rate_is_identity(self, monkeypatch):
+        monkeypatch.setattr(swarm, "JUMPING_RATE", 0.0)
         rng = np.random.default_rng(1)
         pool = self._pool(rng)
-        cfg = SwarmConfig(population=4, jumping_rate=0.0)
-        out = transposon_operator(pool, cfg, self.SP, rng)
+        out = transposon_operator(pool, self.SP, rng)
         assert np.array_equal(out, pool)
 
-    def test_input_never_mutated(self):
+    def test_input_never_mutated(self, monkeypatch):
+        monkeypatch.setattr(swarm, "JUMPING_RATE", 1.0)
         rng = np.random.default_rng(2)
         pool = self._pool(rng)
         before = pool.copy()
-        transposon_operator(pool, SwarmConfig(population=4, jumping_rate=1.0), self.SP, rng)
+        transposon_operator(pool, self.SP, rng)
         assert np.array_equal(pool, before)
 
-    def test_untouched_rows_bit_identical(self):
+    # The scripted cases draw against the reference JUMPING_RATE of 0.2.
+    def test_untouched_rows_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(swarm, "JUMPING_RATE", 0.2)
         # script: only row 0 activates, same-row cut-and-paste of loci (0, 1)
         pool = np.array([[0.2, 0.8], [0.3, 0.4], [0.5, 0.6]])
         rng = ScriptedRng(
             uniforms=[0.1, 0.1, 0.9, 0.5, 0.5],  # activate row0; c2=ceil(.1*3)=1; cut
             integers=[0, 1],
         )
-        cfg = SwarmConfig(population=2, jumping_rate=0.2)
-        out = transposon_operator(pool, cfg, self.SP, rng)
+        out = transposon_operator(pool, self.SP, rng)
         np.testing.assert_array_equal(out[0], [0.8, 0.2])  # unit box: swap survives denorm
         assert np.array_equal(out[1], pool[1])
         assert np.array_equal(out[2], pool[2])
 
-    def test_same_row_copy_paste_semantics(self):
+    def test_same_row_copy_paste_semantics(self, monkeypatch):
+        monkeypatch.setattr(swarm, "JUMPING_RATE", 0.2)
         pool = np.array([[0.2, 0.8], [0.3, 0.4], [0.5, 0.6]])
         rng = ScriptedRng(
             uniforms=[0.1, 0.1, 0.2, 0.5, 0.5],  # activate row0; c2=1 (itself); copy
             integers=[0, 1],  # src locus 0, dst locus 1
         )
-        cfg = SwarmConfig(population=2, jumping_rate=0.2)
-        out = transposon_operator(pool, cfg, self.SP, rng)
+        out = transposon_operator(pool, self.SP, rng)
         np.testing.assert_array_equal(out[0], [0.2, 0.2])
 
-    def test_cross_row_normalized_transfer(self):
+    def test_cross_row_normalized_transfer(self, monkeypatch):
+        monkeypatch.setattr(swarm, "JUMPING_RATE", 0.2)
         # gene moves between dimensions with different scales: relative
         # position is what transfers
         sp = SearchSpace(np.array([0.0, 10.0]), np.array([1.0, 20.0]))
@@ -342,25 +346,23 @@ class TestTransposonOperator:
             uniforms=[0.1, 0.5, 0.2, 0.9, 0.9],  # activate row0; c2=ceil(.5*3)=2; copy
             integers=[0, 1],  # src locus 0 of row0, dst locus 1 of row1
         )
-        cfg = SwarmConfig(population=2, jumping_rate=0.2)
-        out = transposon_operator(pool, cfg, sp, rng)
+        out = transposon_operator(pool, sp, rng)
         # row0 gene0 sits at 25% of its axis; row1 gene1 lands at 25% of (10, 20)
         np.testing.assert_allclose(out[1], [0.75, 12.5], atol=1e-12)
         np.testing.assert_allclose(out[0], pool[0], atol=1e-12)
         assert np.array_equal(out[2], pool[2])
 
-    def test_all_rows_stay_in_bounds(self):
+    def test_all_rows_stay_in_bounds(self, monkeypatch):
+        monkeypatch.setattr(swarm, "JUMPING_RATE", 1.0)
         sp = SearchSpace(np.array([-3.0, 2.0]), np.array([4.0, 9.0]))
         rng = np.random.default_rng(17)
         pool = sp.lower + rng.random((8, 2)) * sp.span
-        cfg = SwarmConfig(population=7, jumping_rate=1.0)
-        out = transposon_operator(pool, cfg, sp, rng)
+        out = transposon_operator(pool, sp, rng)
         assert np.all(out >= sp.lower) and np.all(out <= sp.upper)
 
     def test_out_of_bounds_pool_rejected(self):
-        cfg = SwarmConfig(population=1)
         with pytest.raises(ValueError):
-            transposon_operator(np.array([[2.0, 0.5], [0.5, 0.5]]), cfg, self.SP,
+            transposon_operator(np.array([[2.0, 0.5], [0.5, 0.5]]), self.SP,
                                 np.random.default_rng(0))
 
 
@@ -442,8 +444,9 @@ class TestOptimizers:
 
 
 class TestEbqpsoSpecifics:
-    def test_lam_beyond_horizon_matches_qpso(self):
-        cfg = SwarmConfig(max_iter=12, seed=31, lam=13)
+    def test_lam_beyond_horizon_matches_qpso(self, monkeypatch):
+        monkeypatch.setattr(swarm, "BREEDING_PERIOD", 13)
+        cfg = SwarmConfig(max_iter=12, seed=31)
         r_eb = optimize_ebqpso(sphere, SPHERE_SPACE, cfg)
         r_q = optimize_qpso(sphere, SPHERE_SPACE, cfg)
         assert np.array_equal(r_eb.best_position, r_q.best_position)
@@ -454,8 +457,8 @@ class TestEbqpsoSpecifics:
     def test_tuners_share_positions_until_breeding(self):
         # One trial seeds every strategy alike. These shared positions are
         # the repeats that metrics.LssvmFitness answers without a solve.
-        cfg = SwarmConfig(population=5, max_iter=5, seed=21, lam=3)
-        m, shared = cfg.population, cfg.population * cfg.lam
+        cfg = SwarmConfig(population=5, max_iter=5, seed=21)
+        m, shared = cfg.population, cfg.population * swarm.BREEDING_PERIOD
 
         def scored(optimize):
             seen = []
@@ -465,19 +468,23 @@ class TestEbqpsoSpecifics:
         pso, qpso, eb = (scored(opt) for opt in (optimize_pso, optimize_qpso, optimize_ebqpso))
         # The initial swarm, for all three.
         assert np.array_equal(pso[:m], qpso[:m]) and np.array_equal(eb[:m], qpso[:m])
-        # QPSO and EBQPSO through iteration lam - 1, then no position in common.
+        # QPSO and EBQPSO through iteration BREEDING_PERIOD - 1, then no
+        # position in common.
         assert np.array_equal(eb[:shared], qpso[:shared])
         assert not {tuple(x) for x in eb[shared:]} & {tuple(x) for x in qpso[shared:]}
 
-    def test_zero_jumping_rate_breeding_is_noop(self):
-        cfg = SwarmConfig(max_iter=12, seed=31, jumping_rate=0.0)
+    def test_zero_jumping_rate_breeding_is_noop(self, monkeypatch):
+        monkeypatch.setattr(swarm, "JUMPING_RATE", 0.0)
+        cfg = SwarmConfig(max_iter=12, seed=31)
         record = []
         res = optimize_ebqpso(sphere, SPHERE_SPACE, cfg,
                               callback=_invariant_callback(SPHERE_SPACE, record))
         assert np.isfinite(res.best_fitness)
 
-    def test_breeding_adds_evaluations(self):
-        cfg = SwarmConfig(max_iter=30, seed=4, jumping_rate=1.0, lam=2)
+    def test_breeding_adds_evaluations(self, monkeypatch):
+        monkeypatch.setattr(swarm, "JUMPING_RATE", 1.0)
+        monkeypatch.setattr(swarm, "BREEDING_PERIOD", 2)
+        cfg = SwarmConfig(max_iter=30, seed=4)
         r_eb = optimize_ebqpso(sphere, SPHERE_SPACE, cfg)
         r_q = optimize_qpso(sphere, SPHERE_SPACE, cfg)
         assert r_eb.evaluations > r_q.evaluations
@@ -493,17 +500,15 @@ class TestSwarmConfig:
         cfg = SwarmConfig()
         assert cfg.population == 20
         assert cfg.max_iter == 50
-        assert cfg.jumping_rate == 0.2
-        assert cfg.n_transposons == 1
-        assert cfg.lam == 3
         assert cfg.ce_alpha is None
+        assert (swarm.JUMPING_RATE, swarm.BREEDING_PERIOD) == (0.2, 3)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(population=0),
-            dict(jumping_rate=1.5),
-            dict(lam=0),
+            dict(max_iter=0),
+            dict(ce_alpha=np.inf),
             dict(ce_alpha=0.0),
             dict(ce_alpha=-1.0),
             dict(seed=-1),
@@ -548,8 +553,8 @@ def _ref_run(fitness, space, config, callback, breed, pso):
     for t in range(1, config.max_iter + 1):
         alpha = ce_coefficient(t, config.max_iter, config.ce_alpha)
         mbest = compute_mbest(pbest)
-        if breed and t % config.lam == 0:
-            bred = transposon_operator(np.vstack([pbest, pbest[g][None, :]]), config, space, rng)
+        if breed and t % swarm.BREEDING_PERIOD == 0:
+            bred = transposon_operator(np.vstack([pbest, pbest[g][None, :]]), space, rng)
             for i in range(m):
                 if np.array_equal(bred[i], pbest[i]):
                     continue
@@ -621,18 +626,23 @@ def _recorded(optimize, fitness, space, config, **ref):
     "fitness, kwargs",
     [
         (sphere, dict(population=7, max_iter=12)),
-        (_rastrigin, dict(population=5, max_iter=9, jumping_rate=1.0, lam=1)),
-        (_rastrigin, dict(population=1, max_iter=8, jumping_rate=1.0, lam=2)),
+        (_rastrigin, dict(population=5, max_iter=9, JUMPING_RATE=1.0, BREEDING_PERIOD=1)),
+        (_rastrigin, dict(population=1, max_iter=8, JUMPING_RATE=1.0, BREEDING_PERIOD=2)),
         (_rastrigin, dict(population=6, max_iter=10, ce_alpha=0.7,
-                          n_transposons=3, jumping_rate=0.6, lam=2)),
-        (_nan_right_half, dict(population=8, max_iter=10, jumping_rate=0.5, lam=3)),
+                          JUMPING_RATE=0.6, BREEDING_PERIOD=2)),
+        (_nan_right_half, dict(population=8, max_iter=10, JUMPING_RATE=0.5, BREEDING_PERIOD=3)),
     ],
-    ids=["sphere", "breed-every-iteration", "one-particle", "fixed-ce-3-transposons", "nan"],
+    ids=["sphere", "breed-every-iteration", "one-particle", "fixed-ce", "nan"],
 )
 @pytest.mark.parametrize("seed", [0, 17, 123])
-def test_batched_loop_matches_per_particle_reference(optimize, fitness, kwargs, seed):
+def test_batched_loop_matches_per_particle_reference(optimize, fitness, kwargs, seed,
+                                                     monkeypatch):
+    # Upper-case keys are swarm module constants, patched for the run.
+    for name, value in kwargs.items():
+        if name.isupper():
+            monkeypatch.setattr(swarm, name, value)
     space = SearchSpace(np.array([-5.12, -5.12, -2.0]), np.array([5.12, 5.12, 3.0]))
-    config = SwarmConfig(seed=seed, **kwargs)
+    config = SwarmConfig(seed=seed, **{k: v for k, v in kwargs.items() if not k.isupper()})
     got, got_points, got_snaps = _recorded(optimize, fitness, space, config)
     ref, ref_points, ref_snaps = _recorded(optimize, fitness, space, config,
                                            **REFERENCES[optimize])

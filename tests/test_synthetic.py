@@ -19,9 +19,9 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.values, b.values)
 
 
-def test_non_negative_with_floor():
-    spec = SyntheticSpec(n=500, seed=5, mean=0.0)  # forces the shift
-    out = generate_synthetic(spec)
+def test_non_negative_with_floor(monkeypatch):
+    monkeypatch.setattr(synthetic, "MEAN", 0.0)  # forces the shift
+    out = generate_synthetic(SyntheticSpec(n=500, seed=5))
     assert out.values.min() >= synthetic.FLOOR - 1e-12
 
 
@@ -33,12 +33,6 @@ def test_default_spec_high_short_lag_correlation():
 def test_min_length_enforced():
     with pytest.raises(ValueError):
         SyntheticSpec(n=499)
-
-
-@pytest.mark.parametrize("mean", [np.nan, np.inf, -np.inf, "8"])
-def test_mean_must_be_a_finite_real(mean):
-    with pytest.raises(ValueError, match="mean must be a finite real"):
-        SyntheticSpec(mean=mean)
 
 
 def test_no_missing_samples():
