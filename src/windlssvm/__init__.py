@@ -8,7 +8,7 @@ from .lssvm import (
     predict,
     train,
 )
-from .metrics import LssvmFitness, MetricReport, hyperparam_space, mae, mape, metric_report, rmse
+from .metrics import HYPERPARAM_SPACE, LssvmFitness, MetricReport, mae, mape, metric_report, rmse
 from .pipeline import (
     LaggedDataset,
     SplitSpec,

@@ -6,17 +6,18 @@ be read is one), 2 data error (any other file that cannot be read or
 written is one), 3 numeric failure. Each command takes only the experiment
 flags it reads: train the data flags (input, lag window, MI selection,
 outlier gate, split), features those and --outdir, tune and benchmark those
-and the tuning flags (trials, seed, swarm, search box). A JSON config file
+and the tuning flags (trials, seed, outdir, swarm size and iterations); the
+search box is fixed (metrics.HYPERPARAM_SPACE). A JSON config file
 (--config) may supply any experiment field, so one file serves every
 command; explicit flags take precedence over it. Every config value is
 checked against the type its dataclass field declares: a string, a number,
-a list of a fixed length (a range) or of any length (strategies), a nested
-object (synthetic, split, swarm), null where the field allows it. A value
-that does not fit is a usage error naming its key. predict and evaluate read
-a model's sidecar (<model>.meta.json) by the same rule, against the fields of
-experiment.ModelMeta: a missing sidecar is a data error naming its path, and
-an unknown or missing key or a value that does not fit is one naming the file
-and the key.
+a list of any length (strategies), a nested object (synthetic, split,
+swarm), null where the field allows it. A value that does not fit is a
+usage error naming its key. predict and evaluate read a model's sidecar
+(<model>.meta.json) by the same rule, against the fields of
+experiment.ModelMeta, whose split is a list of a fixed length: a missing
+sidecar is a data error naming its path, and an unknown or missing key or a
+value that does not fit is one naming the file and the key.
 """
 
 from __future__ import annotations
@@ -126,8 +127,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 # Experiment flags: (flag, config path, type, help). A path is the chain of
-# keys into the config JSON that the flag's value is written to; an integer
-# key indexes a (lo, hi) range. Help texts gain the resolved default.
+# keys into the config JSON that the flag's value is written to. Help texts
+# gain the resolved default.
 
 # The data flags: what ``prepare_data`` reads.
 DATA_FLAGS = (
@@ -142,19 +143,13 @@ DATA_FLAGS = (
     ("--test-frac", ("split", "test_frac"), float, None),
 )
 OUTDIR_FLAG = ("--outdir", ("outdir",), str, "output directory")
-# The tuning flags: trials, output, swarm settings and search box.
+# The tuning flags: trials, output and swarm settings.
 TUNING_FLAGS = (
     ("--trials", ("trials",), int, "number of trials"),
     ("--base-seed", ("base_seed",), int, "seed of trial 0"),
     OUTDIR_FLAG,
     ("--population", ("swarm", "population"), int, "swarm size"),
     ("--iterations", ("swarm", "max_iter"), int, "optimizer iterations"),
-    ("--ce-alpha", ("swarm", "ce_alpha"), float,
-     "fixed contraction-expansion coefficient; unset, it decays from 1.0 to 0.5"),
-    ("--gamma-min", ("gamma_range", 0), float, None),
-    ("--gamma-max", ("gamma_range", 1), float, None),
-    ("--sigma2-min", ("sigma2_range", 0), float, None),
-    ("--sigma2-max", ("sigma2_range", 1), float, None),
 )
 EXPERIMENT_FLAGS = DATA_FLAGS + TUNING_FLAGS
 
@@ -169,7 +164,7 @@ def _add_experiment_args(p, flags, defaults: dict | None = None):
     for flag, path, kind, help_text in flags:
         default = resolved
         for key in path:
-            default = default[key] if isinstance(key, int) else getattr(default, key)
+            default = getattr(default, key)
         if default is not None:
             help_text = f"{help_text or ''} (default {default})".lstrip()
         p.add_argument(flag, dest=_dest(flag), type=kind, help=help_text)
@@ -192,15 +187,11 @@ def _read_json_object(path: str, label: str) -> dict:
 
 
 def _write_flag(raw: dict, path: tuple, value):
-    # A range that is not a list of two, or settings that are not an object,
-    # stay as they are, so that the config reader names their key.
+    # Settings that are not an object stay as they are, so that the config
+    # reader names their key.
     key, *rest = path
     if not rest:
         raw[key] = value
-    elif isinstance(rest[0], int):
-        pair = raw.get(key, getattr(ExperimentConfig, key))
-        if isinstance(pair, (list, tuple)) and len(pair) == 2:
-            raw[key] = [value, pair[1]] if rest[0] == 0 else [pair[0], value]
     elif isinstance(raw.setdefault(key, {}), dict):
         raw[key] = {**raw[key], rest[0]: value}
 

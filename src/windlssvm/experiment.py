@@ -20,15 +20,7 @@ import numpy as np
 
 from . import lssvm
 from .data_io import atomic_write_text, save_model, write_forecast_csv
-from .metrics import (
-    GAMMA_RANGE,
-    SIGMA2_RANGE,
-    LssvmFitness,
-    MetricReport,
-    format_mape,
-    hyperparam_space,
-    metric_report,
-)
+from .metrics import HYPERPARAM_SPACE, LssvmFitness, MetricReport, format_mape, metric_report
 from .pipeline import (
     LaggedDataset,
     SplitSpec,
@@ -77,8 +69,6 @@ class ExperimentConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     strategies: tuple[str, ...] = ("pso", "qpso", "ebqpso")
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
-    gamma_range: tuple[float, float] = GAMMA_RANGE
-    sigma2_range: tuple[float, float] = SIGMA2_RANGE
     trials: int = 5
     base_seed: int = 42
     outdir: str = "results"
@@ -105,7 +95,6 @@ class ExperimentConfig:
         if self.swarm.seed != 0:
             raise ValueError(f"swarm seed {self.swarm.seed} would be ignored: trial t seeds "
                              "its swarm with base_seed + t, so set base_seed instead")
-        hyperparam_space(self.gamma_range, self.sigma2_range)
 
 
 @dataclass
@@ -271,7 +260,6 @@ def run_experiment(config: ExperimentConfig, log=print,
     )
 
     fitness = LssvmFitness(data.train, data.val)
-    space = hyperparam_space(config.gamma_range, config.sigma2_range)
     persistence = TrialResult(PERSISTENCE, 0, config.base_seed, evaluations=0, wall_time=0.0,
                               metrics=metric_report(data.test.targets, data.persistence_pred))
 
@@ -282,7 +270,7 @@ def run_experiment(config: ExperimentConfig, log=print,
         fitness.forget()
         swarm_cfg = dataclasses.replace(config.swarm, seed=config.base_seed + trial)
         for strat in config.strategies:
-            result = run_job(data, fitness, space, swarm_cfg, strat, trial)
+            result = run_job(data, fitness, HYPERPARAM_SPACE, swarm_cfg, strat, trial)
             trials.append(result)
             if result.ok:
                 log(

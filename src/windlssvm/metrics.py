@@ -13,9 +13,14 @@ from .swarm import SearchSpace
 # Targets with magnitude at or below this floor make MAPE meaningless.
 MAPE_EPSILON_FLOOR = 1e-6
 
-# The default hyperparameter search box.
+# The hyperparameter search box: gamma in GAMMA_RANGE and sigma2 in
+# SIGMA2_RANGE, searched on a log10 scale.
 GAMMA_RANGE = (1e-4, 1e6)
 SIGMA2_RANGE = (8.0, 4e4)
+HYPERPARAM_SPACE = SearchSpace(
+    lower=np.log10([GAMMA_RANGE[0], SIGMA2_RANGE[0]]),
+    upper=np.log10([GAMMA_RANGE[1], SIGMA2_RANGE[1]]),
+)
 
 
 @dataclass(frozen=True)
@@ -137,14 +142,3 @@ class LssvmFitness:
         """The training block's model at ``position``; raises ``lssvm.NumericError``."""
         return self.training_set.model(self.decode(position))
 
-
-def hyperparam_space(gamma_range=GAMMA_RANGE, sigma2_range=SIGMA2_RANGE) -> SearchSpace:
-    """Log10-scale search box over (gamma, sigma2)."""
-    g_lo, g_hi = gamma_range
-    s_lo, s_hi = sigma2_range
-    if g_lo <= 0 or s_lo <= 0 or g_lo >= g_hi or s_lo >= s_hi:
-        raise ValueError("hyperparameter ranges must be positive and ordered")
-    return SearchSpace(
-        lower=np.log10([g_lo, s_lo]),
-        upper=np.log10([g_hi, s_hi]),
-    )

@@ -6,9 +6,10 @@ The quantum-behaved update samples each new coordinate around an attractor
     x_j <- p_c +/- alpha * |mbest_j - x_j| * ln(1/u)
 
 with phi, u uniform draws, a 50/50 sign, and alpha the contraction-expansion
-coefficient. The elitist-breeding variant periodically pools the personal
-bests plus the global best, normalizes the pool to the unit box, relocates
-single genes within or between chromosomes (cut-and-paste or copy-and-paste),
+coefficient, which decays linearly from 1.0 to 0.5 over the run. The
+elitist-breeding variant periodically pools the personal bests plus the
+global best, normalizes the pool to the unit box, relocates single genes
+within or between chromosomes (cut-and-paste or copy-and-paste),
 denormalizes, and keeps any bred row that improves its particle's best.
 
 All three optimizers run one loop: each iteration moves the whole (m, d)
@@ -87,26 +88,21 @@ class SearchSpace:
 @dataclass(frozen=True)
 class SwarmConfig:
     """Optimizer settings; the defaults are the reference configuration
-    (20 particles, 50 iterations). EBQPSO's breeding rule is not a setting:
-    ``JUMPING_RATE`` and ``BREEDING_PERIOD`` fix it. The problem dimension
-    is the search space's.
-
-    ``ce_alpha`` is the contraction-expansion coefficient: ``None`` decays
-    it linearly from 1.0 to 0.5 over the run, a number holds it fixed.
+    (20 particles, 50 iterations). Neither EBQPSO's breeding rule
+    (``JUMPING_RATE`` and ``BREEDING_PERIOD``) nor the contraction-expansion
+    schedule (:func:`ce_coefficient`) is a setting. The problem dimension is
+    the search space's.
     """
 
     population: int = 20
     max_iter: int = 50
     seed: int = 0
-    ce_alpha: float | None = None
 
     def __post_init__(self):
         if self.population < 1 or self.max_iter < 1:
             raise ValueError("population and max_iter must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.ce_alpha is not None and not 0 < self.ce_alpha < np.inf:
-            raise ValueError(f"ce_alpha must be a finite positive real, got {self.ce_alpha}")
 
 
 @dataclass
@@ -141,19 +137,15 @@ def compute_mbest(pbests: np.ndarray) -> np.ndarray:
     return pbests.mean(axis=0)
 
 
-def ce_coefficient(t: int, max_iter: int, alpha: float | None = None) -> float:
-    """Contraction-expansion coefficient at iteration t of max_iter.
-
-    With ``alpha`` None it decays linearly: 0.5 + 0.5 * (max_iter - t) / max_iter,
-    i.e. 1.0 at t=0 down to 0.5 at t=max_iter. Otherwise it is ``alpha``.
-    """
+def ce_coefficient(t: int, max_iter: int) -> float:
+    """Contraction-expansion coefficient at iteration t of max_iter: it decays
+    linearly, 0.5 + 0.5 * (max_iter - t) / max_iter, from 1.0 at t=0 to 0.5
+    at t=max_iter."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     if t < 0 or t > max_iter:
         raise ValueError(f"iteration index {t} outside [0, {max_iter}]")
-    if alpha is None:
-        return 0.5 + 0.5 * (max_iter - t) / max_iter
-    return float(alpha)
+    return 0.5 + 0.5 * (max_iter - t) / max_iter
 
 
 def qpso_update_position(
@@ -352,7 +344,7 @@ def _optimize(fitness, space, config, callback, move, breed=False) -> OptimizeRe
     g = int(np.argmin(pbest_f))
     history = []
     for t in range(1, config.max_iter + 1):
-        alpha = ce_coefficient(t, config.max_iter, config.ce_alpha)
+        alpha = ce_coefficient(t, config.max_iter)
         mbest = compute_mbest(pbest)
         if breed and t % BREEDING_PERIOD == 0:
             bred = transposon_operator(np.vstack([pbest, pbest[g]]), space, rng)[:m]

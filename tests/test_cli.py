@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from windlssvm import cli, lssvm
+from windlssvm import cli, experiment, lssvm
 from windlssvm.cli import EXPERIMENT_FLAGS, _resolve_config, build_parser, main
 from windlssvm.data_io import load_csv, write_series_csv
 from windlssvm.experiment import OPTIMIZERS, prepare_data
 from windlssvm.metrics import LssvmFitness
 from windlssvm.pipeline import TimeSeries
+from windlssvm.swarm import SearchSpace
 
 
 @pytest.fixture()
@@ -339,30 +340,29 @@ class TestTuneAndBenchmark:
         err = self._refused(tmp_path, monkeypatch, capsys, override)
         assert f"{key} must be an integer" in err
 
+    # A row's test id keeps the number the row was first given, so that
+    # deleting a row renames no other row's test. A new row takes number 16.
     @pytest.mark.parametrize("override,message", [
-        ({"z_threshold": "4"}, "config key 'z_threshold' must be a real number, got '4'"),
-        ({"z_threshold": True}, "config key 'z_threshold' must be a real number, got True"),
-        ({"split": {"train_frac": "0.6", "val_frac": 0.2, "test_frac": 0.2}},
-         "SplitSpec key 'train_frac' must be a real number"),
-        ({"swarm": {"ce_alpha": "0.5"}}, "SwarmConfig key 'ce_alpha' must be a real number or null"),
-        ({"gamma_range": ["1e-4", "abc"]},
-         "config key 'gamma_range' item 0 must be a real number, got '1e-4'"),
-        ({"gamma_range": ["1e-4", 1000.0]},
-         "config key 'gamma_range' item 0 must be a real number, got '1e-4'"),
-        ({"sigma2_range": [0.1, False]},
-         "config key 'sigma2_range' item 1 must be a real number, got False"),
-        # Each type a config field declares, not only the real numbers.
-        ({"split": [0.6, 0.2, 0.2]},
-         "config key 'split' must be a SplitSpec object, got [0.6, 0.2, 0.2]"),
-        ({"swarm": 5}, "config key 'swarm' must be a SwarmConfig object, got 5"),
-        ({"synthetic": "x"}, "config key 'synthetic' must be a SyntheticSpec object or null, got 'x'"),
-        ({"input_csv": 0}, "config key 'input_csv' must be a string or null, got 0"),
-        ({"strategies": "pso"}, "config key 'strategies' must be a list, got 'pso'"),
-        ({"strategies": ["pso", 1]}, "config key 'strategies' item 1 must be a string, got 1"),
-        ({"gamma_range": [1, 2, 3]},
-         "config key 'gamma_range' must be a list of 2 values, got [1, 2, 3]"),
-        ({"outdir": 7}, "config key 'outdir' must be a string, got 7"),
-        ({"synthetic": 0}, "config key 'synthetic' must be a SyntheticSpec object or null, got 0"),
+        pytest.param(override, message, id=f"override{i}-{message}")
+        for i, override, message in [
+            (0, {"z_threshold": "4"}, "config key 'z_threshold' must be a real number, got '4'"),
+            (1, {"z_threshold": True}, "config key 'z_threshold' must be a real number, got True"),
+            (2, {"split": {"train_frac": "0.6", "val_frac": 0.2, "test_frac": 0.2}},
+             "SplitSpec key 'train_frac' must be a real number"),
+            # Each type a config field declares, not only the real numbers.
+            (7, {"split": [0.6, 0.2, 0.2]},
+             "config key 'split' must be a SplitSpec object, got [0.6, 0.2, 0.2]"),
+            (8, {"swarm": 5}, "config key 'swarm' must be a SwarmConfig object, got 5"),
+            (9, {"synthetic": "x"},
+             "config key 'synthetic' must be a SyntheticSpec object or null, got 'x'"),
+            (10, {"input_csv": 0}, "config key 'input_csv' must be a string or null, got 0"),
+            (11, {"strategies": "pso"}, "config key 'strategies' must be a list, got 'pso'"),
+            (12, {"strategies": ["pso", 1]},
+             "config key 'strategies' item 1 must be a string, got 1"),
+            (14, {"outdir": 7}, "config key 'outdir' must be a string, got 7"),
+            (15, {"synthetic": 0},
+             "config key 'synthetic' must be a SyntheticSpec object or null, got 0"),
+        ]
     ])
     def test_non_real_config_value_usage_error(self, tmp_path, monkeypatch, capsys, override,
                                                message):
@@ -371,21 +371,16 @@ class TestTuneAndBenchmark:
     @pytest.mark.parametrize("override,flags,message", [
         ({"split": 3}, ["--train-frac", "0.5"], "config key 'split' must be a SplitSpec object"),
         ({"synthetic": "x"}, ["--synth-n", "700"], "config key 'synthetic' must be a SyntheticSpec"),
-        ({"gamma_range": [1]}, ["--gamma-max", "5"],
-         "config key 'gamma_range' must be a list of 2 values, got [1]"),
-        ({"sigma2_range": "ab"}, ["--sigma2-min", "5"],
-         "config key 'sigma2_range' must be a list of 2 values, got 'ab'"),
     ])
     def test_flag_into_mistyped_config_value_usage_error(self, tmp_path, monkeypatch, capsys,
                                                          override, flags, message):
         assert message in self._refused(tmp_path, monkeypatch, capsys, override, flags)
 
-    def test_tune_exits_3_when_every_trial_fails(self, tmp_path):
+    def test_tune_exits_3_when_every_trial_fails(self, tmp_path, monkeypatch):
         # a box deep in singular territory: every KKT solve fails
-        flags = _tiny_flags(str(tmp_path / "run")) + [
-            "--gamma-min", "1e11", "--gamma-max", "1e12",
-            "--sigma2-min", "1e29", "--sigma2-max", "1e30",
-        ]
+        box = SearchSpace(lower=np.log10([1e11, 1e29]), upper=np.log10([1e12, 1e30]))
+        monkeypatch.setattr(experiment, "HYPERPARAM_SPACE", box)
+        flags = _tiny_flags(str(tmp_path / "run"))
         assert main(["tune", "--strategy", "qpso"] + flags) == 3
         with open(tmp_path / "run" / "report.csv", newline="") as fh:
             row = next(csv.DictReader(fh))
@@ -430,11 +425,6 @@ FLAG_VALUES = {
     "--test-frac": ("0.3", 0.4),
     "--population": ("7", 8),
     "--iterations": ("9", 10),
-    "--ce-alpha": ("0.7", 0.8),
-    "--gamma-min": ("0.01", 0.02),
-    "--gamma-max": ("1000.0", 2000.0),
-    "--sigma2-min": ("2.0", 3.0),
-    "--sigma2-max": ("500.0", 600.0),
 }
 # Split fractions must sum to 1, so each flag comes with the other two
 # fractions set in the config file to match its value.
@@ -455,7 +445,7 @@ def _resolve(argv, config=None, tmp_path=None):
 
 def _field(cfg, path):
     for key in path:
-        cfg = cfg[key] if isinstance(key, int) else getattr(cfg, key)
+        cfg = getattr(cfg, key)
     return cfg
 
 
@@ -486,16 +476,10 @@ class TestFlagTable:
         key, *rest = path
         if not rest:
             config = {key: configured}
-        elif isinstance(rest[0], int):
-            pair = [1e-3, 1e4]
-            pair[rest[0]] = configured
-            config = {key: pair}
         else:
             config = {key: {rest[0]: configured, **SPLIT_PARTNERS.get(rest[0], {})}}
         cfg = _resolve([flag, value], config, tmp_path)
         assert _field(cfg, path) == kind(value)
-        if rest and isinstance(rest[0], int):  # the other end of the range is kept
-            assert _field(cfg, (key, 1 - rest[0])) == config[key][1 - rest[0]]
 
     def test_three_split_fractions_together(self):
         cfg = _resolve(["--train-frac", "0.5", "--val-frac", "0.25", "--test-frac", "0.25"])
@@ -597,6 +581,12 @@ class TestTrainPredictEvaluate:
         ("z_threshold", _DROP, "sidecar has no 'z_threshold'"),
         ("split", _DROP, "sidecar has no 'split'"),
         ("cadence_minutes", None, "sidecar key 'cadence_minutes' must be an integer, got None"),
+        # A list of a fixed length is read item by item; the first bad one is named.
+        ("split", ["0.6", "abc", 0.2],
+         "sidecar key 'split' item 0 must be a real number, got '0.6'"),
+        ("split", ["0.6", 0.2, 0.2], "sidecar key 'split' item 0 must be a real number, got '0.6'"),
+        ("split", [0.6, 0.2, False],
+         "sidecar key 'split' item 2 must be a real number, got False"),
     ])
     def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
                                           complaint):
@@ -770,11 +760,10 @@ class TestTrainPredictEvaluate:
 
 
 # The experiment flags each command offers: the data flags that
-# ``prepare_data`` reads, and for tuning the trial, output, swarm and box flags.
+# ``prepare_data`` reads, and for tuning the trial, output and swarm flags.
 DATA_FLAG_NAMES = ["--in", "--synth-n", "--synth-seed", "--n-lags", "--select-fraction",
                    "--z-threshold", "--train-frac", "--val-frac", "--test-frac"]
-TUNING_FLAG_NAMES = ["--trials", "--base-seed", "--outdir", "--population", "--iterations",
-                     "--ce-alpha", "--gamma-min", "--gamma-max", "--sigma2-min", "--sigma2-max"]
+TUNING_FLAG_NAMES = ["--trials", "--base-seed", "--outdir", "--population", "--iterations"]
 COMMAND_FLAGS = {
     "features": DATA_FLAG_NAMES + ["--outdir"],
     "tune": DATA_FLAG_NAMES + TUNING_FLAG_NAMES,
@@ -813,6 +802,11 @@ class TestCommandFlags:
         ("tune", ["--strategy", "ebqpso", "--n-transposons", "1"]),
         ("features", ["--mi-bins", "16"]),
         ("train", ["--gamma", "100", "--sigma2", "50", "--model-out", "m", "--mi-bins", "16"]),
+        # The search box and the contraction-expansion schedule are constants, no flags.
+        *((command, [*strategy, flag, value])
+          for flag, value in (("--ce-alpha", "0.5"), ("--gamma-min", "1"), ("--gamma-max", "1e3"),
+                              ("--sigma2-min", "8"), ("--sigma2-max", "1e3"))
+          for command, strategy in (("tune", ["--strategy", "qpso"]), ("benchmark", []))),
     ])
     def test_unread_flag_usage_error(self, tmp_path, monkeypatch, capsys, command, argv):
         monkeypatch.chdir(tmp_path)
@@ -825,8 +819,8 @@ class TestCommandFlags:
         # their part of it.
         monkeypatch.chdir(tmp_path)
         cfg = {"synthetic": {"n": 600, "seed": 3}, "n_lags": 8, "select_fraction": 0.25,
-               "swarm": {"population": 6, "max_iter": 4, "ce_alpha": 0.7},
-               "trials": 1, "gamma_range": [0.1, 100.0], "outdir": "feat"}
+               "swarm": {"population": 6, "max_iter": 4}, "strategies": ["qpso"],
+               "trials": 1, "base_seed": 5, "outdir": "feat"}
         Path("cfg.json").write_text(json.dumps(cfg))
         assert main(["features", "--config", "cfg.json"]) == 0
         assert main(["train", "--config", "cfg.json", "--gamma", "100", "--sigma2", "50",
@@ -839,6 +833,7 @@ class TestCommandFlags:
         ({"jumping_rate": 0.2}, "unknown SwarmConfig keys: ['jumping_rate']"),
         ({"n_transposons": 1}, "unknown SwarmConfig keys: ['n_transposons']"),
         ({"lam": 3}, "unknown SwarmConfig keys: ['lam']"),
+        ({"ce_alpha": 0.5}, "unknown SwarmConfig keys: ['ce_alpha']"),
     ])
     def test_unread_config_key_usage_error(self, tmp_path, capsys, swarm, complaint):
         cfg_path = tmp_path / "cfg.json"
@@ -853,6 +848,15 @@ class TestCommandFlags:
         cfg_path.write_text(json.dumps({"synthetic": {"n": 600}, "n_lags": 8, "mi_bins": 16}))
         assert main(["features", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
         assert "unknown config keys: ['mi_bins']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["gamma_range", "sigma2_range"])
+    def test_search_box_key_usage_error(self, tmp_path, capsys, key):
+        # The search box is metrics.HYPERPARAM_SPACE; no key sets it.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"n": 600}, "n_lags": 8, key: [1.0, 100.0]}))
+        assert main(["benchmark", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -21,7 +21,7 @@ from windlssvm.experiment import (
     summary_table,
     write_report,
 )
-from windlssvm.metrics import LssvmFitness, MetricReport, hyperparam_space
+from windlssvm.metrics import LssvmFitness, MetricReport
 from windlssvm.pipeline import make_lagged_dataset, split
 from windlssvm.swarm import SearchSpace, SwarmConfig
 from windlssvm.synthetic import SyntheticSpec
@@ -46,6 +46,11 @@ def silent(*args, **kwargs):
     pass
 
 
+# A box deep in singular territory: gamma in [1e15, 1e16], sigma2 in
+# [1e14, 1e15]. Every KKT solve in it fails.
+SINGULAR_SPACE = SearchSpace(lower=np.log10([1e15, 1e14]), upper=np.log10([1e16, 1e15]))
+
+
 class TestConfigValidation:
     def test_requires_exactly_one_source(self):
         with pytest.raises(ValueError):
@@ -65,18 +70,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(select_fraction=0.0)
 
-    def test_bad_ranges(self):
-        with pytest.raises(ValueError):
-            tiny_config(gamma_range=(1.0, 0.5))
-
     @pytest.mark.parametrize("z", [float("nan"), float("inf"), 0.0])
     def test_bad_z_threshold(self, z):
         with pytest.raises(ValueError, match="z_threshold"):
             tiny_config(z_threshold=z)
-
-    def test_infinite_range_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="finite"):
-            tiny_config(sigma2_range=(8.0, float("inf")))
 
     def test_swarm_seed_refused(self):
         # trial t seeds its swarm with base_seed + t, so a swarm seed would be ignored
@@ -93,7 +90,6 @@ class TestConfigFromDict:
                 "swarm": {"max_iter": 9, "population": 7},
                 "split": {"train_frac": 0.5, "val_frac": 0.25, "test_frac": 0.25},
                 "strategies": ["qpso"],
-                "gamma_range": [0.01, 100.0],
                 "trials": 1,
             }
         )
@@ -101,15 +97,15 @@ class TestConfigFromDict:
         assert cfg.swarm.max_iter == 9
         assert cfg.split.train_frac == 0.5
         assert cfg.strategies == ("qpso",)
-        assert cfg.gamma_range == (0.01, 100.0)
 
     def test_values_kept_as_read(self):
         # No float() pass: lists become tuples and numbers keep their type.
-        cfg = config_from_dict({"synthetic": {}, "gamma_range": [1, 1000000], "z_threshold": 4,
-                                "swarm": {"ce_alpha": None}})
-        assert cfg.gamma_range == (1, 1000000) and type(cfg.gamma_range[0]) is int
+        cfg = config_from_dict({"synthetic": {}, "strategies": ["pso", "qpso"],
+                                "z_threshold": 4, "select_fraction": 1, "input_csv": None})
+        assert cfg.strategies == ("pso", "qpso")
         assert cfg.z_threshold == 4 and type(cfg.z_threshold) is int
-        assert cfg.swarm.ce_alpha is None and cfg.input_csv is None
+        assert cfg.select_fraction == 1 and type(cfg.select_fraction) is int
+        assert cfg.input_csv is None
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ValueError, match="unknown config keys.*bogus"):
@@ -247,15 +243,11 @@ class TestRunExperiment:
         assert model.hyperparams.gamma == t.gamma
         assert model.hyperparams.sigma2 == t.sigma2
 
-    def test_failed_strategy_recorded_and_isolated(self):
-        # hyperparameter box pinned deep in singular territory: every solve
-        # fails, the trial is recorded as an error, persistence still reports
-        cfg = tiny_config(
-            trials=1,
-            gamma_range=(1e15, 1e16),
-            sigma2_range=(1e14, 1e15),
-            swarm=SwarmConfig(population=4, max_iter=2),
-        )
+    def test_failed_strategy_recorded_and_isolated(self, monkeypatch):
+        # every solve in the box fails: the trial is recorded as an error,
+        # persistence still reports
+        monkeypatch.setattr(experiment, "HYPERPARAM_SPACE", SINGULAR_SPACE)
+        cfg = tiny_config(trials=1, swarm=SwarmConfig(population=4, max_iter=2))
         rep = run_experiment(cfg, log=silent)
         failed = [t for t in rep.trials if t.strategy == "qpso"][0]
         assert not failed.ok
@@ -283,8 +275,8 @@ def _job(cfg, strategy, trial):
     """``run_job`` alone on freshly prepared data and a fresh fitness."""
     data = prepare_data(cfg)
     swarm_cfg = dataclasses.replace(cfg.swarm, seed=cfg.base_seed + trial)
-    space = hyperparam_space(cfg.gamma_range, cfg.sigma2_range)
-    return run_job(data, LssvmFitness(data.train, data.val), space, swarm_cfg, strategy, trial)
+    return run_job(data, LssvmFitness(data.train, data.val), experiment.HYPERPARAM_SPACE,
+                   swarm_cfg, strategy, trial)
 
 
 class TestRunJob:
@@ -305,13 +297,9 @@ class TestRunJob:
         assert alone.model.hyperparams == recorded.model.hyperparams
         assert alone.model.support_inputs.tobytes() == recorded.model.support_inputs.tobytes()
 
-    def test_singular_box_gives_error_result(self):
-        cfg = tiny_config(
-            trials=1,
-            gamma_range=(1e15, 1e16),
-            sigma2_range=(1e14, 1e15),
-            swarm=SwarmConfig(population=4, max_iter=2),
-        )
+    def test_singular_box_gives_error_result(self, monkeypatch):
+        monkeypatch.setattr(experiment, "HYPERPARAM_SPACE", SINGULAR_SPACE)
+        cfg = tiny_config(trials=1, swarm=SwarmConfig(population=4, max_iter=2))
         result = _job(cfg, "qpso", 0)
         assert not result.ok
         assert result.error.startswith("NumericError: ")

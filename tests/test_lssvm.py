@@ -199,7 +199,7 @@ class TestTrain:
         np.testing.assert_allclose(predict(model_p, Xq), predict(model, Xq), atol=1e-10)
 
     def test_search_box_solved_or_refused(self):
-        # Draws over the default hyperparam_space box at wind-like sizes: each
+        # Draws over the HYPERPARAM_SPACE box at wind-like sizes: each
         # solve either meets the bordered system to 1e-8 or raises.
         rng = np.random.default_rng(2024)
         solved = 0

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from windlssvm import lssvm
 from windlssvm.metrics import (
+    HYPERPARAM_SPACE,
     LssvmFitness,
     MetricReport,
-    hyperparam_space,
     mae,
     mape,
     metric_report,
@@ -311,12 +311,6 @@ class TestLssvmFitness:
 
 class TestHyperparamSpace:
     def test_reference_box(self):
-        sp = hyperparam_space()
+        sp = HYPERPARAM_SPACE
         np.testing.assert_allclose(sp.lower, [math.log10(1e-4), math.log10(8.0)])
         np.testing.assert_allclose(sp.upper, [math.log10(1e6), math.log10(4e4)])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hyperparam_space(gamma_range=(0.0, 1.0))
-        with pytest.raises(ValueError):
-            hyperparam_space(sigma2_range=(10.0, 10.0))

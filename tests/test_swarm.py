@@ -93,10 +93,6 @@ class TestCeCoefficient:
     def test_schedule_midpoint(self):
         assert ce_coefficient(25, 50) == pytest.approx(0.75)
 
-    def test_fixed_alpha(self):
-        for t in (0, 3, 50):
-            assert ce_coefficient(t, 50, alpha=0.5) == 0.5
-
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             ce_coefficient(51, 50)
@@ -500,7 +496,6 @@ class TestSwarmConfig:
         cfg = SwarmConfig()
         assert cfg.population == 20
         assert cfg.max_iter == 50
-        assert cfg.ce_alpha is None
         assert (swarm.JUMPING_RATE, swarm.BREEDING_PERIOD) == (0.2, 3)
 
     @pytest.mark.parametrize(
@@ -508,9 +503,6 @@ class TestSwarmConfig:
         [
             dict(population=0),
             dict(max_iter=0),
-            dict(ce_alpha=np.inf),
-            dict(ce_alpha=0.0),
-            dict(ce_alpha=-1.0),
             dict(seed=-1),
         ],
     )
@@ -551,7 +543,7 @@ def _ref_run(fitness, space, config, callback, breed, pso):
     g = int(np.argmin(pbest_f))
     history = []
     for t in range(1, config.max_iter + 1):
-        alpha = ce_coefficient(t, config.max_iter, config.ce_alpha)
+        alpha = ce_coefficient(t, config.max_iter)
         mbest = compute_mbest(pbest)
         if breed and t % swarm.BREEDING_PERIOD == 0:
             bred = transposon_operator(np.vstack([pbest, pbest[g][None, :]]), space, rng)
@@ -628,11 +620,9 @@ def _recorded(optimize, fitness, space, config, **ref):
         (sphere, dict(population=7, max_iter=12)),
         (_rastrigin, dict(population=5, max_iter=9, JUMPING_RATE=1.0, BREEDING_PERIOD=1)),
         (_rastrigin, dict(population=1, max_iter=8, JUMPING_RATE=1.0, BREEDING_PERIOD=2)),
-        (_rastrigin, dict(population=6, max_iter=10, ce_alpha=0.7,
-                          JUMPING_RATE=0.6, BREEDING_PERIOD=2)),
         (_nan_right_half, dict(population=8, max_iter=10, JUMPING_RATE=0.5, BREEDING_PERIOD=3)),
     ],
-    ids=["sphere", "breed-every-iteration", "one-particle", "fixed-ce", "nan"],
+    ids=["sphere", "breed-every-iteration", "one-particle", "nan"],
 )
 @pytest.mark.parametrize("seed", [0, 17, 123])
 def test_batched_loop_matches_per_particle_reference(optimize, fitness, kwargs, seed,
