@@ -503,6 +503,9 @@ class TestSwarmConfig:
         [
             dict(population=0),
             dict(max_iter=0),
+            dict(population=-1),
+            dict(max_iter=-1),
+            dict(population=0, seed=-1),
             dict(seed=-1),
         ],
     )
