@@ -39,7 +39,7 @@ from .swarm import (
     transposon_operator,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
-from .data_io import DataError, load_csv, load_model, save_model, write_series_csv
+from .data_io import DataError, ModelMeta, load_csv, load_model, save_model, write_series_csv
 from .experiment import ExperimentConfig, ExperimentReport, run_experiment, write_report
 
 __version__ = "0.1.0"

@@ -11,29 +11,27 @@ search box is fixed (metrics.HYPERPARAM_SPACE). A JSON config file
 (--config) may supply any experiment field, so one file serves every
 command; explicit flags take precedence over it. Every config value is
 checked against the type its dataclass field declares: a string, a number,
-a list of any length (strategies), a nested object (synthetic, split,
-swarm), null where the field allows it. A value that does not fit is a
-usage error naming its key. predict and evaluate read a model's sidecar
-(<model>.meta.json) by the same rule, against the fields of
-experiment.ModelMeta, whose split is a list of a fixed length: a missing
-sidecar is a data error naming its path, and an unknown or missing key or a
-value that does not fit is one naming the file and the key.
+a list (strategies), a nested object (synthetic, split, swarm), null where
+the field allows it. A value that does not fit is a usage error naming its
+key. predict and evaluate read a model with its sidecar (<model>.meta.json)
+through data_io.load_model, by the same rule against the fields of
+data_io.ModelMeta: a missing sidecar is a data error naming its path, and
+an unknown or missing key, a value that does not fit or a lag count other
+than the model's is one naming the file and the key.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import functools
-import json
 import os
 import sys
-import typing
 
 from . import lssvm
 from .data_io import (
     DataError,
+    _dataclass_from_dict,
+    _read_json_object,
     atomic_write_text,
     load_csv,
     load_model,
@@ -44,7 +42,6 @@ from .data_io import (
 from .experiment import (
     OPTIMIZERS,
     ExperimentConfig,
-    ModelMeta,
     PERSISTENCE,
     prepare_data,
     run_experiment,
@@ -74,49 +71,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-# What a config field of each scalar type takes: (the JSON types, in words).
-# A JSON true or false is a Python bool, an int, and is refused.
-_SCALARS = {int: (int, "an integer"), float: ((int, float), "a real number"), str: (str, "a string")}
-_field_types = functools.cache(typing.get_type_hints)
-
-
-def _read(tp, value, what: str, or_null: str = ""):
-    """``value`` read from JSON as the declared type ``tp``: a settings
-    dataclass from an object, ``tuple[X, X]`` or ``tuple[X, ...]`` from a list
-    (of that length), ``X | None`` also from null, a scalar as it is. Raises
-    ValueError naming ``what`` when the value does not fit."""
-    args = typing.get_args(tp)
-    if typing.get_origin(tp) is tuple:
-        wanted = "a list" if args[-1] is Ellipsis else f"a list of {len(args)} values"
-        if isinstance(value, list) and (args[-1] is Ellipsis or len(value) == len(args)):
-            return tuple(_read(args[0], v, f"{what} item {i}") for i, v in enumerate(value))
-    elif args:  # X | None, X first
-        return None if value is None else _read(args[0], value, what, " or null")
-    elif dataclasses.is_dataclass(tp):
-        if isinstance(value, dict):
-            return _dataclass_from_dict(tp, value, tp.__name__)
-        wanted = f"a {tp.__name__} object"
-    else:
-        kinds, wanted = _SCALARS[tp]
-        if isinstance(value, kinds) and not isinstance(value, bool):
-            return value
-    raise ValueError(f"{what} must be {wanted}{or_null}, got {value!r}")
-
-
-def _dataclass_from_dict(cls, d: dict, label: str):
-    """``cls`` from the JSON object ``d``, each value read as its field's
-    declared type; an unknown or missing key or a value that does not fit is
-    a ValueError naming the key and ``label``."""
-    types = _field_types(cls)
-    unknown = sorted(set(d) - set(types))
-    if unknown:
-        raise ValueError(f"unknown {label} keys: {unknown}")
-    for f in dataclasses.fields(cls):
-        if f.name not in d and f.default is dataclasses.MISSING is f.default_factory:
-            raise ValueError(f"{label} has no {f.name!r}")
-    return cls(**{k: _read(types[k], v, f"{label} key {k!r}") for k, v in d.items()})
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
@@ -170,22 +124,6 @@ def _add_experiment_args(p, flags, defaults: dict | None = None):
         p.add_argument(flag, dest=_dest(flag), type=kind, help=help_text)
 
 
-def _read_json_object(path: str, label: str) -> dict:
-    """The JSON object in the file ``path``. Raises ValueError, naming the
-    file, if it is not UTF-8 text, not JSON, or not a JSON object (the
-    ``label`` file's root)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: {label} root must be a JSON object")
-    return raw
-
-
 def _write_flag(raw: dict, path: tuple, value):
     # Settings that are not an object stay as they are, so that the config
     # reader names their key.
@@ -227,9 +165,9 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
 @contextlib.contextmanager
 def _naming(path: str | None):
     """Re-raise a ValueError about what was read from ``path`` (a series
-    being cleaned, lagged or split, a sidecar's values) as a DataError that
-    names the file. A DataError, which names its file already, and an error
-    about a synthetic series (``path`` None) pass as they are."""
+    being cleaned, lagged or split) as a DataError that names the file. A
+    DataError, which names its file already, and an error about a synthetic
+    series (``path`` None) pass as they are."""
     try:
         yield
     except DataError:
@@ -328,17 +266,7 @@ def cmd_train(args):
 
 def _model_and_dataset(args):
     """The saved model, its sidecar, and the input series lagged to its lags."""
-    model = load_model(args.model)
-    meta_path = args.model + ".meta.json"
-    # A missing file is an OSError and the reader's ValueError names the
-    # file; either reaches main as a data error.
-    raw = _read_json_object(meta_path, "sidecar")
-    with _naming(meta_path):
-        meta = _dataclass_from_dict(ModelMeta, raw, "sidecar")
-    if len(meta.lags) != model.support_inputs.shape[1]:
-        raise DataError(
-            f"model expects {model.support_inputs.shape[1]} features but metadata lists {len(meta.lags)} lags"
-        )
+    model, meta = load_model(args.model)
     series = load_csv(args.input)
     if meta.cadence_minutes != series.cadence_minutes:
         raise DataError(f"{args.input}: {series.cadence_minutes}-minute cadence, "

@@ -15,29 +15,32 @@ Model files are little-endian binary: magic ``LSVM``, format version (u32),
 support row/column counts (u64 each), gamma and sigma2 (f64), the support
 matrix row-major (f64), the dual coefficients (f64) and the bias (f64).
 
-Every model file has a sidecar, ``<model>.meta.json``, written with it by
-``save_model``; it tells ``predict`` and ``evaluate`` how to rebuild the
-model's input rows from a series, and they read a model only with it. It is
-an ``experiment.ModelMeta``, which defines its keys, written as a JSON object
-with sorted keys. The CLI reads it back like a config file: each value is
-checked against the type ``ModelMeta`` declares for its key, then by
-``ModelMeta``'s own checks; an unknown or missing key is refused.
+Every model file has a sidecar, ``<model>.meta.json``, a ``ModelMeta``
+written with it by ``save_model`` as a JSON object with sorted keys; it
+tells ``predict`` and ``evaluate`` how to rebuild the model's input rows
+from a series. ``load_model`` reads a model only with its sidecar, by the
+rule the CLI reads a config file by: each value is checked against the type
+``ModelMeta`` declares for its key, then by ``ModelMeta``'s own checks. An
+unknown or missing key, a value that does not fit and a lag count other
+than the model's column count each raise a DataError naming the sidecar.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import struct
+import typing
 import warnings
 from datetime import datetime
 
 import numpy as np
 
 from .lssvm import Hyperparams, LssvmModel
-from .pipeline import TimeSeries
+from .pipeline import SplitSpec, TimeSeries, check_z_threshold
 
 MODEL_MAGIC = b"LSVM"
 MODEL_VERSION = 1
@@ -208,9 +211,104 @@ def write_forecast_csv(path: str, actual: np.ndarray, forecast: np.ndarray):
     atomic_write_text(path, "\n".join(["index,actual,forecast,abs_error", *rows]) + "\n")
 
 
-def save_model(model: LssvmModel, path: str, meta):
+# What a field of each scalar type takes: (the JSON types, in words). A
+# JSON true or false is a Python bool, an int, and is refused.
+_SCALARS = {int: (int, "an integer"), float: ((int, float), "a real number"), str: (str, "a string")}
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def _read(tp, value, what: str, or_null: str = ""):
+    """``value`` read from JSON as the declared type ``tp``: a settings
+    dataclass from an object, ``tuple[X, ...]`` from a list, ``X | None``
+    also from null, a scalar as it is. Raises ValueError naming ``what``
+    when the value does not fit."""
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        wanted = "a list"
+        if isinstance(value, list):
+            return tuple(_read(args[0], v, f"{what} item {i}") for i, v in enumerate(value))
+    elif args:  # X | None, X first
+        return None if value is None else _read(args[0], value, what, " or null")
+    elif dataclasses.is_dataclass(tp):
+        if isinstance(value, dict):
+            return _dataclass_from_dict(tp, value, tp.__name__)
+        wanted = f"a {tp.__name__} object"
+    else:
+        kinds, wanted = _SCALARS[tp]
+        if isinstance(value, kinds) and not isinstance(value, bool):
+            return value
+    raise ValueError(f"{what} must be {wanted}{or_null}, got {value!r}")
+
+
+def _dataclass_from_dict(cls, d: dict, label: str):
+    """``cls`` from the JSON object ``d``, each value read as its field's
+    declared type; an unknown or missing key or a value that does not fit is
+    a ValueError naming the key and ``label``."""
+    types = _field_types(cls)
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {label} keys: {unknown}")
+    for f in dataclasses.fields(cls):
+        if f.name not in d and f.default is dataclasses.MISSING is f.default_factory:
+            raise ValueError(f"{label} has no {f.name!r}")
+    return cls(**{k: _read(types[k], v, f"{label} key {k!r}") for k, v in d.items()})
+
+
+def _read_json_object(path: str, label: str) -> dict:
+    """The JSON object in the file ``path``. Raises DataError, naming the
+    file, if it is not UTF-8 text, not JSON, or not a JSON object (the
+    ``label`` file's root)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: {label} root must be a JSON object")
+    return raw
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelMeta:
+    """A model's sidecar, ``<model>.meta.json``: what ``predict`` and
+    ``evaluate`` need to rebuild its input rows from a series. ``lags`` are
+    the selected lags in feature order, ``n_lags`` the lag window,
+    ``cadence_minutes`` the training series' cadence, ``z_threshold`` the
+    outlier gate of ``clean`` and ``split`` the train, validation and test
+    fractions."""
+
+    format: int
+    lags: tuple[int, ...]
+    n_lags: int
+    cadence_minutes: int
+    z_threshold: float
+    split: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.format != 1:
+            raise ValueError(f"sidecar 'format' must be 1, got {self.format!r}")
+        if not self.lags or len(set(self.lags)) != len(self.lags) or min(self.lags) < 1:
+            raise ValueError(f"sidecar 'lags' must be distinct positive integers, got {list(self.lags)}")
+        if max(self.lags) > self.n_lags:
+            raise ValueError(f"sidecar 'lags' reach lag {max(self.lags)}, "
+                             f"past its 'n_lags' of {self.n_lags}")
+        if self.cadence_minutes < 1:
+            raise ValueError("sidecar 'cadence_minutes' must be a positive integer, "
+                             f"got {self.cadence_minutes!r}")
+        check_z_threshold(self.z_threshold, "sidecar 'z_threshold'")
+        if len(self.split) != 3:
+            raise ValueError(f"sidecar 'split' must hold 3 fractions, got {list(self.split)}")
+        try:
+            SplitSpec(*self.split)
+        except ValueError as exc:
+            raise ValueError(f"sidecar 'split': {exc}") from None
+
+
+def save_model(model: LssvmModel, path: str, meta: ModelMeta):
     """Write the versioned binary model file (atomic: temp file then rename)
-    and ``meta``, an ``experiment.ModelMeta``, as its ``.meta.json`` sidecar.
+    and ``meta`` as its ``.meta.json`` sidecar.
     If the sidecar write fails, the model file is removed too, so it cannot
     be read beside an older sidecar."""
     X = np.ascontiguousarray(model.support_inputs, dtype="<f8")
@@ -229,8 +327,11 @@ def save_model(model: LssvmModel, path: str, meta):
         raise
 
 
-def load_model(path: str) -> LssvmModel:
-    """Read a model file; corrupt or future-versioned files raise DataError."""
+def load_model(path: str) -> tuple[LssvmModel, ModelMeta]:
+    """Read a model file and its sidecar. A corrupt or future-versioned
+    model file, then a malformed sidecar or one whose lag count differs from
+    the model's column count, raises DataError; a missing sidecar is an
+    OSError naming its path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != MODEL_MAGIC:
@@ -249,6 +350,15 @@ def load_model(path: str) -> LssvmModel:
     a = np.frombuffer(body[8 * n * m : 8 * n * (m + 1)], dtype="<f8")
     (bias,) = struct.unpack("<d", body[8 * n * (m + 1) :])
     try:
-        return LssvmModel(X, a, bias, Hyperparams(gamma, sigma2))
+        model = LssvmModel(X, a, bias, Hyperparams(gamma, sigma2))
     except ValueError as exc:
         raise DataError(f"{path}: corrupt model file: {exc}") from None
+    meta_path = path + ".meta.json"
+    raw = _read_json_object(meta_path, "sidecar")
+    try:
+        meta = _dataclass_from_dict(ModelMeta, raw, "sidecar")
+    except ValueError as exc:
+        raise DataError(f"{meta_path}: {exc}") from None
+    if len(meta.lags) != m:
+        raise DataError(f"{meta_path}: model expects {m} features but metadata lists {len(meta.lags)} lags")
+    return model, meta

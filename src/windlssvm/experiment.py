@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lssvm
-from .data_io import atomic_write_text, save_model, write_forecast_csv
+from .data_io import ModelMeta, atomic_write_text, save_model, write_forecast_csv
 from .metrics import HYPERPARAM_SPACE, LssvmFitness, MetricReport, format_mape, metric_report
 from .pipeline import (
     LaggedDataset,
@@ -153,42 +153,6 @@ def load_series(config: ExperimentConfig) -> TimeSeries:
 
         return load_csv(config.input_csv)
     return generate_synthetic(config.synthetic)
-
-
-@dataclass(frozen=True)
-class ModelMeta:
-    """A model's sidecar, ``<model>.meta.json``: what ``predict`` and
-    ``evaluate`` need to rebuild its input rows from a series. ``lags`` are
-    the selected lags in feature order, ``n_lags`` the lag window,
-    ``cadence_minutes`` the training series' cadence, ``z_threshold`` the
-    outlier gate of ``clean`` and ``split`` the train, validation and test
-    fractions."""
-
-    format: int
-    lags: tuple[int, ...]
-    n_lags: int
-    cadence_minutes: int
-    z_threshold: float
-    split: tuple[float, float, float]
-
-    def __post_init__(self):
-        if self.format != 1:
-            raise ValueError(f"sidecar 'format' must be 1, got {self.format!r}")
-        if not self.lags or len(set(self.lags)) != len(self.lags) or min(self.lags) < 1:
-            raise ValueError(f"sidecar 'lags' must be distinct positive integers, got {list(self.lags)}")
-        if max(self.lags) > self.n_lags:
-            raise ValueError(f"sidecar 'lags' reach lag {max(self.lags)}, "
-                             f"past its 'n_lags' of {self.n_lags}")
-        if self.cadence_minutes < 1:
-            raise ValueError("sidecar 'cadence_minutes' must be a positive integer, "
-                             f"got {self.cadence_minutes!r}")
-        check_z_threshold(self.z_threshold, "sidecar 'z_threshold'")
-        if len(self.split) != 3:
-            raise ValueError(f"sidecar 'split' must hold 3 fractions, got {list(self.split)}")
-        try:
-            SplitSpec(*self.split)
-        except ValueError as exc:
-            raise ValueError(f"sidecar 'split': {exc}") from None
 
 
 @dataclass

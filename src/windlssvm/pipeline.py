@@ -126,7 +126,7 @@ def clean(series: TimeSeries, z_threshold: float = 4.0) -> tuple[TimeSeries, int
     Returns the cleaned series and the number of replaced samples.
     """
     check_z_threshold(z_threshold)
-    values = series.values.astype(float).copy()
+    values = series.values.astype(float)
     missing = series.missing_mask
     if missing.all():
         raise ValueError("every sample is missing; nothing to clean against")
@@ -320,7 +320,7 @@ def take_lags(ds: LaggedDataset, lags) -> LaggedDataset:
         cols = [positions[int(lag)] for lag in lags]
     except KeyError as exc:
         raise ValueError(f"lag {exc.args[0]} not present in dataset") from None
-    return LaggedDataset(ds.features[:, cols].copy(), ds.targets.copy(), tuple(int(k) for k in lags))
+    return LaggedDataset(ds.features[:, cols], ds.targets.copy(), tuple(int(k) for k in lags))
 
 
 def top_lags(ranked: list[tuple[int, float]], fraction: float) -> tuple[int, ...]:

@@ -566,8 +566,8 @@ class TestTrainPredictEvaluate:
         ("lags", [1, 1], "sidecar 'lags' must be distinct positive integers"),
         ("n_lags", "8", "sidecar key 'n_lags' must be an integer, got '8'"),
         ("z_threshold", None, "sidecar key 'z_threshold' must be a real number, got None"),
-        ("split", 7, "sidecar key 'split' must be a list of 3 values, got 7"),
-        ("split", [0.6, 0.2], "sidecar key 'split' must be a list of 3 values, got [0.6, 0.2]"),
+        ("split", 7, "sidecar key 'split' must be a list, got 7"),
+        ("split", [0.6, 0.2], "sidecar 'split' must hold 3 fractions, got [0.6, 0.2]"),
         ("lags", [1, 9], "sidecar 'lags' reach lag 9, past its 'n_lags' of 8"),
         ("split", [0.5, 0.5, 0.5], "sidecar 'split': split fractions must sum to 1, got 1.5"),
         ("split", [0.8, 0.4, -0.2], "sidecar 'split': all split fractions must be positive"),
@@ -581,12 +581,14 @@ class TestTrainPredictEvaluate:
         ("z_threshold", _DROP, "sidecar has no 'z_threshold'"),
         ("split", _DROP, "sidecar has no 'split'"),
         ("cadence_minutes", None, "sidecar key 'cadence_minutes' must be an integer, got None"),
-        # A list of a fixed length is read item by item; the first bad one is named.
+        # A list is read item by item; the first bad one is named.
         ("split", ["0.6", "abc", 0.2],
          "sidecar key 'split' item 0 must be a real number, got '0.6'"),
         ("split", ["0.6", 0.2, 0.2], "sidecar key 'split' item 0 must be a real number, got '0.6'"),
         ("split", [0.6, 0.2, False],
          "sidecar key 'split' item 2 must be a real number, got False"),
+        # The model reads 2 lags.
+        ("lags", [1, 2, 3], "model expects 2 features but metadata lists 3 lags"),
     ])
     def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
                                           complaint):

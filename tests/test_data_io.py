@@ -9,12 +9,12 @@ from windlssvm.data_io import (
     DataError,
     MODEL_MAGIC,
     MODEL_VERSION,
+    ModelMeta,
     load_csv,
     load_model,
     save_model,
     write_series_csv,
 )
-from windlssvm.experiment import ModelMeta
 from windlssvm.lssvm import Hyperparams, predict, train
 from windlssvm.pipeline import TimeSeries
 
@@ -337,7 +337,7 @@ class TestModelPersistence:
         model = self._model()
         path = str(tmp_path / "model.bin")
         save_model(model, path, self._META)
-        loaded = load_model(path)
+        loaded, _ = load_model(path)
         rng = np.random.default_rng(1)
         Xq = rng.uniform(-2, 2, (20, 3))
         assert np.array_equal(predict(loaded, Xq), predict(model, Xq))
@@ -354,6 +354,38 @@ class TestModelPersistence:
             '"split": [0.5, 0.25, 0.25], "z_threshold": 3.5}\n'
         )
 
+    def test_sidecar_read_back(self, tmp_path):
+        path = str(tmp_path / "model.bin")
+        meta = ModelMeta(1, (2, 1, 5), 8, 10, 3.5, (0.5, 0.25, 0.25))
+        save_model(self._model(), path, meta)
+        assert load_model(path)[1] == meta
+
+    def test_missing_sidecar(self, tmp_path):
+        path = str(tmp_path / "model.bin")
+        save_model(self._model(), path, self._META)
+        Path(path + ".meta.json").unlink()
+        with pytest.raises(OSError) as info:
+            load_model(path)
+        assert info.value.filename == path + ".meta.json"
+        assert f"{path}.meta.json" in str(info.value)
+
+    @pytest.mark.parametrize("text, complaint", [
+        ('{"format": 1', "invalid JSON"),
+        ('{"format": 1, "lags": [1, 2], "n_lags": 3, "cadence_minutes": 20, "z_threshold": 4.0, '
+         '"split": [0.6, 0.2, 0.2]}', "model expects 3 features but metadata lists 2 lags"),
+        ('{"format": 1, "lags": [1, 2, 3], "n_lags": 3, "cadence_minutes": 20, "z_threshold": 4.0, '
+         '"split": [0.6, 0.4]}', "sidecar 'split' must hold 3 fractions, got [0.6, 0.4]"),
+    ])
+    def test_malformed_sidecar(self, tmp_path, text, complaint):
+        # The CLI's malformed-sidecar rows cover each key; here the library
+        # raises DataError, naming the sidecar, for each kind of fault.
+        path = str(tmp_path / "model.bin")
+        save_model(self._model(), path, self._META)
+        Path(path + ".meta.json").write_text(text)
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}.meta.json: {complaint}")
+
     def test_truncated_file(self, tmp_path):
         model = self._model()
         path = str(tmp_path / "model.bin")
@@ -365,6 +397,7 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("n, m", [(0, 10), (3, 0)])
     def test_empty_model_refused(self, tmp_path, n, m):
+        # No sidecar is written: the binary is refused before it is read.
         path = tmp_path / "model.bin"
         path.write_bytes(MODEL_MAGIC + struct.pack("<IQQdd", MODEL_VERSION, n, m, 1.0, 1.0)
                          + struct.pack(f"<{n * m + n + 1}d", *[0.5] * (n * m + n + 1)))

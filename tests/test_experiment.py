@@ -225,7 +225,7 @@ class TestRunExperiment:
 
         cfg = tiny_config(trials=1)
         write_report(run_experiment(cfg, log=silent), str(tmp_path / "run"))
-        model = load_model(str(tmp_path / "run" / "model_qpso_0"))
+        model, _ = load_model(str(tmp_path / "run" / "model_qpso_0"))
         test = prepare_data(cfg).test
         direct = tmp_path / "direct.csv"
         write_forecast_csv(str(direct), test.targets, lssvm.predict(model, test.features))
@@ -238,10 +238,11 @@ class TestRunExperiment:
         cfg = tiny_config(trials=1)
         rep = run_experiment(cfg, log=silent)
         write_report(rep, str(tmp_path))
-        model = load_model(str(tmp_path / "model_qpso_0"))
+        model, meta = load_model(str(tmp_path / "model_qpso_0"))
         t = [t for t in rep.trials if t.strategy == "qpso"][0]
         assert model.hyperparams.gamma == t.gamma
         assert model.hyperparams.sigma2 == t.sigma2
+        assert meta == rep.model_meta
 
     def test_failed_strategy_recorded_and_isolated(self, monkeypatch):
         # every solve in the box fails: the trial is recorded as an error,
