@@ -30,7 +30,7 @@ from .pipeline import (
     make_lagged_dataset,
     mi_ranking,
     split,
-    take_lags,
+    take_lags,  # noqa: F401 -- not called here; perfbench's traced runs patch it
     top_lags,
 )
 from .swarm import SwarmConfig, optimize_ebqpso, optimize_pso, optimize_qpso
@@ -173,15 +173,15 @@ class PreparedData:
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """clean -> lag -> MI selection fitted on the train block -> split. The
-    only place that decides which lags a model reads."""
+    """clean -> MI ranking of every lag on the train block -> lag the
+    selected lags only -> split. The only place that decides which lags a
+    model reads."""
     series = load_series(config)
     cleaned, n_replaced = clean(series, config.z_threshold)
-    ds = make_lagged_dataset(cleaned, config.n_lags)
-    ranking = mi_ranking(split(ds, config.split)[0])
+    ranking = mi_ranking(cleaned, config.n_lags, config.split)
     selected = top_lags(ranking, config.select_fraction)
 
-    train, val, test = split(take_lags(ds, selected), config.split)
+    train, val, test = split(make_lagged_dataset(cleaned, config.n_lags, selected), config.split)
     # Naive one-step persistence: each test target's previous value.
     persistence_pred = np.concatenate((val.targets[-1:], test.targets[:-1]))
     meta = ModelMeta(1, selected, config.n_lags, cleaned.cadence_minutes, config.z_threshold,

@@ -2,18 +2,24 @@
 
 A sample is missing when ``TimeSeries.missing_mask`` says so, and the mask
 holds every non-finite value: ``clean`` fills exactly those samples,
-``make_lagged_dataset`` refuses a series that has any, and
-``data_io.write_series_csv`` writes them as blank fields.
+``make_lagged_dataset`` and ``mi_ranking`` refuse a series that has any,
+and ``data_io.write_series_csv`` writes them as blank fields.
 
 Mutual information is a plug-in estimate over an equal-width bins x bins
 histogram. Each variable is binned by numpy's 2-D histogram rule, without
 calling it: edges ``np.linspace(min, max, bins + 1)``, a constant variable
 widened by 0.5 each way, a value in the bin whose left edge is the last
 edge at or below it (``searchsorted`` side "right"), and a value on the top
-edge in the last bin. ``mi_ranking`` bins the targets once and the lag
-columns ``_MI_BLOCK`` (8) at a time, and counts a block's joint histograms
-with one ``np.bincount``, so no temporary of a 2575-row block exceeds
-165 KB.
+edge in the last bin. ``mi_ranking`` ranks the lags straight from the
+series, without building a lag matrix: lag k's column is a window of the
+series, windows with one (min, max) range share their edges, so the span
+that the windows cover is binned once per distinct range and each lag's
+bins are a slice of it. A block's joint histograms, ``_MI_BLOCK`` (8) lags
+at a time, are counted with one ``np.bincount``, so no temporary of a
+2575-row block exceeds 165 KB.
+
+Every count that a fraction sets, the split's blocks and the lags kept,
+takes one rounding rule (``_count``).
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from fractions import Fraction
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -176,8 +183,9 @@ def _flag_invalid(v: np.ndarray, z: float) -> np.ndarray:
     return flags
 
 
-def make_lagged_dataset(series: TimeSeries, n_lags: int) -> LaggedDataset:
-    """Build rows of the n_lags most recent values (lag 1 first) per target."""
+def _lagging_values(series: TimeSeries, n_lags: int) -> np.ndarray:
+    """The values of a series that n_lags lags can be read from: one with no
+    missing sample and more than n_lags of them. Raises ValueError."""
     if n_lags < 1:
         raise ValueError("n_lags must be positive")
     if series.missing_mask.any():
@@ -185,11 +193,22 @@ def make_lagged_dataset(series: TimeSeries, n_lags: int) -> LaggedDataset:
     v = series.values
     if v.size <= n_lags:
         raise ValueError(f"series length {v.size} must exceed n_lags {n_lags}")
-    r = v.size - n_lags
-    windows = sliding_window_view(v, n_lags)[:r]
-    features = windows[:, ::-1].copy()
-    targets = v[n_lags:].copy()
-    return LaggedDataset(features, targets, tuple(range(1, n_lags + 1)))
+    return v
+
+
+def make_lagged_dataset(series: TimeSeries, n_lags: int, lags=None) -> LaggedDataset:
+    """One row per target, the series' samples from index n_lags on, holding
+    the values ``lags`` steps before it (default 1..n_lags, lag 1 first). Only
+    the given lags are built; each must lie in 1..n_lags."""
+    v = _lagging_values(series, n_lags)
+    lags = tuple(range(1, n_lags + 1)) if lags is None else tuple(int(k) for k in lags)
+    for k in lags:
+        if not 1 <= k <= n_lags:
+            raise ValueError(f"lag {k} lies outside 1..{n_lags}")
+    # Row i of the windows is v[i : i + n_lags], so lag k is column n_lags - k.
+    windows = sliding_window_view(v, n_lags)[: v.size - n_lags]
+    features = windows[:, n_lags - np.array(lags, dtype=np.intp)]
+    return LaggedDataset(features, v[n_lags:].copy(), lags)
 
 
 def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:
@@ -223,31 +242,57 @@ def mutual_information(feature: np.ndarray, target: np.ndarray, bins: int = 16) 
     target = np.asarray(target, dtype=float).ravel()
     if feature.size != target.size:
         raise ValueError(f"length mismatch: {feature.size} vs {target.size}")
-    (mi,) = _mi_rows(feature[None, :], *_target_bins(target, bins), bins)
+    y_bin, h_y = _target_bins(target, bins)
+    (x_bin,) = _bin_rows(feature[None, :], bins)
+    (mi,) = _mi_rows((x_bin * bins + y_bin)[None, :], h_y, bins)
     return mi
 
 
-# Lag columns binned together by mi_ranking. Whole-matrix temporaries (2 MB
-# at 2575 x 100) cost more time and leave glibc's heap grown.
+# Lags whose joint histograms mi_ranking counts together. Whole-matrix
+# temporaries (2 MB at 2575 x 100) cost more time and leave glibc's heap
+# grown.
 _MI_BLOCK = 8
 
 
-def mi_ranking(ds: LaggedDataset, bins: int = 16) -> list[tuple[int, float]]:
-    """(lag, MI against targets) pairs, sorted by descending MI then smaller lag.
+def mi_ranking(series: TimeSeries, n_lags: int, spec: SplitSpec,
+               bins: int = 16) -> list[tuple[int, float]]:
+    """(lag, MI against targets) pairs for lags 1..n_lags on the train block
+    of ``split(make_lagged_dataset(series, n_lags), spec)``, sorted by
+    descending MI then smaller lag. Raises ValueError where those two
+    would, on fewer than 2 * bins train rows, and on a range too wide to
+    bin.
 
-    Each MI equals ``mutual_information(ds.features[:, j], ds.targets, bins)``
-    bit for bit: the same bins (numpy's 2-D histogram rule: edges
-    ``np.linspace(min, max, bins + 1)``, a constant column widened by 0.5
-    each way, a value on the top edge in the last bin) and the same
-    sorted-probability entropy sums. The targets are binned and H(Y) summed
-    once; the lag columns are binned ``_MI_BLOCK`` (8) at a time, and one
-    ``np.bincount`` counts a block's joint histograms.
+    Read from the series itself: with n_train train rows, the targets are
+    v[n_lags : n_lags + n_train] and lag k's column is the window
+    v[n_lags - k : n_lags - k + n_train]. Each MI equals
+    ``mutual_information(window, targets, bins)`` bit for bit: the bins
+    depend only on the window's (min, max), so the span v[0 : n_lags - 1 +
+    n_train] is binned once for each distinct range and every lag's bins are
+    a slice of its range's binned span (one range on both synthetic
+    profiles; a trend, whose every window has its own, holds n_lags binned
+    spans). The targets are binned and H(Y)
+    summed once; one ``np.bincount`` counts ``_MI_BLOCK`` (8) lags' joint
+    histograms.
     """
-    target_bins = _target_bins(ds.targets, bins)
+    v = _lagging_values(series, n_lags)
+    n_train = _block_bounds(v.size - n_lags, spec)[1]
+    y_bin, h_y = _target_bins(v[n_lags:n_lags + n_train], bins)
+    span = v[:n_lags - 1 + n_train]
+    # Row k - 1 is lag k's window.
+    windows = sliding_window_view(span, n_train)[::-1]
+    lag_ranges = list(zip(windows.min(axis=1).tolist(), windows.max(axis=1).tolist()))
+    ranges = list(dict.fromkeys(lag_ranges))
+    lo, hi = np.array(ranges).T
+    # Each span sample's bin x, times bins, by range.
+    scaled = dict(zip(ranges, (np.searchsorted(inner, span, side="right") * bins
+                               for inner in _inner_edges(lo, hi, bins))))
+    offsets = y_bin + (np.arange(_MI_BLOCK) * bins * bins)[:, None]
     scores = []
-    for j0 in range(0, ds.n_features, _MI_BLOCK):
-        rows = np.ascontiguousarray(ds.features[:, j0:j0 + _MI_BLOCK].T)
-        scores += zip(ds.lag_indices[j0:j0 + _MI_BLOCK], _mi_rows(rows, *target_bins, bins))
+    for k0 in range(1, n_lags + 1, _MI_BLOCK):
+        lags = range(k0, min(k0 + _MI_BLOCK, n_lags + 1))
+        cells = np.stack([scaled[lag_ranges[k - 1]][n_lags - k:n_lags - k + n_train] for k in lags])
+        cells += offsets[:len(lags)]
+        scores += zip(lags, _mi_rows(cells, h_y, bins))
     return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
 
 
@@ -262,14 +307,11 @@ def _target_bins(target: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
     return y_bin, h_y
 
 
-def _mi_rows(rows: np.ndarray, y_bin: np.ndarray, h_y: float, bins: int) -> list[float]:
-    """The MI of each row of ``rows`` against the target of ``_target_bins``."""
-    width, n = rows.shape
-    # Cell (x, y) of row k is entry (k * bins + x) * bins + y of one histogram.
-    cells = _bin_rows(rows, bins)
-    cells += (np.arange(width) * bins)[:, None]
-    cells *= bins
-    cells += y_bin
+def _mi_rows(cells: np.ndarray, h_y: float, bins: int) -> list[float]:
+    """The MI of each row of ``cells`` against the target of
+    ``_target_bins``. Entry i of row k is the cell (k * bins + x) * bins + y
+    of sample i, x its bin in the row's variable and y the target's."""
+    width, n = cells.shape
     joint = np.bincount(cells.ravel(), minlength=width * bins * bins).reshape(width, bins * bins)
     h_x = _entropies(joint.reshape(width, bins, bins).sum(axis=2), n)
     h_xy = _entropies(joint, n)
@@ -278,29 +320,32 @@ def _mi_rows(rows: np.ndarray, y_bin: np.ndarray, h_y: float, bins: int) -> list
 
 def _bin_rows(rows: np.ndarray, bins: int) -> np.ndarray:
     """The equal-width bin, 0..bins-1, of each entry of each row of ``rows``,
-    by numpy's 2-D histogram rule: the edges are ``np.linspace(min, max,
-    bins + 1)`` of the row (a constant row widened by 0.5 each way), a value
-    falls in the bin whose left edge is the last edge at or below it
+    by numpy's 2-D histogram rule on the row's (min, max) (``_inner_edges``):
+    a value falls in the bin whose left edge is the last edge at or below it
     (``searchsorted`` side "right"), and a value on the top edge in the last
-    bin. Raises ValueError, as numpy's histogram does, on a non-finite value
-    or on a range too wide to subtract.
+    bin.
     """
-    lo = rows.min(axis=1)
-    hi = rows.max(axis=1)
+    # Every value lies within the outer edges, so its bin is the number of
+    # inner edges at or below it: numpy's searchsorted index less one,
+    # and the top-edge values already in the last bin.
+    out = np.empty(rows.shape, dtype=np.intp)
+    for i, inner in enumerate(_inner_edges(rows.min(axis=1), rows.max(axis=1), bins)):
+        out[i] = np.searchsorted(inner, rows[i], side="right")
+    return out
+
+
+def _inner_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> list[np.ndarray]:
+    """The bins - 1 inner edges of each range (lo[i], hi[i]) by numpy's 2-D
+    histogram rule: ``np.linspace(lo, hi, bins + 1)``, a constant range
+    widened by 0.5 each way. Raises ValueError, as numpy's histogram does, on
+    a non-finite range or one too wide to subtract."""
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(hi - lo).all():
             raise ValueError("cannot bin values whose range is not finite")
     constant = lo == hi
     lo = np.where(constant, lo - 0.5, lo)
     hi = np.where(constant, hi + 0.5, hi)
-    # Every value lies within the outer edges, so its bin is the number of
-    # inner edges at or below it: numpy's searchsorted index less one,
-    # and the top-edge values already in the last bin.
-    out = np.empty(rows.shape, dtype=np.intp)
-    for i, row in enumerate(rows):
-        inner = np.linspace(lo[i], hi[i], bins + 1)[1:-1]
-        out[i] = np.searchsorted(inner, row, side="right")
-    return out
+    return [np.linspace(a, b, bins + 1)[1:-1] for a, b in zip(lo, hi)]
 
 
 def _entropies(counts: np.ndarray, n: int) -> list[float]:
@@ -324,29 +369,43 @@ def take_lags(ds: LaggedDataset, lags) -> LaggedDataset:
 
 
 def top_lags(ranked: list[tuple[int, float]], fraction: float) -> tuple[int, ...]:
-    """The ceil(fraction * n) best lags of an ``mi_ranking``, best first."""
+    """The ceil(fraction * n) best lags of an ``mi_ranking``, best first,
+    rounded by ``_count``."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    return tuple(lag for lag, _ in ranked[: math.ceil(fraction * len(ranked))])
+    return tuple(lag for lag, _ in ranked[:_count(fraction, len(ranked), up=True)])
 
 
-def split(ds: LaggedDataset, spec: SplitSpec) -> tuple[LaggedDataset, LaggedDataset, LaggedDataset]:
-    """Contiguous chronological split: floor-sized train and validation blocks,
-    remainder to test. No shuffling. Raises ValueError if a block would be
-    empty."""
-    r = ds.n_rows
+def _count(fraction: float, n: int, up: bool = False) -> int:
+    """fraction * n rounded down, or up, in exact arithmetic on the
+    fraction's shortest decimal form (its ``repr``): 0.07 of 100 is 7, where
+    the float product 7.000000000000001 would round up to 8, and 0.7 of 90
+    is 63, where 62.99999999999999 would round down to 62."""
+    exact = Fraction(repr(float(fraction))) * n
+    return math.ceil(exact) if up else math.floor(exact)
+
+
+def _block_bounds(r: int, spec: SplitSpec) -> tuple[int, int, int, int]:
+    """The row bounds (0, train end, validation end, r) of ``split`` of r
+    rows: floor-sized train and validation blocks, by ``_count``, the
+    remainder to test. Raises ValueError if a block would be empty."""
     if r < 5:
         raise ValueError(f"need at least 5 rows to split, got {r}")
-    n_train = int(spec.train_frac * r)
-    n_val = int(spec.val_frac * r)
+    n_train = _count(spec.train_frac, r)
+    bounds = (0, n_train, n_train + _count(spec.val_frac, r), r)
     fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
-    bounds = (0, n_train, n_train + n_val, r)
-    blocks = []
     for name, frac, lo, hi in zip(("train", "validation", "test"), fracs, bounds, bounds[1:]):
         if hi <= lo:
             raise ValueError(f"the {name} block is empty: a fraction of {frac!r} "
                              f"of {r} rows holds no row")
-        blocks.append(
-            LaggedDataset(ds.features[lo:hi].copy(), ds.targets[lo:hi].copy(), ds.lag_indices)
-        )
-    return tuple(blocks)
+    return bounds
+
+
+def split(ds: LaggedDataset, spec: SplitSpec) -> tuple[LaggedDataset, LaggedDataset, LaggedDataset]:
+    """Contiguous chronological split into the blocks of ``_block_bounds``.
+    No shuffling."""
+    bounds = _block_bounds(ds.n_rows, spec)
+    return tuple(
+        LaggedDataset(ds.features[lo:hi].copy(), ds.targets[lo:hi].copy(), ds.lag_indices)
+        for lo, hi in zip(bounds, bounds[1:])
+    )

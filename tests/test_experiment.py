@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +23,18 @@ from windlssvm.experiment import (
     summary_table,
     write_report,
 )
+from windlssvm.data_io import write_series_csv
 from windlssvm.metrics import LssvmFitness, MetricReport
-from windlssvm.pipeline import make_lagged_dataset, split
+from windlssvm.pipeline import (
+    SplitSpec,
+    TimeSeries,
+    make_lagged_dataset,
+    mutual_information,
+    split,
+    take_lags,
+)
 from windlssvm.swarm import SearchSpace, SwarmConfig
-from windlssvm.synthetic import SyntheticSpec
+from windlssvm.synthetic import SyntheticSpec, generate_synthetic
 
 
 def tiny_config(**over):
@@ -133,12 +143,85 @@ class TestPrepareData:
         test_full = split(make_lagged_dataset(data.cleaned, 8), tiny_config().split)[2]
         assert data.persistence_pred.tobytes() == test_full.features[:, 0].tobytes()
 
-    def test_selection_fit_on_train_block_only(self):
-        # selection must not depend on val/test rows: truncating the series
-        # to the train portion yields the same ranking
-        cfg = tiny_config()
+    def test_selection_fit_on_train_block_only(self, tmp_path):
+        # 600 samples, 8 lags: 592 rows, of which the first 355 train, so the
+        # ranking reads v[0 : 8 + 355] and no later sample
+        v = generate_synthetic(SyntheticSpec(n=600, seed=3)).values
+        last = 8 + 355 - 1
+
+        def ranking(values):
+            path = str(tmp_path / "s.csv")
+            write_series_csv(TimeSeries(values), path)
+            return prepare_data(tiny_config(synthetic=None, input_csv=path)).ranking
+
+        base = ranking(v)
+        assert base == prepare_data(tiny_config()).ranking
+        later = v.copy()
+        later[last + 1:] = later[last + 1:][::-1] + 1.0
+        assert ranking(later) == base
+        # the last train target does count
+        moved = v.copy()
+        moved[last] = 0.0
+        assert ranking(moved) != base
+
+    def test_select_fraction_counts_exactly(self):
+        # 0.07 * 100 is 7.000000000000001 as a float
+        data = prepare_data(tiny_config(synthetic=SyntheticSpec(n=1000, seed=7),
+                                        n_lags=100, select_fraction=0.07))
+        assert len(data.model_meta.lags) == 7
+
+    @pytest.mark.parametrize("source", ["blanks and spikes", "reduced profile"])
+    def test_equals_the_lag_matrix_pipeline(self, tmp_path, source):
+        if source == "reduced profile":
+            cfg = ExperimentConfig(synthetic=SyntheticSpec(n=1000, seed=7), n_lags=20)
+        else:
+            # 1470 rows, 735 of them train: a calm at sample 3 and a gust on
+            # the last train target's lag-1 sample give the lag windows
+            # three ranges
+            v = generate_synthetic(SyntheticSpec(n=1500, seed=11)).values
+            rng = np.random.default_rng(5)
+            v[rng.random(v.size) < 0.01] = np.nan
+            v[rng.random(v.size) < 0.005] = 40.0
+            v[3], v[30 + 735 - 2] = 1.0, 15.0
+            path = str(tmp_path / "spiky.csv")
+            write_series_csv(TimeSeries(v), path)
+            cfg = ExperimentConfig(input_csv=path, n_lags=30, select_fraction=0.2,
+                                   split=SplitSpec(0.5, 0.25, 0.25))
         data = prepare_data(cfg)
-        assert all(1 <= lag <= 8 for lag in data.model_meta.lags)
+
+        # The chain that built the whole lag matrix: lag every lag, split,
+        # rank each train column, keep the top lags, split again.
+        ds = make_lagged_dataset(data.cleaned, cfg.n_lags)
+        train_all = split(ds, cfg.split)[0]
+        ranking = sorted(((lag, mutual_information(train_all.features[:, j], train_all.targets))
+                          for j, lag in enumerate(ds.lag_indices)),
+                         key=lambda pair: (-pair[1], pair[0]))
+        selected = tuple(lag for lag, _ in ranking[:math.ceil(cfg.select_fraction * cfg.n_lags)])
+        blocks = split(take_lags(ds, selected), cfg.split)
+        if source == "blanks and spikes":
+            assert data.n_replaced > 0 and data.cleaned.values[[3, 763]].tolist() == [1.0, 15.0]
+            ranges = set(zip(train_all.features.min(axis=0), train_all.features.max(axis=0)))
+            assert len(ranges) == 3
+
+        assert data.ranking == ranking
+        assert data.model_meta.lags == selected
+        for got, want in zip((data.train, data.val, data.test), blocks):
+            assert got.lag_indices == want.lag_indices
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.targets.tobytes() == want.targets.tobytes()
+        persistence = np.concatenate((blocks[1].targets[-1:], blocks[2].targets[:-1]))
+        assert data.persistence_pred.tobytes() == persistence.tobytes()
+
+    def test_peak_memory_below_lag_matrix(self):
+        # 19900 rows of 100 lags: the lag matrix alone takes 15.9 MB
+        cfg = ExperimentConfig(synthetic=SyntheticSpec(n=20000, seed=7), n_lags=100)
+        tracemalloc.start()
+        try:
+            prepare_data(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 19900 * 100 * 8 / 2
 
 
 _SPLIT = (0.6, 0.2, 0.2)

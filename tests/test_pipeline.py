@@ -12,6 +12,7 @@ from windlssvm.pipeline import (
     SplitSpec,
     TimeSeries,
     _bin_rows,
+    _count,
     autocorrelation,
     clean,
     make_lagged_dataset,
@@ -47,6 +48,41 @@ def histogram2d_ranking(ds, bins=16):
     scores = [(lag, histogram2d_mi(ds.features[:, j], ds.targets, bins))
               for j, lag in enumerate(ds.lag_indices)]
     return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
+
+
+def per_lag_ranking(ds, bins=16):
+    """The ranking by ``mutual_information`` of each lag column of ``ds``."""
+    scores = [(lag, mutual_information(ds.features[:, j], ds.targets, bins))
+              for j, lag in enumerate(ds.lag_indices)]
+    return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
+
+
+def train_block(series, n_lags, spec=SplitSpec()):
+    """The block that mi_ranking ranks on, built as a lag matrix and split."""
+    return split(make_lagged_dataset(series, n_lags), spec)[0]
+
+
+def column_ranges(ds):
+    """The distinct (min, max) ranges of the lag columns of ``ds``."""
+    return set(zip(ds.features.min(axis=0).tolist(), ds.features.max(axis=0).tolist()))
+
+
+def several_ranges_series(kind):
+    """Series whose lag windows (n_lags 20, default split) do not share one
+    range. "calm and gust" has three: a 0 m/s calm among the first 20
+    samples is in the windows of lags 16-20 only, and a gust at the end of
+    the train span in lag 1's only. "constant start": lag 20's window is
+    constant, so its range is widened by 0.5 each way, while the span holds
+    values outside it.
+    """
+    v = 4.0 + 8.0 * np.random.default_rng(21).random(600)
+    n_train = 348  # 0.6 of the 580 rows
+    if kind == "calm and gust":
+        v[4] = 0.0
+        v[20 - 1 + n_train - 1] = 19.0
+    else:
+        v[:n_train] = 7.5
+    return TimeSeries(v)
 
 
 def adversarial_columns(n, rng, bins):
@@ -108,18 +144,31 @@ class TestHistogramBinning:
     @pytest.mark.parametrize("target", ["normal", "integers", "constant", "collapsed"])
     def test_mi_equals_histogram2d(self, bins, target):
         X, y = self._columns(bins, target)
-        ds = LaggedDataset(X, y, tuple(range(1, X.shape[1] + 1)))
-        assert mi_ranking(ds, bins) == histogram2d_ranking(ds, bins)
         for j in range(X.shape[1]):
+            assert mutual_information(X[:, j], y, bins) == histogram2d_mi(X[:, j], y, bins)
             assert mutual_information(y, X[:, j], bins) == histogram2d_mi(y, X[:, j], bins)
 
     @pytest.mark.parametrize("synth_n,n_lags", [(1000, 20), (4393, 100)])
     def test_profile_training_blocks(self, synth_n, n_lags):
-        # the reduced and full profiles' MI input, as prepare_data builds it
+        # the reduced and full profiles' MI input, as prepare_data ranks it;
+        # every lag window of these series shares one range
         cfg = ExperimentConfig(synthetic=SyntheticSpec(n=synth_n, seed=7), n_lags=n_lags)
         cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
-        train = split(make_lagged_dataset(cleaned, n_lags), cfg.split)[0]
-        assert mi_ranking(train) == histogram2d_ranking(train)
+        train = train_block(cleaned, n_lags, cfg.split)
+        ranking = mi_ranking(cleaned, n_lags, cfg.split)
+        assert ranking == per_lag_ranking(train)
+        assert ranking == histogram2d_ranking(train)
+
+    @pytest.mark.parametrize("bins", [2, 7, 16])
+    @pytest.mark.parametrize("kind", ["calm and gust", "constant start"])
+    def test_windows_of_several_ranges(self, kind, bins):
+        series = several_ranges_series(kind)
+        train = train_block(series, 20)
+        assert train.n_rows == 348
+        assert len(column_ranges(train)) >= 2
+        ranking = mi_ranking(series, 20, SplitSpec(), bins)
+        assert ranking == per_lag_ranking(train, bins)
+        assert ranking == histogram2d_ranking(train, bins)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused(self, bad):
@@ -131,9 +180,10 @@ class TestHistogramBinning:
             mutual_information(f, np.arange(40.0), 4)
         with pytest.raises(ValueError):
             mutual_information(np.arange(40.0), f, 4)
-        ds = LaggedDataset(np.column_stack([np.arange(40.0), f]), np.arange(40.0), (1, 2))
-        with pytest.raises(ValueError):
-            mi_ranking(ds, 4)
+        series = np.arange(100.0)
+        series[5] = bad
+        with pytest.raises(ValueError, match="clean it first"):
+            mi_ranking(TimeSeries(series), 2, SplitSpec(), 4)
 
     def test_span_too_wide_refused(self):
         # max - min overflows, so histogram2d's edges hold NaN and it raises
@@ -143,15 +193,19 @@ class TestHistogramBinning:
             np.histogram2d(f, np.arange(40.0), bins=4)
         with pytest.raises(ValueError):
             mutual_information(f, np.arange(40.0), 4)
+        # lag 2's window holds both values; the targets are all zero
+        v = np.zeros(100)
+        v[:2] = (-1e308, 1e308)
+        with pytest.raises(ValueError, match="range is not finite"):
+            mi_ranking(TimeSeries(v), 2, SplitSpec(), 4)
 
     def test_peak_allocation_bounded(self):
-        # 2575 x 100 is the full profile's training block; whole-matrix
-        # temporaries would take 2 MB each
-        rng = np.random.default_rng(0)
-        ds = LaggedDataset(rng.random((2575, 100)), rng.random(2575), tuple(range(1, 101)))
+        # 2575 train rows of 100 lags, the full profile's; its lag matrix
+        # would take 2 MB, and whole-matrix temporaries 2 MB each
+        series = TimeSeries(np.random.default_rng(0).random(4393))
         tracemalloc.start()
         try:
-            mi_ranking(ds)
+            mi_ranking(series, 100, SplitSpec())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -367,9 +421,21 @@ class TestMutualInformation:
         assert mutual_information(f, -t, 16) == pytest.approx(base, abs=1e-12)
 
 
-def select(ds, fraction, bins=16):
-    """MI lag selection as the experiment does it: rank, keep, restrict."""
-    return take_lags(ds, top_lags(mi_ranking(ds, bins), fraction))
+def select(series, n_lags, fraction, bins=16):
+    """MI lag selection as the experiment does it: rank, keep, lag."""
+    return make_lagged_dataset(
+        series, n_lags, top_lags(mi_ranking(series, n_lags, SplitSpec(), bins), fraction))
+
+
+def random_series(n, seed=0):
+    return TimeSeries(np.random.default_rng(seed).normal(size=n))
+
+
+def periodic_series(period=40, n=400, seed=5):
+    """Random values repeating every ``period`` samples: lag ``period``'s
+    window is a copy of the targets, and lags k and k + period have the
+    same window."""
+    return TimeSeries(np.resize(np.random.default_rng(seed).random(period), n))
 
 
 class TestSelectFeatures:
@@ -380,44 +446,46 @@ class TestSelectFeatures:
         return LaggedDataset(X, y, tuple(range(1, n_cols + 1))), rng
 
     def test_full_fraction_keeps_all_reordered(self):
-        ds, _ = self._dataset()
-        out = select(ds, 1.0, bins=8)
-        assert sorted(out.lag_indices) == list(ds.lag_indices)
-        assert out.n_features == ds.n_features
+        out = select(random_series(300), 6, 1.0, bins=8)
+        assert sorted(out.lag_indices) == [1, 2, 3, 4, 5, 6]
+        assert out.n_features == 6
 
     def test_ten_of_hundred(self):
-        rng = np.random.default_rng(4)
-        ds = LaggedDataset(rng.normal(size=(250, 100)), rng.normal(size=250), tuple(range(1, 101)))
-        assert select(ds, 0.1, bins=8).n_features == 10
+        assert select(random_series(500, seed=4), 100, 0.1, bins=8).n_features == 10
+
+    @pytest.mark.parametrize("fraction, n, kept", [
+        (0.07, 100, 7), (0.14, 100, 14), (0.55, 100, 55), (0.1, 100, 10), (0.25, 8, 2)])
+    def test_kept_count_exact(self, fraction, n, kept):
+        # the float products 7.000000000000001, 14.000000000000002 and
+        # 55.00000000000001 would keep one lag more
+        ranked = [(lag, 1.0 / lag) for lag in range(1, n + 1)]
+        assert top_lags(ranked, fraction) == tuple(range(1, kept + 1))
 
     def test_target_copy_ranks_first(self):
-        ds, rng = self._dataset(seed=5)
-        X = ds.features.copy()
-        X[:, 2] = ds.targets  # lag 3 IS the target
-        ds = LaggedDataset(X, ds.targets, ds.lag_indices)
-        out = select(ds, 0.5, bins=8)
-        assert out.lag_indices[0] == 3
+        ranked = mi_ranking(periodic_series(), 50, SplitSpec(), 8)
+        assert ranked[0][0] == 40
+        assert select(periodic_series(), 50, 0.1, bins=8).lag_indices[0] == 40
 
     def test_cell_values_preserved(self):
-        ds, _ = self._dataset(seed=6)
-        out = select(ds, 0.5, bins=8)
+        series = random_series(300, seed=6)
+        out = select(series, 6, 0.5, bins=8)
+        full = make_lagged_dataset(series, 6)
         for j, lag in enumerate(out.lag_indices):
-            orig_col = ds.lag_indices.index(lag)
-            np.testing.assert_array_equal(out.features[:, j], ds.features[:, orig_col])
-        np.testing.assert_array_equal(out.targets, ds.targets)
+            np.testing.assert_array_equal(out.features[:, j], full.features[:, lag - 1])
+        np.testing.assert_array_equal(out.targets, full.targets)
+        taken = take_lags(full, out.lag_indices)
+        assert taken.features.tobytes() == out.features.tobytes()
 
     def test_tie_break_smaller_lag_first(self):
-        rng = np.random.default_rng(7)
-        col = rng.normal(size=200)
-        X = np.column_stack([col, rng.normal(size=200), col])  # lags 1 and 3 identical
-        ds = LaggedDataset(X, rng.normal(size=200), (1, 2, 3))
-        ranked = mi_ranking(ds, bins=8)
+        ranked = mi_ranking(periodic_series(), 50, SplitSpec(), 8)
         lags = [lag for lag, _ in ranked]
-        assert lags.index(1) < lags.index(3)
+        mi = dict(ranked)
+        for k in range(1, 11):  # lags k and k + 40 have the same window
+            assert mi[k] == mi[k + 40]
+            assert lags.index(k) < lags.index(k + 40)
 
     def test_invalid_fraction(self):
-        ds, _ = self._dataset()
-        ranked = mi_ranking(ds)
+        ranked = mi_ranking(random_series(300), 6, SplitSpec())
         with pytest.raises(ValueError):
             top_lags(ranked, 0.0)
         with pytest.raises(ValueError):
@@ -427,6 +495,19 @@ class TestSelectFeatures:
         ds, _ = self._dataset()
         with pytest.raises(ValueError):
             take_lags(ds, [99])
+
+    @pytest.mark.parametrize("lag", [0, 7])
+    def test_lag_outside_window_refused(self, lag):
+        with pytest.raises(ValueError, match=f"lag {lag} lies outside 1..6"):
+            make_lagged_dataset(random_series(50), 6, [1, lag])
+
+    def test_ranking_refuses_as_the_split_does(self):
+        with pytest.raises(ValueError, match="need at least 5 rows to split, got 4"):
+            mi_ranking(random_series(10), 6, SplitSpec())
+        with pytest.raises(ValueError, match="the train block is empty"):
+            mi_ranking(random_series(600), 8, SplitSpec(0.001, 0.5, 0.499))
+        with pytest.raises(ValueError, match="series length 6 must exceed n_lags 6"):
+            mi_ranking(random_series(6), 6, SplitSpec())
 
 
 class TestSplit:
@@ -459,6 +540,16 @@ class TestSplit:
             with pytest.raises(ValueError, match=f"the {block} block is empty: "
                                                  f"a fraction of {frac} of {r} rows"):
                 split(self._dataset(r), spec)
+
+    def test_exact_decimal_fraction(self):
+        # 0.7 * 90 is 62.99999999999999 as a float
+        train, val, test = split(self._dataset(90), SplitSpec(0.7, 0.15, 0.15))
+        assert (train.n_rows, val.n_rows, test.n_rows) == (63, 13, 14)
+
+    def test_default_sizes_are_the_float_products(self):
+        # the default fractions' counts are those of int(fraction * r)
+        for frac in (0.6, 0.2):
+            assert all(_count(frac, r) == int(frac * r) for r in range(60000))
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
