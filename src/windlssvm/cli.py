@@ -17,7 +17,10 @@ key. predict and evaluate read a model with its sidecar (<model>.meta.json)
 through data_io.load_model, by the same rule against the fields of
 data_io.ModelMeta: a missing sidecar is a data error naming its path, and
 an unknown or missing key, a value that does not fit or a lag count other
-than the model's is one naming the file and the key.
+than the model's is one naming the file and the key. They build the
+model's input rows with experiment.model_rows, the one function that built
+them for training: the series cleaned by the sidecar's outlier gate and
+lagged to the sidecar's lags only.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .experiment import (
     OPTIMIZERS,
     ExperimentConfig,
     PERSISTENCE,
+    model_rows,
     prepare_data,
     run_experiment,
     summary_table,
@@ -54,10 +58,11 @@ from .pipeline import (
     autocorrelation,
     check_z_threshold,
     clean,
-    make_lagged_dataset,
-    mi_ranking,  # noqa: F401 -- not called here; perfbench's traced runs patch it
+    # Not called here; perfbench's traced runs patch them.
+    make_lagged_dataset,  # noqa: F401
+    mi_ranking,  # noqa: F401
     split,
-    take_lags,
+    take_lags,  # noqa: F401
 )
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -165,9 +170,10 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
 @contextlib.contextmanager
 def _naming(path: str | None):
     """Re-raise a ValueError about what was read from ``path`` (a series
-    being cleaned, lagged or split) as a DataError that names the file. A
-    DataError, which names its file already, and an error about a synthetic
-    series (``path`` None) pass as they are."""
+    being checked against a sidecar, cleaned, lagged or split) as a
+    DataError that names the file. A DataError, which names its file
+    already, and an error about a synthetic series (``path`` None) pass as
+    they are."""
     try:
         yield
     except DataError:
@@ -265,16 +271,12 @@ def cmd_train(args):
 
 
 def _model_and_dataset(args):
-    """The saved model, its sidecar, and the input series lagged to its lags."""
+    """The saved model, its sidecar, and its input rows over the input
+    series (``model_rows``)."""
     model, meta = load_model(args.model)
     series = load_csv(args.input)
-    if meta.cadence_minutes != series.cadence_minutes:
-        raise DataError(f"{args.input}: {series.cadence_minutes}-minute cadence, "
-                        f"but the model was trained on a {meta.cadence_minutes}-minute series")
     with _naming(args.input):
-        cleaned, _ = clean(series, meta.z_threshold)
-        ds = make_lagged_dataset(cleaned, meta.n_lags)
-        return model, meta, take_lags(ds, meta.lags)
+        return model, meta, model_rows(series, meta)
 
 
 def cmd_predict(args):

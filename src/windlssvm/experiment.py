@@ -5,6 +5,10 @@ pipeline itself is deterministic, so trials differ only through the optimizer
 RNG. Seeds are shared across strategies, making the comparison paired. Report
 files carry no wall-clock times (those are logged to stdout), so rerunning an
 identical config reproduces every output file byte for byte.
+
+``model_rows`` is the one place that builds a model's input rows from a
+series and the model's sidecar: training (``prepare_data``), ``predict`` and
+``evaluate`` all call it, and it lags only the sidecar's lags.
 """
 
 from __future__ import annotations
@@ -172,20 +176,31 @@ class PreparedData:
     cleaned: TimeSeries
 
 
+def model_rows(series: TimeSeries, meta: ModelMeta) -> LaggedDataset:
+    """The input rows of a model with sidecar ``meta`` over ``series``: the
+    series cleaned by the sidecar's outlier gate, lagged to its lags only.
+    Training, ``predict`` and ``evaluate`` all build a model's rows here.
+    Raises ValueError on a series whose cadence is not the sidecar's, since
+    its lags would span other time steps."""
+    if series.cadence_minutes != meta.cadence_minutes:
+        raise ValueError(f"{series.cadence_minutes}-minute cadence, but the model "
+                         f"was trained on a {meta.cadence_minutes}-minute series")
+    cleaned, _ = clean(series, meta.z_threshold)
+    return make_lagged_dataset(cleaned, meta.n_lags, meta.lags)
+
+
 def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """clean -> MI ranking of every lag on the train block -> lag the
-    selected lags only -> split. The only place that decides which lags a
+    """clean -> MI ranking of every lag on the train block -> the model's
+    rows (``model_rows``), split. The only place that decides which lags a
     model reads."""
     series = load_series(config)
     cleaned, n_replaced = clean(series, config.z_threshold)
     ranking = mi_ranking(cleaned, config.n_lags, config.split)
-    selected = top_lags(ranking, config.select_fraction)
-
-    train, val, test = split(make_lagged_dataset(cleaned, config.n_lags, selected), config.split)
+    meta = ModelMeta(1, top_lags(ranking, config.select_fraction), config.n_lags,
+                     series.cadence_minutes, config.z_threshold, dataclasses.astuple(config.split))
+    train, val, test = split(model_rows(series, meta), config.split)
     # Naive one-step persistence: each test target's previous value.
     persistence_pred = np.concatenate((val.targets[-1:], test.targets[:-1]))
-    meta = ModelMeta(1, selected, config.n_lags, cleaned.cadence_minutes, config.z_threshold,
-                     dataclasses.astuple(config.split))
     return PreparedData(train, val, test, n_replaced, persistence_pred, meta, ranking, cleaned)
 
 

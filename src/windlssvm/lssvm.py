@@ -442,7 +442,8 @@ class TrainingSet:
             limit = (f"the machine's {have} bytes of physical memory" if source is None
                      else f"the {have}-byte memory cgroup limit in {source}")
             raise ValueError(f"a training block of {n} rows needs a {need}-byte kernel buffer, "
-                             f"more than {limit}; lower --train-frac")
+                             f"more than {limit}; use a shorter series, or lower --train-frac "
+                             "and raise --val-frac or --test-frac to match")
         self._kernel = KernelProduct(X, X)
         buffer = np.empty((n, n + 1), order="F")
         self._H = buffer[:, :n]

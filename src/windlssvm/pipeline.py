@@ -91,10 +91,6 @@ class LaggedDataset:
     def n_rows(self) -> int:
         return self.targets.size
 
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
 
 @dataclass(frozen=True)
 class SplitSpec:

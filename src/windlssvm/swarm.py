@@ -81,9 +81,6 @@ class SearchSpace:
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
 
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
 
 @dataclass(frozen=True)
 class SwarmConfig:

@@ -11,7 +11,7 @@ import pytest
 
 from windlssvm import cli, experiment, lssvm
 from windlssvm.cli import EXPERIMENT_FLAGS, _resolve_config, build_parser, main
-from windlssvm.data_io import load_csv, write_series_csv
+from windlssvm.data_io import load_csv, load_model, write_series_csv
 from windlssvm.experiment import OPTIMIZERS, prepare_data
 from windlssvm.metrics import LssvmFitness
 from windlssvm.pipeline import TimeSeries
@@ -519,6 +519,19 @@ class TestTrainPredictEvaluate:
         printed = capsys.readouterr().out
         assert printed.startswith(f"test block ({n_rows} rows): rmse={float(row['rmse']):.4f} ")
 
+        # predict on the training series reads the test block's rows as the
+        # tuned trial did. Its forecasts may differ by rounding, since predict
+        # walks other 64-row blocks: at most an ulp of sum |a_i|, the largest
+        # magnitude that the kernel sum sum_i a_i k_i (0 < k_i <= 1) reaches.
+        full = tmp_path / "full.csv"
+        assert main(["predict", "--model", str(outdir / "model_qpso_0"), "--in", series_csv,
+                     "--out", str(full)]) == 0
+        want = np.genfromtxt(outdir / "predictions_qpso_0.csv", delimiter=",", names=True)
+        got = np.genfromtxt(full, delimiter=",", names=True)[-n_rows:]
+        assert got["actual"].tobytes() == want["actual"].tobytes()
+        ulp = np.finfo(float).eps * np.abs(load_model(str(outdir / "model_qpso_0"))[0].dual_coeffs).sum()
+        assert np.abs(got["forecast"] - want["forecast"]).max() <= ulp
+
     def test_full_chain(self, tmp_path, series_csv):
         model_path = str(tmp_path / "model.lssvm")
         code = main([
@@ -555,7 +568,8 @@ class TestTrainPredictEvaluate:
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "60-minute cadence, but the model was trained on a 20-minute series" in err
+        assert err == (f"data error: {hourly_csv}: 60-minute cadence, but the model was "
+                       "trained on a 20-minute series\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,complaint", [
@@ -751,7 +765,8 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("data error: a training block of 355 rows needs a "
                               f"{lssvm.buffer_bytes(355)}-byte kernel buffer")
-        assert err.rstrip().endswith("lower --train-frac")
+        assert err.rstrip().endswith("; use a shorter series, or lower --train-frac and "
+                                     "raise --val-frac or --test-frac to match")
         assert not os.path.exists("m") and not os.path.exists("run/report.csv")
 
     def test_numeric_failure_exit_3(self, tmp_path, series_csv):

@@ -16,6 +16,7 @@ from windlssvm.experiment import (
     ModelMeta,
     PERSISTENCE,
     TrialResult,
+    model_rows,
     prepare_data,
     recompute_aggregates,
     run_experiment,
@@ -23,7 +24,7 @@ from windlssvm.experiment import (
     summary_table,
     write_report,
 )
-from windlssvm.data_io import write_series_csv
+from windlssvm.data_io import load_csv, write_series_csv
 from windlssvm.metrics import LssvmFitness, MetricReport
 from windlssvm.pipeline import (
     SplitSpec,
@@ -211,6 +212,26 @@ class TestPrepareData:
             assert got.targets.tobytes() == want.targets.tobytes()
         persistence = np.concatenate((blocks[1].targets[-1:], blocks[2].targets[:-1]))
         assert data.persistence_pred.tobytes() == persistence.tobytes()
+
+    @pytest.mark.parametrize("settings", [
+        {},
+        {"z_threshold": 3.0, "split": SplitSpec(0.5, 0.25, 0.25)},
+    ], ids=["default", "split-and-gate"])
+    def test_model_rows_of_the_series_are_the_blocks(self, tmp_path, settings):
+        # What predict and evaluate build from the training CSV and the
+        # sidecar is, split, what the model was trained and scored on.
+        v = generate_synthetic(SyntheticSpec(n=1000, seed=7)).values
+        v[40], v[700] = np.nan, 60.0
+        path = str(tmp_path / "series.csv")
+        write_series_csv(TimeSeries(v), path)
+        data = prepare_data(ExperimentConfig(input_csv=path, **settings))
+        assert data.n_replaced >= 2
+        meta = data.model_meta
+        blocks = split(model_rows(load_csv(path), meta), SplitSpec(*meta.split))
+        for got, want in zip(blocks, (data.train, data.val, data.test)):
+            assert got.lag_indices == want.lag_indices == meta.lags
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.targets.tobytes() == want.targets.tobytes()
 
     def test_peak_memory_below_lag_matrix(self):
         # 19900 rows of 100 lags: the lag matrix alone takes 15.9 MB

@@ -448,10 +448,10 @@ class TestSelectFeatures:
     def test_full_fraction_keeps_all_reordered(self):
         out = select(random_series(300), 6, 1.0, bins=8)
         assert sorted(out.lag_indices) == [1, 2, 3, 4, 5, 6]
-        assert out.n_features == 6
+        assert out.features.shape[1] == 6
 
     def test_ten_of_hundred(self):
-        assert select(random_series(500, seed=4), 100, 0.1, bins=8).n_features == 10
+        assert select(random_series(500, seed=4), 100, 0.1, bins=8).features.shape[1] == 10
 
     @pytest.mark.parametrize("fraction, n, kept", [
         (0.07, 100, 7), (0.14, 100, 14), (0.55, 100, 55), (0.1, 100, 10), (0.25, 8, 2)])

