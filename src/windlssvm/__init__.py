@@ -19,24 +19,15 @@ from .pipeline import (
     mi_ranking,
     mutual_information,
     split,
-    take_lags,
     top_lags,
 )
 from .swarm import (
     OptimizeResult,
     SearchSpace,
     SwarmConfig,
-    ce_coefficient,
-    compute_mbest,
-    copy_and_paste,
-    cut_and_paste,
-    denormalize,
-    normalize,
     optimize_ebqpso,
     optimize_pso,
     optimize_qpso,
-    qpso_update_position,
-    transposon_operator,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
 from .data_io import DataError, ModelMeta, load_csv, load_model, save_model, write_series_csv

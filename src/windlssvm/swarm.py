@@ -14,6 +14,14 @@ denormalizes, and keeps any bred row that improves its particle's best.
 
 All three optimizers run one loop: each iteration moves the whole (m, d)
 swarm, scores the batch, and keeps each row that beats its particle's best.
+The transposon operators edit the normalized pool in place; a row paired
+with itself is the within-row case.
+
+Checks: ``SearchSpace`` and ``SwarmConfig`` validate what they are given,
+since they read outside input, and ``normalize``/``denormalize`` refuse a
+point outside the box. The step helpers (``ce_coefficient``,
+``qpso_update_position`` and the operators) do not re-check the values the
+loop itself builds.
 
 Reproducibility contract: every optimizer draws from one ``numpy`` Generator
 seeded from its config, in a fixed order -- the (m, d) initial positions
@@ -126,22 +134,10 @@ class SwarmSnapshot:
 Callback = Callable[[SwarmSnapshot], None]
 
 
-def compute_mbest(pbests: np.ndarray) -> np.ndarray:
-    """Coordinate-wise mean of the personal best positions."""
-    pbests = np.atleast_2d(np.asarray(pbests, dtype=float))
-    if pbests.shape[0] < 1 or pbests.size == 0:
-        raise ValueError("need at least one personal best")
-    return pbests.mean(axis=0)
-
-
 def ce_coefficient(t: int, max_iter: int) -> float:
     """Contraction-expansion coefficient at iteration t of max_iter: it decays
     linearly, 0.5 + 0.5 * (max_iter - t) / max_iter, from 1.0 at t=0 to 0.5
     at t=max_iter."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if t < 0 or t > max_iter:
-        raise ValueError(f"iteration index {t} outside [0, {max_iter}]")
     return 0.5 + 0.5 * (max_iter - t) / max_iter
 
 
@@ -162,13 +158,7 @@ def qpso_update_position(
     exactly what m row-by-row calls would. u is taken as 1 - U[0, 1) so that
     ln(1/u) stays finite.
     """
-    position = np.asarray(position, dtype=float)
-    d = position.shape[-1]
-    if np.shape(pbest) != position.shape or not (np.size(gbest) == np.size(mbest) == d):
-        raise ValueError("position, pbest, gbest and mbest must share one dimension")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    r = rng.random(3 * position.size).reshape(position.shape[:-1] + (3, d))
+    r = rng.random(3 * position.size).reshape(position.shape[:-1] + (3, -1))
     phi = r[..., 0, :]
     u = 1.0 - r[..., 1, :]
     s = r[..., 2, :]
@@ -182,76 +172,37 @@ def qpso_update_position(
 
 def normalize(x: np.ndarray, space: SearchSpace) -> np.ndarray:
     """Map an in-bounds point to the unit box: (x - lower) / (upper - lower)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != space.dimension:
-        raise ValueError(f"dimension {x.shape[-1]} != search space dimension {space.dimension}")
     if not (np.all(x >= space.lower) and np.all(x <= space.upper)):
         raise ValueError("point lies outside the search space")
     return (x - space.lower) / space.span
 
 
 def denormalize(xn: np.ndarray, space: SearchSpace) -> np.ndarray:
-    """Inverse of :func:`normalize`: xn * (upper - lower) + lower."""
-    xn = np.asarray(xn, dtype=float)
-    if xn.shape[-1] != space.dimension:
-        raise ValueError(f"dimension {xn.shape[-1]} != search space dimension {space.dimension}")
+    """Inverse of :func:`normalize`: xn * (upper - lower) + lower, clipped to
+    the box, since lower + (upper - lower) can round above upper."""
     if np.any(xn < 0.0) or np.any(xn > 1.0):
         raise ValueError("normalized point lies outside the unit box")
-    return xn * space.span + space.lower
+    return space.clip(xn * space.span + space.lower)
 
 
-def cut_and_paste(row_a: np.ndarray, row_b: np.ndarray | None, src: int, dst: int):
-    """Relocate one gene from (row_a, src) to (row_b, dst).
+def cut_and_paste(pool: np.ndarray, i: int, j: int, src: int, dst: int):
+    """Move the gene at (i, src) of the normalized pool to (j, dst), in place.
 
-    With ``row_b is None`` the move happens inside ``row_a``: the gene is
-    excised, the remaining genes close ranks, and the gene is reinserted at
-    ``dst``. Across two rows the displaced target gene moves back to the
-    vacated source locus, so both rows keep their length and the combined
-    gene multiset is preserved. Returns the new row, or ``(new_a, new_b)``
-    for the two-row form. Inputs are never mutated.
+    With ``i == j`` the gene is excised, the row's other genes close ranks,
+    and the gene is reinserted at ``dst``. Across two rows the displaced
+    gene at (j, dst) moves back to the vacated (i, src), so the pool's gene
+    multiset is preserved either way.
     """
-    row_a = np.asarray(row_a, dtype=float)
-    if row_b is None or row_b is row_a:
-        _check_locus(src, row_a.size)
-        _check_locus(dst, row_a.size)
-        gene = row_a[src]
-        rest = np.delete(row_a, src)
-        return np.insert(rest, dst, gene)
-    row_b = np.asarray(row_b, dtype=float)
-    _check_locus(src, row_a.size)
-    _check_locus(dst, row_b.size)
-    new_a = row_a.copy()
-    new_b = row_b.copy()
-    new_a[src] = row_b[dst]
-    new_b[dst] = row_a[src]
-    return new_a, new_b
+    if i == j:
+        pool[i] = np.insert(np.delete(pool[i], src), dst, pool[i, src])
+    else:
+        pool[i, src], pool[j, dst] = pool[j, dst], pool[i, src]
 
 
-def copy_and_paste(row_a: np.ndarray, row_b: np.ndarray | None, src: int, dst: int):
-    """Overwrite the gene at (row_b, dst) with a copy of the gene at (row_a, src).
-
-    ``row_b is None`` applies the overwrite inside ``row_a``. Returns the new
-    row, or ``(new_a, new_b)`` for the two-row form (new_a is an unchanged
-    copy). Inputs are never mutated.
-    """
-    row_a = np.asarray(row_a, dtype=float)
-    if row_b is None or row_b is row_a:
-        _check_locus(src, row_a.size)
-        _check_locus(dst, row_a.size)
-        new = row_a.copy()
-        new[dst] = row_a[src]
-        return new
-    row_b = np.asarray(row_b, dtype=float)
-    _check_locus(src, row_a.size)
-    _check_locus(dst, row_b.size)
-    new_b = row_b.copy()
-    new_b[dst] = row_a[src]
-    return row_a.copy(), new_b
-
-
-def _check_locus(idx: int, size: int):
-    if not 0 <= idx < size:
-        raise ValueError(f"locus {idx} outside [0, {size})")
+def copy_and_paste(pool: np.ndarray, i: int, j: int, src: int, dst: int):
+    """Overwrite the gene at (j, dst) of the normalized pool with a copy of
+    the gene at (i, src), in place; ``i == j`` copies within one row."""
+    pool[j, dst] = pool[i, src]
 
 
 def transposon_operator(
@@ -261,60 +212,29 @@ def transposon_operator(
 ) -> np.ndarray:
     """Breed an elitist pool (M personal bests plus the global best as rows).
 
-    Each row, with probability ``JUMPING_RATE``, initiates one single-gene
-    transposon with a uniformly drawn partner row (possibly itself); the
+    Each row i, with probability ``JUMPING_RATE``, initiates one single-gene
+    transposon with a uniformly drawn partner row j (possibly i itself); the
     operation is cut-and-paste or copy-and-paste with equal probability and
     acts on the pool normalized to the unit box. Rows never touched by an
     operation are returned bit-identical; touched rows are denormalized back
     into the search space. The input pool is not mutated.
     """
-    epool = np.atleast_2d(np.asarray(epool, dtype=float))
     n_rows, d = epool.shape
-    if n_rows < 2:
-        raise ValueError("elitist pool needs at least two rows (pbests plus gbest)")
-    if d != space.dimension:
-        raise ValueError(f"pool dimension {d} != search space dimension {space.dimension}")
-
-    norm = normalize(epool, space)
+    pool = normalize(epool, space)
     touched = np.zeros(n_rows, dtype=bool)
     for i in range(n_rows):
         if rng.random() >= JUMPING_RATE:
             continue
-        c2 = int(np.ceil(rng.random() * n_rows))
-        c2 = min(max(c2, 1), n_rows) - 1
+        j = int(np.ceil(rng.random() * n_rows))
+        j = min(max(j, 1), n_rows) - 1
         op = cut_and_paste if rng.random() > 0.5 else copy_and_paste
         src = int(rng.integers(d))
         dst = int(rng.integers(d))
-        if c2 == i:
-            norm[i] = op(norm[i], None, src, dst)
-        else:
-            norm[i], norm[c2] = op(norm[i], norm[c2], src, dst)
-        touched[i] = True
-        touched[c2] = True
-
+        op(pool, i, j, src, dst)
+        touched[[i, j]] = True
     out = epool.copy()
-    if touched.any():
-        out[touched] = denormalize(norm[touched], space)
+    out[touched] = denormalize(pool[touched], space)
     return out
-
-
-class _Evaluator:
-    """Scores a batch: calls the per-point objective once per row, in row
-    order, maps non-finite values to +inf and counts calls and non-finite
-    values."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.count = 0
-        self.nonfinite = 0
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        f = np.array([float(self.fn(x)) for x in X])
-        bad = ~np.isfinite(f)
-        f[bad] = np.inf
-        self.count += f.size
-        self.nonfinite += int(bad.sum())
-        return f
 
 
 def _optimize(fitness, space, config, callback, move, breed=False) -> OptimizeResult:
@@ -326,23 +246,32 @@ def _optimize(fitness, space, config, callback, move, breed=False) -> OptimizeRe
     offers the changed rows to their particles' bests.
     """
     rng = np.random.default_rng(config.seed)
-    evaluate = _Evaluator(fitness)
     m = config.population
     x = space.lower + rng.random((m, space.dimension)) * space.span
-    pbest, pbest_f = x.copy(), evaluate(x)
+    # The personal bests start at +inf, so the first scoring keeps every
+    # finite value.
+    pbest, pbest_f = x.copy(), np.full(m, np.inf)
+    calls = nonfinite = 0
 
     def keep_better(rows, candidates):
-        f = evaluate(candidates)
+        # Score the candidates in row order, a non-finite value as +inf, and
+        # keep each that beats its particle's best; return gbest's index.
+        nonlocal calls, nonfinite
+        f = np.array([float(fitness(c)) for c in candidates])
+        bad = ~np.isfinite(f)
+        f[bad] = np.inf
+        calls += f.size
+        nonfinite += int(bad.sum())
         better = f < pbest_f[rows]
         pbest[rows[better]] = candidates[better]
         pbest_f[rows[better]] = f[better]
         return int(np.argmin(pbest_f))
 
-    g = int(np.argmin(pbest_f))
+    g = keep_better(np.arange(m), x)
     history = []
     for t in range(1, config.max_iter + 1):
         alpha = ce_coefficient(t, config.max_iter)
-        mbest = compute_mbest(pbest)
+        mbest = pbest.mean(axis=0)
         if breed and t % BREEDING_PERIOD == 0:
             bred = transposon_operator(np.vstack([pbest, pbest[g]]), space, rng)[:m]
             # Rows the operator left bit-identical keep their cached fitness;
@@ -357,7 +286,7 @@ def _optimize(fitness, space, config, callback, move, breed=False) -> OptimizeRe
                                    pbest[g].copy(), float(pbest_f[g])))
 
     return OptimizeResult(pbest[g].copy(), float(pbest_f[g]), np.array(history),
-                          evaluate.count, evaluate.nonfinite)
+                          calls, nonfinite)
 
 
 def optimize_pso(

@@ -145,16 +145,22 @@ def test_dual_constraint_always_holds():
 
 
 def test_transposon_conservation_10k():
+    # The operators edit a normalized pool in place: a one-row pool is the
+    # within-row case, a two-row pool the cross-row one.
     rng = np.random.default_rng(777)
     for _ in range(10_000):
         d = int(rng.integers(2, 8))
         a = rng.random(d)
         if rng.random() < 0.5:
-            out = cut_and_paste(a, None, int(rng.integers(d)), int(rng.integers(d)))
+            pool = a[None, :].copy()
+            cut_and_paste(pool, 0, 0, int(rng.integers(d)), int(rng.integers(d)))
+            out = pool[0]
             assert sorted(out.tolist()) == sorted(a.tolist())
         else:
             b = rng.random(d)
-            na, nb = cut_and_paste(a, b, int(rng.integers(d)), int(rng.integers(d)))
+            pool = np.vstack([a, b])
+            cut_and_paste(pool, 0, 1, int(rng.integers(d)), int(rng.integers(d)))
+            na, nb = pool
             assert sorted(np.concatenate([na, nb]).tolist()) == sorted(
                 np.concatenate([a, b]).tolist()
             )
@@ -162,11 +168,15 @@ def test_transposon_conservation_10k():
         d = int(rng.integers(2, 8))
         a = rng.random(d)
         if rng.random() < 0.5:
-            out = copy_and_paste(a, None, int(rng.integers(d)), int(rng.integers(d)))
+            pool = a[None, :].copy()
+            copy_and_paste(pool, 0, 0, int(rng.integers(d)), int(rng.integers(d)))
+            out = pool[0]
             assert set(out.tolist()) <= set(a.tolist())
         else:
             b = rng.random(d)
-            na, nb = copy_and_paste(a, b, int(rng.integers(d)), int(rng.integers(d)))
+            pool = np.vstack([a, b])
+            copy_and_paste(pool, 0, 1, int(rng.integers(d)), int(rng.integers(d)))
+            na, nb = pool
             assert set(na.tolist()) | set(nb.tolist()) <= set(a.tolist()) | set(b.tolist())
     _report(
         "transposon conservation: 10k cut-and-paste preserve gene multisets, "
