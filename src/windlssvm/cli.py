@@ -54,7 +54,6 @@ from .experiment import (
 )
 from .metrics import format_mape, metric_report, rmse
 from .pipeline import (
-    SplitSpec,
     autocorrelation,
     check_z_threshold,
     clean,
@@ -99,7 +98,6 @@ DATA_FLAGS = (
     ("--z-threshold", ("z_threshold",), float, "outlier gate width"),
     ("--train-frac", ("split", "train_frac"), float, None),
     ("--val-frac", ("split", "val_frac"), float, None),
-    ("--test-frac", ("split", "test_frac"), float, None),
 )
 OUTDIR_FLAG = ("--outdir", ("outdir",), str, "output directory")
 # The tuning flags: trials, output and swarm settings.
@@ -289,7 +287,7 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     model, meta, ds = _model_and_dataset(args)
     with _naming(args.input):
-        train, val, test = split(ds, SplitSpec(*meta.split))
+        train, val, test = split(ds, meta.split)
     block = {"train": train, "val": val, "test": test, "all": ds}[args.block]
     pred = lssvm.predict(model, block.features)
     m = metric_report(block.targets, pred)

@@ -23,6 +23,10 @@ rule the CLI reads a config file by: each value is checked against the type
 ``ModelMeta`` declares for its key, then by ``ModelMeta``'s own checks. An
 unknown or missing key, a value that does not fit and a lag count other
 than the model's column count each raise a DataError naming the sidecar.
+The sidecar is format 2: its ``split`` is a ``SplitSpec`` object, such as
+``{"train_frac": 0.6, "val_frac": 0.2}``, read as a config's ``split`` is.
+A format-1 sidecar, whose split is a list of three fractions, raises such a
+DataError.
 """
 
 from __future__ import annotations
@@ -88,9 +92,13 @@ def load_csv(path: str) -> TimeSeries:
     first_content = True
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    # float() also reads digit-group underscores and non-ASCII digits; only a
+    # file that holds one has its values searched for them.
+    searched = "_" in text or not text.isascii()
+    lines = text.split("\n")
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
             continue
@@ -111,6 +119,8 @@ def load_csv(path: str) -> TimeSeries:
             mask.append(True)
             continue
         try:
+            if searched and ("_" in value or not value.isascii()):
+                raise ValueError
             v = float(value)
         except ValueError:
             raise DataError(f"{path}: line {lineno}: unparseable value {value!r}") from None
@@ -161,21 +171,27 @@ def _stamp_seconds(path: str, stamps: list[str], linenos: list[int]) -> np.ndarr
     """Timestamps as int64 seconds, parsed in one vectorized call; only a
     failed parse goes stamp by stamp to name the first bad line. numpy would
     shift a stamp with a zone designator to UTC with only a warning, so the
-    warning fails the parse."""
+    warning fails the parse. numpy also reads "now" and "today", in any case,
+    as the wall clock, so a file that reaches today is searched stamp by stamp
+    for them too."""
+    today = np.datetime64("today")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = np.array(stamps, dtype="datetime64[s]")
     except (ValueError, Warning):
         t = None
-    if t is None or np.isnat(t).any():
-        i, problem = next((i, p) for i, p in enumerate(map(_stamp_problem, stamps)) if p)
-        raise DataError(f"{path}: line {linenos[i]}: {problem}")
+    if t is None or np.isnat(t).any() or t.max() >= today:
+        bad = next(((i, p) for i, p in enumerate(map(_stamp_problem, stamps)) if p), None)
+        if bad is not None:
+            raise DataError(f"{path}: line {linenos[bad[0]]}: {bad[1]}")
     return t.astype(np.int64)
 
 
 def _stamp_problem(stamp: str) -> str | None:
     """Why ``stamp`` is refused, or None for a naive ISO 8601 stamp."""
+    if stamp.lower() in ("now", "today"):
+        return f"unparseable timestamp {stamp!r}"
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -276,19 +292,19 @@ class ModelMeta:
     ``evaluate`` need to rebuild its input rows from a series. ``lags`` are
     the selected lags in feature order, ``n_lags`` the lag window,
     ``cadence_minutes`` the training series' cadence, ``z_threshold`` the
-    outlier gate of ``clean`` and ``split`` the train, validation and test
-    fractions."""
+    outlier gate of ``clean`` and ``split`` the config's ``SplitSpec``, read
+    as the config's ``split`` object is."""
 
     format: int
     lags: tuple[int, ...]
     n_lags: int
     cadence_minutes: int
     z_threshold: float
-    split: tuple[float, ...]
+    split: SplitSpec
 
     def __post_init__(self):
-        if self.format != 1:
-            raise ValueError(f"sidecar 'format' must be 1, got {self.format!r}")
+        if self.format != 2:
+            raise ValueError(f"sidecar 'format' must be 2, got {self.format!r}")
         if not self.lags or len(set(self.lags)) != len(self.lags) or min(self.lags) < 1:
             raise ValueError(f"sidecar 'lags' must be distinct positive integers, got {list(self.lags)}")
         if max(self.lags) > self.n_lags:
@@ -298,12 +314,6 @@ class ModelMeta:
             raise ValueError("sidecar 'cadence_minutes' must be a positive integer, "
                              f"got {self.cadence_minutes!r}")
         check_z_threshold(self.z_threshold, "sidecar 'z_threshold'")
-        if len(self.split) != 3:
-            raise ValueError(f"sidecar 'split' must hold 3 fractions, got {list(self.split)}")
-        try:
-            SplitSpec(*self.split)
-        except ValueError as exc:
-            raise ValueError(f"sidecar 'split': {exc}") from None
 
 
 def save_model(model: LssvmModel, path: str, meta: ModelMeta):

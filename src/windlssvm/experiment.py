@@ -196,8 +196,8 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
     series = load_series(config)
     cleaned, n_replaced = clean(series, config.z_threshold)
     ranking = mi_ranking(cleaned, config.n_lags, config.split)
-    meta = ModelMeta(1, top_lags(ranking, config.select_fraction), config.n_lags,
-                     series.cadence_minutes, config.z_threshold, dataclasses.astuple(config.split))
+    meta = ModelMeta(2, top_lags(ranking, config.select_fraction), config.n_lags,
+                     series.cadence_minutes, config.z_threshold, config.split)
     train, val, test = split(model_rows(series, meta), config.split)
     # Naive one-step persistence: each test target's previous value.
     persistence_pred = np.concatenate((val.targets[-1:], test.targets[:-1]))

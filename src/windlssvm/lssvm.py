@@ -442,8 +442,7 @@ class TrainingSet:
             limit = (f"the machine's {have} bytes of physical memory" if source is None
                      else f"the {have}-byte memory cgroup limit in {source}")
             raise ValueError(f"a training block of {n} rows needs a {need}-byte kernel buffer, "
-                             f"more than {limit}; use a shorter series, or lower --train-frac "
-                             "and raise --val-frac or --test-frac to match")
+                             f"more than {limit}; use a shorter series or a lower --train-frac")
         self._kernel = KernelProduct(X, X)
         buffer = np.empty((n, n + 1), order="F")
         self._H = buffer[:, :n]
@@ -662,7 +661,15 @@ class KernelProduct:
         return np.minimum(block, 0.0, out=block)
 
     def matvec(self, sigma2: float, coeffs) -> np.ndarray:
-        """sum_i coeffs_i exp(-||q - s_i||^2 / (2 sigma2)) at each query row q."""
+        """sum_i coeffs_i exp(-||q - s_i||^2 / (2 sigma2)) at each query row q.
+
+        A row's last bits depend on its position in its ``PREDICT_BLOCK_ROWS``
+        block: the ``dgemm`` of the distances and the ``coeffs @ block``
+        product both round with the block's width. So the same row, queried
+        among other rows, may differ in its last bits; the tests bound the
+        difference by an ulp of sum_i |coeffs_i|, the largest magnitude the
+        sum reaches.
+        """
         nq = self._Qa.shape[1]
         out = np.empty(nq)
         for start in range(0, nq, PREDICT_BLOCK_ROWS):
@@ -708,7 +715,10 @@ def predict(model: LssvmModel, Xq) -> np.ndarray:
     """Evaluate f(x) = sum_i a_i k(x, x_i) + b at each query row of Xq.
 
     The kernel is taken ``PREDICT_BLOCK_ROWS`` query rows at a time (see
-    ``KernelProduct``), so a call holds no n_query x n_support array.
+    ``KernelProduct``), so a call holds no n_query x n_support array. A
+    forecast's last bits depend on its row's position in its block
+    (``KernelProduct.matvec``), so the same row predicted among other rows
+    may differ in its last bits, within an ulp of sum_i |a_i|.
     """
     product = KernelProduct(model.support_inputs, Xq)
     out = product.matvec(model.hyperparams.sigma2, model.dual_coeffs)

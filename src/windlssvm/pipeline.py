@@ -94,19 +94,20 @@ class LaggedDataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological train/validation/test fractions; must sum to 1."""
+    """Chronological train and validation fractions, each positive, that sum
+    to less than 1; the test block takes the rows that remain."""
 
     train_frac: float = 0.6
     val_frac: float = 0.2
-    test_frac: float = 0.2
 
     def __post_init__(self):
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        # Written so that NaN fails both checks.
-        if not all(f > 0 for f in fracs):
-            raise ValueError(f"all split fractions must be positive, got {fracs}")
-        if not abs(sum(fracs) - 1.0) <= 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {sum(fracs)!r}")
+        t, v = self.train_frac, self.val_frac
+        # Written so that NaN fails. A float sum below 1 keeps the exact sum
+        # of the two decimal forms that ``_count`` reads below 1 too, so the
+        # test block, r - floor(t r) - floor(v r) rows, is never empty.
+        if not (t > 0 and v > 0 and t + v < 1):
+            raise ValueError(f"split fractions must be positive and sum to less than 1, "
+                             f"got train_frac {t!r} and val_frac {v!r}")
 
 
 def check_z_threshold(z, name: str = "z_threshold"):
@@ -384,13 +385,14 @@ def _count(fraction: float, n: int, up: bool = False) -> int:
 def _block_bounds(r: int, spec: SplitSpec) -> tuple[int, int, int, int]:
     """The row bounds (0, train end, validation end, r) of ``split`` of r
     rows: floor-sized train and validation blocks, by ``_count``, the
-    remainder to test. Raises ValueError if a block would be empty."""
+    remainder to test, which holds at least one row (``SplitSpec``). Raises
+    ValueError if the train or validation block would be empty."""
     if r < 5:
         raise ValueError(f"need at least 5 rows to split, got {r}")
     n_train = _count(spec.train_frac, r)
     bounds = (0, n_train, n_train + _count(spec.val_frac, r), r)
-    fracs = (spec.train_frac, spec.val_frac, spec.test_frac)
-    for name, frac, lo, hi in zip(("train", "validation", "test"), fracs, bounds, bounds[1:]):
+    fracs = (spec.train_frac, spec.val_frac)
+    for name, frac, lo, hi in zip(("train", "validation"), fracs, bounds, bounds[1:]):
         if hi <= lo:
             raise ValueError(f"the {name} block is empty: a fraction of {frac!r} "
                              f"of {r} rows holds no row")

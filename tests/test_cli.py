@@ -13,8 +13,8 @@ from windlssvm import cli, experiment, lssvm
 from windlssvm.cli import EXPERIMENT_FLAGS, _resolve_config, build_parser, main
 from windlssvm.data_io import load_csv, load_model, write_series_csv
 from windlssvm.experiment import OPTIMIZERS, prepare_data
-from windlssvm.metrics import LssvmFitness
-from windlssvm.pipeline import TimeSeries
+from windlssvm.metrics import LssvmFitness, metric_report
+from windlssvm.pipeline import SplitSpec, TimeSeries, split
 from windlssvm.swarm import SearchSpace
 
 
@@ -159,8 +159,7 @@ class TestFeatures:
     # than the defaults (z = 3 replaces one sample of this series).
     @pytest.mark.parametrize("from_csv, data_flags", [
         (False, ["--synth-n", "600", "--synth-seed", "3"]),
-        (True, ["--train-frac", "0.5", "--val-frac", "0.25", "--test-frac", "0.25",
-                "--z-threshold", "3"]),
+        (True, ["--train-frac", "0.5", "--val-frac", "0.25", "--z-threshold", "3"]),
     ], ids=["synthetic", "csv-split-and-gate"])
     def test_reports_the_models_selection(self, tmp_path, series_csv, from_csv, data_flags):
         source = ["--in", series_csv] if from_csv else []
@@ -302,8 +301,7 @@ class TestTuneAndBenchmark:
         real_call = LssvmFitness.__call__
         monkeypatch.setattr(LssvmFitness, "__call__",
                             lambda fit, position: positions.append(position) or real_call(fit, position))
-        fracs = ["--in", series_csv, "--train-frac", "0.998", "--val-frac", "0.001",
-                 "--test-frac", "0.001"]
+        fracs = ["--in", series_csv, "--train-frac", "0.998", "--val-frac", "0.001"]
         outdir, model = tmp_path / "run", tmp_path / "m"
         assert main(["benchmark"] + _tiny_flags(str(outdir)) + fracs) == 2
         assert main(["train", "--n-lags", "8", "--gamma", "10", "--sigma2", "10",
@@ -347,7 +345,7 @@ class TestTuneAndBenchmark:
         for i, override, message in [
             (0, {"z_threshold": "4"}, "config key 'z_threshold' must be a real number, got '4'"),
             (1, {"z_threshold": True}, "config key 'z_threshold' must be a real number, got True"),
-            (2, {"split": {"train_frac": "0.6", "val_frac": 0.2, "test_frac": 0.2}},
+            (2, {"split": {"train_frac": "0.6", "val_frac": 0.2}},
              "SplitSpec key 'train_frac' must be a real number"),
             # Each type a config field declares, not only the real numbers.
             (7, {"split": [0.6, 0.2, 0.2]},
@@ -422,16 +420,8 @@ FLAG_VALUES = {
     "--z-threshold": ("5.5", 6.5),
     "--train-frac": ("0.5", 0.4),
     "--val-frac": ("0.3", 0.4),
-    "--test-frac": ("0.3", 0.4),
     "--population": ("7", 8),
     "--iterations": ("9", 10),
-}
-# Split fractions must sum to 1, so each flag comes with the other two
-# fractions set in the config file to match its value.
-SPLIT_PARTNERS = {
-    "train_frac": {"val_frac": 0.3, "test_frac": 0.2},
-    "val_frac": {"train_frac": 0.5, "test_frac": 0.2},
-    "test_frac": {"train_frac": 0.5, "val_frac": 0.2},
 }
 
 
@@ -464,26 +454,23 @@ FLAG_ROWS = [pytest.param(flag, path, kind,
 
 class TestFlagTable:
     @pytest.mark.parametrize("flag,path,kind", FLAG_ROWS)
-    def test_flag_sets_field(self, tmp_path, flag, path, kind):
+    def test_flag_sets_field(self, flag, path, kind):
         value, _ = FLAG_VALUES[flag]
-        config = {"split": SPLIT_PARTNERS[path[1]]} if path[0] == "split" else None
-        cfg = _resolve([flag, value], config, tmp_path)
+        cfg = _resolve([flag, value])
         assert _field(cfg, path) == kind(value)
 
     @pytest.mark.parametrize("flag,path,kind", FLAG_ROWS)
     def test_flag_overrides_config(self, tmp_path, flag, path, kind):
         value, configured = FLAG_VALUES[flag]
         key, *rest = path
-        if not rest:
-            config = {key: configured}
-        else:
-            config = {key: {rest[0]: configured, **SPLIT_PARTNERS.get(rest[0], {})}}
+        config = {key: {rest[0]: configured} if rest else configured}
         cfg = _resolve([flag, value], config, tmp_path)
         assert _field(cfg, path) == kind(value)
 
-    def test_three_split_fractions_together(self):
-        cfg = _resolve(["--train-frac", "0.5", "--val-frac", "0.25", "--test-frac", "0.25"])
-        assert (cfg.split.train_frac, cfg.split.val_frac, cfg.split.test_frac) == (0.5, 0.25, 0.25)
+    def test_train_frac_alone_keeps_the_default_validation_fraction(self):
+        # The test block takes the rest, so no other split flag is needed.
+        assert _resolve(["--train-frac", "0.5"]).split == SplitSpec(0.5, 0.2)
+        assert _resolve(["--val-frac", "0.1"]).split == SplitSpec(0.6, 0.1)
 
     def test_synth_flags_ignored_under_input(self, tmp_path):
         cfg = _resolve(["--in", "series.csv", "--synth-n", "5000", "--synth-seed", "1"])
@@ -502,7 +489,7 @@ class TestTrainPredictEvaluate:
     # the sidecar.
     @pytest.mark.parametrize("data_flags", [
         [],
-        ["--train-frac", "0.5", "--val-frac", "0.25", "--test-frac", "0.25", "--z-threshold", "3"],
+        ["--train-frac", "0.5", "--val-frac", "0.25", "--z-threshold", "3"],
     ], ids=["default", "split-and-gate"])
     def test_evaluate_benchmark_model_matches_report(self, tmp_path, series_csv, capsys,
                                                      data_flags):
@@ -531,6 +518,27 @@ class TestTrainPredictEvaluate:
         assert got["actual"].tobytes() == want["actual"].tobytes()
         ulp = np.finfo(float).eps * np.abs(load_model(str(outdir / "model_qpso_0"))[0].dual_coeffs).sum()
         assert np.abs(got["forecast"] - want["forecast"]).max() <= ulp
+
+    @pytest.mark.parametrize("fracs,sizes", [
+        (["--train-frac", "0.5"], (296, 118, 178)),
+        (["--train-frac", "0.5", "--val-frac", "0.25"], (296, 148, 148)),
+    ], ids=["train-frac-alone", "train-and-val-frac"])
+    def test_test_block_takes_the_rest(self, tmp_path, series_csv, capsys, fracs, sizes):
+        # 592 lagged rows: floor-sized train and validation blocks, the rest
+        # to test, which evaluate scores row for row.
+        model_path = str(tmp_path / "m.lssvm")
+        assert main(["train", "--in", series_csv, "--n-lags", "8", "--select-fraction", "0.25",
+                     "--gamma", "100", "--sigma2", "50", "--model-out", model_path, *fracs]) == 0
+        assert capsys.readouterr().out.startswith(f"trained on {sizes[0]} rows ")
+        model, meta = load_model(model_path)
+        blocks = split(experiment.model_rows(load_csv(series_csv), meta), meta.split)
+        assert tuple(b.n_rows for b in blocks) == sizes
+        for name, block in zip(("train", "val", "test"), blocks):
+            assert main(["evaluate", "--model", model_path, "--in", series_csv,
+                         "--block", name]) == 0
+            m = metric_report(block.targets, lssvm.predict(model, block.features))
+            assert capsys.readouterr().out.startswith(
+                f"{name} block ({block.n_rows} rows): rmse={m.rmse:.4f} mae={m.mae:.4f} ")
 
     def test_full_chain(self, tmp_path, series_csv):
         model_path = str(tmp_path / "model.lssvm")
@@ -575,16 +583,20 @@ class TestTrainPredictEvaluate:
     @pytest.mark.parametrize("key,value,complaint", [
         ("lags", _DROP, "sidecar has no 'lags'"),
         (None, "list root", "sidecar root must be a JSON object"),
-        ("format", 7, "sidecar 'format' must be 1"),
+        ("format", 7, "sidecar 'format' must be 2"),
         ("lags", 2, "sidecar key 'lags' must be a list, got 2"),
         ("lags", [1, 1], "sidecar 'lags' must be distinct positive integers"),
         ("n_lags", "8", "sidecar key 'n_lags' must be an integer, got '8'"),
         ("z_threshold", None, "sidecar key 'z_threshold' must be a real number, got None"),
-        ("split", 7, "sidecar key 'split' must be a list, got 7"),
-        ("split", [0.6, 0.2], "sidecar 'split' must hold 3 fractions, got [0.6, 0.2]"),
+        ("split", 7, "sidecar key 'split' must be a SplitSpec object, got 7"),
+        # The format-1 sidecar's split, a list of three fractions.
+        ("split", [0.6, 0.2, 0.2],
+         "sidecar key 'split' must be a SplitSpec object, got [0.6, 0.2, 0.2]"),
         ("lags", [1, 9], "sidecar 'lags' reach lag 9, past its 'n_lags' of 8"),
-        ("split", [0.5, 0.5, 0.5], "sidecar 'split': split fractions must sum to 1, got 1.5"),
-        ("split", [0.8, 0.4, -0.2], "sidecar 'split': all split fractions must be positive"),
+        ("split", {"train_frac": 0.5, "val_frac": 0.5},
+         "split fractions must be positive and sum to less than 1, got train_frac 0.5"),
+        ("split", {"train_frac": 0.8, "val_frac": -0.2},
+         "split fractions must be positive and sum to less than 1, got train_frac 0.8"),
         ("cadence_minutes", "x", "sidecar key 'cadence_minutes' must be an integer, got 'x'"),
         ("cadence_minutes", 0, "sidecar 'cadence_minutes' must be a positive integer"),
         (_TEXT, "{not json", "invalid JSON: Expecting property name"),
@@ -595,12 +607,13 @@ class TestTrainPredictEvaluate:
         ("z_threshold", _DROP, "sidecar has no 'z_threshold'"),
         ("split", _DROP, "sidecar has no 'split'"),
         ("cadence_minutes", None, "sidecar key 'cadence_minutes' must be an integer, got None"),
-        # A list is read item by item; the first bad one is named.
-        ("split", ["0.6", "abc", 0.2],
-         "sidecar key 'split' item 0 must be a real number, got '0.6'"),
-        ("split", ["0.6", 0.2, 0.2], "sidecar key 'split' item 0 must be a real number, got '0.6'"),
-        ("split", [0.6, 0.2, False],
-         "sidecar key 'split' item 2 must be a real number, got False"),
+        # The split is read as the config's split object is.
+        ("split", {"train_frac": "0.6", "val_frac": 0.2},
+         "SplitSpec key 'train_frac' must be a real number, got '0.6'"),
+        ("split", {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2},
+         "unknown SplitSpec keys: ['test_frac']"),
+        ("split", {"train_frac": 0.6, "val_frac": False},
+         "SplitSpec key 'val_frac' must be a real number, got False"),
         # The model reads 2 lags.
         ("lags", [1, 2, 3], "model expects 2 features but metadata lists 3 lags"),
     ])
@@ -661,8 +674,8 @@ class TestTrainPredictEvaluate:
                      "--select-fraction", "0.25", "--gamma", "100", "--sigma2", "50",
                      "--model-out", str(model_path)]) == 0
         assert Path(f"{model_path}.meta.json").read_text() == (
-            '{"cadence_minutes": 20, "format": 1, "lags": [1, 2], "n_lags": 8, '
-            '"split": [0.6, 0.2, 0.2], "z_threshold": 4}\n'
+            '{"cadence_minutes": 20, "format": 2, "lags": [1, 2], "n_lags": 8, '
+            '"split": {"train_frac": 0.6, "val_frac": 0.2}, "z_threshold": 4}\n'
         )
 
     def test_failed_sidecar_write_leaves_no_temp_file(self, tmp_path, series_csv, capsys):
@@ -765,8 +778,7 @@ class TestTrainPredictEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("data error: a training block of 355 rows needs a "
                               f"{lssvm.buffer_bytes(355)}-byte kernel buffer")
-        assert err.rstrip().endswith("; use a shorter series, or lower --train-frac and "
-                                     "raise --val-frac or --test-frac to match")
+        assert err.rstrip().endswith("; use a shorter series or a lower --train-frac")
         assert not os.path.exists("m") and not os.path.exists("run/report.csv")
 
     def test_numeric_failure_exit_3(self, tmp_path, series_csv):
@@ -779,7 +791,7 @@ class TestTrainPredictEvaluate:
 # The experiment flags each command offers: the data flags that
 # ``prepare_data`` reads, and for tuning the trial, output and swarm flags.
 DATA_FLAG_NAMES = ["--in", "--synth-n", "--synth-seed", "--n-lags", "--select-fraction",
-                   "--z-threshold", "--train-frac", "--val-frac", "--test-frac"]
+                   "--z-threshold", "--train-frac", "--val-frac"]
 TUNING_FLAG_NAMES = ["--trials", "--base-seed", "--outdir", "--population", "--iterations"]
 COMMAND_FLAGS = {
     "features": DATA_FLAG_NAMES + ["--outdir"],
@@ -824,6 +836,9 @@ class TestCommandFlags:
           for flag, value in (("--ce-alpha", "0.5"), ("--gamma-min", "1"), ("--gamma-max", "1e3"),
                               ("--sigma2-min", "8"), ("--sigma2-max", "1e3"))
           for command, strategy in (("tune", ["--strategy", "qpso"]), ("benchmark", []))),
+        # The test block takes the rows that train and validation leave.
+        ("train", ["--gamma", "100", "--sigma2", "50", "--model-out", "m", "--test-frac", "0.2"]),
+        ("benchmark", ["--test-frac", "0.2"]),
     ])
     def test_unread_flag_usage_error(self, tmp_path, monkeypatch, capsys, command, argv):
         monkeypatch.chdir(tmp_path)
@@ -865,6 +880,15 @@ class TestCommandFlags:
         cfg_path.write_text(json.dumps({"synthetic": {"n": 600}, "n_lags": 8, "mi_bins": 16}))
         assert main(["features", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
         assert "unknown config keys: ['mi_bins']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_test_frac_key_usage_error(self, tmp_path, capsys):
+        # The test block takes the rest; no key sets its fraction.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"n": 600}, "n_lags": 8,
+                                        "split": {"test_frac": 0.2}}))
+        assert main(["features", "--config", str(cfg_path), "--outdir", str(tmp_path / "o")]) == 1
+        assert "unknown SplitSpec keys: ['test_frac']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["gamma_range", "sigma2_range"])

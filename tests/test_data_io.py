@@ -16,7 +16,7 @@ from windlssvm.data_io import (
     write_series_csv,
 )
 from windlssvm.lssvm import Hyperparams, predict, train
-from windlssvm.pipeline import TimeSeries
+from windlssvm.pipeline import SplitSpec, TimeSeries
 
 
 class TestLoadCsv:
@@ -88,6 +88,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 1"):
             load_csv(str(p))
 
+    # float() reads a digit-group underscore and any Unicode decimal digit.
+    @pytest.mark.parametrize("value", ["1_0", "\u0665", "\uff11.5"])
+    def test_python_only_number_rejected(self, tmp_path, value):
+        p = tmp_path / "digits.csv"
+        p.write_text(f"2015-04-01T00:00,7.3\n2015-04-01T00:20,{value}\n", encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_csv(str(p))
+        assert str(info.value) == f"{p}: line 2: unparseable value {value!r}"
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/file.csv")
@@ -132,6 +141,24 @@ class TestTimestamps:
         p.write_text("2015-04-01T00:00,1.0\nNaT,2.0\n")
         with pytest.raises(DataError, match="line 2: unparseable timestamp"):
             load_csv(str(p))
+
+    # numpy reads these, in any case, as the wall clock.
+    @pytest.mark.parametrize("word", ["now", "today", "NOW", "Today"])
+    def test_wall_clock_stamp_names_line(self, tmp_path, word):
+        for lines, lineno in ((["timestamp,value", f"{word},3.0"], 2), (_stamped(10) + [f"{word},3.0"], 12)):
+            p = tmp_path / "clock.csv"
+            p.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataError) as info:
+                load_csv(str(p))
+            assert str(info.value) == f"{p}: line {lineno}: unparseable timestamp {word!r}"
+
+    def test_stamps_of_today_load(self, tmp_path):
+        # A file that reaches today is searched for the two words, and loads.
+        start = np.datetime64("today", "m")
+        p = tmp_path / "today.csv"
+        p.write_text("".join(f"{start + np.timedelta64(20 * i, 'm')},{i}.0\n" for i in range(3)))
+        s = load_csv(str(p))
+        assert s.start == start.astype(datetime) and s.values.tolist() == [0.0, 1.0, 2.0]
 
     def test_duplicate_stamp_names_line(self, tmp_path):
         lines = _stamped(10)
@@ -325,7 +352,7 @@ class TestSeriesRoundTrip:
 
 class TestModelPersistence:
     # The sidecar of a model on three lags, which every model file has.
-    _META = ModelMeta(1, (1, 2, 3), 3, 20, 4.0, (0.6, 0.2, 0.2))
+    _META = ModelMeta(2, (1, 2, 3), 3, 20, 4.0, SplitSpec())
 
     def _model(self, seed=0, n=12, d=3):
         rng = np.random.default_rng(seed)
@@ -348,15 +375,15 @@ class TestModelPersistence:
 
     def test_meta_sidecar(self, tmp_path):
         path = str(tmp_path / "model.bin")
-        save_model(self._model(), path, ModelMeta(1, (2, 1, 5), 8, 10, 3.5, (0.5, 0.25, 0.25)))
+        save_model(self._model(), path, ModelMeta(2, (2, 1, 5), 8, 10, 3.5, SplitSpec(0.5, 0.25)))
         assert Path(path + ".meta.json").read_text() == (
-            '{"cadence_minutes": 10, "format": 1, "lags": [2, 1, 5], "n_lags": 8, '
-            '"split": [0.5, 0.25, 0.25], "z_threshold": 3.5}\n'
+            '{"cadence_minutes": 10, "format": 2, "lags": [2, 1, 5], "n_lags": 8, '
+            '"split": {"train_frac": 0.5, "val_frac": 0.25}, "z_threshold": 3.5}\n'
         )
 
     def test_sidecar_read_back(self, tmp_path):
         path = str(tmp_path / "model.bin")
-        meta = ModelMeta(1, (2, 1, 5), 8, 10, 3.5, (0.5, 0.25, 0.25))
+        meta = ModelMeta(2, (2, 1, 5), 8, 10, 3.5, SplitSpec(0.5, 0.25))
         save_model(self._model(), path, meta)
         assert load_model(path)[1] == meta
 
@@ -371,10 +398,13 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("text, complaint", [
         ('{"format": 1', "invalid JSON"),
-        ('{"format": 1, "lags": [1, 2], "n_lags": 3, "cadence_minutes": 20, "z_threshold": 4.0, '
-         '"split": [0.6, 0.2, 0.2]}', "model expects 3 features but metadata lists 2 lags"),
+        ('{"format": 2, "lags": [1, 2], "n_lags": 3, "cadence_minutes": 20, "z_threshold": 4.0, '
+         '"split": {"train_frac": 0.6, "val_frac": 0.2}}',
+         "model expects 3 features but metadata lists 2 lags"),
+        # A format-1 sidecar: its split is a list of three fractions.
         ('{"format": 1, "lags": [1, 2, 3], "n_lags": 3, "cadence_minutes": 20, "z_threshold": 4.0, '
-         '"split": [0.6, 0.4]}', "sidecar 'split' must hold 3 fractions, got [0.6, 0.4]"),
+         '"split": [0.6, 0.2, 0.2]}',
+         "sidecar key 'split' must be a SplitSpec object, got [0.6, 0.2, 0.2]"),
     ])
     def test_malformed_sidecar(self, tmp_path, text, complaint):
         # The CLI's malformed-sidecar rows cover each key; here the library

@@ -99,7 +99,7 @@ class TestConfigFromDict:
                 "synthetic": {"n": 700, "seed": 1},
                 "n_lags": 12,
                 "swarm": {"max_iter": 9, "population": 7},
-                "split": {"train_frac": 0.5, "val_frac": 0.25, "test_frac": 0.25},
+                "split": {"train_frac": 0.5, "val_frac": 0.25},
                 "strategies": ["qpso"],
                 "trials": 1,
             }
@@ -187,7 +187,7 @@ class TestPrepareData:
             path = str(tmp_path / "spiky.csv")
             write_series_csv(TimeSeries(v), path)
             cfg = ExperimentConfig(input_csv=path, n_lags=30, select_fraction=0.2,
-                                   split=SplitSpec(0.5, 0.25, 0.25))
+                                   split=SplitSpec(0.5, 0.25))
         data = prepare_data(cfg)
 
         # The chain that built the whole lag matrix: lag every lag, split,
@@ -215,7 +215,7 @@ class TestPrepareData:
 
     @pytest.mark.parametrize("settings", [
         {},
-        {"z_threshold": 3.0, "split": SplitSpec(0.5, 0.25, 0.25)},
+        {"z_threshold": 3.0, "split": SplitSpec(0.5, 0.25)},
     ], ids=["default", "split-and-gate"])
     def test_model_rows_of_the_series_are_the_blocks(self, tmp_path, settings):
         # What predict and evaluate build from the training CSV and the
@@ -227,7 +227,8 @@ class TestPrepareData:
         data = prepare_data(ExperimentConfig(input_csv=path, **settings))
         assert data.n_replaced >= 2
         meta = data.model_meta
-        blocks = split(model_rows(load_csv(path), meta), SplitSpec(*meta.split))
+        assert meta.split == settings.get("split", SplitSpec())
+        blocks = split(model_rows(load_csv(path), meta), meta.split)
         for got, want in zip(blocks, (data.train, data.val, data.test)):
             assert got.lag_indices == want.lag_indices == meta.lags
             assert got.features.tobytes() == want.features.tobytes()
@@ -245,19 +246,19 @@ class TestPrepareData:
         assert peak < 19900 * 100 * 8 / 2
 
 
-_SPLIT = (0.6, 0.2, 0.2)
+_SPLIT = SplitSpec()
 
 
 class TestModelMeta:
     # The sidecar reader's own cases are in test_cli's malformed-sidecar rows.
     @pytest.mark.parametrize("fields, complaint", [
-        ((1, (), 1, 20, 4.0, _SPLIT), "sidecar 'lags' must be distinct positive integers, got []"),
-        ((1, (0, 1), 1, 20, 4.0, _SPLIT),
+        ((2, (), 1, 20, 4.0, _SPLIT), "sidecar 'lags' must be distinct positive integers, got []"),
+        ((2, (0, 1), 1, 20, 4.0, _SPLIT),
          "sidecar 'lags' must be distinct positive integers, got [0, 1]"),
-        ((1, (1,), 1, 20, float("inf"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
-        ((1, (1,), 1, 20, float("nan"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
-        ((1, (1, 2), 4, 20, 4.0, (0.5, 0.3)), "sidecar 'split' must hold 3 fractions, got [0.5, 0.3]"),
-        ((1, (1, 2), 4, 20, 4.0, (0.4, 0.2, 0.2, 0.2)), "sidecar 'split' must hold 3 fractions"),
+        ((2, (1,), 1, 20, float("inf"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
+        ((2, (1,), 1, 20, float("nan"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
+        # Format 1 stored the split as a list of three fractions.
+        ((1, (1,), 1, 20, 4.0, _SPLIT), "sidecar 'format' must be 2, got 1"),
     ])
     def test_refused(self, fields, complaint):
         with pytest.raises(ValueError) as info:
@@ -472,7 +473,7 @@ class TestReportRows:
             selected_lags=(1, 2),
             n_replaced=0,
             test_targets=np.array([1.0, 2.0]),
-            model_meta=ModelMeta(1, (1, 2), 2, 20, 4.0, (0.6, 0.2, 0.2)),
+            model_meta=ModelMeta(2, (1, 2), 2, 20, 4.0, SplitSpec()),
         )
         write_report(rep, str(tmp_path))
         return (tmp_path / "report.csv").read_text().splitlines()

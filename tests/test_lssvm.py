@@ -562,8 +562,7 @@ class TestTrainingKernel:
             tracemalloc.stop()
         assert str(info.value) == (f"a training block of 2000 rows needs a {need}-byte kernel "
                                    f"buffer, more than the machine's {need - 1} bytes of physical "
-                                   "memory; use a shorter series, or lower --train-frac and "
-                                   "raise --val-frac or --test-frac to match")
+                                   "memory; use a shorter series or a lower --train-frac")
         assert peak < need / 100
         monkeypatch.setattr(lssvm, "memory_limit_bytes", lambda: (lssvm.buffer_bytes(3), None))
         assert lssvm.TrainingSet(X[:3], y[:3]).solve(Hyperparams(10.0, 1.0))[0].shape == (3,)
@@ -629,8 +628,7 @@ class TestTrainingKernel:
         assert str(info.value) == (f"a training block of 2000 rows needs a {need}-byte kernel "
                                    f"buffer, more than the {need - 1}-byte memory cgroup limit in "
                                    f"{tmp_path}/sys/fs/cgroup/jobs/memory.max; use a shorter "
-                                   "series, or lower --train-frac and raise --val-frac or "
-                                   "--test-frac to match")
+                                   "series or a lower --train-frac")
         assert peak < need / 100
 
     def test_solves_repeat_bit_identically(self):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from datetime import datetime
 
@@ -505,7 +506,7 @@ class TestSelectFeatures:
         with pytest.raises(ValueError, match="need at least 5 rows to split, got 4"):
             mi_ranking(random_series(10), 6, SplitSpec())
         with pytest.raises(ValueError, match="the train block is empty"):
-            mi_ranking(random_series(600), 8, SplitSpec(0.001, 0.5, 0.499))
+            mi_ranking(random_series(600), 8, SplitSpec(0.001, 0.5))
         with pytest.raises(ValueError, match="series length 6 must exceed n_lags 6"):
             mi_ranking(random_series(6), 6, SplitSpec())
 
@@ -533,9 +534,8 @@ class TestSplit:
             split(self._dataset(4), SplitSpec())
         # A fraction too small for the row count leaves its block empty.
         for r, spec, block, frac in [
-            (592, SplitSpec(0.998, 0.001, 0.001), "validation", "0.001"),
-            (592, SplitSpec(0.001, 0.5, 0.499), "train", "0.001"),
-            (10, SplitSpec(0.5, 0.5, 1e-10), "test", "1e-10"),
+            (592, SplitSpec(0.998, 0.001), "validation", "0.001"),
+            (592, SplitSpec(0.001, 0.5), "train", "0.001"),
         ]:
             with pytest.raises(ValueError, match=f"the {block} block is empty: "
                                                  f"a fraction of {frac} of {r} rows"):
@@ -543,7 +543,7 @@ class TestSplit:
 
     def test_exact_decimal_fraction(self):
         # 0.7 * 90 is 62.99999999999999 as a float
-        train, val, test = split(self._dataset(90), SplitSpec(0.7, 0.15, 0.15))
+        train, val, test = split(self._dataset(90), SplitSpec(0.7, 0.15))
         assert (train.n_rows, val.n_rows, test.n_rows) == (63, 13, 14)
 
     def test_default_sizes_are_the_float_products(self):
@@ -551,19 +551,41 @@ class TestSplit:
         for frac in (0.6, 0.2):
             assert all(_count(frac, r) == int(frac * r) for r in range(60000))
 
+    @pytest.mark.parametrize("r", [5, 10, 37, 100, 101, 592, 2575])
+    def test_test_block_takes_the_rest(self, r):
+        train, val, test = split(self._dataset(r), SplitSpec(0.5, 0.3))
+        assert (train.n_rows, val.n_rows) == (math.floor(0.5 * r), math.floor(0.3 * r))
+        assert test.n_rows == r - train.n_rows - val.n_rows
+        assert test.targets.tolist() == list(range(r - test.n_rows, r))
+
+    def test_test_block_never_empty(self):
+        # Fractions whose float sum lies just below 1 still leave the test
+        # block a row: the counts floor the exact decimals, which sum below 1.
+        rng = np.random.default_rng(4)
+        for t in rng.uniform(0.01, 0.98, 200).tolist():
+            v = float(np.nextafter(1.0 - t, 0.0))
+            while t + v >= 1.0:
+                v = float(np.nextafter(v, 0.0))
+            SplitSpec(t, v)
+            for r in (97, 592, 10007):
+                assert _count(t, r) + _count(v, r) < r
+
     def test_bad_fractions(self):
-        with pytest.raises(ValueError):
-            SplitSpec(0.5, 0.2, 0.2)
-        with pytest.raises(ValueError):
-            SplitSpec(0.0, 0.5, 0.5)
+        # A zero, a negative, an infinite fraction or a sum of 1 or more.
+        for fracs in [(0.5, 0.5), (0.7, 0.4), (0.1, 0.9), (0.0, 0.5), (0.5, 0.0), (-0.1, 0.5),
+                      (0.5, -0.1), (float("inf"), 0.2), (0.6, float("inf"))]:
+            with pytest.raises(ValueError, match="split fractions must be positive and sum "
+                                                 "to less than 1"):
+                SplitSpec(*fracs)
 
     def test_nan_fraction(self):
-        with pytest.raises(ValueError):
-            SplitSpec(np.nan, 0.2, 0.2)
+        for fracs in ((np.nan, 0.2), (0.6, np.nan)):
+            with pytest.raises(ValueError):
+                SplitSpec(*fracs)
 
     def test_defaults(self):
         spec = SplitSpec()
-        assert (spec.train_frac, spec.val_frac, spec.test_frac) == (0.6, 0.2, 0.2)
+        assert (spec.train_frac, spec.val_frac) == (0.6, 0.2)
 
 
 class TestTimeSeries:
