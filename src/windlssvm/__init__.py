@@ -17,7 +17,6 @@ from .pipeline import (
     clean,
     make_lagged_dataset,
     mi_ranking,
-    mutual_information,
     split,
     top_lags,
 )

@@ -24,9 +24,10 @@ rule the CLI reads a config file by: each value is checked against the type
 unknown or missing key, a value that does not fit and a lag count other
 than the model's column count each raise a DataError naming the sidecar.
 The sidecar is format 2: its ``split`` is a ``SplitSpec`` object, such as
-``{"train_frac": 0.6, "val_frac": 0.2}``, read as a config's ``split`` is.
-A format-1 sidecar, whose split is a list of three fractions, raises such a
-DataError.
+``{"train_frac": 0.6, "val_frac": 0.2}``, read as a config's ``split`` is,
+except that no key may be left out for its default. Its ``format`` is read
+first: a format-1 sidecar, whose split is a list of three fractions, raises
+a DataError that names its format and says to retrain.
 """
 
 from __future__ import annotations
@@ -233,9 +234,10 @@ _SCALARS = {int: (int, "an integer"), float: ((int, float), "a real number"), st
 _field_types = functools.cache(typing.get_type_hints)
 
 
-def _read(tp, value, what: str, or_null: str = ""):
+def _read(tp, value, what: str, or_null: str = "", defaults: bool = True):
     """``value`` read from JSON as the declared type ``tp``: a settings
-    dataclass from an object, ``tuple[X, ...]`` from a list, ``X | None``
+    dataclass from an object (by ``_dataclass_from_dict`` with
+    ``defaults``), ``tuple[X, ...]`` of a scalar X from a list, ``X | None``
     also from null, a scalar as it is. Raises ValueError naming ``what``
     when the value does not fit."""
     args = typing.get_args(tp)
@@ -244,10 +246,10 @@ def _read(tp, value, what: str, or_null: str = ""):
         if isinstance(value, list):
             return tuple(_read(args[0], v, f"{what} item {i}") for i, v in enumerate(value))
     elif args:  # X | None, X first
-        return None if value is None else _read(args[0], value, what, " or null")
+        return None if value is None else _read(args[0], value, what, " or null", defaults)
     elif dataclasses.is_dataclass(tp):
         if isinstance(value, dict):
-            return _dataclass_from_dict(tp, value, tp.__name__)
+            return _dataclass_from_dict(tp, value, tp.__name__, defaults)
         wanted = f"a {tp.__name__} object"
     else:
         kinds, wanted = _SCALARS[tp]
@@ -256,18 +258,21 @@ def _read(tp, value, what: str, or_null: str = ""):
     raise ValueError(f"{what} must be {wanted}{or_null}, got {value!r}")
 
 
-def _dataclass_from_dict(cls, d: dict, label: str):
+def _dataclass_from_dict(cls, d: dict, label: str, defaults: bool = True):
     """``cls`` from the JSON object ``d``, each value read as its field's
-    declared type; an unknown or missing key or a value that does not fit is
-    a ValueError naming the key and ``label``."""
+    declared type; an unknown key, a value that does not fit and a missing
+    key are each a ValueError naming the key and ``label``. With
+    ``defaults`` (a config) a key whose field has a default may be left
+    out, at any depth; without (a sidecar, which records every value it was
+    written with) none may."""
     types = _field_types(cls)
     unknown = sorted(set(d) - set(types))
     if unknown:
         raise ValueError(f"unknown {label} keys: {unknown}")
     for f in dataclasses.fields(cls):
-        if f.name not in d and f.default is dataclasses.MISSING is f.default_factory:
+        if f.name not in d and (not defaults or f.default is dataclasses.MISSING is f.default_factory):
             raise ValueError(f"{label} has no {f.name!r}")
-    return cls(**{k: _read(types[k], v, f"{label} key {k!r}") for k, v in d.items()})
+    return cls(**{k: _read(types[k], v, f"{label} key {k!r}", defaults=defaults) for k, v in d.items()})
 
 
 def _read_json_object(path: str, label: str) -> dict:
@@ -339,9 +344,10 @@ def save_model(model: LssvmModel, path: str, meta: ModelMeta):
 
 def load_model(path: str) -> tuple[LssvmModel, ModelMeta]:
     """Read a model file and its sidecar. A corrupt or future-versioned
-    model file, then a malformed sidecar or one whose lag count differs from
-    the model's column count, raises DataError; a missing sidecar is an
-    OSError naming its path."""
+    model file, then a sidecar of another format, a malformed one (a key
+    left out, nested ones included) or one whose lag count differs from the
+    model's column count, raises DataError; a missing sidecar is an OSError
+    naming its path."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 4 or blob[:4] != MODEL_MAGIC:
@@ -365,8 +371,12 @@ def load_model(path: str) -> tuple[LssvmModel, ModelMeta]:
         raise DataError(f"{path}: corrupt model file: {exc}") from None
     meta_path = path + ".meta.json"
     raw = _read_json_object(meta_path, "sidecar")
+    # The format first: an older sidecar's keys need not fit this one's.
+    if "format" in raw and raw["format"] != 2:
+        raise DataError(f"{meta_path}: sidecar 'format' is {raw['format']!r}, not 2; "
+                        "retrain the model to write a format-2 sidecar")
     try:
-        meta = _dataclass_from_dict(ModelMeta, raw, "sidecar")
+        meta = _dataclass_from_dict(ModelMeta, raw, "sidecar", defaults=False)
     except ValueError as exc:
         raise DataError(f"{meta_path}: {exc}") from None
     if len(meta.lags) != m:

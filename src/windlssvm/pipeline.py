@@ -5,18 +5,19 @@ holds every non-finite value: ``clean`` fills exactly those samples,
 ``make_lagged_dataset`` and ``mi_ranking`` refuse a series that has any,
 and ``data_io.write_series_csv`` writes them as blank fields.
 
-Mutual information is a plug-in estimate over an equal-width bins x bins
-histogram. Each variable is binned by numpy's 2-D histogram rule, without
-calling it: edges ``np.linspace(min, max, bins + 1)``, a constant variable
-widened by 0.5 each way, a value in the bin whose left edge is the last
-edge at or below it (``searchsorted`` side "right"), and a value on the top
-edge in the last bin. ``mi_ranking`` ranks the lags straight from the
-series, without building a lag matrix: lag k's column is a window of the
-series, windows with one (min, max) range share their edges, so the span
-that the windows cover is binned once per distinct range and each lag's
-bins are a slice of it. A block's joint histograms, ``_MI_BLOCK`` (8) lags
-at a time, are counted with one ``np.bincount``, so no temporary of a
-2575-row block exceeds 165 KB.
+Mutual information is a plug-in estimate over an equal-width ``MI_BINS`` x
+``MI_BINS`` (16 x 16) histogram. Each variable is binned by numpy's 2-D
+histogram rule, without calling it: edges ``np.linspace(min, max, 17)``, a
+constant variable widened by 0.5 each way, a value in the bin whose left
+edge is the last edge at or below it (``searchsorted`` side "right"), and a
+value on the top edge in the last bin. ``mi_ranking`` ranks the lags
+straight from the series, without building a lag matrix: lag k's column is
+a window of the series and the targets are lag 0's, windows with one (min,
+max) range share their edges, so the span that the windows cover is binned
+once per distinct range and each window's bins are a slice of it. A
+block's joint histograms, ``_MI_BLOCK`` (8) lags at a time, are counted
+with one ``np.bincount``, so no temporary of a 2575-row block exceeds
+165 KB.
 
 Every count that a fraction sets, the split's blocks and the lags kept,
 takes one rounding rule (``_count``).
@@ -227,23 +228,8 @@ def autocorrelation(series: TimeSeries, max_lag: int) -> np.ndarray:
     return out
 
 
-def mutual_information(feature: np.ndarray, target: np.ndarray, bins: int = 16) -> float:
-    """Plug-in mutual information (nats) over a bins x bins equal-width histogram.
-
-    Each variable is binned by numpy's 2-D histogram rule (``_bin_rows``).
-    Computed as H(X) + H(Y) - H(X, Y) with each entropy summed over sorted
-    probabilities, so the estimate is exactly symmetric in its arguments.
-    Raises ValueError on a non-finite value.
-    """
-    feature = np.asarray(feature, dtype=float).ravel()
-    target = np.asarray(target, dtype=float).ravel()
-    if feature.size != target.size:
-        raise ValueError(f"length mismatch: {feature.size} vs {target.size}")
-    y_bin, h_y = _target_bins(target, bins)
-    (x_bin,) = _bin_rows(feature[None, :], bins)
-    (mi,) = _mi_rows((x_bin * bins + y_bin)[None, :], h_y, bins)
-    return mi
-
+# Equal-width bins per variable of the MI histograms.
+MI_BINS = 16
 
 # Lags whose joint histograms mi_ranking counts together. Whole-matrix
 # temporaries (2 MB at 2575 x 100) cost more time and leave glibc's heap
@@ -251,98 +237,73 @@ def mutual_information(feature: np.ndarray, target: np.ndarray, bins: int = 16) 
 _MI_BLOCK = 8
 
 
-def mi_ranking(series: TimeSeries, n_lags: int, spec: SplitSpec,
-               bins: int = 16) -> list[tuple[int, float]]:
+def mi_ranking(series: TimeSeries, n_lags: int, spec: SplitSpec) -> list[tuple[int, float]]:
     """(lag, MI against targets) pairs for lags 1..n_lags on the train block
     of ``split(make_lagged_dataset(series, n_lags), spec)``, sorted by
     descending MI then smaller lag. Raises ValueError where those two
-    would, on fewer than 2 * bins train rows, and on a range too wide to
-    bin.
+    would, on fewer than 2 * ``MI_BINS`` train rows, and on a range too wide
+    to bin.
 
-    Read from the series itself: with n_train train rows, the targets are
-    v[n_lags : n_lags + n_train] and lag k's column is the window
-    v[n_lags - k : n_lags - k + n_train]. Each MI equals
-    ``mutual_information(window, targets, bins)`` bit for bit: the bins
-    depend only on the window's (min, max), so the span v[0 : n_lags - 1 +
-    n_train] is binned once for each distinct range and every lag's bins are
-    a slice of its range's binned span (one range on both synthetic
-    profiles; a trend, whose every window has its own, holds n_lags binned
-    spans). The targets are binned and H(Y)
-    summed once; one ``np.bincount`` counts ``_MI_BLOCK`` (8) lags' joint
-    histograms.
+    Read from the series itself: with n_train train rows, lag k's column is
+    the window v[n_lags - k : n_lags - k + n_train], and the targets are
+    lag 0's window. The bins depend only on a window's (min, max), so the
+    span v[0 : n_lags + n_train] is binned once for each distinct range and
+    every window's bins, the targets' included, are a slice of its range's
+    binned span (one range on both synthetic profiles; a trend, whose every
+    window has its own, holds n_lags + 1 binned spans). H(Y) is summed once;
+    one ``np.bincount`` counts ``_MI_BLOCK`` (8) lags' joint histograms.
     """
     v = _lagging_values(series, n_lags)
     n_train = _block_bounds(v.size - n_lags, spec)[1]
-    y_bin, h_y = _target_bins(v[n_lags:n_lags + n_train], bins)
-    span = v[:n_lags - 1 + n_train]
-    # Row k - 1 is lag k's window.
+    if n_train < 2 * MI_BINS:
+        raise ValueError(f"need at least 2*MI_BINS = {2 * MI_BINS} train rows, got {n_train}")
+    span = v[:n_lags + n_train]
+    # Row k is lag k's window; row 0 holds the targets.
     windows = sliding_window_view(span, n_train)[::-1]
     lag_ranges = list(zip(windows.min(axis=1).tolist(), windows.max(axis=1).tolist()))
     ranges = list(dict.fromkeys(lag_ranges))
     lo, hi = np.array(ranges).T
-    # Each span sample's bin x, times bins, by range.
-    scaled = dict(zip(ranges, (np.searchsorted(inner, span, side="right") * bins
-                               for inner in _inner_edges(lo, hi, bins))))
-    offsets = y_bin + (np.arange(_MI_BLOCK) * bins * bins)[:, None]
+    # Each span sample's bin, by range.
+    binned = dict(zip(ranges, (np.searchsorted(inner, span, side="right")
+                               for inner in _inner_edges(lo, hi))))
+    y_bin = binned[lag_ranges[0]][n_lags:]
+    (h_y,) = _entropies(np.bincount(y_bin, minlength=MI_BINS)[None, :], n_train)
+    offsets = y_bin * MI_BINS + (np.arange(_MI_BLOCK) * MI_BINS * MI_BINS)[:, None]
     scores = []
     for k0 in range(1, n_lags + 1, _MI_BLOCK):
         lags = range(k0, min(k0 + _MI_BLOCK, n_lags + 1))
-        cells = np.stack([scaled[lag_ranges[k - 1]][n_lags - k:n_lags - k + n_train] for k in lags])
+        cells = np.stack([binned[lag_ranges[k]][n_lags - k:n_lags - k + n_train] for k in lags])
         cells += offsets[:len(lags)]
-        scores += zip(lags, _mi_rows(cells, h_y, bins))
+        scores += zip(lags, _mi_rows(cells, h_y))
     return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
 
 
-def _target_bins(target: np.ndarray, bins: int) -> tuple[np.ndarray, float]:
-    """The target's bin per sample, and its entropy H(Y)."""
-    if bins < 1:
-        raise ValueError("bins must be positive")
-    if target.size < 2 * bins:
-        raise ValueError(f"need at least 2*bins = {2 * bins} samples, got {target.size}")
-    (y_bin,) = _bin_rows(target[None, :], bins)
-    (h_y,) = _entropies(np.bincount(y_bin, minlength=bins)[None, :], target.size)
-    return y_bin, h_y
-
-
-def _mi_rows(cells: np.ndarray, h_y: float, bins: int) -> list[float]:
-    """The MI of each row of ``cells`` against the target of
-    ``_target_bins``. Entry i of row k is the cell (k * bins + x) * bins + y
-    of sample i, x its bin in the row's variable and y the target's."""
+def _mi_rows(cells: np.ndarray, h_y: float) -> list[float]:
+    """The MI of each row of ``cells`` against the targets, whose entropy is
+    ``h_y``. Entry i of row k is the cell (k * MI_BINS + y) * MI_BINS + x of
+    sample i, y its target's bin and x its bin in the row's variable."""
     width, n = cells.shape
-    joint = np.bincount(cells.ravel(), minlength=width * bins * bins).reshape(width, bins * bins)
-    h_x = _entropies(joint.reshape(width, bins, bins).sum(axis=2), n)
+    joint = np.bincount(cells.ravel(), minlength=width * MI_BINS * MI_BINS).reshape(width, -1)
+    h_x = _entropies(joint.reshape(width, MI_BINS, MI_BINS).sum(axis=1), n)
     h_xy = _entropies(joint, n)
     return [max(hx + h_y - hxy, 0.0) for hx, hxy in zip(h_x, h_xy)]
 
 
-def _bin_rows(rows: np.ndarray, bins: int) -> np.ndarray:
-    """The equal-width bin, 0..bins-1, of each entry of each row of ``rows``,
-    by numpy's 2-D histogram rule on the row's (min, max) (``_inner_edges``):
-    a value falls in the bin whose left edge is the last edge at or below it
-    (``searchsorted`` side "right"), and a value on the top edge in the last
-    bin.
-    """
-    # Every value lies within the outer edges, so its bin is the number of
-    # inner edges at or below it: numpy's searchsorted index less one,
-    # and the top-edge values already in the last bin.
-    out = np.empty(rows.shape, dtype=np.intp)
-    for i, inner in enumerate(_inner_edges(rows.min(axis=1), rows.max(axis=1), bins)):
-        out[i] = np.searchsorted(inner, rows[i], side="right")
-    return out
-
-
-def _inner_edges(lo: np.ndarray, hi: np.ndarray, bins: int) -> list[np.ndarray]:
-    """The bins - 1 inner edges of each range (lo[i], hi[i]) by numpy's 2-D
-    histogram rule: ``np.linspace(lo, hi, bins + 1)``, a constant range
-    widened by 0.5 each way. Raises ValueError, as numpy's histogram does, on
-    a non-finite range or one too wide to subtract."""
+def _inner_edges(lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+    """The MI_BINS - 1 inner edges of each range (lo[i], hi[i]) by numpy's
+    2-D histogram rule: ``np.linspace(lo, hi, MI_BINS + 1)``, a constant
+    range widened by 0.5 each way. A value's bin, 0..MI_BINS-1, is the
+    number of inner edges at or below it (``searchsorted`` side "right"),
+    which puts a value on the top edge in the last bin. Raises ValueError,
+    as numpy's histogram does, on a non-finite range or one too wide to
+    subtract."""
     with np.errstate(over="ignore", invalid="ignore"):
         if not np.isfinite(hi - lo).all():
             raise ValueError("cannot bin values whose range is not finite")
     constant = lo == hi
     lo = np.where(constant, lo - 0.5, lo)
     hi = np.where(constant, hi + 0.5, hi)
-    return [np.linspace(a, b, bins + 1)[1:-1] for a, b in zip(lo, hi)]
+    return [np.linspace(a, b, MI_BINS + 1)[1:-1] for a, b in zip(lo, hi)]
 
 
 def _entropies(counts: np.ndarray, n: int) -> list[float]:

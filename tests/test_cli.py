@@ -583,7 +583,7 @@ class TestTrainPredictEvaluate:
     @pytest.mark.parametrize("key,value,complaint", [
         ("lags", _DROP, "sidecar has no 'lags'"),
         (None, "list root", "sidecar root must be a JSON object"),
-        ("format", 7, "sidecar 'format' must be 2"),
+        ("format", 7, "sidecar 'format' is 7, not 2; retrain the model"),
         ("lags", 2, "sidecar key 'lags' must be a list, got 2"),
         ("lags", [1, 1], "sidecar 'lags' must be distinct positive integers"),
         ("n_lags", "8", "sidecar key 'n_lags' must be an integer, got '8'"),

@@ -404,7 +404,16 @@ class TestModelPersistence:
         # A format-1 sidecar: its split is a list of three fractions.
         ('{"format": 1, "lags": [1, 2, 3], "n_lags": 3, "cadence_minutes": 20, "z_threshold": 4.0, '
          '"split": [0.6, 0.2, 0.2]}',
-         "sidecar key 'split' must be a SplitSpec object, got [0.6, 0.2, 0.2]"),
+         "sidecar 'format' is 1, not 2; retrain the model to write a format-2 sidecar"),
+        # The format is read first: the other keys need not fit.
+        ('{"format": 1, "lags": "x", "mi_bins": 16, "split": [0.7, 0.2, 0.1]}',
+         "sidecar 'format' is 1, not 2; retrain the model"),
+        # A config may leave a split key to its default; a sidecar records
+        # the split its model was trained on, so it may not.
+        ('{"format": 2, "lags": [1, 2, 3], "n_lags": 3, "cadence_minutes": 20, "z_threshold": 4.0, '
+         '"split": {}}', "SplitSpec has no 'train_frac'"),
+        ('{"format": 2, "lags": [1, 2, 3], "n_lags": 3, "cadence_minutes": 20, "z_threshold": 4.0, '
+         '"split": {"train_frac": 0.5}}', "SplitSpec has no 'val_frac'"),
     ])
     def test_malformed_sidecar(self, tmp_path, text, complaint):
         # The CLI's malformed-sidecar rows cover each key; here the library

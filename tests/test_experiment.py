@@ -30,12 +30,13 @@ from windlssvm.pipeline import (
     SplitSpec,
     TimeSeries,
     make_lagged_dataset,
-    mutual_information,
     split,
     take_lags,
 )
 from windlssvm.swarm import SearchSpace, SwarmConfig
 from windlssvm.synthetic import SyntheticSpec, generate_synthetic
+
+from test_pipeline import histogram2d_ranking
 
 
 def tiny_config(**over):
@@ -194,9 +195,7 @@ class TestPrepareData:
         # rank each train column, keep the top lags, split again.
         ds = make_lagged_dataset(data.cleaned, cfg.n_lags)
         train_all = split(ds, cfg.split)[0]
-        ranking = sorted(((lag, mutual_information(train_all.features[:, j], train_all.targets))
-                          for j, lag in enumerate(ds.lag_indices)),
-                         key=lambda pair: (-pair[1], pair[0]))
+        ranking = histogram2d_ranking(train_all)
         selected = tuple(lag for lag, _ in ranking[:math.ceil(cfg.select_fraction * cfg.n_lags)])
         blocks = split(take_lags(ds, selected), cfg.split)
         if source == "blanks and spikes":

@@ -12,13 +12,12 @@ from windlssvm.pipeline import (
     LaggedDataset,
     SplitSpec,
     TimeSeries,
-    _bin_rows,
     _count,
+    _inner_edges,
     autocorrelation,
     clean,
     make_lagged_dataset,
     mi_ranking,
-    mutual_information,
     split,
     take_lags,
     top_lags,
@@ -26,16 +25,18 @@ from windlssvm.pipeline import (
 from windlssvm.synthetic import SyntheticSpec
 
 
-def entropy_oracle(x, bins):
-    """Direct binned entropy in nats via np.histogram."""
-    counts, _ = np.histogram(x, bins=bins)
+def entropy_oracle(x):
+    """Direct binned entropy in nats via np.histogram at 16 bins."""
+    counts, _ = np.histogram(x, bins=16)
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())
 
 
-def histogram2d_mi(feature, target, bins):
-    """MI as computed per lag with np.histogram2d: the oracle for the binning."""
-    joint, _, _ = np.histogram2d(feature, target, bins=bins)
+def histogram2d_mi(feature, target):
+    """MI as computed per lag with np.histogram2d at 16 bins: the oracle for
+    the binning. Its entropies are summed over sorted probabilities, so it
+    is exactly symmetric in its arguments."""
+    joint, _, _ = np.histogram2d(feature, target, bins=16)
     n = feature.size
 
     def entropy(counts):
@@ -45,15 +46,10 @@ def histogram2d_mi(feature, target, bins):
     return max(entropy(joint.sum(axis=1)) + entropy(joint.sum(axis=0)) - entropy(joint.ravel()), 0.0)
 
 
-def histogram2d_ranking(ds, bins=16):
-    scores = [(lag, histogram2d_mi(ds.features[:, j], ds.targets, bins))
-              for j, lag in enumerate(ds.lag_indices)]
-    return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
-
-
-def per_lag_ranking(ds, bins=16):
-    """The ranking by ``mutual_information`` of each lag column of ``ds``."""
-    scores = [(lag, mutual_information(ds.features[:, j], ds.targets, bins))
+def histogram2d_ranking(ds):
+    """The lag columns of ``ds`` ranked by ``histogram2d_mi`` in
+    ``mi_ranking``'s order."""
+    scores = [(lag, histogram2d_mi(ds.features[:, j], ds.targets))
               for j, lag in enumerate(ds.lag_indices)]
     return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
 
@@ -68,15 +64,15 @@ def column_ranges(ds):
     return set(zip(ds.features.min(axis=0).tolist(), ds.features.max(axis=0).tolist()))
 
 
-def several_ranges_series(kind):
+def several_ranges_series(kind, seed):
     """Series whose lag windows (n_lags 20, default split) do not share one
     range. "calm and gust" has three: a 0 m/s calm among the first 20
     samples is in the windows of lags 16-20 only, and a gust at the end of
     the train span in lag 1's only. "constant start": lag 20's window is
     constant, so its range is widened by 0.5 each way, while the span holds
-    values outside it.
+    values outside it. ``seed`` draws the values around them.
     """
-    v = 4.0 + 8.0 * np.random.default_rng(21).random(600)
+    v = 4.0 + 8.0 * np.random.default_rng(seed).random(600)
     n_train = 348  # 0.6 of the 580 rows
     if kind == "calm and gust":
         v[4] = 0.0
@@ -86,8 +82,9 @@ def several_ranges_series(kind):
     return TimeSeries(v)
 
 
-def adversarial_columns(n, rng, bins):
-    """Columns whose values sit on bin edges, or whose edges round together."""
+def adversarial_columns(n, rng):
+    """Columns whose values sit on bin edges at 16 bins, or whose edges round
+    together."""
     ints = rng.integers(0, 17, n).astype(float)
     ints[:2] = (0.0, 16.0)  # range [0, 16]: at 16 bins every value is an edge
     at_max = rng.random(n)
@@ -110,44 +107,62 @@ def adversarial_columns(n, rng, bins):
         1e16 + rng.integers(0, 8, n),         # edges collapse onto a few doubles
         1e16 + rng.integers(0, 40, n),
         1e300 * rng.standard_normal(n),       # wide but finite span
-        np.resize(np.linspace(-1.3, 2.9, bins + 1), n),  # every value an edge
+        np.resize(np.linspace(-1.3, 2.9, 17), n),  # every value an edge
         rng.standard_normal(n),
     ])
 
 
 class TestHistogramBinning:
-    """mi_ranking and mutual_information bin as np.histogram2d does."""
+    """mi_ranking bins as np.histogram2d does, at 16 bins."""
 
     @staticmethod
-    def _columns(bins, target):
-        rng = np.random.default_rng(bins)
-        n = 300
+    def _columns(seed, target, n=300):
+        rng = np.random.default_rng(seed)
         y = {"normal": rng.standard_normal(n),
              "integers": rng.integers(-3, 4, n).astype(float),
              "constant": np.full(n, -2.0),
              "collapsed": 1e16 + rng.integers(0, 5, n)}[target]
-        return adversarial_columns(n, rng, bins), y
+        return adversarial_columns(n, rng), y
 
-    @pytest.mark.parametrize("bins", [1, 2, 7, 16])
-    @pytest.mark.parametrize("target", ["normal", "integers", "constant", "collapsed"])
-    def test_joint_counts_equal_histogram2d(self, bins, target):
-        # all columns binned in one call, so each column's edges must not
-        # depend on the others'
-        X, y = self._columns(bins, target)
-        x_bins = _bin_rows(np.ascontiguousarray(X.T), bins)
-        (y_bin,) = _bin_rows(y[None, :], bins)
-        for j in range(X.shape[1]):
-            joint = np.bincount(x_bins[j] * bins + y_bin, minlength=bins * bins)
-            expected, _, _ = np.histogram2d(X[:, j], y, bins=bins)
-            np.testing.assert_array_equal(joint.reshape(bins, bins), expected)
+    @staticmethod
+    def _bins(values):
+        """Each value's bin by mi_ranking's rule: the inner edges of the
+        values' range, searched from the right."""
+        (inner,) = _inner_edges(np.array([values.min()]), np.array([values.max()]))
+        return np.searchsorted(inner, values, side="right")
 
-    @pytest.mark.parametrize("bins", [1, 2, 7, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 7, 16])
     @pytest.mark.parametrize("target", ["normal", "integers", "constant", "collapsed"])
-    def test_mi_equals_histogram2d(self, bins, target):
-        X, y = self._columns(bins, target)
+    def test_joint_counts_equal_histogram2d(self, seed, target):
+        X, y = self._columns(seed, target)
+        y_bin = self._bins(y)
         for j in range(X.shape[1]):
-            assert mutual_information(X[:, j], y, bins) == histogram2d_mi(X[:, j], y, bins)
-            assert mutual_information(y, X[:, j], bins) == histogram2d_mi(y, X[:, j], bins)
+            joint = np.bincount(self._bins(X[:, j]) * 16 + y_bin, minlength=16 * 16)
+            expected, _, _ = np.histogram2d(X[:, j], y, bins=16)
+            np.testing.assert_array_equal(joint.reshape(16, 16), expected)
+
+    @pytest.mark.parametrize("seed", [1, 2, 7, 16])
+    @pytest.mark.parametrize("target", ["normal", "integers", "constant", "collapsed"])
+    def test_mi_equals_histogram2d(self, seed, target):
+        # A series that holds an adversarial column, then n values of the
+        # target kind: with n lags and n train rows, the column is lag n's
+        # window and the targets are those values; the windows of lags
+        # 1..n-1 hold some of each.
+        n = 48
+        X, y = self._columns(seed, target, n)
+        for j in range(X.shape[1]):
+            series = TimeSeries(np.concatenate([X[:, j], y, np.zeros(n * 5 // 3 - n)]))
+            train = train_block(series, n)
+            assert train.n_rows == n and train.targets.tolist() == y.tolist()
+            assert train.features[:, -1].tolist() == X[:, j].tolist()
+            assert mi_ranking(series, n, SplitSpec()) == histogram2d_ranking(train)
+
+    @pytest.mark.parametrize("seed", [1, 2, 7, 16])
+    def test_column_as_series(self, seed):
+        X, _ = self._columns(seed, "normal")
+        for j in range(X.shape[1]):
+            series = TimeSeries(X[:, j])
+            assert mi_ranking(series, 8, SplitSpec()) == histogram2d_ranking(train_block(series, 8))
 
     @pytest.mark.parametrize("synth_n,n_lags", [(1000, 20), (4393, 100)])
     def test_profile_training_blocks(self, synth_n, n_lags):
@@ -156,49 +171,45 @@ class TestHistogramBinning:
         cfg = ExperimentConfig(synthetic=SyntheticSpec(n=synth_n, seed=7), n_lags=n_lags)
         cleaned, _ = clean(load_series(cfg), cfg.z_threshold)
         train = train_block(cleaned, n_lags, cfg.split)
-        ranking = mi_ranking(cleaned, n_lags, cfg.split)
-        assert ranking == per_lag_ranking(train)
-        assert ranking == histogram2d_ranking(train)
+        assert mi_ranking(cleaned, n_lags, cfg.split) == histogram2d_ranking(train)
 
-    @pytest.mark.parametrize("bins", [2, 7, 16])
+    @pytest.mark.parametrize("seed", [2, 7, 16])
     @pytest.mark.parametrize("kind", ["calm and gust", "constant start"])
-    def test_windows_of_several_ranges(self, kind, bins):
-        series = several_ranges_series(kind)
+    def test_windows_of_several_ranges(self, kind, seed):
+        series = several_ranges_series(kind, seed)
         train = train_block(series, 20)
         assert train.n_rows == 348
         assert len(column_ranges(train)) >= 2
-        ranking = mi_ranking(series, 20, SplitSpec(), bins)
-        assert ranking == per_lag_ranking(train, bins)
-        assert ranking == histogram2d_ranking(train, bins)
+        assert mi_ranking(series, 20, SplitSpec()) == histogram2d_ranking(train)
+
+    def test_trend_every_window_its_own_range(self):
+        series = TimeSeries(np.cumsum(np.random.default_rng(9).random(800)))
+        train = train_block(series, 30)
+        assert len(column_ranges(train)) == 30
+        assert mi_ranking(series, 30, SplitSpec()) == histogram2d_ranking(train)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_refused(self, bad):
         f = np.arange(40.0)
         f[5] = bad
         with pytest.raises(ValueError):
-            np.histogram2d(f, np.arange(40.0), bins=4)
-        with pytest.raises(ValueError):
-            mutual_information(f, np.arange(40.0), 4)
-        with pytest.raises(ValueError):
-            mutual_information(np.arange(40.0), f, 4)
+            np.histogram2d(f, np.arange(40.0), bins=16)
         series = np.arange(100.0)
         series[5] = bad
         with pytest.raises(ValueError, match="clean it first"):
-            mi_ranking(TimeSeries(series), 2, SplitSpec(), 4)
+            mi_ranking(TimeSeries(series), 2, SplitSpec())
 
     def test_span_too_wide_refused(self):
         # max - min overflows, so histogram2d's edges hold NaN and it raises
         f = np.zeros(40)
         f[:2] = (-1e308, 1e308)
         with np.errstate(all="ignore"), pytest.raises(ValueError):
-            np.histogram2d(f, np.arange(40.0), bins=4)
-        with pytest.raises(ValueError):
-            mutual_information(f, np.arange(40.0), 4)
+            np.histogram2d(f, np.arange(40.0), bins=16)
         # lag 2's window holds both values; the targets are all zero
         v = np.zeros(100)
         v[:2] = (-1e308, 1e308)
         with pytest.raises(ValueError, match="range is not finite"):
-            mi_ranking(TimeSeries(v), 2, SplitSpec(), 4)
+            mi_ranking(TimeSeries(v), 2, SplitSpec())
 
     def test_peak_allocation_bounded(self):
         # 2575 train rows of 100 lags, the full profile's; its lag matrix
@@ -378,54 +389,56 @@ class TestAutocorrelation:
         assert np.all(corr >= -1.0) and np.all(corr <= 1.0)
 
 
+def mi_by_lag(series, n_lags):
+    return dict(mi_ranking(series, n_lags, SplitSpec()))
+
+
 class TestMutualInformation:
+    """The estimate's own properties, read through mi_ranking."""
+
     def test_symmetry_exact(self):
-        rng = np.random.default_rng(0)
-        f = rng.normal(size=400)
-        t = f + rng.normal(size=400)
-        assert mutual_information(f, t, 16) == mutual_information(t, f, 16)
+        # each MI equals the oracle's with the lag and the targets swapped
+        series = random_series(400)
+        train = train_block(series, 6)
+        swapped = {lag: histogram2d_mi(train.targets, train.features[:, j])
+                   for j, lag in enumerate(train.lag_indices)}
+        assert mi_by_lag(series, 6) == swapped
 
     def test_independent_near_zero(self):
-        rng = np.random.default_rng(1)
-        f = rng.normal(size=10_000)
-        t = rng.normal(size=10_000)
-        assert mutual_information(f, t, 16) < 0.02
+        # 10,000 train rows of i.i.d. values
+        series = random_series(16_675, seed=1)
+        assert train_block(series, 8).n_rows == 10_000
+        assert max(mi_by_lag(series, 8).values()) < 0.02
 
     def test_identity_equals_binned_entropy(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=2_000)
-        assert mutual_information(x, x, 16) == pytest.approx(entropy_oracle(x, 16), abs=1e-9)
+        # lag 40's window is a copy of the targets
+        series = periodic_series()
+        targets = train_block(series, 50).targets
+        assert mi_by_lag(series, 50)[40] == pytest.approx(entropy_oracle(targets), abs=1e-9)
 
     def test_non_negative(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            f = rng.normal(size=64)
-            t = rng.normal(size=64)
-            assert mutual_information(f, t, 8) >= 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mutual_information(np.ones(40), np.ones(41), 4)
+        for seed in range(20):
+            assert min(mi_by_lag(random_series(64, seed), 4).values()) >= 0.0
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            mutual_information(np.ones(10), np.ones(10), 16)
+        # 0.6 of 52 rows is 31 train rows; of 54, 32
+        with pytest.raises(ValueError, match=r"^need at least 2\*MI_BINS = 32 train rows, got 31$"):
+            mi_ranking(random_series(56), 4, SplitSpec())
+        mi_ranking(random_series(58), 4, SplitSpec())
 
     def test_monotone_bin_relabeling_invariance(self):
         # increasing affine maps keep every sample in the same bin; negation
         # reverses the bin order; both only permute histogram cells
-        rng = np.random.default_rng(12)
-        f = rng.normal(size=800)
-        t = f + rng.normal(size=800)
-        base = mutual_information(f, t, 16)
-        assert mutual_information(f, 3.0 * t + 7.0, 16) == pytest.approx(base, abs=1e-12)
-        assert mutual_information(f, -t, 16) == pytest.approx(base, abs=1e-12)
+        v = random_series(800, seed=12).values
+        base = mi_by_lag(TimeSeries(v), 6)
+        for mapped in (3.0 * v + 7.0, -v):
+            assert mi_by_lag(TimeSeries(mapped), 6) == pytest.approx(base, abs=1e-12)
 
 
-def select(series, n_lags, fraction, bins=16):
+def select(series, n_lags, fraction):
     """MI lag selection as the experiment does it: rank, keep, lag."""
     return make_lagged_dataset(
-        series, n_lags, top_lags(mi_ranking(series, n_lags, SplitSpec(), bins), fraction))
+        series, n_lags, top_lags(mi_ranking(series, n_lags, SplitSpec()), fraction))
 
 
 def random_series(n, seed=0):
@@ -447,12 +460,12 @@ class TestSelectFeatures:
         return LaggedDataset(X, y, tuple(range(1, n_cols + 1))), rng
 
     def test_full_fraction_keeps_all_reordered(self):
-        out = select(random_series(300), 6, 1.0, bins=8)
+        out = select(random_series(300), 6, 1.0)
         assert sorted(out.lag_indices) == [1, 2, 3, 4, 5, 6]
         assert out.features.shape[1] == 6
 
     def test_ten_of_hundred(self):
-        assert select(random_series(500, seed=4), 100, 0.1, bins=8).features.shape[1] == 10
+        assert select(random_series(500, seed=4), 100, 0.1).features.shape[1] == 10
 
     @pytest.mark.parametrize("fraction, n, kept", [
         (0.07, 100, 7), (0.14, 100, 14), (0.55, 100, 55), (0.1, 100, 10), (0.25, 8, 2)])
@@ -463,13 +476,13 @@ class TestSelectFeatures:
         assert top_lags(ranked, fraction) == tuple(range(1, kept + 1))
 
     def test_target_copy_ranks_first(self):
-        ranked = mi_ranking(periodic_series(), 50, SplitSpec(), 8)
+        ranked = mi_ranking(periodic_series(), 50, SplitSpec())
         assert ranked[0][0] == 40
-        assert select(periodic_series(), 50, 0.1, bins=8).lag_indices[0] == 40
+        assert select(periodic_series(), 50, 0.1).lag_indices[0] == 40
 
     def test_cell_values_preserved(self):
         series = random_series(300, seed=6)
-        out = select(series, 6, 0.5, bins=8)
+        out = select(series, 6, 0.5)
         full = make_lagged_dataset(series, 6)
         for j, lag in enumerate(out.lag_indices):
             np.testing.assert_array_equal(out.features[:, j], full.features[:, lag - 1])
@@ -478,7 +491,7 @@ class TestSelectFeatures:
         assert taken.features.tobytes() == out.features.tobytes()
 
     def test_tie_break_smaller_lag_first(self):
-        ranked = mi_ranking(periodic_series(), 50, SplitSpec(), 8)
+        ranked = mi_ranking(periodic_series(), 50, SplitSpec())
         lags = [lag for lag, _ in ranked]
         mi = dict(ranked)
         for k in range(1, 11):  # lags k and k + 40 have the same window
