@@ -10,6 +10,9 @@ smaller on a tie), in whole minutes. A step of k cadences marks the k - 1
 samples in between as missing. An outage is one long step, but
 ``CADENCE_CHANGE_STEPS`` (3) or more equal long steps in a row mean that
 the logger changed its cadence part way, and the file is refused.
+``load_csv`` keeps one encoding of a missing sample, NaN, for a blank field
+and an unfilled slot alike; ``TimeSeries``, which owns the record of
+missing samples, derives its ``missing_mask`` from them.
 
 Model files are little-endian binary: magic ``LSVM``, format version (u32),
 support row/column counts (u64 each), gamma and sigma2 (f64), the support
@@ -23,11 +26,14 @@ rule the CLI reads a config file by: each value is checked against the type
 ``ModelMeta`` declares for its key, then by ``ModelMeta``'s own checks. An
 unknown or missing key, a value that does not fit and a lag count other
 than the model's column count each raise a DataError naming the sidecar.
-The sidecar is format 2: its ``split`` is a ``SplitSpec`` object, such as
-``{"train_frac": 0.6, "val_frac": 0.2}``, read as a config's ``split`` is,
-except that no key may be left out for its default. Its ``format`` is read
-first: a format-1 sidecar, whose split is a list of three fractions, raises
-a DataError that names its format and says to retrain.
+``data_io`` alone owns the sidecar's format, ``SIDECAR_FORMAT`` (2):
+``save_model`` writes it as the ``format`` key and ``load_model`` reads
+that key first, so ``ModelMeta`` holds only what rebuilds the rows. A
+format-1 sidecar, whose split is a list of three fractions, raises a
+DataError that names its format and says to retrain. A format-2 ``split``
+is a ``SplitSpec`` object, such as ``{"train_frac": 0.6, "val_frac": 0.2}``,
+read as a config's ``split`` is, except that no key may be left out for its
+default.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .pipeline import SplitSpec, TimeSeries, check_z_threshold
 
 MODEL_MAGIC = b"LSVM"
 MODEL_VERSION = 1
+SIDECAR_FORMAT = 2
 
 DEFAULT_START = datetime(2015, 4, 1, 0, 0)
 # Consecutive equal steps longer than the cadence that mark a cadence change.
@@ -89,16 +96,12 @@ def load_csv(path: str) -> TimeSeries:
     stamps = []
     linenos = []
     values = []
-    mask = []
     first_content = True
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    # float() also reads digit-group underscores and non-ASCII digits; only a
-    # file that holds one has its values searched for them.
-    searched = "_" in text or not text.isascii()
     lines = text.split("\n")
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "":
@@ -117,10 +120,10 @@ def load_csv(path: str) -> TimeSeries:
         linenos.append(lineno)
         if value == "":
             values.append(np.nan)
-            mask.append(True)
             continue
         try:
-            if searched and ("_" in value or not value.isascii()):
+            # float() also reads digit-group underscores and non-ASCII digits.
+            if "_" in value or not value.isascii():
                 raise ValueError
             v = float(value)
         except ValueError:
@@ -128,7 +131,6 @@ def load_csv(path: str) -> TimeSeries:
         if not math.isfinite(v):
             raise DataError(f"{path}: line {lineno}: non-finite value {value!r}")
         values.append(v)
-        mask.append(False)
     if not values:
         raise DataError(f"{path}: no samples")
 
@@ -158,14 +160,12 @@ def load_csv(path: str) -> TimeSeries:
                 f"{CADENCE_CHANGE_STEPS} or more steps of {step[i] / 60:g} min in a row, "
                 f"cadence {cadence // 60} min"
             )
-    # Place each row on its cadence slot; slots no row fills are missing.
+    # Place each row on its cadence slot; slots no row fills stay NaN.
     slot = (t - t[0]) // cadence
     filled = np.full(slot[-1] + 1, np.nan)
     filled[slot] = values
-    missing = np.ones(slot[-1] + 1, dtype=bool)
-    missing[slot] = mask
     start = np.datetime64(int(t[0]), "s").astype(datetime)
-    return TimeSeries(filled, cadence // 60, missing, start)
+    return TimeSeries(filled, cadence // 60, start=start)
 
 
 def _stamp_seconds(path: str, stamps: list[str], linenos: list[int]) -> np.ndarray:
@@ -298,9 +298,9 @@ class ModelMeta:
     the selected lags in feature order, ``n_lags`` the lag window,
     ``cadence_minutes`` the training series' cadence, ``z_threshold`` the
     outlier gate of ``clean`` and ``split`` the config's ``SplitSpec``, read
-    as the config's ``split`` object is."""
+    as the config's ``split`` object is. The file's ``format`` key is not a
+    field: ``save_model`` and ``load_model`` own it (``SIDECAR_FORMAT``)."""
 
-    format: int
     lags: tuple[int, ...]
     n_lags: int
     cadence_minutes: int
@@ -308,8 +308,6 @@ class ModelMeta:
     split: SplitSpec
 
     def __post_init__(self):
-        if self.format != 2:
-            raise ValueError(f"sidecar 'format' must be 2, got {self.format!r}")
         if not self.lags or len(set(self.lags)) != len(self.lags) or min(self.lags) < 1:
             raise ValueError(f"sidecar 'lags' must be distinct positive integers, got {list(self.lags)}")
         if max(self.lags) > self.n_lags:
@@ -334,9 +332,9 @@ def save_model(model: LssvmModel, path: str, meta: ModelMeta):
     )
     payload = head + X.tobytes() + a.tobytes() + struct.pack("<d", model.bias)
     _atomic_write_bytes(path, payload)
+    sidecar = {**dataclasses.asdict(meta), "format": SIDECAR_FORMAT}
     try:
-        atomic_write_text(path + ".meta.json",
-                          json.dumps(dataclasses.asdict(meta), sort_keys=True) + "\n")
+        atomic_write_text(path + ".meta.json", json.dumps(sidecar, sort_keys=True) + "\n")
     except BaseException:
         os.remove(path)
         raise
@@ -371,11 +369,15 @@ def load_model(path: str) -> tuple[LssvmModel, ModelMeta]:
         raise DataError(f"{path}: corrupt model file: {exc}") from None
     meta_path = path + ".meta.json"
     raw = _read_json_object(meta_path, "sidecar")
-    # The format first: an older sidecar's keys need not fit this one's.
-    if "format" in raw and raw["format"] != 2:
-        raise DataError(f"{meta_path}: sidecar 'format' is {raw['format']!r}, not 2; "
-                        "retrain the model to write a format-2 sidecar")
     try:
+        # The format first: an older sidecar's keys need not fit this one's.
+        if "format" not in raw:
+            raise ValueError("sidecar has no 'format'")
+        fmt = raw.pop("format")
+        if fmt != SIDECAR_FORMAT:
+            raise ValueError(f"sidecar 'format' is {fmt!r}, not {SIDECAR_FORMAT}; "
+                             f"retrain the model to write a format-{SIDECAR_FORMAT} sidecar")
+        _read(int, fmt, "sidecar key 'format'")  # 2.0 equals 2 but is no integer
         meta = _dataclass_from_dict(ModelMeta, raw, "sidecar", defaults=False)
     except ValueError as exc:
         raise DataError(f"{meta_path}: {exc}") from None

@@ -3,7 +3,9 @@
 A sample is missing when ``TimeSeries.missing_mask`` says so, and the mask
 holds every non-finite value: ``clean`` fills exactly those samples,
 ``make_lagged_dataset`` and ``mi_ranking`` refuse a series that has any,
-and ``data_io.write_series_csv`` writes them as blank fields.
+and ``data_io.write_series_csv`` writes them as blank fields. ``TimeSeries``
+owns that record: ``data_io.load_csv`` passes a file's blank fields and
+unfilled slots as NaN values and no mask of its own.
 
 Mutual information is a plug-in estimate over an equal-width ``MI_BINS`` x
 ``MI_BINS`` (16 x 16) histogram. Each variable is binned by numpy's 2-D

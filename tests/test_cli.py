@@ -17,6 +17,8 @@ from windlssvm.metrics import LssvmFitness, metric_report
 from windlssvm.pipeline import SplitSpec, TimeSeries, split
 from windlssvm.swarm import SearchSpace
 
+from windlike import BLANK_SLOT, GAP_SLOTS, SPIKE_SLOT, write_windlike_csv
+
 
 @pytest.fixture()
 def series_csv(tmp_path):
@@ -616,6 +618,11 @@ class TestTrainPredictEvaluate:
          "SplitSpec key 'val_frac' must be a real number, got False"),
         # The model reads 2 lags.
         ("lags", [1, 2, 3], "model expects 2 features but metadata lists 3 lags"),
+        # data_io reads the format before ModelMeta's fields: a JSON 2.0
+        # equals 2 but is no integer, and true and null are no format.
+        ("format", 2.0, "sidecar key 'format' must be an integer, got 2.0"),
+        ("format", True, "sidecar 'format' is True, not 2; retrain the model"),
+        ("format", None, "sidecar 'format' is None, not 2; retrain the model"),
     ])
     def test_malformed_sidecar_data_error(self, tmp_path, series_csv, capsys, key, value,
                                           complaint):
@@ -930,6 +937,24 @@ class TestHelpDefaults:
             default = _field(resolved[0], path)
             if default is not None:
                 assert helps[cli._dest(flag)].endswith(f"(default {default})"), flag
+
+
+class TestWindlikeSeries:
+    def test_defects_load_and_predict(self, tmp_path):
+        # A blank cell and a three-cadence gap are the only missing samples;
+        # the 40 m/s spike is a value like any other until clean sees it.
+        path, model, out = (str(tmp_path / name) for name in ("wind.csv", "m.lssvm", "p.csv"))
+        values = write_windlike_csv(path, 600, seed=5)
+        series = load_csv(path)
+        assert np.flatnonzero(series.missing_mask).tolist() == [BLANK_SLOT, *GAP_SLOTS]
+        np.testing.assert_array_equal(series.values, values)
+        assert series.values[SPIKE_SLOT] == 40.0
+        assert main(["train", "--in", path, "--n-lags", "8", "--select-fraction", "0.25",
+                     "--gamma", "100", "--sigma2", "50", "--model-out", model]) == 0
+        assert main(["predict", "--model", model, "--in", path, "--out", out]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == experiment.model_rows(series, load_model(model)[1]).n_rows == 600 - 8
 
 
 class TestUsage:

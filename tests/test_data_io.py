@@ -51,6 +51,26 @@ class TestLoadCsv:
         assert s.missing_mask.tolist() == [False, True, False]
         assert np.isnan(s.values[1])
 
+    def test_blank_and_gap_are_nan(self, tmp_path):
+        # One encoding of a missing sample: a blank cell and the two slots of
+        # a three-cadence gap are NaN, and the mask is derived from them.
+        p = tmp_path / "wind.csv"
+        p.write_text("timestamp,value\n2015-04-01T00:00,7.3\n2015-04-01T00:20,\n"
+                     "2015-04-01T00:40,6.0\n2015-04-01T01:40,5.5\n2015-04-01T02:00,5.0\n")
+        s = load_csv(str(p))
+        np.testing.assert_array_equal(s.missing_mask, np.isnan(s.values))
+        assert np.flatnonzero(s.missing_mask).tolist() == [1, 3, 4]
+        np.testing.assert_array_equal(s.values[~s.missing_mask], [7.3, 6.0, 5.5, 5.0])
+
+    def test_ascii_underscore_value_names_line(self, tmp_path):
+        # Every value is checked for "_", also in a file that is all ASCII.
+        p = tmp_path / "digits.csv"
+        p.write_text("timestamp,value\n2015-04-01T00:00,7.3\n2015-04-01T00:20,1_0\n")
+        assert p.read_bytes().isascii()
+        with pytest.raises(DataError) as info:
+            load_csv(str(p))
+        assert str(info.value) == f"{p}: line 3: unparseable value '1_0'"
+
     def test_malformed_row_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("abc,xyz\n")
@@ -352,7 +372,7 @@ class TestSeriesRoundTrip:
 
 class TestModelPersistence:
     # The sidecar of a model on three lags, which every model file has.
-    _META = ModelMeta(2, (1, 2, 3), 3, 20, 4.0, SplitSpec())
+    _META = ModelMeta((1, 2, 3), 3, 20, 4.0, SplitSpec())
 
     def _model(self, seed=0, n=12, d=3):
         rng = np.random.default_rng(seed)
@@ -375,7 +395,7 @@ class TestModelPersistence:
 
     def test_meta_sidecar(self, tmp_path):
         path = str(tmp_path / "model.bin")
-        save_model(self._model(), path, ModelMeta(2, (2, 1, 5), 8, 10, 3.5, SplitSpec(0.5, 0.25)))
+        save_model(self._model(), path, ModelMeta((2, 1, 5), 8, 10, 3.5, SplitSpec(0.5, 0.25)))
         assert Path(path + ".meta.json").read_text() == (
             '{"cadence_minutes": 10, "format": 2, "lags": [2, 1, 5], "n_lags": 8, '
             '"split": {"train_frac": 0.5, "val_frac": 0.25}, "z_threshold": 3.5}\n'
@@ -383,7 +403,7 @@ class TestModelPersistence:
 
     def test_sidecar_read_back(self, tmp_path):
         path = str(tmp_path / "model.bin")
-        meta = ModelMeta(2, (2, 1, 5), 8, 10, 3.5, SplitSpec(0.5, 0.25))
+        meta = ModelMeta((2, 1, 5), 8, 10, 3.5, SplitSpec(0.5, 0.25))
         save_model(self._model(), path, meta)
         assert load_model(path)[1] == meta
 

@@ -251,13 +251,11 @@ _SPLIT = SplitSpec()
 class TestModelMeta:
     # The sidecar reader's own cases are in test_cli's malformed-sidecar rows.
     @pytest.mark.parametrize("fields, complaint", [
-        ((2, (), 1, 20, 4.0, _SPLIT), "sidecar 'lags' must be distinct positive integers, got []"),
-        ((2, (0, 1), 1, 20, 4.0, _SPLIT),
+        (((), 1, 20, 4.0, _SPLIT), "sidecar 'lags' must be distinct positive integers, got []"),
+        (((0, 1), 1, 20, 4.0, _SPLIT),
          "sidecar 'lags' must be distinct positive integers, got [0, 1]"),
-        ((2, (1,), 1, 20, float("inf"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
-        ((2, (1,), 1, 20, float("nan"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
-        # Format 1 stored the split as a list of three fractions.
-        ((1, (1,), 1, 20, 4.0, _SPLIT), "sidecar 'format' must be 2, got 1"),
+        (((1,), 1, 20, float("inf"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
+        (((1,), 1, 20, float("nan"), _SPLIT), "sidecar 'z_threshold' must be a finite positive real"),
     ])
     def test_refused(self, fields, complaint):
         with pytest.raises(ValueError) as info:
@@ -472,7 +470,7 @@ class TestReportRows:
             selected_lags=(1, 2),
             n_replaced=0,
             test_targets=np.array([1.0, 2.0]),
-            model_meta=ModelMeta(2, (1, 2), 2, 20, 4.0, SplitSpec()),
+            model_meta=ModelMeta((1, 2), 2, 20, 4.0, SplitSpec()),
         )
         write_report(rep, str(tmp_path))
         return (tmp_path / "report.csv").read_text().splitlines()
