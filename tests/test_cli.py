@@ -17,7 +17,7 @@ from windlssvm.metrics import LssvmFitness, metric_report
 from windlssvm.pipeline import SplitSpec, TimeSeries, split
 from windlssvm.swarm import SearchSpace
 
-from windlike import BLANK_SLOT, GAP_SLOTS, SPIKE_SLOT, write_windlike_csv
+from windlike import BLANK_SLOT, GAP_SLOTS, write_windlike_csv
 
 
 @pytest.fixture()
@@ -948,7 +948,6 @@ class TestWindlikeSeries:
         series = load_csv(path)
         assert np.flatnonzero(series.missing_mask).tolist() == [BLANK_SLOT, *GAP_SLOTS]
         np.testing.assert_array_equal(series.values, values)
-        assert series.values[SPIKE_SLOT] == 40.0
         assert main(["train", "--in", path, "--n-lags", "8", "--select-fraction", "0.25",
                      "--gamma", "100", "--sigma2", "50", "--model-out", model]) == 0
         assert main(["predict", "--model", model, "--in", path, "--out", out]) == 0

@@ -42,11 +42,12 @@ def windlike_values(n: int, seed: int = 0) -> np.ndarray:
     return SCALE * (-np.log1p(-u)) ** (1 / SHAPE)
 
 
-def write_windlike_csv(path, n: int, seed: int = 0, cadence_minutes: int = 20) -> np.ndarray:
+def write_windlike_csv(path, n: int, seed: int = 0) -> np.ndarray:
     """Write ``n`` cadence slots of ``windlike_values(n, seed)`` as a series
-    CSV with a header, stamped from 2015-04-01T00:00, with a blank cell at
-    BLANK_SLOT, no rows at GAP_SLOTS and SPIKE_SPEED at SPIKE_SLOT. Returns
-    the slot values that the file holds, NaN where a sample is missing."""
+    CSV with a header, stamped every 20 minutes from 2015-04-01T00:00, with
+    a blank cell at BLANK_SLOT, no rows at GAP_SLOTS and SPIKE_SPEED at
+    SPIKE_SLOT. Returns the slot values that the file holds, NaN where a
+    sample is missing."""
     values = windlike_values(n, seed)
     values[SPIKE_SLOT] = SPIKE_SPEED
     values[[BLANK_SLOT, *GAP_SLOTS]] = np.nan
@@ -55,7 +56,7 @@ def write_windlike_csv(path, n: int, seed: int = 0, cadence_minutes: int = 20) -
     for i, v in enumerate(values.tolist()):
         if i in GAP_SLOTS:
             continue
-        stamp = start + np.timedelta64(i * cadence_minutes, "m")
+        stamp = start + np.timedelta64(20 * i, "m")
         rows.append(f"{stamp}," if i == BLANK_SLOT else f"{stamp},{v!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
