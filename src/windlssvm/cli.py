@@ -3,11 +3,16 @@
 Subcommands: synth, clean, features, tune, train, predict, evaluate,
 benchmark. Exit codes: 0 success, 1 usage error (a config file that cannot
 be read is one), 2 data error (any other file that cannot be read or
-written is one), 3 numeric failure. Each command takes only the experiment
-flags it reads: train the data flags (input, lag window, MI selection,
-outlier gate, split), features those and --outdir, tune and benchmark those
-and the tuning flags (trials, seed, outdir, swarm size and iterations); the
-search box is fixed (metrics.HYPERPARAM_SPACE). A JSON config file
+written is one), 3 numeric failure. main makes one rule for naming the
+input file in a data error: a DataError names its own file (a CSV and its
+line, a model file or a sidecar), and any other ValueError that a command
+raises is about its input series, so it is printed after that file's name,
+whether --in or a config's input_csv gave it; one about a synthetic series
+names no file. Each command takes only the experiment flags it reads: train
+the data flags (input, lag window, MI selection, outlier gate, split),
+features those and --outdir, tune and benchmark those and the tuning flags
+(trials, seed, outdir, swarm size and iterations); the search box is fixed
+(metrics.HYPERPARAM_SPACE). A JSON config file
 (--config) may supply any experiment field, so one file serves every
 command; explicit flags take precedence over it. Every config value is
 checked against the type its dataclass field declares: a string, a number,
@@ -26,7 +31,6 @@ lagged to the sidecar's lags only.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -140,7 +144,9 @@ def _write_flag(raw: dict, path: tuple, value):
 def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
     """Write each given flag into the --config JSON (or an empty one), then
     build the config from it. ``defaults`` holds a command's own top-level
-    defaults, which the config file and the flags override."""
+    defaults, which the config file and the flags override. ``args.input``
+    becomes the config's ``input_csv``, None for a synthetic series, so that
+    ``main`` names the file a data error is about."""
     try:
         raw = dict(defaults or {})
         if args.config:
@@ -158,28 +164,13 @@ def _resolve_config(args, defaults: dict | None = None) -> ExperimentConfig:
                 _write_flag(raw, path, value)
         if getattr(args, "strategy", None):
             raw["strategies"] = [args.strategy]
-        return config_from_dict(raw)
+        cfg = config_from_dict(raw)
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
     except OSError as exc:
         raise UsageError(f"cannot read config file {args.config}: {exc.strerror or exc}") from None
-
-
-@contextlib.contextmanager
-def _naming(path: str | None):
-    """Re-raise a ValueError about what was read from ``path`` (a series
-    being checked against a sidecar, cleaned, lagged or split) as a
-    DataError that names the file. A DataError, which names its file
-    already, and an error about a synthetic series (``path`` None) pass as
-    they are."""
-    try:
-        yield
-    except DataError:
-        raise
-    except ValueError as exc:
-        if path is None:
-            raise
-        raise DataError(f"{path}: {exc}") from None
+    args.input = cfg.input_csv
+    return cfg
 
 
 # ---------------------------------------------------------------- commands
@@ -204,8 +195,7 @@ def cmd_clean(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     series = load_csv(args.input)
-    with _naming(args.input):
-        cleaned, replaced = clean(series, args.z_threshold)
+    cleaned, replaced = clean(series, args.z_threshold)
     write_series_csv(cleaned, args.out)
     print(f"replaced {replaced} of {len(series)} samples; wrote {args.out}")
     return 0
@@ -213,9 +203,8 @@ def cmd_clean(args):
 
 def cmd_features(args):
     cfg = _resolve_config(args, FEATURES_DEFAULTS)
-    with _naming(cfg.input_csv):
-        data = prepare_data(cfg)
-        corr = autocorrelation(data.cleaned, cfg.n_lags)
+    data = prepare_data(cfg)
+    corr = autocorrelation(data.cleaned, cfg.n_lags)
     selected = data.model_meta.lags
 
     outdir = cfg.outdir
@@ -238,8 +227,7 @@ def cmd_features(args):
 
 def cmd_benchmark(args):
     cfg = _resolve_config(args)
-    with _naming(cfg.input_csv):
-        data = prepare_data(cfg)
+    data = prepare_data(cfg)
     # An unusable --outdir is found here, not after the whole run.
     os.makedirs(cfg.outdir, exist_ok=True)
     report = run_experiment(cfg, data=data)
@@ -255,8 +243,7 @@ def cmd_train(args):
         hp = lssvm.Hyperparams(args.gamma, args.sigma2)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with _naming(cfg.input_csv):
-        data = prepare_data(cfg)
+    data = prepare_data(cfg)
     model = lssvm.train(data.train.features, data.train.targets, hp)
     save_model(model, args.model_out, data.model_meta)
     val_pred = lssvm.predict(model, data.val.features)
@@ -273,8 +260,7 @@ def _model_and_dataset(args):
     series (``model_rows``)."""
     model, meta = load_model(args.model)
     series = load_csv(args.input)
-    with _naming(args.input):
-        return model, meta, model_rows(series, meta)
+    return model, meta, model_rows(series, meta)
 
 
 def cmd_predict(args):
@@ -286,8 +272,7 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     model, meta, ds = _model_and_dataset(args)
-    with _naming(args.input):
-        train, val, test = split(ds, meta.split)
+    train, val, test = split(ds, meta.split)
     block = {"train": train, "val": val, "test": test, "all": ds}[args.block]
     pred = lssvm.predict(model, block.features)
     m = metric_report(block.targets, pred)
@@ -367,6 +352,10 @@ def main(argv=None) -> int:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:  # DataError is a ValueError
+        # A DataError names its own file; any other ValueError is about what
+        # was read from the input series, so it gains the file's name.
+        if not isinstance(exc, (DataError, OSError)) and getattr(args, "input", None):
+            exc = f"{args.input}: {exc}"
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -705,6 +705,9 @@ class TestTrainPredictEvaluate:
         ("evaluate", 12, "need at least 5 rows to split, got 4"),
         ("clean", "blank", "every sample is missing"),
         ("predict", "blank", "every sample is missing"),
+        # load_csv's DataError names the file itself; main adds no second name.
+        ("train", "bad-stamp", "line 4: unparseable timestamp 'junk'"),
+        ("features", "bad-stamp", "line 4: unparseable timestamp 'junk'"),
     ])
     def test_series_data_error_names_file(self, tmp_path, series_csv, capsys, command, rows,
                                           complaint):
@@ -717,29 +720,53 @@ class TestTrainPredictEvaluate:
             src.write_bytes("\n".join([header] + lines[:20]).encode() + b"\xff\n")
         elif rows == "blank":
             src.write_text("\n".join([header] + [ln.split(",")[0] + "," for ln in lines[:20]]))
+        elif rows == "bad-stamp":
+            lines[2] = "junk," + lines[2].split(",")[1]
+            src.write_text("\n".join([header] + lines[:20]) + "\n")
         else:
             src.write_text("\n".join([header] + lines[:rows]) + "\n")
         out = tmp_path / "o.csv"
         argv = {"clean": ["clean", "--out", str(out)],
                 "predict": ["predict", "--model", model_path, "--out", str(out)],
-                "evaluate": ["evaluate", "--model", model_path]}[command]
+                "evaluate": ["evaluate", "--model", model_path],
+                "train": ["train", "--gamma", "100", "--sigma2", "50", "--model-out", str(out)],
+                "features": ["features", "--outdir", str(out)]}[command]
         capsys.readouterr()
         assert main(argv + ["--in", str(src)]) == 2
-        assert f"data error: {src}: {complaint}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"data error: {src}: {complaint}" in err
+        assert err.count(str(src)) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["tune", "benchmark", "train", "features"])
-    def test_short_series_data_error_names_file(self, tmp_path, series_csv, capsys, command):
+    # The series is a 5-row CSV named by --in or by a config's input_csv, or
+    # a synthetic one, whose data error names no file.
+    @pytest.mark.parametrize("command, source", [
+        ("tune", "--in"), ("benchmark", "--in"), ("train", "--in"), ("features", "--in"),
+        ("features", "--config"), ("train", "--config"), ("benchmark", "--config"),
+        ("train", "--synth-n"),
+    ], ids=["tune", "benchmark", "train", "features",
+            "features-config", "train-config", "benchmark-config", "train-synthetic"])
+    def test_short_series_data_error_names_file(self, tmp_path, series_csv, capsys, command,
+                                                source):
         header, *lines = Path(series_csv).read_text().splitlines()
         src = tmp_path / "in.csv"
         src.write_text("\n".join([header] + lines[:5]) + "\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"input_csv": str(src), "n_lags": 8}))
         out = tmp_path / "out"
         argv = {"tune": ["tune", "--strategy", "pso", "--outdir", str(out)],
                 "benchmark": ["benchmark", "--outdir", str(out)],
                 "train": ["train", "--gamma", "100", "--sigma2", "50", "--model-out", str(out)],
                 "features": ["features", "--outdir", str(out)]}[command]
-        assert main(argv + ["--in", str(src), "--n-lags", "8"]) == 2
-        assert f"data error: {src}: series length 5 must exceed n_lags 8" in capsys.readouterr().err
+        named = f"{src}: series length 5 must exceed n_lags 8"
+        data, complaint = {
+            "--in": (["--in", str(src), "--n-lags", "8"], named),
+            "--config": (["--config", str(config)], named),
+            "--synth-n": (["--synth-n", "600", "--n-lags", "700"],
+                          "series length 600 must exceed n_lags 700"),
+        }[source]
+        assert main(argv + data) == 2
+        assert capsys.readouterr().err == f"data error: {complaint}\n"
         assert not out.exists()
 
     def test_one_blas_library_and_no_scipy(self, tmp_path, series_csv):
@@ -783,7 +810,7 @@ class TestTrainPredictEvaluate:
         monkeypatch.setattr(lssvm, "memory_limit_bytes", lambda: limit)
         assert main(command + ["--in", series_csv, "--n-lags", "8"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: a training block of 355 rows needs a "
+        assert err.startswith(f"data error: {series_csv}: a training block of 355 rows needs a "
                               f"{lssvm.buffer_bytes(355)}-byte kernel buffer")
         assert err.rstrip().endswith("; use a shorter series or a lower --train-frac")
         assert not os.path.exists("m") and not os.path.exists("run/report.csv")

@@ -76,6 +76,10 @@ class TestLoadCsv:
         p.write_text("abc,xyz\n")
         with pytest.raises(DataError, match="line 1"):
             load_csv(str(p))
+        p.write_text("2015-04-01T00:00,7.3\n,5.0\n")
+        with pytest.raises(DataError) as info:
+            load_csv(str(p))
+        assert str(info.value) == f"{p}: line 2: empty timestamp field"
 
     def test_malformed_later_row(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -453,6 +457,11 @@ class TestModelPersistence:
         Path(path).write_bytes(blob[:-9])
         with pytest.raises(DataError, match="corrupt|truncated"):
             load_model(path)
+        # The magic and part of the header.
+        Path(path).write_bytes(blob[:10])
+        with pytest.raises(DataError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: truncated model file"
 
     @pytest.mark.parametrize("n, m", [(0, 10), (3, 0)])
     def test_empty_model_refused(self, tmp_path, n, m):

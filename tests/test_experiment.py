@@ -87,6 +87,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="z_threshold"):
             tiny_config(z_threshold=z)
 
+    @pytest.mark.parametrize("field, value, complaint", [
+        ("n_lags", 0, "n_lags must be positive"),
+        ("strategies", (), "at least one strategy required"),
+        ("trials", 0, "trials must be positive"),
+        ("base_seed", -1, "base_seed must be non-negative"),
+    ])
+    def test_bad_setting_refused(self, field, value, complaint):
+        with pytest.raises(ValueError) as info:
+            tiny_config(**{field: value})
+        assert str(info.value) == complaint
+
     def test_swarm_seed_refused(self):
         # trial t seeds its swarm with base_seed + t, so a swarm seed would be ignored
         with pytest.raises(ValueError, match="base_seed"):

@@ -341,6 +341,8 @@ class TestModelValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             LssvmModel(np.ones((3, 1)), np.ones(2), 0.0, Hyperparams(1.0, 1.0))
+        with pytest.raises(ValueError, match="^support_inputs must be 2-D and dual_coeffs 1-D$"):
+            LssvmModel(np.ones(3), np.ones(3), 0.0, Hyperparams(1.0, 1.0))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):

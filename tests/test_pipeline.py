@@ -271,6 +271,9 @@ class TestClean:
     def test_all_missing_rejected(self):
         with pytest.raises(ValueError):
             clean(TimeSeries([np.nan, np.nan], missing_mask=[True, True]))
+        # Every sample negative: none is valid to replace them with.
+        with pytest.raises(ValueError, match="^no valid samples survive the outlier gate$"):
+            clean(TimeSeries([-1.0, -2.0, -3.0]))
 
     def test_start_kept(self):
         start = datetime(2020, 1, 1, 6, 40)
@@ -342,6 +345,16 @@ class TestLaggedDataset:
     def test_too_short(self):
         with pytest.raises(ValueError):
             make_lagged_dataset(TimeSeries([1.0, 2.0]), 2)
+        with pytest.raises(ValueError, match="^n_lags must be positive$"):
+            make_lagged_dataset(TimeSeries([1.0, 2.0]), 0)
+
+    @pytest.mark.parametrize("features, targets, complaint", [
+        ([[1.0], [2.0]], [3.0], "feature row count != target count"),
+        ([[1.0, 2.0]], [3.0], "feature column count != number of lag indices"),
+    ])
+    def test_shape_mismatch_refused(self, features, targets, complaint):
+        with pytest.raises(ValueError, match=f"^{complaint}$"):
+            LaggedDataset(features, targets, (1,))
 
     def test_missing_rejected(self):
         with pytest.raises(ValueError):
@@ -382,6 +395,8 @@ class TestAutocorrelation:
     def test_too_short(self):
         with pytest.raises(ValueError):
             autocorrelation(TimeSeries([1.0, 2.0, 3.0]), 2)
+        with pytest.raises(ValueError, match="^max_lag must be positive$"):
+            autocorrelation(TimeSeries([1.0, 2.0, 3.0]), 0)
 
     def test_range(self):
         rng = np.random.default_rng(3)
