@@ -173,16 +173,16 @@ def _stamp_seconds(path: str, stamps: list[str], linenos: list[int]) -> np.ndarr
     failed parse goes stamp by stamp to name the first bad line. numpy would
     shift a stamp with a zone designator to UTC with only a warning, so the
     warning fails the parse. numpy also reads "now" and "today", in any case,
-    as the wall clock, so a file that reaches today is searched stamp by stamp
-    for them too."""
-    today = np.datetime64("today")
+    as the wall clock. Every ISO stamp starts with a digit and both words sort
+    after every digit, so a file whose largest stamp does not start with one
+    is searched stamp by stamp for them too."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = np.array(stamps, dtype="datetime64[s]")
     except (ValueError, Warning):
         t = None
-    if t is None or np.isnat(t).any() or t.max() >= today:
+    if t is None or np.isnat(t).any() or not max(stamps)[:1].isdigit():
         bad = next(((i, p) for i, p in enumerate(map(_stamp_problem, stamps)) if p), None)
         if bad is not None:
             raise DataError(f"{path}: line {linenos[bad[0]]}: {bad[1]}")

@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("exactly one of input_csv or synthetic must be set")
         if self.n_lags < 1:
             raise ValueError("n_lags must be positive")
+        if self.synthetic is not None and self.n_lags >= self.synthetic.n:
+            raise ValueError(f"n_lags {self.n_lags} must be below synthetic.n {self.synthetic.n}")
         if not 0.0 < self.select_fraction <= 1.0:
             raise ValueError(f"select_fraction must lie in (0, 1], got {self.select_fraction}")
         check_z_threshold(self.z_threshold)

@@ -143,9 +143,9 @@ PIVOT_RTOL = 1e-12
 # Largest acceptable relative residual of the KKT solve.
 RESIDUAL_RTOL = 1e-8
 # Query rows per block of a KernelProduct (columns per panel of its
-# fill_kernel), and rows per panel in pairwise_sq_dists. A block of kernel
-# values is PREDICT_BLOCK_ROWS x n_support doubles: about 1.3 MB at the full
-# profile's 2575 support rows, so it stays in a core's L2 cache.
+# fill_kernel). A block of kernel values is PREDICT_BLOCK_ROWS x n_support
+# doubles: about 1.3 MB at the full profile's 2575 support rows, so it stays
+# in a core's L2 cache.
 PREDICT_BLOCK_ROWS = 64
 # Columns per step of the blocked Cholesky factorization, in both precisions.
 CHOLESKY_BLOCK = 128
@@ -339,31 +339,23 @@ class LssvmModel:
 def pairwise_sq_dists(X) -> np.ndarray:
     """Squared Euclidean distances between the rows of X.
 
-    Computed via the Gram-matrix expansion ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j,
-    with the norm sums added onto the Gram product in row panels, so the
-    call allocates one n x n array. The result is exactly symmetric, with an
-    exactly zero diagonal.
+    Computed via the Gram-matrix expansion ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j.
+    The result is exactly symmetric, with an exactly zero diagonal.
     """
     # X @ X.T of a C-contiguous X takes numpy's symmetric-product path,
     # which makes the Gram matrix exactly symmetric.
     X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=float)))
     sq = np.einsum("ij,ij->i", X, X)
-    d2 = X @ X.T
-    d2 *= -2.0
-    for start in range(0, len(sq), PREDICT_BLOCK_ROWS):
-        rows = slice(start, start + PREDICT_BLOCK_ROWS)
-        d2[rows] += sq[rows, None] + sq
-    np.maximum(d2, 0.0, out=d2)
+    d2 = np.maximum(sq[:, None] + sq - 2.0 * (X @ X.T), 0.0)
     np.fill_diagonal(d2, 0.0)
     return d2
 
 
-def kernel_from_sq_dists(sq_dists: np.ndarray, sigma2: float, out=None) -> np.ndarray:
+def kernel_from_sq_dists(sq_dists: np.ndarray, sigma2: float) -> np.ndarray:
     """RBF kernel values from precomputed squared distances."""
     if not np.isfinite(sigma2) or sigma2 <= 0:
         raise ValueError(f"sigma2 must be a finite positive real, got {sigma2!r}")
-    out = np.multiply(sq_dists, -0.5 / sigma2, out=out)
-    return np.exp(out, out=out)
+    return np.exp(sq_dists * (-0.5 / sigma2))
 
 
 def buffer_bytes(n: int) -> int:

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -17,7 +19,22 @@ from windlssvm.metrics import LssvmFitness, metric_report
 from windlssvm.pipeline import SplitSpec, TimeSeries, split
 from windlssvm.swarm import SearchSpace
 
-from windlike import BLANK_SLOT, GAP_SLOTS, write_windlike_csv
+from windlike import (
+    BLANK_SLOT,
+    CADENCE_SLOT,
+    CALM_SLOTS,
+    CHANGED_CADENCE_MINUTES,
+    DUPLICATE_SLOT,
+    GAP_SLOTS,
+    JUNK_SLOT,
+    JUNK_STAMP,
+    SPIKES_SLOTS,
+    SPIKES_SPEED,
+    STORM_SLOTS,
+    line_of,
+    stamp,
+    write_windlike_csv,
+)
 
 
 @pytest.fixture()
@@ -739,13 +756,15 @@ class TestTrainPredictEvaluate:
         assert not out.exists()
 
     # The series is a 5-row CSV named by --in or by a config's input_csv, or
-    # a synthetic one, whose data error names no file.
+    # a synthetic one: the config check refuses a synthetic series shorter
+    # than its lags as a usage error that names both settings and no file.
     @pytest.mark.parametrize("command, source", [
         ("tune", "--in"), ("benchmark", "--in"), ("train", "--in"), ("features", "--in"),
         ("features", "--config"), ("train", "--config"), ("benchmark", "--config"),
-        ("train", "--synth-n"),
+        ("train", "--synth-n"), ("features", "--synth-n"), ("benchmark", "--synth-n"),
     ], ids=["tune", "benchmark", "train", "features",
-            "features-config", "train-config", "benchmark-config", "train-synthetic"])
+            "features-config", "train-config", "benchmark-config", "train-synthetic",
+            "features-synthetic", "benchmark-synthetic"])
     def test_short_series_data_error_names_file(self, tmp_path, series_csv, capsys, command,
                                                 source):
         header, *lines = Path(series_csv).read_text().splitlines()
@@ -758,15 +777,15 @@ class TestTrainPredictEvaluate:
                 "benchmark": ["benchmark", "--outdir", str(out)],
                 "train": ["train", "--gamma", "100", "--sigma2", "50", "--model-out", str(out)],
                 "features": ["features", "--outdir", str(out)]}[command]
-        named = f"{src}: series length 5 must exceed n_lags 8"
-        data, complaint = {
+        named = (2, f"data error: {src}: series length 5 must exceed n_lags 8")
+        data, (code, complaint) = {
             "--in": (["--in", str(src), "--n-lags", "8"], named),
             "--config": (["--config", str(config)], named),
             "--synth-n": (["--synth-n", "600", "--n-lags", "700"],
-                          "series length 600 must exceed n_lags 700"),
+                          (1, "usage error: n_lags 700 must be below synthetic.n 600")),
         }[source]
-        assert main(argv + data) == 2
-        assert capsys.readouterr().err == f"data error: {complaint}\n"
+        assert main(argv + data) == code
+        assert capsys.readouterr().err == f"{complaint}\n"
         assert not out.exists()
 
     def test_one_blas_library_and_no_scipy(self, tmp_path, series_csv):
@@ -966,6 +985,43 @@ class TestHelpDefaults:
                 assert helps[cli._dest(flag)].endswith(f"(default {default})"), flag
 
 
+@pytest.fixture(scope="module")
+def windlike_month(tmp_path_factory):
+    """A 30-day wind-like file (2160 slots) with a storm, a calm spell and
+    25 m/s spikes in its test block, and what each command made of it: the
+    values that ``clean``, ``predict`` and ``benchmark`` report at each slot
+    (NaN where a command reports none), predict's forecasts, and what
+    ``evaluate --block all`` printed. ``benchmark`` runs a 3-particle,
+    2-iteration swarm."""
+    d = tmp_path_factory.mktemp("windlike")
+    path, model = str(d / "wind.csv"), str(d / "m.lssvm")
+    values = write_windlike_csv(path, 2160, seed=1, defects=("storm", "calm", "spikes"))
+    lags = ["--n-lags", "8", "--select-fraction", "0.25"]
+    printed = {}
+    for command, argv in [
+        ("clean", ["--out", str(d / "clean.csv")]),
+        ("train", [*lags, "--gamma", "100", "--sigma2", "50", "--model-out", model]),
+        ("predict", ["--model", model, "--out", str(d / "predict.csv")]),
+        ("evaluate", ["--model", model, "--block", "all"]),
+        ("benchmark", [*lags, "--population", "3", "--iterations", "2", "--trials", "1",
+                       "--outdir", str(d / "bench")]),
+    ]:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([command, "--in", path, *argv]) == 0
+        printed[command] = out.getvalue()
+
+    def column(name, file):
+        with open(d / file) as fh:
+            got = np.array([float(row[name]) for row in csv.DictReader(fh)])
+        at = np.full(len(values), np.nan)
+        at[len(values) - len(got):] = got  # the rows of a block end at the last slot
+        return at
+
+    reported = {"clean": column("value", "clean.csv"), "predict": column("actual", "predict.csv"),
+                "benchmark": column("actual", "bench/predictions_ebqpso_0.csv")}
+    return values, reported, column("forecast", "predict.csv"), printed["evaluate"], model
+
+
 class TestWindlikeSeries:
     def test_defects_load_and_predict(self, tmp_path):
         # A blank cell and a three-cadence gap are the only missing samples;
@@ -981,6 +1037,57 @@ class TestWindlikeSeries:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == experiment.model_rows(series, load_model(model)[1]).n_rows == 600 - 8
+
+    # A storm and a calm spell are wind, to be kept as written; a 25 m/s
+    # one-sample spike is not, and no command may report it as a value.
+    @pytest.mark.parametrize("command", ["clean", "predict", "evaluate", "benchmark"])
+    @pytest.mark.parametrize("defect, slots", [
+        pytest.param("storm", STORM_SLOTS, id="storm", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 5: the global z-gate replaces 10 of the "
+                                "storm's 36 samples")),
+        pytest.param("calm", CALM_SLOTS, id="calm"),
+        pytest.param("spikes", SPIKES_SLOTS, id="spikes", marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 5: the global z-gate keeps every 25 m/s spike")),
+    ])
+    def test_value_defect(self, windlike_month, command, defect, slots):
+        values, reported, forecast, evaluated, _ = windlike_month
+        slots = list(slots)
+        if command == "evaluate":
+            # evaluate --block all scores predict's forecasts against its
+            # actuals: so the written storm and calm, and no spike.
+            actual = reported["predict"].copy()
+            actual[slots] = SPIKES_SPEED if defect == "spikes" else values[slots]
+            rows = ~np.isnan(forecast)
+            rmse = f"rmse={np.sqrt(np.mean((actual[rows] - forecast[rows]) ** 2)):.4f} "
+            assert (rmse in evaluated) == (defect != "spikes"), (rmse, evaluated)
+        elif defect == "spikes":
+            assert not (reported[command][slots] == SPIKES_SPEED).any()
+        else:
+            np.testing.assert_array_equal(reported[command][slots], values[slots])
+
+    @pytest.mark.parametrize("command", ["clean", "predict", "evaluate", "benchmark"])
+    @pytest.mark.parametrize("defect", ["duplicate", "junk", "cadence"])
+    def test_stamp_defect_names_line(self, tmp_path, capsys, windlike_month, command, defect):
+        path, out = str(tmp_path / "wind.csv"), tmp_path / "out"
+        write_windlike_csv(path, 2160, seed=1, defects=(defect,))
+        where = {
+            "duplicate": f"line {line_of(DUPLICATE_SLOT) + 1}: duplicate timestamp "
+                         f"{stamp(DUPLICATE_SLOT)!r}",
+            "junk": f"line {line_of(JUNK_SLOT)}: unparseable timestamp {JUNK_STAMP!r}",
+            "cadence": f"line {line_of(CADENCE_SLOT + 1)}: cadence changes at timestamp "
+                       f"{stamp(CADENCE_SLOT + 1, changed=True)!r}: 3 or more steps of "
+                       f"{CHANGED_CADENCE_MINUTES} min in a row, cadence 20 min",
+        }[defect]
+        model = windlike_month[-1]
+        argv = {"clean": ["--out", str(out)],
+                "predict": ["--model", model, "--out", str(out)],
+                "evaluate": ["--model", model],
+                "benchmark": ["--n-lags", "8", "--population", "3", "--iterations", "2",
+                              "--trials", "1", "--outdir", str(out)]}[command]
+        capsys.readouterr()
+        assert main([command, "--in", path, *argv]) == 2
+        assert capsys.readouterr().err == f"data error: {path}: {where}\n"
+        assert not out.exists()
 
 
 class TestUsage:

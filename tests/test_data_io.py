@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from windlssvm import data_io
 from windlssvm.data_io import (
     DataError,
     MODEL_MAGIC,
@@ -166,10 +167,14 @@ class TestTimestamps:
         with pytest.raises(DataError, match="line 2: unparseable timestamp"):
             load_csv(str(p))
 
-    # numpy reads these, in any case, as the wall clock.
-    @pytest.mark.parametrize("word", ["now", "today", "NOW", "Today"])
+    # numpy reads the first four, in any case, as the wall clock; "snow" is
+    # letter-initial junk that it cannot parse. Each sorts after every stamp
+    # that starts with a digit, wherever it stands in the file.
+    @pytest.mark.parametrize("word", ["now", "today", "NOW", "Today", "snow"])
     def test_wall_clock_stamp_names_line(self, tmp_path, word):
-        for lines, lineno in ((["timestamp,value", f"{word},3.0"], 2), (_stamped(10) + [f"{word},3.0"], 12)):
+        for lines, lineno in ((["timestamp,value", f"{word},3.0"], 2),
+                              ([f"{word},3.0"] + _stamped(10)[1:], 1),
+                              (_stamped(10) + [f"{word},3.0"], 12)):
             p = tmp_path / "clock.csv"
             p.write_text("\n".join(lines) + "\n")
             with pytest.raises(DataError) as info:
@@ -177,12 +182,37 @@ class TestTimestamps:
             assert str(info.value) == f"{p}: line {lineno}: unparseable timestamp {word!r}"
 
     def test_stamps_of_today_load(self, tmp_path):
-        # A file that reaches today is searched for the two words, and loads.
+        # A file that reaches today loads: every stamp starts with a digit, so
+        # no stamp can be one of the two words.
         start = np.datetime64("today", "m")
         p = tmp_path / "today.csv"
         p.write_text("".join(f"{start + np.timedelta64(20 * i, 'm')},{i}.0\n" for i in range(3)))
         s = load_csv(str(p))
         assert s.start == start.astype(datetime) and s.values.tolist() == [0.0, 1.0, 2.0]
+
+    def test_stamps_up_to_now_parse_in_one_call(self, tmp_path, monkeypatch):
+        # 2160 rows (30 days) ending at the current minute, with a blank cell
+        # and a three-cadence step, load as their copy dated 2015 does, and
+        # no stamp is parsed on its own.
+        def parsed_alone(stamp):
+            raise AssertionError(f"{stamp!r} parsed on its own")
+
+        monkeypatch.setattr(data_io, "_stamp_problem", parsed_alone)
+        n = 2160
+        ends = {"now": np.datetime64("now", "m") - np.timedelta64(20 * (n - 1), "m"),
+                "2015": np.datetime64("2015-04-01T00:00")}
+        loaded = {}
+        for name, start in ends.items():
+            rows = [f"{start + np.timedelta64(20 * i, 'm')},{'' if i == 5 else repr(float(i))}"
+                    for i in range(n) if i not in (10, 11)]
+            p = tmp_path / f"{name}.csv"
+            p.write_text("\n".join(["timestamp,value"] + rows) + "\n")
+            loaded[name] = load_csv(str(p))
+        now, old = loaded["now"], loaded["2015"]
+        assert len(now) == len(old) == n and now.cadence_minutes == old.cadence_minutes == 20
+        np.testing.assert_array_equal(now.values, old.values)
+        np.testing.assert_array_equal(now.missing_mask, old.missing_mask)
+        assert np.flatnonzero(now.missing_mask).tolist() == [5, 10, 11]
 
     def test_duplicate_stamp_names_line(self, tmp_path):
         lines = _stamped(10)

@@ -92,6 +92,7 @@ class TestConfigValidation:
         ("strategies", (), "at least one strategy required"),
         ("trials", 0, "trials must be positive"),
         ("base_seed", -1, "base_seed must be non-negative"),
+        ("n_lags", 600, "n_lags 600 must be below synthetic.n 600"),
     ])
     def test_bad_setting_refused(self, field, value, complaint):
         with pytest.raises(ValueError) as info:

@@ -407,17 +407,6 @@ class TestPairwiseSqDists:
         np.testing.assert_array_equal(np.diag(D), 0.0)
         assert np.all(D >= 0)
 
-    def test_peak_memory_is_one_square_array(self):
-        n = 1000
-        X = np.random.default_rng(3).uniform(0, 25, (n, 10))
-        tracemalloc.start()
-        try:
-            pairwise_sq_dists(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8
-
 
 def filled_kernel(X, sigma2, diagonal):
     """K with ``diagonal`` on its diagonal as fill_kernel writes it, mirrored
